@@ -271,7 +271,7 @@ def run() -> list[Table]:
 
     def fleet_pass(service: SpannerService, ids: list[str]) -> list:
         futures = [
-            service.submit(qid, docs)
+            service.submit(docs, queries=qid)
             for qid, (_spanner, docs) in zip(ids, batches)
         ]
         return [future.result() for future in futures]
@@ -485,9 +485,11 @@ def _run_e13g():
                 workers=2, chunk_size=16, task_timeout=timeout
             ) as service:
                 qid = service.register(CompiledSpanner(automaton))
-                service.submit(qid, docs).result()  # warm: artifact shipped
+                # warm: artifact shipped
+                service.submit(docs, queries=qid).result()
                 elapsed, out = _timed_best(
-                    lambda: service.submit(qid, docs).result(), repeat=5
+                    lambda: service.submit(docs, queries=qid).result(),
+                    repeat=5,
                 )
                 counters[label] = (
                     service.tasks_timed_out,
@@ -552,9 +554,11 @@ def _run_e13h():
                 workers=2, chunk_size=16, **knobs
             ) as service:
                 qid = service.register(CompiledSpanner(automaton))
-                service.submit(qid, docs).result()  # warm: artifact shipped
+                # warm: artifact shipped
+                service.submit(docs, queries=qid).result()
                 elapsed, out = _timed_best(
-                    lambda: service.submit(qid, docs).result(), repeat=5
+                    lambda: service.submit(docs, queries=qid).result(),
+                    repeat=5,
                 )
                 resources = service.health()["resources"]
                 counters[label] = (
@@ -823,8 +827,8 @@ def test_e13_fleet_two_queries_identical():
     with SpannerService(workers=2, chunk_size=8) as service:
         q_dict = service.register(CompiledSpanner(automaton))
         q_eq = service.register(eq_engine)
-        f_dict = service.submit(q_dict, dict_docs)
-        f_eq = service.submit(q_eq, eq_docs)
+        f_dict = service.submit(dict_docs, queries=q_dict)
+        f_eq = service.submit(eq_docs, queries=q_eq)
         assert _canonical(f_dict.result()) == _canonical(dict_serial)
         assert _canonical(f_eq.result()) == _canonical(eq_serial)
 
@@ -839,7 +843,7 @@ def test_e13_fleet_recycle_identical():
         workers=2, chunk_size=4, max_tasks_per_worker=1
     ) as service:
         qid = service.register(CompiledSpanner(automaton))
-        out = service.submit(qid, docs).result()
+        out = service.submit(docs, queries=qid).result()
         assert _canonical(out) == _canonical(serial)
         assert service.workers_recycled > 0
 
@@ -900,7 +904,7 @@ def test_e13_governed_fleet_identical():
         compile_timeout=60.0,
     ) as service:
         qid = service.register(CompiledSpanner(automaton))
-        out = service.submit(qid, docs).result()
+        out = service.submit(docs, queries=qid).result()
         resources = service.health()["resources"]
     assert _canonical(out) == _canonical(serial)
     assert resources["degraded_to_pipe"] == 0

@@ -53,7 +53,7 @@ from .runtime.cache import cache_metrics
 from .runtime.compiled import CompiledSpanner
 from .runtime.equality import CompiledEqualityQuery, equality_join
 from .runtime.parallel import ParallelSpanner
-from .runtime.service import SpannerService
+from .runtime.service import ServiceConfig, SpannerService
 
 __version__ = "1.0.0"
 
@@ -78,6 +78,7 @@ __all__ = [
     "CompiledEqualityQuery",
     "ParallelSpanner",
     "SpannerService",
+    "ServiceConfig",
     "equality_join",
     "cache_metrics",
     "enumerate_tuples",

@@ -75,6 +75,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from typing import Iterable
 
 from .errors import SpannerError
@@ -203,29 +204,32 @@ def _extract_prefix(
     return " ".join(parts) if parts else None
 
 
-def _fleet_opts(args: argparse.Namespace) -> dict:
-    """The fault-tolerance and resource knobs every fleet site shares.
+def _fleet_opts(
+    args: argparse.Namespace, *, admission: bool = False
+) -> dict:
+    """The fleet settings and artifact store every fleet site shares.
 
-    Validated here so a bad value prints ``error: ...`` (exit 2) like
-    every other CLI mistake instead of a constructor traceback.  A task
-    that then exceeds the deadline surfaces as
-    :class:`~repro.errors.TaskTimeoutError`, and one that exceeds a
-    result cap as :class:`~repro.errors.ResultLimitError` — both
-    ``SpannerError``s, so ``main()`` renders them the same way.
+    :class:`~repro.runtime.config.ServiceConfig` validates the settings;
+    its ``ValueError`` becomes a ``SpannerError`` so a bad value prints
+    ``error: ...`` (exit 2) like every other CLI mistake instead of a
+    constructor traceback.  A task that then exceeds the deadline
+    surfaces as :class:`~repro.errors.TaskTimeoutError`, and one that
+    exceeds a result cap as :class:`~repro.errors.ResultLimitError` —
+    both ``SpannerError``s, so ``main()`` renders them the same way.
+
+    ``admission`` adds the register-time admission knobs, which only a
+    ``SpannerService`` site enforces: ``ParallelSpanner`` compiles its
+    one query eagerly at construction, so there is no admission
+    decision left to make there.
     """
-    if args.task_timeout is not None and args.task_timeout <= 0:
-        raise SpannerError(
-            f"--task-timeout must be > 0, got {args.task_timeout}"
-        )
-    for flag, value in (
-        ("--shm-budget", args.shm_budget),
-        ("--max-tuples", args.max_tuples),
-        ("--max-result-bytes", args.max_result_bytes),
-        ("--worker-memory-limit", args.worker_memory_limit),
-    ):
-        if value is not None and value < 1:
-            raise SpannerError(f"{flag} must be >= 1, got {value}")
-    return {
+    from .runtime.config import ServiceConfig
+
+    settings = {
+        "workers": args.workers,
+        "backend": args.backend,
+        "transport": args.transport,
+        "encoding": args.encoding,
+        "errors": args.errors,
         "task_timeout": args.task_timeout,
         "on_overload": args.on_overload,
         "shm_budget": args.shm_budget,
@@ -233,8 +237,15 @@ def _fleet_opts(args: argparse.Namespace) -> dict:
         "max_result_bytes": args.max_result_bytes,
         "on_result_limit": args.on_result_limit,
         "worker_memory_limit": args.worker_memory_limit,
-        "artifact_store": _artifact_store(args),
     }
+    if admission:
+        settings["max_compile_states"] = args.max_compile_states
+        settings["compile_timeout"] = args.compile_timeout
+    try:
+        config = ServiceConfig(**settings)
+    except ValueError as err:
+        raise SpannerError(str(err)) from err
+    return {**asdict(config), "artifact_store": _artifact_store(args)}
 
 
 def _artifact_store(args: argparse.Namespace):
@@ -250,24 +261,6 @@ def _artifact_store(args: argparse.Namespace):
             f"cannot open artifact cache {args.artifact_cache}: "
             f"{err.strerror or err}"
         ) from err
-
-
-def _admission_opts(args: argparse.Namespace) -> dict:
-    """The register-time admission knobs (``SpannerService`` only —
-    ``ParallelSpanner`` compiles its one query eagerly at construction,
-    so there is no admission decision left to make there)."""
-    if args.max_compile_states is not None and args.max_compile_states < 1:
-        raise SpannerError(
-            f"--max-compile-states must be >= 1, got {args.max_compile_states}"
-        )
-    if args.compile_timeout is not None and args.compile_timeout <= 0:
-        raise SpannerError(
-            f"--compile-timeout must be > 0, got {args.compile_timeout}"
-        )
-    return {
-        "max_compile_states": args.max_compile_states,
-        "compile_timeout": args.compile_timeout,
-    }
 
 
 def _extract_fleet(args: argparse.Namespace, formulas: list[str]) -> int:
@@ -286,15 +279,7 @@ def _extract_fleet(args: argparse.Namespace, formulas: list[str]) -> int:
     _stat_inputs(args.file)
     label_docs = len(args.file) > 1
     total = 0
-    with SpannerService(
-        workers=args.workers,
-        backend=args.backend,
-        transport=args.transport,
-        encoding=args.encoding,
-        errors=args.errors,
-        **_fleet_opts(args),
-        **_admission_opts(args),
-    ) as service:
+    with SpannerService(**_fleet_opts(args, admission=True)) as service:
         # Register the raw formulas so admission control sees them
         # *before* compilation (the artifact — the compiled tables —
         # is identical either way).  A rejection surfaces as
@@ -375,16 +360,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             # the session keys its --artifact-cache entry by the source
             # fingerprint, so warm runs (and the multi-file fleet path,
             # which registers the same syntax) share one cache entry.
-            engine = ParallelSpanner(
-                formulas[0],
-                workers=args.workers,
-                backend=args.backend,
-                transport=args.transport,
-                encoding=args.encoding,
-                errors=args.errors,
-                fuse=args.fuse,
-                **_fleet_opts(args),
-            )
+            engine = ParallelSpanner(formulas[0], **_fleet_opts(args))
             # Push --limit into the workers: a capped extraction must
             # stop enumerating at the cap there, as the serial path
             # does here.
@@ -457,16 +433,7 @@ def _query_parallel(
     # radix order are not the first tuples in sorted order).  Boolean
     # queries only need non-emptiness: one tuple decides the verdict.
     limit = 1 if query.is_boolean else None
-    with ParallelSpanner(
-        engine,
-        workers=args.workers,
-        backend=args.backend,
-        transport=args.transport,
-        encoding=args.encoding,
-        errors=args.errors,
-        fuse=args.fuse,
-        **_fleet_opts(args),
-    ) as pool:
+    with ParallelSpanner(engine, **_fleet_opts(args)) as pool:
         streams = pool.evaluate_many(
             (text for _name, text in docs), limit=limit
         )
@@ -600,15 +567,7 @@ def _query_fleet(
     # --limit, so workers must not cap enumeration early; only an
     # all-Boolean batch can stop at the one tuple that decides it.
     limit = 1 if all(q.is_boolean for q in queries) else None
-    with SpannerService(
-        workers=args.workers,
-        backend=args.backend,
-        transport=args.transport,
-        encoding=args.encoding,
-        errors=args.errors,
-        **_fleet_opts(args),
-        **_admission_opts(args),
-    ) as service:
+    with SpannerService(**_fleet_opts(args, admission=True)) as service:
         query_ids = [service.register(engine) for engine in engines]
         futures = service.submit_all(
             [text for _name, text in docs],

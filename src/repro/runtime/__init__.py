@@ -27,6 +27,9 @@
   channel, per-query quarantine breakers, overload shedding policies,
   an asyncio front-end and transport negotiation
   (``transport={"auto","shm","pipe"}``);
+* :mod:`.config` — :class:`ServiceConfig`, the one frozen, validated
+  record of every fleet setting, shared by :class:`SpannerService`,
+  :class:`ParallelSpanner`, the CLI and the restart manifest;
 * :mod:`.store` — :class:`ArtifactStore` / :class:`MemoryStore` /
   :class:`FileStore`, the crash-safe fingerprint-keyed store of
   compiled artifacts behind warm ``register()`` starts and
@@ -73,6 +76,7 @@ __all__ = [
     "CompiledEqualityQuery",
     "ParallelSpanner",
     "SpannerService",
+    "ServiceConfig",
     "QueryHandle",
     "FusedQuery",
     "FusedEngine",
@@ -110,7 +114,7 @@ def __getattr__(name: str):
         from .parallel import ParallelSpanner
 
         return ParallelSpanner
-    if name in ("SpannerService", "QueryHandle"):
+    if name in ("SpannerService", "ServiceConfig", "QueryHandle"):
         from . import service
 
         return getattr(service, name)

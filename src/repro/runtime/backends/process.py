@@ -34,6 +34,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ProcessBackend", "ProcessWorkerHandle", "compile_in_subprocess"]
 
+#: Seconds :meth:`ProcessWorkerHandle.read_heartbeat` waits for the
+#: heartbeat lock before reading without it.
+HEARTBEAT_LOCK_TIMEOUT = 1.0
+
 
 def _fleet_worker(
     worker_id: int,
@@ -199,13 +203,18 @@ class ProcessWorkerHandle(WorkerHandle):
         return self.process.is_alive()
 
     def read_heartbeat(self) -> tuple[int, float, float, int]:
-        with self.heartbeat.get_lock():
-            return (
-                int(self.heartbeat[0]),
-                self.heartbeat[1],
-                self.heartbeat[2],
-                int(self.heartbeat[3]),
-            )
+        # A worker SIGKILLed mid-stamp dies holding this lock, and a
+        # blocking acquire would wedge the collector (and health())
+        # forever.  Past the bound, read unlocked: a live worker holds
+        # the lock for four stores, and a dead one writes nothing more.
+        lock = self.heartbeat.get_lock()
+        slots = self.heartbeat.get_obj()  # unsynchronized view
+        locked = lock.acquire(timeout=HEARTBEAT_LOCK_TIMEOUT)
+        try:
+            return (int(slots[0]), slots[1], slots[2], int(slots[3]))
+        finally:
+            if locked:
+                lock.release()
 
 
 class ProcessBackend(ComputeBackend):

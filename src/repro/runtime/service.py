@@ -109,8 +109,8 @@ the worker count, chunking, recycling or crash history.
     with SpannerService(workers=4) as service:
         logs = service.register(".*level{ERROR|WARN}.*")
         mail = service.register("(ε|.* )m{u{[a-z]+}@d{[a-z]+\\.[a-z]+}}( .*|ε)")
-        f1 = service.submit(logs, log_lines)      # both queries share
-        f2 = service.submit(mail, mail_bodies)    # ... the same workers
+        f1 = service.submit(log_lines, queries=logs)     # both queries
+        f2 = service.submit(mail_bodies, queries=mail)   # share workers
         answers = f1.result(), f2.result()
 
     async def serve():
@@ -128,9 +128,9 @@ import pickle
 import signal
 import threading
 import time
-import warnings
 from collections import deque
 from concurrent.futures import CancelledError, Future, InvalidStateError, wait
+from dataclasses import asdict, replace
 from itertools import count
 from pathlib import Path
 from typing import TYPE_CHECKING, Awaitable, Iterable, Sequence
@@ -150,6 +150,8 @@ from ..spans import SpanTuple
 from ..vset.automaton import VSetAutomaton
 from .backends.base import WorkerHandle, resolve_backend
 from .compiled import CompiledSpanner, estimate_compile_states
+from .config import UNSET as _UNSET
+from .config import ConfigAttributes, ServiceConfig, check_limits
 from .equality import CompiledEqualityQuery
 from .faults import FaultPlan
 from .fusion import (
@@ -166,20 +168,17 @@ from .store import (
     atomic_write_bytes,
 )
 from .tables import AutomatonTables
-from .transport import (
-    DEFAULT_SHM_THRESHOLD,
-    TRANSPORT_MODES,
-    ShmChunk,
-    create_transport,
-)
+from .transport import ShmChunk, create_transport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..regex.ast import RegexFormula
 
-__all__ = ["SpannerService", "QueryHandle", "MANIFEST_FORMAT_VERSION"]
-
-#: Documents per dispatched task (same granularity ParallelSpanner uses).
-DEFAULT_CHUNK_SIZE = 16
+__all__ = [
+    "SpannerService",
+    "ServiceConfig",
+    "QueryHandle",
+    "MANIFEST_FORMAT_VERSION",
+]
 
 #: A task is re-dispatched after a worker death at most this many times
 #: in total before its future fails — the bound that keeps one
@@ -194,27 +193,9 @@ MAX_TASK_ATTEMPTS = 3
 RETRY_BACKOFF_BASE = 0.05
 RETRY_BACKOFF_CAP = 1.0
 
-#: What ``submit`` does once ``max_in_flight`` chunks are outstanding.
-OVERLOAD_POLICIES = ("block", "shed_oldest", "reject")
-
-#: What a worker does when a document's result crosses its cap:
-#: ``"error"`` fails exactly that task with
-#: :class:`~repro.errors.ResultLimitError`; ``"truncate"`` returns the
-#: bounded prefix (byte-identical up to the cap) and counts the
-#: truncation.
-RESULT_LIMIT_POLICIES = ("error", "truncate")
-
-#: Fleet-level failures (timeouts, lost workers, exhausted transient
-#: retries) before a query's circuit breaker opens.
-DEFAULT_QUARANTINE_AFTER = 3
-
-#: Seconds a quarantined query waits before a half-open probe is let
-#: through.
-DEFAULT_QUARANTINE_COOLDOWN = 30.0
-
-#: Distinguishes "caller passed None" (disable the deadline) from
-#: "caller passed nothing" (inherit the query/service default).
-_UNSET = object()
+#: The per-query overrides ``register()`` accepts and the manifest
+#: journals (each omitted one inherits the service default).
+_QUERY_OPTIONS = ("timeout", "max_tuples", "max_result_bytes")
 
 #: Bump when the restart-manifest layout changes; ``restore()`` rejects
 #: unknown versions rather than guessing at field meanings.
@@ -354,108 +335,20 @@ class QueryHandle(str):
         )
 
 
-class SpannerService:
+class SpannerService(ConfigAttributes):
     """A resident multi-query worker fleet with an asyncio front-end.
 
+    Settings are the keyword arguments of :class:`ServiceConfig` —
+    ``workers``, ``chunk_size``, ``backend``, ``transport``,
+    ``task_timeout``, the result caps, the memory and admission limits
+    and the rest — validated there once and kept as :attr:`config`
+    (each also readable as an attribute: ``service.workers``).  The
+    config keeps the *resolved* backend name, never ``"auto"``.
+
+    Three more arguments wire the fleet to its surroundings and are
+    not part of the config:
+
     Args:
-        workers: fleet size; defaults to the machine's CPU count.
-        chunk_size: documents per dispatched task (the granularity of
-            load balancing, re-dispatch and recycling).
-        max_tasks_per_worker: recycle a worker after it has been
-            assigned this many tasks — it finishes its in-flight work,
-            stops, and is replaced by a fresh process.  ``None`` (the
-            default) never recycles.
-        max_in_flight: chunks in flight across the whole service before
-            :meth:`submit` blocks (backpressure); ``None`` = unbounded.
-        backend: the compute substrate the fleet runs on —
-            ``"process"`` (spawned worker processes; shm transport,
-            SIGKILL deadlines — the pre-seam behavior), ``"thread"``
-            (worker threads sharing one materialized engine per query;
-            no pickling, no shm — real parallelism on free-threaded
-            builds), ``"serial"`` (inline execution in the calling
-            thread; deadlines and the memory watchdog are inert — there
-            is no worker to kill) or ``"auto"`` (the default: thread on
-            free-threaded interpreters, process otherwise).  Results
-            are byte-identical across backends.
-        mp_context: a :mod:`multiprocessing` start-method name
-            ("fork", "spawn", "forkserver") or ``None`` for the
-            platform default (process backend only).
-        transport: how in-memory documents reach the workers —
-            ``"auto"`` (shared-memory segments for chunks whose encoded
-            payload reaches ``shm_threshold`` bytes, the task pipe
-            below it or where POSIX shm is missing), ``"shm"`` (always
-            shared memory; raises
-            :class:`~repro.runtime.transport.TransportUnavailableError`
-            where unsupported) or ``"pipe"`` (always the task message,
-            the pre-transport behavior).  File paths (``submit_files``)
-            always ride the pipe — workers read those themselves.
-        shm_threshold: the ``"auto"`` negotiation bound, in encoded
-            bytes per chunk.
-        encoding / errors: how workers decode file-backed documents
-            (the ``files`` op); any :func:`codecs` name / error
-            handler.  In-memory documents are never re-encoded with
-            this codec — the shm transport uses its own fixed lossless
-            wire codec.
-        task_timeout: default per-task execution deadline in seconds;
-            ``None`` (the default) never times out.  Override per query
-            (``register(..., timeout=...)``) or per call
-            (``submit*(..., timeout=...)``); the most specific setting
-            wins, and an explicit ``timeout=None`` at a more specific
-            level *disables* the inherited deadline.  A task past its
-            deadline has its worker killed and replaced and its future
-            failed with :class:`~repro.errors.TaskTimeoutError`.
-        quarantine_after: consecutive fleet-level failures (timeouts,
-            lost workers, exhausted transient retries — not ordinary
-            per-task exceptions) before a query is quarantined.
-        quarantine_cooldown: seconds a quarantined query waits before a
-            half-open probe submission is admitted.
-        on_overload: policy once ``max_in_flight`` chunks are
-            outstanding — ``"block"`` (default: submission blocks, the
-            pre-fault-tolerance backpressure), ``"reject"`` (submission
-            raises :class:`~repro.errors.OverloadedError`) or
-            ``"shed_oldest"`` (the oldest *backlogged* task's future is
-            failed with ``OverloadedError`` to make room; falls back to
-            blocking when nothing is sheddable).
-        shm_budget: byte budget for the shared-memory transport's
-            segments (in-flight + free pool together); ``None`` =
-            unbounded.  Under pressure the free pool shrinks first; a
-            chunk the remaining budget cannot fit — like any real
-            ``ENOSPC``/``MemoryError`` out of ``/dev/shm`` — falls back
-            to the task pipe for that chunk (counted in ``health()``,
-            never fatal, results byte-identical).
-        max_tuples / max_result_bytes: service-default result cap per
-            *document* (``None`` = uncapped).  Enforced worker-side
-            with incremental accounting over the polynomial-delay
-            stream; override per query (``register``) or per call
-            (``submit*``), most specific wins, explicit ``None``
-            disables an inherited cap.
-        on_result_limit: ``"error"`` (default) fails a capped task with
-            :class:`~repro.errors.ResultLimitError` — which indicts the
-            input, so it never charges the query's breaker; or
-            ``"truncate"`` — the document contributes exactly its first
-            ``max_tuples`` tuples (/ last tuple under the byte cap),
-            byte-identical to the serial prefix, and the truncation is
-            counted.
-        worker_memory_limit: RSS (bytes) past which a worker is
-            drained-and-recycled at its next task boundary — in-flight
-            work finishes, nothing is lost.  Sampled from the heartbeat
-            channel, so detection is one collector tick after the task
-            that bloated the worker ends.
-        worker_memory_hard_limit: RSS past which a worker is killed
-            *immediately* (its tasks re-dispatch like crash orphans) —
-            the backstop for a worker ballooning mid-task, before any
-            task boundary.  Must be >= ``worker_memory_limit``.
-        max_compile_states: reject ``register()`` inputs whose
-            *estimated* automaton size exceeds this with
-            :class:`~repro.errors.QueryRejectedError` — the estimate
-            (Lemma 3.4's construction emits <= 2 states per syntax-tree
-            node) costs a parse, not a compile.
-        compile_timeout: seconds a ``register()`` compilation may run.
-            When set, compilation happens in a throwaway process under
-            this deadline (the fleet's hung-task pattern); on expiry it
-            is killed and ``register`` raises
-            :class:`~repro.errors.QueryRejectedError` — no worker is
-            consumed and the fleet keeps serving.
         fault_plan: a :class:`~repro.runtime.faults.FaultPlan` shipped
             to every worker — deterministic chaos for the test suite;
             leave ``None`` in production.
@@ -472,11 +365,11 @@ class SpannerService:
             ``<manifest dir>/artifacts``.
         manifest_path: when set, the service journals a restart
             manifest (registered queries, their store keys and
-            recompilable sources, open quarantines, the constructor
-            config) to this JSON file — atomically rewritten on every
-            ``register()`` and on quarantine changes — so
-            :meth:`SpannerService.restore` can rebuild an equivalent
-            fleet after a crash (``kill -9`` included).
+            recompilable sources, open quarantines, the config) to this
+            JSON file — atomically rewritten on every ``register()`` and
+            on quarantine changes — so :meth:`SpannerService.restore`
+            can rebuild an equivalent fleet after a crash (``kill -9``
+            included).
 
     The service starts lazily on first use (or explicitly via
     :meth:`start` / ``with service:``) and must be closed —
@@ -488,149 +381,39 @@ class SpannerService:
     def __init__(
         self,
         *,
-        workers: int | None = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        max_tasks_per_worker: int | None = None,
-        max_in_flight: int | None = None,
-        backend: str = "auto",
-        mp_context: str | None = None,
-        transport: str = "auto",
-        shm_threshold: int = DEFAULT_SHM_THRESHOLD,
-        encoding: str = "utf-8",
-        errors: str = "strict",
-        task_timeout: float | None = None,
-        quarantine_after: int = DEFAULT_QUARANTINE_AFTER,
-        quarantine_cooldown: float = DEFAULT_QUARANTINE_COOLDOWN,
-        on_overload: str = "block",
-        shm_budget: int | None = None,
-        max_tuples: int | None = None,
-        max_result_bytes: int | None = None,
-        on_result_limit: str = "error",
-        worker_memory_limit: int | None = None,
-        worker_memory_hard_limit: int | None = None,
-        max_compile_states: int | None = None,
-        compile_timeout: float | None = None,
         fault_plan: "FaultPlan | None" = None,
         artifact_store: "ArtifactStore | None" = None,
         manifest_path: "str | os.PathLike | None" = None,
+        **settings,
     ):
-        self.workers = workers if workers is not None else (os.cpu_count() or 1)
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.chunk_size = chunk_size
-        if max_tasks_per_worker is not None and max_tasks_per_worker < 1:
-            raise ValueError(
-                f"max_tasks_per_worker must be >= 1, got {max_tasks_per_worker}"
-            )
-        self.max_tasks_per_worker = max_tasks_per_worker
-        if max_in_flight is not None and max_in_flight < 1:
-            raise ValueError(
-                f"max_in_flight must be >= 1, got {max_in_flight}"
-            )
-        self.max_in_flight = max_in_flight
-        if task_timeout is not None and task_timeout <= 0:
-            raise ValueError(f"task_timeout must be > 0, got {task_timeout}")
-        self.task_timeout = task_timeout
-        if quarantine_after < 1:
-            raise ValueError(
-                f"quarantine_after must be >= 1, got {quarantine_after}"
-            )
-        self.quarantine_after = quarantine_after
-        if quarantine_cooldown < 0:
-            raise ValueError(
-                f"quarantine_cooldown must be >= 0, got {quarantine_cooldown}"
-            )
-        self.quarantine_cooldown = quarantine_cooldown
-        if on_overload not in OVERLOAD_POLICIES:
-            raise ValueError(
-                f"on_overload must be one of {OVERLOAD_POLICIES}, "
-                f"got {on_overload!r}"
-            )
-        self.on_overload = on_overload
-        if max_tuples is not None and max_tuples < 1:
-            raise ValueError(f"max_tuples must be >= 1, got {max_tuples}")
-        self.max_tuples = max_tuples
-        if max_result_bytes is not None and max_result_bytes < 1:
-            raise ValueError(
-                f"max_result_bytes must be >= 1, got {max_result_bytes}"
-            )
-        self.max_result_bytes = max_result_bytes
-        if on_result_limit not in RESULT_LIMIT_POLICIES:
-            raise ValueError(
-                f"on_result_limit must be one of {RESULT_LIMIT_POLICIES}, "
-                f"got {on_result_limit!r}"
-            )
-        self.on_result_limit = on_result_limit
-        if worker_memory_limit is not None and worker_memory_limit < 1:
-            raise ValueError(
-                f"worker_memory_limit must be >= 1, got {worker_memory_limit}"
-            )
-        self.worker_memory_limit = worker_memory_limit
-        if worker_memory_hard_limit is not None:
-            if worker_memory_hard_limit < 1:
-                raise ValueError(
-                    "worker_memory_hard_limit must be >= 1, "
-                    f"got {worker_memory_hard_limit}"
-                )
-            if (
-                worker_memory_limit is not None
-                and worker_memory_hard_limit < worker_memory_limit
-            ):
-                raise ValueError(
-                    "worker_memory_hard_limit must be >= worker_memory_limit "
-                    f"({worker_memory_hard_limit} < {worker_memory_limit})"
-                )
-        self.worker_memory_hard_limit = worker_memory_hard_limit
-        if max_compile_states is not None and max_compile_states < 1:
-            raise ValueError(
-                f"max_compile_states must be >= 1, got {max_compile_states}"
-            )
-        self.max_compile_states = max_compile_states
-        if compile_timeout is not None and compile_timeout <= 0:
-            raise ValueError(
-                f"compile_timeout must be > 0, got {compile_timeout}"
-            )
-        self.compile_timeout = compile_timeout
+        config = ServiceConfig(**settings)
         self.fault_plan = fault_plan
-        self.mp_context = mp_context
-        self.encoding = encoding
-        self.errors = errors
-        self.transport = transport
-        self.shm_threshold = shm_threshold
-        self.shm_budget = shm_budget
         #: The mechanism layer: everything process/thread/inline-specific
         #: (spawn, dispatch, result collection, heartbeats, kill) lives
         #: behind this seam; the service is pure policy over it.
         self._backend = resolve_backend(
-            backend,
-            workers=self.workers,
-            mp_context=mp_context,
-            encoding=encoding,
-            errors=errors,
+            config.backend,
+            workers=config.workers,
+            mp_context=config.mp_context,
+            encoding=config.encoding,
+            errors=config.errors,
             fault_plan=fault_plan,
         )
-        #: The *resolved* backend name ("auto" never survives
-        #: construction) — what health() and the manifest report.
-        self.backend = self._backend.name
-        if self._backend.uses_wire_transport:
-            # None = pure pipe; otherwise the owning side of the
-            # shared-memory document transport (validates the mode
-            # string and the budget).
-            self._doc_transport = create_transport(
-                transport, shm_threshold=shm_threshold, shm_budget=shm_budget
+        #: The validated settings, with the *resolved* backend name —
+        #: what health() and the manifest report.
+        self.config = replace(config, backend=self._backend.name)
+        # Same-address-space workers read the submitted documents
+        # directly — no wire, nothing to pack.  Otherwise None = pure
+        # pipe, else the owning side of the shared-memory transport.
+        self._doc_transport = (
+            create_transport(
+                config.transport,
+                shm_threshold=config.shm_threshold,
+                shm_budget=config.shm_budget,
             )
-        else:
-            # Same-address-space workers read the submitted documents
-            # directly — no wire, nothing to pack.  Still validate the
-            # mode string so a typo fails identically on every backend.
-            if transport not in TRANSPORT_MODES:
-                raise ValueError(
-                    f"transport must be one of {TRANSPORT_MODES}, "
-                    f"got {transport!r}"
-                )
-            self._doc_transport = None
+            if self._backend.uses_wire_transport
+            else None
+        )
         if (
             fault_plan is not None
             and fault_plan.enospc_packs
@@ -672,8 +455,8 @@ class SpannerService:
         self._collector: threading.Thread | None = None
         self._stop_event = threading.Event()
         self._inflight_slots = (
-            threading.BoundedSemaphore(max_in_flight)
-            if max_in_flight is not None
+            threading.BoundedSemaphore(config.max_in_flight)
+            if config.max_in_flight is not None
             else None
         )
         self._started = False
@@ -914,7 +697,7 @@ class SpannerService:
 
     def __repr__(self) -> str:
         return (
-            f"SpannerService(workers={self.workers}, "
+            f"SpannerService(workers={self.config.workers}, "
             f"queries={len(self._registry)}, "
             f"completed={self._completed}, recycled={self._recycled}, "
             f"crashed={self._crashed})"
@@ -997,29 +780,16 @@ class SpannerService:
         asserts that ``source`` compiles to ``query`` — the pairing is
         not checked.  Ignored when ``query`` is itself compilable.
         """
-        if timeout is not _UNSET and timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {timeout}")
-        if max_tuples is not _UNSET and max_tuples is not None and max_tuples < 1:
-            raise ValueError(f"max_tuples must be >= 1, got {max_tuples}")
-        if (
-            max_result_bytes is not _UNSET
-            and max_result_bytes is not None
-            and max_result_bytes < 1
-        ):
-            raise ValueError(
-                f"max_result_bytes must be >= 1, got {max_result_bytes}"
+        check_limits(timeout, max_tuples, max_result_bytes)
+        # The explicit per-query overrides; omitted ones inherit.
+        options = {
+            name: value
+            for name, value in zip(
+                _QUERY_OPTIONS, (timeout, max_tuples, max_result_bytes)
             )
-        if self.max_compile_states is not None:
-            estimate = estimate_compile_states(query)
-            if estimate is not None and estimate > self.max_compile_states:
-                with self._lock:
-                    self._rejected += 1
-                raise QueryRejectedError(
-                    f"estimated automaton size {estimate} exceeds "
-                    f"max_compile_states={self.max_compile_states}",
-                    estimated_states=estimate,
-                    max_compile_states=self.max_compile_states,
-                )
+            if value is not _UNSET
+        }
+        self._check_compile_states(query, "estimated")
         store = self.artifact_store
         spec = self._source_spec(query)
         if spec is None and source is not None:
@@ -1055,32 +825,46 @@ class SpannerService:
         self._commit_registration(
             qid,
             payload,
-            timeout,
-            max_tuples,
-            max_result_bytes,
+            options,
             store_key=store_key,
             source_json=self._source_json(spec),
         )
+        cfg = self.config
         with self._lock:
-            eff_timeout = self._query_timeouts.get(qid, self.task_timeout)
+            eff_timeout = self._query_timeouts.get(qid, cfg.task_timeout)
             q_tuples, q_bytes = self._query_caps.get(qid, (_UNSET, _UNSET))
         return QueryHandle(
             qid,
             fingerprint=hashlib.sha256(payload).hexdigest(),
             timeout=eff_timeout,
-            max_tuples=self.max_tuples if q_tuples is _UNSET else q_tuples,
+            max_tuples=cfg.max_tuples if q_tuples is _UNSET else q_tuples,
             max_result_bytes=(
-                self.max_result_bytes if q_bytes is _UNSET else q_bytes
+                cfg.max_result_bytes if q_bytes is _UNSET else q_bytes
             ),
         )
+
+    def _check_compile_states(self, query: object, context: str) -> None:
+        """Admission control: refuse (and count) a query whose estimated
+        automaton size exceeds ``max_compile_states``."""
+        limit = self.config.max_compile_states
+        if limit is None:
+            return
+        estimate = estimate_compile_states(query)
+        if estimate is not None and estimate > limit:
+            with self._lock:
+                self._rejected += 1
+            raise QueryRejectedError(
+                f"{context} automaton size {estimate} exceeds "
+                f"max_compile_states={limit}",
+                estimated_states=estimate,
+                max_compile_states=limit,
+            )
 
     def _commit_registration(
         self,
         qid: str,
         payload: bytes,
-        timeout,
-        max_tuples,
-        max_result_bytes,
+        options: dict,
         *,
         store_key: str | None,
         source_json: dict | None,
@@ -1088,7 +872,9 @@ class SpannerService:
         """The locked tail of registration (shared with ``restore()``).
 
         Installs the payload in the registry, records the per-query
-        overrides, and — with a manifest configured — journals the
+        overrides (``options``: the explicitly given ``timeout`` /
+        ``max_tuples`` / ``max_result_bytes``, exactly as the manifest
+        journals them), and — with a manifest configured — journals the
         registration atomically before returning.
         """
         with self._lock:
@@ -1101,24 +887,20 @@ class SpannerService:
                     "different artifact"
                 )
             self._registry[qid] = payload
-            if timeout is not _UNSET:
-                self._query_timeouts[qid] = timeout
-            if max_tuples is not _UNSET or max_result_bytes is not _UNSET:
-                self._query_caps[qid] = (max_tuples, max_result_bytes)
+            if "timeout" in options:
+                self._query_timeouts[qid] = options["timeout"]
+            if "max_tuples" in options or "max_result_bytes" in options:
+                self._query_caps[qid] = (
+                    options.get("max_tuples", _UNSET),
+                    options.get("max_result_bytes", _UNSET),
+                )
             if self.manifest_path is not None:
-                options: dict = {}
-                if timeout is not _UNSET:
-                    options["timeout"] = timeout
-                if max_tuples is not _UNSET:
-                    options["max_tuples"] = max_tuples
-                if max_result_bytes is not _UNSET:
-                    options["max_result_bytes"] = max_result_bytes
                 self._manifest_entries[qid] = {
                     "query_id": qid,
                     "store_key": store_key,
                     "payload_sha256": hashlib.sha256(payload).hexdigest(),
                     "source": source_json,
-                    "options": options,
+                    "options": dict(options),
                 }
                 self._write_manifest_locked()
         return qid
@@ -1201,36 +983,6 @@ class SpannerService:
             return MemoryStore(budget=desc.get("budget"))
         return None  # custom stores cannot be rebuilt from a manifest
 
-    def _manifest_config(self) -> dict:
-        """The constructor kwargs ``restore()`` replays (JSON-safe)."""
-        return {
-            "workers": self.workers,
-            "chunk_size": self.chunk_size,
-            "max_tasks_per_worker": self.max_tasks_per_worker,
-            "max_in_flight": self.max_in_flight,
-            # The *resolved* name: a fleet constructed with "auto"
-            # restores onto the substrate it actually ran on, not onto
-            # whatever "auto" means on the restoring interpreter.
-            "backend": self.backend,
-            "mp_context": self.mp_context,
-            "transport": self.transport,
-            "shm_threshold": self.shm_threshold,
-            "encoding": self.encoding,
-            "errors": self.errors,
-            "task_timeout": self.task_timeout,
-            "quarantine_after": self.quarantine_after,
-            "quarantine_cooldown": self.quarantine_cooldown,
-            "on_overload": self.on_overload,
-            "shm_budget": self.shm_budget,
-            "max_tuples": self.max_tuples,
-            "max_result_bytes": self.max_result_bytes,
-            "on_result_limit": self.on_result_limit,
-            "worker_memory_limit": self.worker_memory_limit,
-            "worker_memory_hard_limit": self.worker_memory_hard_limit,
-            "max_compile_states": self.max_compile_states,
-            "compile_timeout": self.compile_timeout,
-        }
-
     def _write_manifest_locked(self) -> None:
         """Atomically rewrite the restart manifest (self._lock held).
 
@@ -1242,7 +994,7 @@ class SpannerService:
             return
         doc = {
             "format": MANIFEST_FORMAT_VERSION,
-            "config": self._manifest_config(),
+            "config": asdict(self.config),
             "store": self._store_descriptor(),
             "queries": [
                 self._manifest_entries[qid]
@@ -1287,8 +1039,9 @@ class SpannerService:
     ) -> "SpannerService":
         """Rebuild a fleet from its restart manifest after a crash.
 
-        Reconstructs the service with the manifest's constructor config
-        (``overrides`` win key-by-key), re-registers every journaled
+        Reconstructs the service with the manifest's
+        :class:`ServiceConfig` (``overrides`` are config fields and win
+        key-by-key), re-registers every journaled
         query — reviving the compiled artifact from the store when its
         bytes verify against the recorded fingerprint (no
         recompilation; the store's hit counter proves it), recompiling
@@ -1305,7 +1058,8 @@ class SpannerService:
         preprocessing (Theorem 3.3 is a pure function of the query).
 
         Raises :class:`~repro.errors.SpannerError` when the manifest is
-        unreadable, from an unknown format version, or names a query
+        unreadable, from an unknown format version, records a config
+        :class:`ServiceConfig` rejects, or names a query
         whose artifact is gone *and* that has no recompilable source.
         """
         path = Path(manifest_path)
@@ -1321,16 +1075,25 @@ class SpannerService:
                 f"manifest {path} is format {fmt!r}; this "
                 f"build speaks v{MANIFEST_FORMAT_VERSION}"
             )
-        config = dict(doc.get("config") or {})
-        if fmt == 1:
-            # v1 predates the backend seam: only the process fleet
-            # existed, so that is what the manifest implicitly records.
-            config.setdefault("backend", "process")
-        config.update(overrides)
+        try:
+            recorded = dict(doc.get("config") or {})
+            if fmt == 1:
+                # v1 predates the backend seam: only the process fleet
+                # existed, so that is what the manifest implicitly
+                # records.
+                recorded.setdefault("backend", "process")
+            config = ServiceConfig(**recorded)
+        except (TypeError, ValueError) as err:
+            raise SpannerError(
+                f"manifest {path} records an invalid config: {err}"
+            ) from err
+        config = replace(config, **overrides)
         if artifact_store is None:
             artifact_store = cls._store_from_descriptor(doc.get("store"))
         service = cls(
-            artifact_store=artifact_store, manifest_path=path, **config
+            artifact_store=artifact_store,
+            manifest_path=path,
+            **asdict(config),
         )
         try:
             for entry in doc.get("queries") or ():
@@ -1342,7 +1105,7 @@ class SpannerService:
                         continue
                     breaker = _Breaker()
                     breaker.failures = int(
-                        rec.get("failures", service.quarantine_after)
+                        rec.get("failures", service.config.quarantine_after)
                     )
                     breaker.opened_at = now
                     service._breakers[qid] = breaker
@@ -1357,12 +1120,8 @@ class SpannerService:
         qid = entry.get("query_id")
         if not isinstance(qid, str) or not qid:
             raise SpannerError(f"manifest query entry without an id: {entry!r}")
-        opts = entry.get("options") or {}
-        timeout = opts["timeout"] if "timeout" in opts else _UNSET
-        max_tuples = opts["max_tuples"] if "max_tuples" in opts else _UNSET
-        max_result_bytes = (
-            opts["max_result_bytes"] if "max_result_bytes" in opts else _UNSET
-        )
+        recorded = entry.get("options") or {}
+        options = {k: recorded[k] for k in _QUERY_OPTIONS if k in recorded}
         store = self.artifact_store
         key = entry.get("store_key")
         recorded_sha = entry.get("payload_sha256")
@@ -1382,23 +1141,14 @@ class SpannerService:
                 # an eviction/re-put cycle): not safe to revive.
                 payload = None
         if payload is not None:
-            if self.max_compile_states is not None:
-                estimate = estimate_compile_states(pickle.loads(payload))
-                if estimate is not None and estimate > self.max_compile_states:
-                    with self._lock:
-                        self._rejected += 1
-                    raise QueryRejectedError(
-                        f"restored query {qid!r}: automaton size {estimate} "
-                        f"exceeds max_compile_states={self.max_compile_states}",
-                        estimated_states=estimate,
-                        max_compile_states=self.max_compile_states,
-                    )
+            if self.config.max_compile_states is not None:
+                self._check_compile_states(
+                    pickle.loads(payload), f"restored query {qid!r}:"
+                )
             self._commit_registration(
                 qid,
                 payload,
-                timeout,
-                max_tuples,
-                max_result_bytes,
+                options,
                 store_key=key,
                 source_json=entry.get("source"),
             )
@@ -1409,15 +1159,8 @@ class SpannerService:
                 f"cannot restore query {qid!r}: artifact {key!r} is not in "
                 "the store and the manifest records no recompilable source"
             )
-        kwargs: dict = {}
-        if "timeout" in opts:
-            kwargs["timeout"] = opts["timeout"]
-        if "max_tuples" in opts:
-            kwargs["max_tuples"] = opts["max_tuples"]
-        if "max_result_bytes" in opts:
-            kwargs["max_result_bytes"] = opts["max_result_bytes"]
         self.register(
-            self._query_from_source(source_json), query_id=qid, **kwargs
+            self._query_from_source(source_json), query_id=qid, **options
         )
 
     def _compile_payload(self, query: object) -> bytes:
@@ -1437,7 +1180,7 @@ class SpannerService:
             query,
             (CompiledSpanner, CompiledEqualityQuery, AutomatonTables, FusedQuery),
         )
-        if self.compile_timeout is None or (precompiled and not delay):
+        if self.config.compile_timeout is None or (precompiled and not delay):
             if delay:
                 time.sleep(delay)
             return pickle.dumps(
@@ -1454,7 +1197,7 @@ class SpannerService:
                 self._rejected += 1
 
         return compile_in_subprocess(
-            query, delay, self.compile_timeout, self.mp_context,
+            query, delay, self.config.compile_timeout, self.config.mp_context,
             on_timeout=on_timeout,
         )
 
@@ -1467,7 +1210,7 @@ class SpannerService:
             if self._started:
                 return self
             self._backend.start()
-            for _ in range(self.workers):
+            for _ in range(self.config.workers):
                 self._spawn_worker()
             self._collector = threading.Thread(
                 target=self._collector_loop,
@@ -1581,23 +1324,11 @@ class SpannerService:
         # the worker wire protocol never pickles the handle type.
         query_id = str(query_id)
         items = list(items)
-        if timeout is not _UNSET and timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {timeout}")
-        if max_tuples is not _UNSET and max_tuples is not None and max_tuples < 1:
-            raise ValueError(f"max_tuples must be >= 1, got {max_tuples}")
-        if (
-            max_result_bytes is not _UNSET
-            and max_result_bytes is not None
-            and max_result_bytes < 1
-        ):
-            raise ValueError(
-                f"max_result_bytes must be >= 1, got {max_result_bytes}"
-            )
+        check_limits(timeout, max_tuples, max_result_bytes)
         if not items:
             fut: Future = Future()
             fut.set_result([])
             return fut
-        self.start()
         with self._lock:
             if self._closing:
                 raise ServiceClosedError("SpannerService is closed")
@@ -1608,10 +1339,31 @@ class SpannerService:
             if deadline is _UNSET:
                 deadline = self._query_timeouts.get(query_id, _UNSET)
             if deadline is _UNSET:
-                deadline = self.task_timeout
+                deadline = self.config.task_timeout
             caps = self._resolve_caps_locked(
                 query_id, max_tuples, max_result_bytes
             )
+        return self._enqueue(query_id, items, op, extra, deadline, caps)
+
+    def _enqueue(
+        self,
+        query_id: str,
+        items: list[str],
+        op: str,
+        extra: int | None,
+        deadline: float | None,
+        caps: "tuple | None",
+        members: "tuple[str, ...] | None" = None,
+    ) -> Future:
+        """The tail every dispatch shares, solo and fused alike: an
+        in-flight slot, the chunk's wire form, the task, its dispatch.
+
+        Admission and deadline/cap resolution already ran — per query
+        in :meth:`submit_chunk`, per *member* in :meth:`submit_all` (the
+        fused pseudo-id itself has no breaker, no per-query caps and no
+        manifest entry).
+        """
+        self.start()
         bounded = self._inflight_slots is not None
         if bounded:
             self._acquire_slot()
@@ -1627,7 +1379,7 @@ class SpannerService:
                 raise ServiceClosedError("SpannerService is closed")
             task = _Task(
                 next(self._task_ids), query_id, op, wire, extra, bounded,
-                deadline, caps,
+                deadline, caps, members=members,
             )
             self._tasks[task.task_id] = task
             self._dispatch_or_backlog(task)
@@ -1649,15 +1401,34 @@ class SpannerService:
         the uncapped fast path.
         """
         q_tuples, q_bytes = self._query_caps.get(query_id, (_UNSET, _UNSET))
+        cfg = self.config
         if max_tuples is _UNSET:
-            max_tuples = self.max_tuples if q_tuples is _UNSET else q_tuples
+            max_tuples = cfg.max_tuples if q_tuples is _UNSET else q_tuples
         if max_result_bytes is _UNSET:
             max_result_bytes = (
-                self.max_result_bytes if q_bytes is _UNSET else q_bytes
+                cfg.max_result_bytes if q_bytes is _UNSET else q_bytes
             )
         if max_tuples is None and max_result_bytes is None:
             return None
-        return (max_tuples, max_result_bytes, self.on_result_limit)
+        return (max_tuples, max_result_bytes, cfg.on_result_limit)
+
+    def _quarantine_error_locked(
+        self, query_id: str
+    ) -> "QueryQuarantinedError | None":
+        """The error an admission of ``query_id`` would raise, or ``None``
+        when its breaker is closed or cooled down enough for a probe."""
+        breaker = self._breakers.get(query_id)
+        if breaker is None or breaker.opened_at is None:
+            return None
+        now = time.monotonic()
+        ready_at = breaker.opened_at + self.config.quarantine_cooldown
+        if breaker.probe_at is not None:
+            ready_at = max(
+                ready_at, breaker.probe_at + self.config.quarantine_cooldown
+            )
+        if now >= ready_at:
+            return None  # would admit (as the probe)
+        return QueryQuarantinedError(query_id, breaker.failures, ready_at - now)
 
     def _admit_locked(self, query_id: str) -> None:
         """Fail fast while ``query_id``'s breaker is open (lock held).
@@ -1667,29 +1438,24 @@ class SpannerService:
         the probe resolves — or until a full extra cool-down passes, in
         case the probe itself was lost (shed, cancelled, closed away).
         """
+        blocked = self._quarantine_error_locked(query_id)
+        if blocked is not None:
+            raise blocked
         breaker = self._breakers.get(query_id)
-        if breaker is None or breaker.opened_at is None:
-            return
-        now = time.monotonic()
-        ready_at = breaker.opened_at + self.quarantine_cooldown
-        if breaker.probe_at is not None:
-            ready_at = max(ready_at, breaker.probe_at + self.quarantine_cooldown)
-        if now >= ready_at:
-            breaker.probe_at = now  # this submission is the probe
-            return
-        raise QueryQuarantinedError(query_id, breaker.failures, ready_at - now)
+        if breaker is not None and breaker.opened_at is not None:
+            breaker.probe_at = time.monotonic()  # this submission is the probe
 
     def _acquire_slot(self) -> None:
         """One ``max_in_flight`` slot, by way of the overload policy."""
         slots = self._inflight_slots
         if slots.acquire(blocking=False):
             return
-        if self.on_overload == "block":
+        if self.config.on_overload == "block":
             slots.acquire()
             return
-        if self.on_overload == "reject":
+        if self.config.on_overload == "reject":
             raise OverloadedError(
-                f"max_in_flight={self.max_in_flight} chunks already "
+                f"max_in_flight={self.config.max_in_flight} chunks already "
                 "outstanding (on_overload='reject')"
             )
         # shed_oldest: fail backlogged tasks oldest-first until a slot
@@ -1732,7 +1498,7 @@ class SpannerService:
         the shared-memory transport when one is configured and the
         chunk clears its size threshold, and ride the task message
         otherwise.  Packing always uses the transport's fixed lossless
-        wire codec — ``self.encoding`` only governs how workers read
+        wire codec — ``self.config.encoding`` only governs how workers read
         *files*.
         """
         if self._doc_transport is None or op in ("files", "fused_files"):
@@ -1749,19 +1515,17 @@ class SpannerService:
     #: worker op each maps to.
     _SUBMIT_KINDS = {"docs": "evaluate", "files": "files", "counts": "count"}
 
-    @staticmethod
-    def _legacy_shim_warning(old: str, new: str) -> None:
-        warnings.warn(
-            f"{old} is deprecated; use {new} instead "
-            "(see the README migration table)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
+    def _op_for(self, kind: str) -> str:
+        if kind not in self._SUBMIT_KINDS:
+            raise ValueError(
+                f"kind must be one of {tuple(self._SUBMIT_KINDS)}, "
+                f"got {kind!r}"
+            )
+        return self._SUBMIT_KINDS[kind]
 
     def submit(
         self,
         work,
-        docs: "Iterable[str] | None" = None,
         *,
         queries=None,
         kind: str = "docs",
@@ -1797,42 +1561,22 @@ class SpannerService:
         ``timeout`` overrides the per-task deadline for every chunk of
         this batch, ``max_tuples`` / ``max_result_bytes`` the
         per-document result caps.
-
-        The pre-redesign call form ``submit(query_id, docs, ...)`` (two
-        positionals) still works and emits a ``DeprecationWarning``.
         """
-        if docs is not None:
-            self._legacy_shim_warning(
-                "submit(query_id, docs, ...)",
-                "submit(docs, queries=query_id, ...)",
+        if not isinstance(queries, str):
+            return self.submit_all(
+                work, queries=queries, kind=kind, limit=limit, cap=cap,
+                timeout=timeout, max_tuples=max_tuples,
+                max_result_bytes=max_result_bytes, fuse=fuse,
             )
-            return self._submit_batch(
-                work, docs, "evaluate", limit, timeout,
-                max_tuples, max_result_bytes,
-            )
-        if kind not in self._SUBMIT_KINDS:
-            raise ValueError(
-                f"kind must be one of {tuple(self._SUBMIT_KINDS)}, "
-                f"got {kind!r}"
-            )
-        op = self._SUBMIT_KINDS[kind]
-        extra = cap if kind == "counts" else limit
-        if isinstance(queries, str):
-            if kind == "counts":
-                return self._submit_batch(queries, work, op, extra, timeout)
-            return self._submit_batch(
-                queries, work, op, extra, timeout,
-                max_tuples, max_result_bytes,
-            )
-        return self._submit_all(
-            work, queries, kind, limit, cap, timeout,
-            max_tuples, max_result_bytes, fuse,
+        return self._submit_batch(
+            queries, work, self._op_for(kind),
+            cap if kind == "counts" else limit,
+            timeout, max_tuples, max_result_bytes,
         )
 
     def submit_files(
         self,
         work,
-        paths: "Iterable[str] | None" = None,
         *,
         queries=None,
         limit: int | None = None,
@@ -1842,18 +1586,7 @@ class SpannerService:
         fuse: bool = True,
     ):
         """Like :meth:`submit` with ``kind="files"`` — workers read the
-        documents by path.  The pre-redesign form
-        ``submit_files(query_id, paths, ...)`` still works and emits a
-        ``DeprecationWarning``."""
-        if paths is not None:
-            self._legacy_shim_warning(
-                "submit_files(query_id, paths, ...)",
-                "submit_files(paths, queries=query_id, ...)",
-            )
-            return self._submit_batch(
-                work, paths, "files", limit, timeout,
-                max_tuples, max_result_bytes,
-            )
+        documents by path."""
         return self.submit(
             work, queries=queries, kind="files", limit=limit,
             timeout=timeout, max_tuples=max_tuples,
@@ -1863,7 +1596,6 @@ class SpannerService:
     def submit_counts(
         self,
         work,
-        docs: "Iterable[str] | None" = None,
         *,
         queries=None,
         cap: int | None = None,
@@ -1872,15 +1604,7 @@ class SpannerService:
         """Per-document distinct-tuple counts (no tuple decoding).
 
         :meth:`submit` with ``kind="counts"`` — always sequential (a
-        count is one integer per document; there is no fused count op).
-        The pre-redesign form ``submit_counts(query_id, docs, ...)``
-        still works and emits a ``DeprecationWarning``."""
-        if docs is not None:
-            self._legacy_shim_warning(
-                "submit_counts(query_id, docs, ...)",
-                "submit_counts(docs, queries=query_id, ...)",
-            )
-            return self._submit_batch(work, docs, "count", cap, timeout)
+        count is one integer per document; there is no fused count op)."""
         return self.submit(work, queries=queries, kind="counts", cap=cap,
                            timeout=timeout)
 
@@ -1911,28 +1635,7 @@ class SpannerService:
         task charges only the member the heartbeat indicts (or all
         members when it died in the shared sweep phase).
         """
-        return self._submit_all(
-            work, queries, kind, limit, cap, timeout,
-            max_tuples, max_result_bytes, fuse,
-        )
-
-    def _submit_all(
-        self,
-        work,
-        queries,
-        kind: str,
-        limit,
-        cap,
-        timeout,
-        max_tuples,
-        max_result_bytes,
-        fuse: bool,
-    ) -> "dict[str, Future]":
-        if kind not in self._SUBMIT_KINDS:
-            raise ValueError(
-                f"kind must be one of {tuple(self._SUBMIT_KINDS)}, "
-                f"got {kind!r}"
-            )
+        op = self._op_for(kind)
         items = list(work)
         member_ids = (
             list(self.queries)
@@ -1941,7 +1644,6 @@ class SpannerService:
         )
         if len(set(member_ids)) != len(member_ids):
             raise ValueError("duplicate query ids in submit_all")
-        op = self._SUBMIT_KINDS[kind]
         extra = cap if kind == "counts" else limit
         out: "dict[str, Future]" = {}
         candidates: list[str] = []
@@ -1965,15 +1667,10 @@ class SpannerService:
         if mode == "sequential":
             for qid in ordered:
                 try:
-                    if kind == "counts":
-                        out[qid] = self._submit_batch(
-                            qid, items, op, extra, timeout
-                        )
-                    else:
-                        out[qid] = self._submit_batch(
-                            qid, items, op, extra, timeout,
-                            max_tuples, max_result_bytes,
-                        )
+                    out[qid] = self._submit_batch(
+                        qid, items, op, extra, timeout,
+                        max_tuples, max_result_bytes,
+                    )
                 except QueryQuarantinedError as err:  # raced a breaker
                     refused = Future()
                     refused.set_exception(err)
@@ -1991,7 +1688,7 @@ class SpannerService:
                 finite = [
                     d
                     for d in (
-                        self._query_timeouts.get(qid, self.task_timeout)
+                        self._query_timeouts.get(qid, self.config.task_timeout)
                         for qid in members
                     )
                     if d is not None
@@ -2007,30 +1704,14 @@ class SpannerService:
         fused_qid = self._ensure_fused(members)
         fused_op = "fused" if kind == "docs" else "fused_files"
         chunk_futures = [
-            self._submit_fused_chunk(
-                fused_qid, members, items[i : i + self.chunk_size],
-                fused_op, extra, deadline, member_caps,
+            self._enqueue(
+                fused_qid, items[i : i + self.config.chunk_size], fused_op,
+                extra, deadline, member_caps, members,
             )
-            for i in range(0, len(items), self.chunk_size)
+            for i in range(0, len(items), self.config.chunk_size)
         ]
         out.update(_combine_fused(chunk_futures, members))
         return out
-
-    def _quarantine_error_locked(
-        self, query_id: str
-    ) -> "QueryQuarantinedError | None":
-        """Like :meth:`_admit_locked`, but non-mutating: reports the
-        error an admission would raise without stamping a probe."""
-        breaker = self._breakers.get(query_id)
-        if breaker is None or breaker.opened_at is None:
-            return None
-        now = time.monotonic()
-        ready_at = breaker.opened_at + self.quarantine_cooldown
-        if breaker.probe_at is not None:
-            ready_at = max(ready_at, breaker.probe_at + self.quarantine_cooldown)
-        if now >= ready_at:
-            return None  # would admit (as the probe)
-        return QueryQuarantinedError(query_id, breaker.failures, ready_at - now)
 
     def _fused_admissible(self, member_ids: "Sequence[str]") -> bool:
         """Admission control for the fused engine (compile-time bound).
@@ -2040,7 +1721,7 @@ class SpannerService:
         skipped (sequential fallback) rather than refused — every
         member already passed admission individually.
         """
-        if self.max_compile_states is None:
+        if self.config.max_compile_states is None:
             return True
         with self._lock:
             payloads = [self._registry[qid] for qid in member_ids]
@@ -2050,7 +1731,7 @@ class SpannerService:
             if estimate is None:
                 return True  # unboundable member: admit, as register() does
             total += estimate
-        return total <= self.max_compile_states
+        return total <= self.config.max_compile_states
 
     def _ensure_fused(self, member_ids: "tuple[str, ...]") -> str:
         """The registry id of the fused engine over ``member_ids``.
@@ -2098,45 +1779,6 @@ class SpannerService:
             self._registry.setdefault(fused_qid, payload)
         return fused_qid
 
-    def _submit_fused_chunk(
-        self,
-        fused_qid: str,
-        members: "tuple[str, ...]",
-        items: "Sequence[str]",
-        op: str,
-        extra: int | None,
-        deadline: float | None,
-        caps: "tuple | None",
-    ) -> Future:
-        """Dispatch one fused chunk (admission already done per member).
-
-        The tail of :meth:`submit_chunk` without the per-query
-        admission/resolution steps — those ran per *member* in
-        :meth:`_submit_all`; the fused pseudo-id itself has no breaker,
-        no per-query caps and no manifest entry.
-        """
-        items = list(items)
-        self.start()
-        bounded = self._inflight_slots is not None
-        if bounded:
-            self._acquire_slot()
-        wire = self._pack(items, op)
-        with self._lock:
-            if self._closing:
-                if bounded:
-                    self._inflight_slots.release()
-                self._release_wire(wire)
-                raise ServiceClosedError("SpannerService is closed")
-            task = _Task(
-                next(self._task_ids), fused_qid, op, wire, extra, bounded,
-                deadline, caps, members=members,
-            )
-            self._tasks[task.task_id] = task
-            self._dispatch_or_backlog(task)
-        if self._backend.inline:
-            self._drain_inline()
-        return task.future
-
     def _submit_batch(
         self,
         query_id: str,
@@ -2149,11 +1791,11 @@ class SpannerService:
     ) -> Future:
         items = list(items)
         chunk_futures = [
-            self.submit_chunk(query_id, items[i : i + self.chunk_size],
+            self.submit_chunk(query_id, items[i : i + self.config.chunk_size],
                               op=op, extra=extra, timeout=timeout,
                               max_tuples=max_tuples,
                               max_result_bytes=max_result_bytes)
-            for i in range(0, len(items), self.chunk_size)
+            for i in range(0, len(items), self.config.chunk_size)
         ]
         return _combine(chunk_futures)
 
@@ -2180,7 +1822,7 @@ class SpannerService:
         """
         docs = list(docs)
         future = await asyncio.to_thread(
-            self.submit, query_id, docs, limit=limit, timeout=timeout
+            self.submit, docs, queries=query_id, limit=limit, timeout=timeout
         )
         return await asyncio.wrap_future(future)
 
@@ -2195,7 +1837,8 @@ class SpannerService:
         """``await``-able :meth:`submit_files`."""
         paths = list(paths)
         future = await asyncio.to_thread(
-            self.submit_files, query_id, paths, limit=limit, timeout=timeout
+            self.submit_files, paths, queries=query_id, limit=limit,
+            timeout=timeout,
         )
         return await asyncio.wrap_future(future)
 
@@ -2303,8 +1946,8 @@ class SpannerService:
         worker.in_flight[task.task_id] = task
         worker.assigned += 1
         if (
-            self.max_tasks_per_worker is not None
-            and worker.assigned >= self.max_tasks_per_worker
+            self.config.max_tasks_per_worker is not None
+            and worker.assigned >= self.config.max_tasks_per_worker
         ):
             worker.retiring = True
         self._backend.dispatch(
@@ -2527,8 +2170,8 @@ class SpannerService:
         A never-stamped heartbeat (rss 0.0) is skipped — a fresh idle
         worker has shown no evidence either way.
         """
-        soft = self.worker_memory_limit
-        hard = self.worker_memory_hard_limit
+        soft = self.config.worker_memory_limit
+        hard = self.config.worker_memory_hard_limit
         if soft is None and hard is None:
             return
         if self._backend.worker_model != "process":
@@ -2652,7 +2295,7 @@ class SpannerService:
             # the cool-down from now.
             breaker.opened_at = now
             breaker.probe_at = None
-        elif breaker.failures >= self.quarantine_after:
+        elif breaker.failures >= self.config.quarantine_after:
             breaker.opened_at = now
         if breaker.opened_at is not None and self.manifest_path is not None:
             self._manifest_dirty = True  # journaled at the next tick
@@ -2683,7 +2326,7 @@ class SpannerService:
         """
         if self._closing and not self._tasks:
             return
-        while len(self._workers) < self.workers:
+        while len(self._workers) < self.config.workers:
             try:
                 self._spawn_worker()
             except Exception:

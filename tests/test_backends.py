@@ -19,6 +19,10 @@ the outside:
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+
 import pytest
 
 from repro.runtime import (
@@ -34,8 +38,14 @@ from repro.runtime.backends import (
     ThreadBackend,
     resolve_backend,
 )
+from repro.runtime.backends.process import ProcessWorkerHandle
 
 from test_service import BACKENDS, DOCS, WORD_FORMULA, canonical
+
+
+def _die_holding_heartbeat_lock(heartbeat) -> None:
+    heartbeat.get_lock().acquire()
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +155,21 @@ class TestKillAndReplace:
             # The replaced fleet still serves.
             again = service.submit(DOCS, queries=qid).result(timeout=120)
             assert canonical(again) == canonical(word_serial)
+
+    def test_heartbeat_read_survives_worker_killed_mid_stamp(self):
+        """SIGKILL can land while a worker holds its heartbeat lock; the
+        driver's read must still return instead of wedging the
+        collector (and health()) forever."""
+        ctx = multiprocessing.get_context()
+        heartbeat = ctx.Array("d", [7.0, 1.5, 2.5, -1.0])
+        proc = ctx.Process(
+            target=_die_holding_heartbeat_lock, args=(heartbeat,)
+        )
+        proc.start()
+        proc.join(timeout=30)
+        assert proc.exitcode == -signal.SIGKILL
+        handle = ProcessWorkerHandle(0, proc, None, heartbeat, None)
+        assert handle.read_heartbeat() == (7, 1.5, 2.5, -1)
 
     def test_serial_backend_refuses_kill(self):
         backend = resolve_backend("serial", workers=1)

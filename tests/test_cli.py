@@ -294,6 +294,26 @@ class TestWorkerSharding:
         err = capsys.readouterr().err
         assert "cannot read" in err
 
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            "--task-timeout",
+            "--max-tuples",
+            "--shm-budget",
+            "--worker-memory-limit",
+            "--max-compile-states",
+            "--compile-timeout",
+        ],
+    )
+    def test_bad_fleet_setting_exits_2(self, tmp_path, capsys, flag):
+        files = self._write_corpus(tmp_path, ["code=1", "code=2"])
+        code = main(
+            ["extract", ".*x{[0-9]+}.*", "--workers", "2", flag, "0"] + files
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_query_workers_reject_canonical_strategy(self, tmp_path, capsys):
         files = self._write_corpus(tmp_path, ["ab", "ba"])
         code = main(

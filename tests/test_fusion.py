@@ -10,9 +10,6 @@ Q sequential submissions:
 * faults inside a fused task indict only the member whose phase was
   running: the offending query's breaker opens, the innocent members'
   breakers stay closed and keep serving;
-* the pre-redesign call forms (``submit(query_id, docs)``,
-  ``submit_files(query_id, paths)``, ``submit_counts(query_id, docs)``)
-  keep working byte-identically while emitting ``DeprecationWarning``;
 * ``register()`` returns a :class:`QueryHandle` usable anywhere a
   query id string is.
 """
@@ -229,12 +226,16 @@ class TestFusedParity:
 
 
 # ---------------------------------------------------------------------------
-# ParallelSpanner routes through the shared decision point
+# ParallelSpanner sessions serve one query: never fused
 # ---------------------------------------------------------------------------
 class TestParallelSpannerFuseKnob:
     @pytest.mark.parametrize("fuse", [True, False])
     def test_single_query_session_unchanged(self, fuse, word_serial):
-        with ParallelSpanner(WORD_FORMULA, workers=2, fuse=fuse) as engine:
+        # The knob is gone, whatever its value: it is rejected, not
+        # silently ignored, and the session serves as before without it.
+        with pytest.raises(TypeError, match="fuse"):
+            ParallelSpanner(WORD_FORMULA, workers=2, fuse=fuse)
+        with ParallelSpanner(WORD_FORMULA, workers=2) as engine:
             out = list(engine.evaluate_many(DOCS))
         assert canonical(out) == canonical(word_serial)
 
@@ -351,7 +352,7 @@ class TestFusedFaults:
 
 
 # ---------------------------------------------------------------------------
-# API redesign: QueryHandle and deprecation shims
+# API redesign: QueryHandle and the unified submit family
 # ---------------------------------------------------------------------------
 class TestUnifiedSubmitAPI:
     def test_register_returns_query_handle(self):
@@ -364,41 +365,6 @@ class TestUnifiedSubmitAPI:
             assert handle.timeout == 2.0
             assert handle.max_tuples == 7
             assert handle.max_result_bytes is None
-
-    def test_legacy_submit_warns_and_matches(self, word_serial):
-        with SpannerService(workers=1, chunk_size=8) as svc:
-            qid = svc.register(CompiledSpanner(WORD_FORMULA))
-            with pytest.warns(DeprecationWarning, match="submit"):
-                legacy = svc.submit(qid, DOCS).result(timeout=120)
-            modern = svc.submit(DOCS, queries=qid).result(timeout=120)
-            assert canonical(legacy) == canonical(modern)
-            assert canonical(modern) == canonical(word_serial)
-
-    def test_legacy_submit_files_warns_and_matches(
-        self, tmp_path, word_serial
-    ):
-        paths = []
-        for i, doc in enumerate(DOCS):
-            p = tmp_path / f"doc{i}.txt"
-            p.write_text(doc)
-            paths.append(str(p))
-        with SpannerService(workers=1, chunk_size=8) as svc:
-            qid = svc.register(CompiledSpanner(WORD_FORMULA))
-            with pytest.warns(DeprecationWarning, match="submit_files"):
-                legacy = svc.submit_files(qid, paths).result(timeout=120)
-            modern = svc.submit_files(paths, queries=qid).result(timeout=120)
-            assert canonical(legacy) == canonical(modern)
-            assert canonical(modern) == canonical(word_serial)
-
-    def test_legacy_submit_counts_warns_and_matches(self):
-        with SpannerService(workers=1, chunk_size=8) as svc:
-            qid = svc.register(CompiledSpanner(WORD_FORMULA))
-            with pytest.warns(DeprecationWarning, match="submit_counts"):
-                legacy = svc.submit_counts(qid, DOCS).result(timeout=120)
-            modern = svc.submit_counts(DOCS, queries=qid).result(timeout=120)
-            assert legacy == modern
-            serial = CompiledSpanner(WORD_FORMULA)
-            assert modern == list(serial.count_many(DOCS))
 
     def test_counts_never_fuse(self):
         with SpannerService(workers=1, chunk_size=8) as svc:

@@ -8,10 +8,11 @@ input order — and ``workers=1`` never touches :mod:`multiprocessing`.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.runtime import CompiledSpanner, ParallelSpanner
-from repro.runtime import parallel as parallel_module
 from repro.vset import compile_regex, join
 
 FORMULA = "(ε|.*[^a-z])x{[a-z]+}([^a-z].*|ε)"
@@ -95,7 +96,7 @@ class TestSerialFallback:
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("workers=1 must not create a pool")
 
-        monkeypatch.setattr(parallel_module.multiprocessing, "get_context", boom)
+        monkeypatch.setattr(multiprocessing, "get_context", boom)
         engine = ParallelSpanner(FORMULA, workers=1)
         assert list(engine.evaluate_many(DOCS)) == serial_output
         assert list(engine.count_many(DOCS[:4])) == [
@@ -150,8 +151,10 @@ class TestTransportModes:
         from repro.runtime.transport import TransportUnavailableError
 
         monkeypatch.setattr(transport_module, "shm_available", lambda: False)
+        # The platform check runs when the session starts its fleet.
+        engine = ParallelSpanner(FORMULA, workers=2, transport="shm")
         with pytest.raises(TransportUnavailableError):
-            ParallelSpanner(FORMULA, workers=2, transport="shm")
+            list(engine.evaluate_many(DOCS))
 
     def test_auto_falls_back_where_unavailable(self, serial_output,
                                                monkeypatch):

@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +40,8 @@ from repro.runtime.store import FileStore
 from repro.runtime.transport import shm_available
 
 from test_service import DOCS, WORD_FORMULA, canonical, dev_shm_segments
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -59,7 +63,7 @@ class TestWarmStart:
             workers=2, chunk_size=3, artifact_store=FileStore(root)
         ) as cold:
             q_cold = cold.register(WORD_FORMULA)
-            out_cold = cold.submit(q_cold, DOCS).result()
+            out_cold = cold.submit(DOCS, queries=q_cold).result()
             stats = cold.artifact_store.stats()
             assert stats["misses"] == 1 and stats["puts"] == 1
 
@@ -72,7 +76,7 @@ class TestWarmStart:
             assert q_warm == q_cold  # payload bytes identical -> same id
             stats = store.stats()
             assert stats["hits"] == 1 and stats["puts"] == 0
-            out_warm = warm.submit(q_warm, DOCS).result()
+            out_warm = warm.submit(DOCS, queries=q_warm).result()
         assert canonical(out_warm) == canonical(out_cold)
         assert out_warm == word_serial
 
@@ -118,7 +122,7 @@ class TestWarmStart:
             assert q_warm == q_cold
             stats = store.stats()
             assert stats["hits"] == 1 and stats["puts"] == 0
-            assert warm.submit(q_warm, DOCS).result() == word_serial
+            assert warm.submit(DOCS, queries=q_warm).result() == word_serial
 
     def test_store_surfaces_in_health(self, tmp_path):
         with SpannerService(
@@ -152,7 +156,7 @@ class TestCorruptionRecovery:
             fault_plan=plan,
         ) as sick:
             qid = sick.register(WORD_FORMULA)  # put lands damaged
-            out = sick.submit(qid, DOCS).result()
+            out = sick.submit(DOCS, queries=qid).result()
             assert out == word_serial  # registration itself never relied on it
 
         # Next generation reads the damaged entry: quarantine + clean
@@ -165,7 +169,7 @@ class TestCorruptionRecovery:
             assert stats["corrupt_quarantined"] == 1
             assert stats["puts"] == 1  # the recompiled artifact re-landed
             assert store.quarantined()  # the corpse is kept for forensics
-            assert s.submit(q2, DOCS).result() == word_serial
+            assert s.submit(DOCS, queries=q2).result() == word_serial
 
         # And a third generation is fully healthy again.
         store3 = FileStore(root)
@@ -185,7 +189,7 @@ class TestRestore:
             workers=2, chunk_size=3, manifest_path=manifest
         )
         qid = service.register(WORD_FORMULA, max_tuples=10_000)
-        out1 = service.submit(qid, DOCS).result()
+        out1 = service.submit(DOCS, queries=qid).result()
         service.close()
 
         restored = SpannerService.restore(manifest)
@@ -196,7 +200,7 @@ class TestRestore:
             assert restored.workers == 2 and restored.chunk_size == 3
             # The per-query override came back through the manifest.
             assert restored._query_caps[qid][0] == 10_000
-            out2 = restored.submit(qid, DOCS).result()
+            out2 = restored.submit(DOCS, queries=qid).result()
         finally:
             restored.close()
         assert canonical(out2) == canonical(out1)
@@ -230,7 +234,7 @@ class TestRestore:
             # No warm hit was possible; exactly one recompile re-landed.
             assert stats["hits"] == 0 and stats["puts"] == 1
             assert restored.queries == (qid,)
-            assert restored.submit(qid, DOCS).result() == word_serial
+            assert restored.submit(DOCS, queries=qid).result() == word_serial
         finally:
             restored.close()
 
@@ -276,10 +280,10 @@ class TestRestore:
         try:
             assert qid in restored.quarantined_queries
             with pytest.raises(QueryQuarantinedError):
-                restored.submit(qid, DOCS[:2])
+                restored.submit(DOCS[:2], queries=qid)
             # The operator escape hatch still works after a restore.
             assert restored.reinstate(qid) is True
-            assert restored.submit(qid, DOCS[:2]).result() == list(
+            assert restored.submit(DOCS[:2], queries=qid).result() == list(
                 CompiledSpanner(WORD_FORMULA).evaluate_many(DOCS[:2])
             )
         finally:
@@ -313,6 +317,47 @@ class TestRestore:
         with pytest.raises(SpannerError, match="format"):
             SpannerService.restore(manifest)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"workers": 0}, {"frobnicate": 1}, {"workers": "two"}],
+        ids=["out-of-range", "unknown-key", "wrong-type"],
+    )
+    def test_malformed_manifest_config_rejected(self, tmp_path, bad):
+        manifest = tmp_path / "fleet.json"
+        service = SpannerService(workers=1, manifest_path=manifest)
+        service.register(WORD_FORMULA)
+        service.close()
+        doc = json.loads(manifest.read_text())
+        doc["config"].update(bad)
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(SpannerError, match="invalid config"):
+            SpannerService.restore(manifest)
+
+    def test_manifest_from_an_earlier_build_restores(self, tmp_path):
+        """``fixtures/manifest_v2.json`` was journaled by the build before
+        the config became a dataclass (workers=1, one syntax query,
+        task_timeout=5.0, max_tuples=1000).  It restores, serves, and
+        re-journals the same config: same keys, order and values."""
+        manifest = tmp_path / "fleet.json"
+        shutil.copy(FIXTURES / "manifest_v2.json", manifest)
+        recorded = json.loads(manifest.read_text())
+        (entry,) = recorded["queries"]
+        restored = SpannerService.restore(manifest)
+        try:
+            assert restored.queries == (entry["query_id"],)
+            rejournaled = json.loads(manifest.read_text())
+            assert list(rejournaled["config"].items()) == list(
+                recorded["config"].items()
+            )
+            out = restored.submit(DOCS[:4], queries=entry["query_id"])
+            assert out.result(timeout=120) == list(
+                CompiledSpanner(entry["source"]["data"]).evaluate_many(
+                    DOCS[:4]
+                )
+            )
+        finally:
+            restored.close()
+
     def test_unreadable_manifest_rejected(self, tmp_path):
         missing = tmp_path / "absent.json"
         with pytest.raises(SpannerError, match="unreadable"):
@@ -336,13 +381,13 @@ class TestRestore:
         manifest = tmp_path / "fleet.json"
         service = SpannerService(workers=2, manifest_path=manifest)
         qid = service.register(engine, query_id="eq")
-        out1 = service.submit(qid, docs).result()
+        out1 = service.submit(docs, queries=qid).result()
         service.close()
 
         restored = SpannerService.restore(manifest)
         try:
             assert restored.artifact_store.stats()["hits"] == 1
-            out2 = restored.submit(qid, docs).result()
+            out2 = restored.submit(docs, queries=qid).result()
         finally:
             restored.close()
         assert canonical(out2) == canonical(out1)
@@ -431,7 +476,7 @@ class TestDriverKill:
             assert stats["hits"] == 1 and stats["puts"] == 0
             # ...and the restored fleet serves byte-identical results.
             docs = ["say hi ho " + "x" * 256] * 8
-            out2 = restored.submit("words", docs).result()
+            out2 = restored.submit(docs, queries="words").result()
             expected = list(
                 CompiledSpanner(WORD_FORMULA).evaluate_many(docs)
             )
