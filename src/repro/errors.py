@@ -265,10 +265,9 @@ class TransientTaskError(SpannerError):
 
     Shipped back by workers for failures that say nothing about the
     query or the document — e.g. a shared-memory attach race where the
-    segment was not yet (or no longer) visible to the worker, or an
-    injected transient fault from the chaos harness
-    (:mod:`repro.runtime.faults`).  The driver re-dispatches the task
-    with capped exponential backoff instead of failing its future;
-    only after ``MAX_TASK_ATTEMPTS`` total attempts does the error
-    surface to the caller (and count toward the query's breaker).
+    segment was not yet (or no longer) visible to the worker.  The
+    driver re-dispatches the task with capped exponential backoff
+    instead of failing its future; only after ``MAX_TASK_ATTEMPTS``
+    total attempts does the error surface to the caller (and count
+    toward the query's breaker).
     """

@@ -41,11 +41,6 @@
   (the Theorem 3.11 union-in-one-pass shape, generalized to arbitrary
   members) with per-member tuple streams byte-identical to sequential
   serving, behind :meth:`SpannerService.extract_all`;
-* :mod:`.faults` — :class:`FaultPlan` / :class:`FaultSpec`, the
-  deterministic fault-injection harness the chaos suite threads into
-  fleet workers (hangs, crashes, slow decodes, shm attach failures at
-  chosen task indices; since PR 8 also torn/corrupt store writes and
-  driver kills for the crash-recovery suite);
 * :mod:`.backends` — the pluggable compute layer under the service:
   :class:`ComputeBackend` (the mechanism contract — spawn/recycle
   workers, ship artifacts once per worker lifetime, dispatch, collect,
@@ -90,8 +85,6 @@ __all__ = [
     "TransportUnavailableError",
     "shm_available",
     "sweep_orphaned_segments",
-    "FaultPlan",
-    "FaultSpec",
     "BACKEND_NAMES",
     "ComputeBackend",
     "ProcessBackend",
@@ -135,10 +128,6 @@ def __getattr__(name: str):
         from . import transport
 
         return getattr(transport, name)
-    if name in ("FaultPlan", "FaultSpec"):
-        from . import faults
-
-        return getattr(faults, name)
     if name in ("BACKEND_NAMES", "ComputeBackend", "ProcessBackend",
                 "SerialBackend", "ThreadBackend", "default_backend_name"):
         from . import backends

@@ -246,7 +246,6 @@ def resolve_backend(
     mp_context: str | None = None,
     encoding: str = "utf-8",
     errors: str = "strict",
-    fault_plan=None,
 ) -> "SerialBackend | ThreadBackend | ProcessBackend":
     """Construct the backend ``backend`` names (resolving ``"auto"``).
 
@@ -262,15 +261,11 @@ def resolve_backend(
     if backend == "serial":
         from .serial import SerialBackend
 
-        return SerialBackend(
-            encoding=encoding, errors=errors, fault_plan=fault_plan
-        )
+        return SerialBackend(encoding=encoding, errors=errors)
     if backend == "thread":
         from .thread import ThreadBackend
 
-        return ThreadBackend(
-            encoding=encoding, errors=errors, fault_plan=fault_plan
-        )
+        return ThreadBackend(encoding=encoding, errors=errors)
     from .process import ProcessBackend
 
     return ProcessBackend(
@@ -278,5 +273,4 @@ def resolve_backend(
         mp_context=mp_context,
         encoding=encoding,
         errors=errors,
-        fault_plan=fault_plan,
     )

@@ -30,8 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from multiprocessing.context import BaseContext
     from multiprocessing.process import BaseProcess
 
-    from ..faults import FaultPlan
-
 __all__ = ["ProcessBackend", "ProcessWorkerHandle", "compile_in_subprocess"]
 
 #: Seconds :meth:`ProcessWorkerHandle.read_heartbeat` waits for the
@@ -46,7 +44,6 @@ def _fleet_worker(
     heartbeat=None,
     encoding: str = "utf-8",
     errors: str = "strict",
-    fault_plan: "FaultPlan | None" = None,
 ) -> None:
     """The worker loop: block on the task queue until told to stop.
 
@@ -69,20 +66,13 @@ def _fleet_worker(
     a task begins and ``(-1, now, rss_bytes, -1)`` when it ends — see
     :func:`repro.runtime.backends.worker.run_task` for the stamping
     contract the deadline scan and memory watchdog rely on.
-
-    ``fault_plan`` is the deterministic chaos hook (tests only); it
-    runs after the heartbeat stamp so injected hangs age exactly like
-    real ones.
     """
     engines: dict[str, object] = {}
     while True:
         msg = task_queue.get()
         if msg[0] == "stop":
             break
-        result = run_task(
-            engines, msg, heartbeat, encoding, errors, fault_plan,
-            worker_id,
-        )
+        result = run_task(engines, msg, heartbeat, encoding, errors, worker_id)
         try:
             result_conn.send(result)
         except (BrokenPipeError, OSError):
@@ -90,20 +80,17 @@ def _fleet_worker(
     result_conn.close()
 
 
-def _compile_child(conn, query: object, delay: float | None) -> None:
+def _compile_child(conn, query: object) -> None:
     """Compile ``query`` to its pickled artifact in a throwaway process.
 
     The parent polls the pipe under ``compile_timeout`` and kills this
     process on expiry — the deadline pattern the fleet already uses for
     hung tasks, applied to compilation, which otherwise runs
-    driver-side with nothing to bound it.  ``delay`` is the
-    ``slow_compile`` chaos hook.
+    driver-side with nothing to bound it.
     """
     from ..service import SpannerService
 
     try:
-        if delay:
-            time.sleep(delay)
         payload = pickle.dumps(
             SpannerService._artifact_for(query),
             protocol=pickle.HIGHEST_PROTOCOL,
@@ -121,7 +108,6 @@ def _compile_child(conn, query: object, delay: float | None) -> None:
 
 def compile_in_subprocess(
     query: object,
-    delay: float | None,
     timeout: float,
     mp_context: str | None,
     on_timeout: Callable[[], None] | None = None,
@@ -144,7 +130,7 @@ def compile_in_subprocess(
     recv, send = ctx.Pipe(duplex=False)
     proc = ctx.Process(
         target=_compile_child,
-        args=(send, query, delay),
+        args=(send, query),
         name="spanner-service-compile",
         daemon=True,
     )
@@ -237,13 +223,11 @@ class ProcessBackend(ComputeBackend):
         mp_context: str | None = None,
         encoding: str = "utf-8",
         errors: str = "strict",
-        fault_plan: "FaultPlan | None" = None,
     ):
         self.workers = workers
         self.mp_context = mp_context
         self.encoding = encoding
         self.errors = errors
-        self.fault_plan = fault_plan
         self._ctx: "BaseContext | None" = None
         #: Guards the handle/zombie lists: ``poll`` runs on the
         #: collector thread outside the service lock, while spawns and
@@ -280,7 +264,7 @@ class ProcessBackend(ComputeBackend):
             target=_fleet_worker,
             args=(
                 worker_id, task_queue, result_writer, heartbeat,
-                self.encoding, self.errors, self.fault_plan,
+                self.encoding, self.errors,
             ),
             name=f"spanner-service-worker-{worker_id}",
             daemon=True,

@@ -16,11 +16,7 @@ latency over a bare loop.
 
 There is no kill here (``supports_kill = False``): the "worker" is the
 caller.  Deadlines and the memory watchdog are accordingly inert, which
-the service documents as the serial trade-off.  Injected crash faults
-(raised as :class:`~repro.runtime.faults._InjectedWorkerDeath` under
-``inline_faults=True``) are caught at the dispatch boundary and mark the
-worker dead with no result — the driver's crash reaping then replaces
-it and re-dispatches, exactly as it would a SIGKILLed process.
+the service documents as the serial trade-off.
 """
 
 from __future__ import annotations
@@ -29,13 +25,10 @@ import os
 import pickle
 import threading
 import time
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .base import ComputeBackend, LocalHeartbeat, WorkerHandle
 from .worker import materialize, run_task
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..faults import FaultPlan
 
 __all__ = ["SerialBackend", "SerialWorkerHandle"]
 
@@ -43,20 +36,19 @@ __all__ = ["SerialBackend", "SerialWorkerHandle"]
 class SerialWorkerHandle(WorkerHandle):
     """Driver-side record of the inline pseudo-worker."""
 
-    __slots__ = ("heartbeat", "engines", "dead")
+    __slots__ = ("heartbeat", "engines")
 
     def __init__(self, worker_id: int):
         super().__init__(worker_id)
         self.heartbeat = LocalHeartbeat()
         self.engines: dict[str, object] = {}  # run_task's engine table
-        self.dead = False  # an injected crash "killed" this worker
 
     @property
     def pid(self) -> int | None:
         return os.getpid()
 
     def alive(self) -> bool:
-        return not self.dead
+        return True  # the caller's own thread
 
     def read_heartbeat(self) -> tuple[int, float, float, int]:
         with self.heartbeat.get_lock():
@@ -82,11 +74,9 @@ class SerialBackend(ComputeBackend):
         *,
         encoding: str = "utf-8",
         errors: str = "strict",
-        fault_plan: "FaultPlan | None" = None,
     ):
         self.encoding = encoding
         self.errors = errors
-        self.fault_plan = fault_plan
         self._engines: dict[str, object] = {}  # shared across respawns
         #: Results produced by dispatch, awaiting poll.  Locked because
         #: the submit thread appends (and drains inline) while the
@@ -98,8 +88,8 @@ class SerialBackend(ComputeBackend):
     def spawn_worker(self) -> SerialWorkerHandle:
         handle = SerialWorkerHandle(self._worker_seq)
         self._worker_seq += 1
-        # Share the engine cache across worker generations: an injected
-        # crash replaces the handle, not the compiled artifacts.
+        # Share the engine cache across worker generations: replacing
+        # the handle never discards the compiled artifacts.
         handle.engines = self._engines
         return handle
 
@@ -111,17 +101,10 @@ class SerialBackend(ComputeBackend):
         return engine
 
     def dispatch(self, worker: SerialWorkerHandle, msg: tuple) -> None:
-        from ..faults import _InjectedWorkerDeath
-
-        try:
-            result = run_task(
-                worker.engines, msg, worker.heartbeat, self.encoding,
-                self.errors, self.fault_plan, worker.worker_id,
-                inline_faults=True,
-            )
-        except _InjectedWorkerDeath:
-            worker.dead = True  # simulated crash: no result, reap + retry
-            return
+        result = run_task(
+            worker.engines, msg, worker.heartbeat, self.encoding,
+            self.errors, worker.worker_id,
+        )
         with self._buffer_lock:
             self._buffered.append(result)
 

@@ -17,13 +17,6 @@ a straggler the driver's at-most-once resolution drops.  A worker truly
 hung inside a task therefore leaks a daemon thread until process exit;
 the deadline machinery still works (the task is re-dispatched, the
 worker replaced), which is the contract ``supports_kill`` promises.
-
-Injected crash faults cannot ``os._exit`` here without taking the whole
-service down, so the chaos seam raises
-:class:`~repro.runtime.faults._InjectedWorkerDeath` instead
-(``inline_faults=True``): the loop lets it escape ``run_task``'s
-per-task exception handling and dies exactly as abruptly as a SIGKILLed
-process — no result, no goodbye.
 """
 
 from __future__ import annotations
@@ -32,13 +25,10 @@ import os
 import pickle
 import queue
 import threading
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .base import ComputeBackend, LocalHeartbeat, WorkerHandle
 from .worker import materialize, run_task
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..faults import FaultPlan
 
 __all__ = ["ThreadBackend", "ThreadWorkerHandle"]
 
@@ -46,7 +36,7 @@ __all__ = ["ThreadBackend", "ThreadWorkerHandle"]
 class ThreadWorkerHandle(WorkerHandle):
     """Driver-side record of one worker thread."""
 
-    __slots__ = ("thread", "task_queue", "heartbeat", "killed", "dead")
+    __slots__ = ("thread", "task_queue", "heartbeat", "killed")
 
     def __init__(self, worker_id: int):
         super().__init__(worker_id)
@@ -54,14 +44,13 @@ class ThreadWorkerHandle(WorkerHandle):
         self.task_queue: queue.SimpleQueue = queue.SimpleQueue()
         self.heartbeat = LocalHeartbeat()
         self.killed = False  # abandoned by the driver (watchdogs)
-        self.dead = False  # exited on its own (injected crash)
 
     @property
     def pid(self) -> int | None:
         return os.getpid()  # every worker shares the driver's process
 
     def alive(self) -> bool:
-        if self.killed or self.dead:
+        if self.killed:
             return False
         return self.thread is not None and self.thread.is_alive()
 
@@ -88,11 +77,9 @@ class ThreadBackend(ComputeBackend):
         *,
         encoding: str = "utf-8",
         errors: str = "strict",
-        fault_plan: "FaultPlan | None" = None,
     ):
         self.encoding = encoding
         self.errors = errors
-        self.fault_plan = fault_plan
         self._results: queue.SimpleQueue = queue.SimpleQueue()
         #: query_id -> materialized engine, shared by every worker.
         #: Guarded by ``_lock``: prepare_payload may race with itself
@@ -127,22 +114,15 @@ class ThreadBackend(ComputeBackend):
         needs them is dispatched), keeping :func:`run_task`'s engine
         lookup identical across substrates.
         """
-        from ..faults import _InjectedWorkerDeath
-
         engines: dict[str, object] = {}
         while True:
             msg = handle.task_queue.get()
             if msg[0] == "stop":
                 break
-            try:
-                result = run_task(
-                    engines, msg, handle.heartbeat, self.encoding,
-                    self.errors, self.fault_plan, handle.worker_id,
-                    inline_faults=True,
-                )
-            except _InjectedWorkerDeath:
-                handle.dead = True  # simulated SIGKILL: vanish silently
-                return
+            result = run_task(
+                engines, msg, handle.heartbeat, self.encoding, self.errors,
+                handle.worker_id,
+            )
             if handle.killed:
                 return  # abandoned mid-task: the result is a straggler
             self._results.put(result)
@@ -205,6 +185,6 @@ class ThreadBackend(ComputeBackend):
         for thread in threads:
             if thread.is_alive():
                 # Briefly join workers that got a stop sentinel; never
-                # wait out an abandoned one sleeping in an injected
-                # hang — it is a daemon and dies with the process.
+                # wait out an abandoned one stuck in a hung task — it
+                # is a daemon and dies with the process.
                 thread.join(timeout=budget(1.0))

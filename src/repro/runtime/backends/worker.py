@@ -25,7 +25,6 @@ from itertools import islice
 from ...errors import ResultLimitError
 from ...spans import SpanTuple
 from ..compiled import CompiledSpanner
-from ..faults import _FloodingEngine
 from ..fusion import FusedQuery
 from ..tables import AutomatonTables
 from ..transport import ShmChunk, open_chunk, read_document, release_chunk
@@ -234,7 +233,6 @@ def run_fused(
     errors: str,
     caps: "tuple | None" = None,
     heartbeat=None,
-    fault_ctx: "tuple | None" = None,
 ) -> tuple[list, int]:
     """One fused task: every member's answer from one pass per document.
 
@@ -249,16 +247,14 @@ def run_fused(
     ordinary worker exception, never charges a breaker.
 
     Attribution: before each member phase the worker stamps the member
-    ordinal into the heartbeat's fourth slot (and fires that member's
-    injected faults via ``FaultPlan.apply_member``), so a worker killed
+    ordinal into the heartbeat's fourth slot, so a worker killed
     mid-member — deadline, crash, memory — indicts exactly the member it
     was serving; the shared sweep phase is stamped ``-1`` (unattributed:
     a failure there charges every member, since all of them asked for
     that pass).
     """
     docs = open_chunk(items)
-    member_ids = engine.member_ids
-    m_count = len(member_ids)
+    m_count = len(engine.member_ids)
     member_caps = caps if caps is not None else (None,) * m_count
     per_doc: list[list] = [[] for _ in range(m_count)]
     errs: list = [None] * m_count
@@ -275,11 +271,6 @@ def run_fused(
                 if errs[m] is not None:
                     continue
                 _stamp_member(heartbeat, float(m))
-                if fault_ctx is not None:
-                    plan, task_id, attempt, inline = fault_ctx
-                    plan.apply_member(
-                        task_id, attempt, member_ids[m], inline=inline
-                    )
                 try:
                     tuples, cut = enumerate_capped(
                         stream, extra, member_caps[m]
@@ -314,10 +305,7 @@ def run_task(
     heartbeat,
     encoding: str,
     errors: str,
-    fault_plan,
     worker_id: int,
-    *,
-    inline_faults: bool = False,
 ) -> tuple:
     """Execute one wire task message; returns the wire result message.
 
@@ -328,16 +316,9 @@ def run_task(
     now, rss, -1)`` when the result is ready — the idle stamp lands
     *before* the result is visible, so the driver's deadline scan can
     never kill a worker for work it already finished.
-
-    ``inline_faults`` selects how an injected ``crash`` manifests: a
-    real ``os._exit`` for process workers, the
-    :class:`~repro.runtime.faults._InjectedWorkerDeath` control-flow
-    exception for workers sharing the driver's process (thread/inline)
-    — it escapes the ``except Exception`` below by design, so the
-    calling backend sees the simulated death, not a task failure.
     """
     (
-        _kind, task_id, attempt, query_id, payload, op, items, extra,
+        _kind, task_id, _attempt, query_id, payload, op, items, extra,
         caps,
     ) = msg
     if heartbeat is not None:
@@ -348,10 +329,6 @@ def run_task(
             heartbeat[2] = rss
             heartbeat[3] = -1.0
     try:
-        # Materialize a shipped artifact *before* any injected
-        # fault: the driver marks the query shipped the moment the
-        # message is enqueued, so a retry of this task may arrive
-        # with ``payload=None`` — the engine must already be here.
         engine = engines.get(query_id)
         if engine is None:
             if payload is None:
@@ -361,25 +338,10 @@ def run_task(
                 )
             engine = materialize_payload(payload)
             engines[query_id] = engine
-        fused = op in ("fused", "fused_files")
-        if fault_plan is not None:
-            fault_plan.apply(task_id, attempt, inline=inline_faults)
-            flood = fault_plan.flood_amount(task_id, attempt)
-            if flood is not None and not fused:
-                # Wrap for this task only; the cached engine stays
-                # clean for every other task of the query.  Fused
-                # engines are never wrapped — their members flood
-                # individually via member-scoped specs.
-                engine = _FloodingEngine(engine, flood)
-        if fused:
+        if op in ("fused", "fused_files"):
             out, truncated = run_fused(
                 engine, op, items, extra, encoding, errors, caps,
                 heartbeat=heartbeat,
-                fault_ctx=(
-                    (fault_plan, task_id, attempt, inline_faults)
-                    if fault_plan is not None
-                    else None
-                ),
             )
         else:
             out, truncated = run_op(

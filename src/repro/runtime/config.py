@@ -12,6 +12,7 @@ one from its flags, and the restart manifest journals one as
 
 from __future__ import annotations
 
+import codecs
 import os
 from dataclasses import dataclass, fields
 
@@ -50,6 +51,19 @@ DEFAULT_QUARANTINE_AFTER = 3
 #: through.
 DEFAULT_QUARANTINE_COOLDOWN = 30.0
 
+#: Count settings that must be real ``int``s (``bool`` excluded) and
+#: may be ``None`` (unbounded / disabled).
+_OPTIONAL_COUNTS = (
+    "max_tasks_per_worker",
+    "max_in_flight",
+    "shm_budget",
+    "max_tuples",
+    "max_result_bytes",
+    "worker_memory_limit",
+    "worker_memory_hard_limit",
+    "max_compile_states",
+)
+
 #: Distinguishes "caller passed None" (disable the deadline or cap)
 #: from "caller passed nothing" (inherit the query/service default).
 UNSET = object()
@@ -64,7 +78,8 @@ def check_limits(
     three limits can be overridden per query (``register``) and per
     call (``submit``), and every level obeys this one rule.
     """
-    if timeout is not UNSET and timeout is not None and timeout <= 0:
+    # ``not x > 0`` rather than ``x <= 0``: NaN fails every comparison.
+    if timeout is not UNSET and timeout is not None and not timeout > 0:
         raise ValueError(f"timeout must be > 0, got {timeout}")
     for name, value in (
         ("max_tuples", max_tuples),
@@ -180,7 +195,8 @@ class ServiceConfig:
             :class:`~repro.errors.QueryRejectedError` — no worker is
             consumed and the fleet keeps serving.
 
-    Raises ``ValueError`` for an out-of-range or unknown value.
+    Raises ``ValueError`` for an out-of-range or unknown value (NaN
+    included) and ``TypeError`` for a count that is not an ``int``.
     """
 
     workers: int | None = None
@@ -209,32 +225,30 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.workers is None:
             object.__setattr__(self, "workers", os.cpu_count() or 1)
+        required = ("workers", "chunk_size", "quarantine_after", "shm_threshold")
+        for name in required + _OPTIONAL_COUNTS:
+            value = getattr(self, name)
+            if (value is not None or name in required) and (
+                not isinstance(value, int) or isinstance(value, bool)
+            ):
+                raise TypeError(f"{name} must be an int, got {value!r}")
         for name in ("workers", "chunk_size", "quarantine_after"):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-        for name in (
-            "max_tasks_per_worker",
-            "max_in_flight",
-            "shm_budget",
-            "max_tuples",
-            "max_result_bytes",
-            "worker_memory_limit",
-            "worker_memory_hard_limit",
-            "max_compile_states",
-        ):
+        for name in _OPTIONAL_COUNTS:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         for name in ("task_timeout", "compile_timeout"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
+            if value is not None and not value > 0:  # NaN fails too
                 raise ValueError(f"{name} must be > 0, got {value}")
         if self.shm_threshold < 0:
             raise ValueError(
                 f"shm_threshold must be >= 0, got {self.shm_threshold}"
             )
-        if self.quarantine_cooldown < 0:
+        if not self.quarantine_cooldown >= 0:
             raise ValueError(
                 "quarantine_cooldown must be >= 0, "
                 f"got {self.quarantine_cooldown}"
@@ -245,6 +259,28 @@ class ServiceConfig:
                 "worker_memory_hard_limit must be >= worker_memory_limit "
                 f"({hard} < {soft})"
             )
+        try:
+            codecs.lookup(self.encoding)
+        except LookupError:
+            raise ValueError(
+                f"encoding must be a known codec, got {self.encoding!r}"
+            ) from None
+        try:
+            codecs.lookup_error(self.errors)
+        except LookupError:
+            raise ValueError(
+                "errors must be a registered codec error handler, "
+                f"got {self.errors!r}"
+            ) from None
+        if self.mp_context is not None:
+            import multiprocessing
+
+            methods = tuple(multiprocessing.get_all_start_methods())
+            if self.mp_context not in methods:
+                raise ValueError(
+                    f"mp_context must be one of {methods}, "
+                    f"got {self.mp_context!r}"
+                )
         for name, choices in (
             ("backend", BACKEND_NAMES),
             ("transport", TRANSPORT_MODES),

@@ -57,8 +57,7 @@ fleet:
   ``max_in_flight`` high-water mark: ``"block"`` (backpressure),
   ``"reject"`` (:class:`~repro.errors.OverloadedError` to the
   submitter) or ``"shed_oldest"`` (the oldest backlogged task is
-  failed to make room).  :mod:`repro.runtime.faults` injects all of
-  these failure modes deterministically for the chaos suite.
+  failed to make room).
 * **Resource governance.**  The time-domain defenses above assume the
   fleet has memory to run in; the resource domain gets its own layer.
   A ``shm_budget`` bounds the transport's segment bytes — a chunk the
@@ -125,7 +124,6 @@ import hashlib
 import json
 import os
 import pickle
-import signal
 import threading
 import time
 from collections import deque
@@ -153,7 +151,6 @@ from .compiled import CompiledSpanner, estimate_compile_states
 from .config import UNSET as _UNSET
 from .config import ConfigAttributes, ServiceConfig, check_limits
 from .equality import CompiledEqualityQuery
-from .faults import FaultPlan
 from .fusion import (
     FUSED_ID_PREFIX,
     FusedQuery,
@@ -345,13 +342,10 @@ class SpannerService(ConfigAttributes):
     (each also readable as an attribute: ``service.workers``).  The
     config keeps the *resolved* backend name, never ``"auto"``.
 
-    Three more arguments wire the fleet to its surroundings and are
+    Two more arguments wire the fleet to its surroundings and are
     not part of the config:
 
     Args:
-        fault_plan: a :class:`~repro.runtime.faults.FaultPlan` shipped
-            to every worker — deterministic chaos for the test suite;
-            leave ``None`` in production.
         artifact_store: an :class:`~repro.runtime.store.ArtifactStore`
             consulted by ``register()`` before compiling — a hit revives
             the stored artifact bytes verbatim (warm start, results
@@ -381,13 +375,11 @@ class SpannerService(ConfigAttributes):
     def __init__(
         self,
         *,
-        fault_plan: "FaultPlan | None" = None,
         artifact_store: "ArtifactStore | None" = None,
         manifest_path: "str | os.PathLike | None" = None,
         **settings,
     ):
         config = ServiceConfig(**settings)
-        self.fault_plan = fault_plan
         #: The mechanism layer: everything process/thread/inline-specific
         #: (spawn, dispatch, result collection, heartbeats, kill) lives
         #: behind this seam; the service is pure policy over it.
@@ -397,7 +389,6 @@ class SpannerService(ConfigAttributes):
             mp_context=config.mp_context,
             encoding=config.encoding,
             errors=config.errors,
-            fault_plan=fault_plan,
         )
         #: The validated settings, with the *resolved* backend name —
         #: what health() and the manifest report.
@@ -414,12 +405,6 @@ class SpannerService(ConfigAttributes):
             if self._backend.uses_wire_transport
             else None
         )
-        if (
-            fault_plan is not None
-            and fault_plan.enospc_packs
-            and self._doc_transport is not None
-        ):
-            self._doc_transport.inject_enospc(fault_plan.enospc_packs)
         self.manifest_path = (
             Path(manifest_path) if manifest_path is not None else None
         )
@@ -429,11 +414,6 @@ class SpannerService(ConfigAttributes):
             # manifest makes restore() warm for every registration.
             artifact_store = FileStore(self.manifest_path.parent / "artifacts")
         self.artifact_store = artifact_store
-        if fault_plan is not None and artifact_store is not None:
-            if fault_plan.store_torn_puts:
-                artifact_store.inject_torn_write(fault_plan.store_torn_puts)
-            if fault_plan.store_corrupt_puts:
-                artifact_store.inject_corrupt(fault_plan.store_corrupt_puts)
         #: qid -> its manifest record; insertion order mirrors _registry.
         self._manifest_entries: dict[str, dict] = {}
         #: Quarantine state changed since the last manifest write; the
@@ -1174,15 +1154,11 @@ class SpannerService(ConfigAttributes):
         :class:`~repro.errors.QueryRejectedError` — the driver thread
         is never stuck inside an unbounded ``compile_regex``.
         """
-        plan = self.fault_plan
-        delay = plan.compile_delay if plan is not None else None
         precompiled = isinstance(
             query,
             (CompiledSpanner, CompiledEqualityQuery, AutomatonTables, FusedQuery),
         )
-        if self.config.compile_timeout is None or (precompiled and not delay):
-            if delay:
-                time.sleep(delay)
+        if self.config.compile_timeout is None or precompiled:
             return pickle.dumps(
                 self._artifact_for(query), protocol=pickle.HIGHEST_PROTOCOL
             )
@@ -1197,7 +1173,7 @@ class SpannerService(ConfigAttributes):
                 self._rejected += 1
 
         return compile_in_subprocess(
-            query, delay, self.config.compile_timeout, self.config.mp_context,
+            query, self.config.compile_timeout, self.config.mp_context,
             on_timeout=on_timeout,
         )
 
@@ -1805,10 +1781,12 @@ class SpannerService(ConfigAttributes):
         query_id: str,
         docs: Iterable[str],
         *,
+        kind: str = "docs",
         limit: int | None = None,
         timeout: float | None = _UNSET,  # type: ignore[assignment]
     ) -> list[list[SpanTuple]]:
-        """``await``-able :meth:`submit`: one ``list[SpanTuple]`` per doc.
+        """``await``-able :meth:`submit`: one ``list[SpanTuple]`` per doc
+        (``kind="files"`` takes paths, as there).
 
         Submission happens in a thread (it may block on the
         ``max_in_flight`` backpressure bound), so the event loop never
@@ -1822,7 +1800,8 @@ class SpannerService(ConfigAttributes):
         """
         docs = list(docs)
         future = await asyncio.to_thread(
-            self.submit, docs, queries=query_id, limit=limit, timeout=timeout
+            self.submit, docs, queries=query_id, kind=kind, limit=limit,
+            timeout=timeout,
         )
         return await asyncio.wrap_future(future)
 
@@ -1835,32 +1814,31 @@ class SpannerService(ConfigAttributes):
         timeout: float | None = _UNSET,  # type: ignore[assignment]
     ) -> list[list[SpanTuple]]:
         """``await``-able :meth:`submit_files`."""
-        paths = list(paths)
-        future = await asyncio.to_thread(
-            self.submit_files, paths, queries=query_id, limit=limit,
-            timeout=timeout,
+        return await self.extract(
+            query_id, paths, kind="files", limit=limit, timeout=timeout
         )
-        return await asyncio.wrap_future(future)
 
     async def extract_all(
         self,
         docs: Iterable[str],
         *,
         queries: "Sequence[str] | None" = None,
+        kind: str = "docs",
         limit: int | None = None,
         timeout: float | None = _UNSET,  # type: ignore[assignment]
         fuse: bool = True,
     ) -> "dict[str, list[list[SpanTuple]]]":
         """``await``-able :meth:`submit_all`: every query's answer to one
         batch, ``{query_id: [per-doc tuple lists]}``, from one fused
-        document scan whenever fusion applies.  Per-query results are
-        byte-identical to awaiting Q separate :meth:`extract` calls.
+        document scan whenever fusion applies (``kind`` as in
+        :meth:`submit`).  Per-query results are byte-identical to
+        awaiting Q separate :meth:`extract` calls.
         """
         docs = list(docs)
         futures = await asyncio.to_thread(
             lambda: self.submit_all(
-                docs, queries=queries, limit=limit, timeout=timeout,
-                fuse=fuse,
+                docs, queries=queries, kind=kind, limit=limit,
+                timeout=timeout, fuse=fuse,
             )
         )
         results = await asyncio.gather(
@@ -1878,17 +1856,10 @@ class SpannerService(ConfigAttributes):
         fuse: bool = True,
     ) -> "dict[str, list[list[SpanTuple]]]":
         """``await``-able :meth:`submit_all` with ``kind="files"``."""
-        paths = list(paths)
-        futures = await asyncio.to_thread(
-            lambda: self.submit_all(
-                paths, queries=queries, kind="files", limit=limit,
-                timeout=timeout, fuse=fuse,
-            )
+        return await self.extract_all(
+            paths, queries=queries, kind="files", limit=limit,
+            timeout=timeout, fuse=fuse,
         )
-        results = await asyncio.gather(
-            *(asyncio.wrap_future(f) for f in futures.values())
-        )
-        return dict(zip(futures.keys(), results))
 
     @staticmethod
     async def gather(*items: "Future | Awaitable") -> list:
@@ -2045,26 +2016,14 @@ class SpannerService(ConfigAttributes):
             task.worker.in_flight.pop(task_id, None)
             task.worker = None
         if kind == "fail" and isinstance(payload, TransientTaskError):
-            # The worker said "not my fault, try again" — shm attach
-            # race, injected transient fault.  Backoff + re-dispatch,
-            # bounded by the same attempt budget as crashes.
+            # The worker said "not my fault, try again" — e.g. the shm
+            # attach race.  Backoff + re-dispatch, bounded by the same
+            # attempt budget as crashes.
             self._retry_or_fail(task, resolutions, payload)
             return
         self._tasks.pop(task_id, None)
         task.done = True
         self._completed += 1
-        plan = self.fault_plan
-        if (
-            plan is not None
-            and plan.kill_after_tasks is not None
-            and self._completed >= plan.kill_after_tasks
-        ):
-            # Chaos: die as a crash would — no cleanup, no atexit, no
-            # flushed manifest beyond what is already durable.  SIGKILL
-            # on ourselves is the closest in-process stand-in for the
-            # operator's `kill -9` that the recovery suite restores
-            # from.
-            os.kill(os.getpid(), signal.SIGKILL)
         if kind == "done":
             # Only clean completions reset the breaker: ordinary task
             # exceptions say nothing fleet-level either way.

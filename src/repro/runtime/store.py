@@ -41,14 +41,6 @@ Blob format (``encode_artifact`` / ``decode_artifact``)::
     payload length bytes (a pickle the runtime already exchanges with
                       its workers: AutomatonTables, vset extractors,
                       CompiledEqualityQuery)
-
-The chaos hooks (:meth:`ArtifactStore.inject_torn_write`,
-:meth:`ArtifactStore.inject_corrupt`) mirror the transport's
-``inject_enospc``: ``FaultPlan.store_torn_write(...)`` /
-``store_corrupt(...)`` name 0-based **put** sequence numbers whose
-entry is left truncated / bit-flipped on disk, exactly as a crash or a
-decaying disk would — so the recovery path is tested without timing
-games.
 """
 
 from __future__ import annotations
@@ -59,7 +51,6 @@ import re
 import struct
 import threading
 from pathlib import Path
-from typing import Iterable
 
 from ..errors import ArtifactCorruptError
 
@@ -142,8 +133,8 @@ class ArtifactStore:
 
     Subclasses implement :meth:`_read`, :meth:`_write`,
     :meth:`_quarantine`, :meth:`_evict_for` and :meth:`entries`; the
-    base class owns the counters, the integrity checking and the chaos
-    hooks so every implementation counts and corrupts identically.
+    base class owns the counters and the integrity checking so every
+    implementation counts and verifies identically.
     All public methods are thread-safe (``register()`` may race the
     collector's manifest writes).
     """
@@ -158,19 +149,6 @@ class ArtifactStore:
         self._puts = 0
         self._corrupt_quarantined = 0
         self._evicted = 0
-        self._put_seq = 0
-        self._torn_puts: frozenset = frozenset()
-        self._corrupt_puts: frozenset = frozenset()
-
-    # -- chaos hooks (mirror SharedMemoryTransport.inject_enospc) ------
-
-    def inject_torn_write(self, puts: Iterable[int]) -> None:
-        """Leave these puts (0-based sequence numbers) half-written."""
-        self._torn_puts = self._torn_puts | frozenset(puts)
-
-    def inject_corrupt(self, puts: Iterable[int]) -> None:
-        """Flip a payload byte of these puts after they land."""
-        self._corrupt_puts = self._corrupt_puts | frozenset(puts)
 
     # -- contract ------------------------------------------------------
 
@@ -206,18 +184,10 @@ class ArtifactStore:
         _check_key(key)
         blob = encode_artifact(payload)
         with self._lock:
-            seq = self._put_seq
-            self._put_seq += 1
             if self.budget is not None:
                 if len(blob) > self.budget:
                     return
                 self._evict_for(key, len(blob))
-            if seq in self._torn_puts:
-                blob = blob[: max(1, len(blob) // 2)]
-            elif seq in self._corrupt_puts:
-                mutated = bytearray(blob)
-                mutated[-1] ^= 0xFF  # flip a payload bit, header intact
-                blob = bytes(mutated)
             self._write(key, blob)
             self._puts += 1
 

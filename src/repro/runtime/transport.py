@@ -575,10 +575,6 @@ class SharedMemoryTransport:
         #: budget pressure (the graceful-degradation counter; chunks
         #: that merely lost the size negotiation are not degradations).
         self._degraded = 0
-        #: Fault injection (tests): pack sequence numbers whose segment
-        #: allocation must fail with a synthetic ``ENOSPC``.
-        self._pack_seq = 0
-        self._fault_packs: frozenset[int] = frozenset()
         #: Per-driver session identity: tag in every segment name, pid
         #: in a pidfile written *before* any segment exists — the
         #: attribution the orphan janitor sweeps by.  Startup is also
@@ -634,13 +630,6 @@ class SharedMemoryTransport:
                 "orphans_swept": self._orphans_swept,
             }
 
-    def inject_enospc(self, packs: "frozenset[int] | set[int]") -> None:
-        """Chaos hook: make these pack sequence numbers (0-based, in
-        pack order) fail segment allocation with a synthetic
-        ``ENOSPC`` — exercising the real exception path, fallback
-        included, without actually filling ``/dev/shm``."""
-        self._fault_packs = frozenset(packs)
-
     # -- Packing -------------------------------------------------------------
     def pack(self, items: Sequence[str]) -> ShmChunk | None:
         """Pack one chunk into a segment; ``None`` = use the pipe.
@@ -676,15 +665,7 @@ class SharedMemoryTransport:
                     return None
         blobs = [s.encode(WIRE_ENCODING, WIRE_ERRORS) for s in items]
         total = sum(len(b) for b in blobs)
-        with self._lock:
-            seq = self._pack_seq
-            self._pack_seq += 1
-            inject = seq in self._fault_packs
         try:
-            if inject:
-                raise OSError(
-                    errno.ENOSPC, "injected fault: /dev/shm exhausted"
-                )
             segment = self._obtain_segment(max(total, 1))
         except (OSError, MemoryError):
             # SharedMemory(create=True) failed (ENOSPC and kin), or the

@@ -28,7 +28,6 @@ import pytest
 from repro.runtime import (
     BACKEND_NAMES,
     CompiledSpanner,
-    FaultPlan,
     SpannerService,
     default_backend_name,
 )
@@ -40,6 +39,7 @@ from repro.runtime.backends import (
 )
 from repro.runtime.backends.process import ProcessWorkerHandle
 
+from chaos import FaultPlan, chaos_service
 from test_service import BACKENDS, DOCS, WORD_FORMULA, canonical
 
 
@@ -142,8 +142,8 @@ class TestKillAndReplace:
         worker and the output is byte-identical — nothing lost to the
         crash, nothing duplicated by the re-dispatch."""
         plan = FaultPlan().crash(task=1, attempts=(1,))
-        with SpannerService(
-            workers=2, chunk_size=2, fault_plan=plan, backend=backend
+        with chaos_service(
+            workers=2, chunk_size=2, plan=plan, backend=backend
         ) as service:
             qid = service.register(CompiledSpanner(WORD_FORMULA))
             out = service.submit(DOCS, queries=qid).result(timeout=120)

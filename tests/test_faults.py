@@ -1,9 +1,9 @@
 """Chaos suite: the fleet under deterministic fault injection.
 
-Every test drives a :class:`SpannerService` with a
-:class:`~repro.runtime.faults.FaultPlan` that injects hangs, crashes,
-slow decodes or shared-memory attach failures at chosen task indices,
-and asserts the fault-tolerance contract:
+Every test drives a :class:`SpannerService` built by
+:func:`chaos.chaos_service` with a :class:`chaos.FaultPlan` that
+injects hangs, crashes, slow decodes or shared-memory attach failures
+at chosen task indices, and asserts the fault-tolerance contract:
 
 * results that survive a fault are **byte-identical** to the serial
   engine — no tuple lost, none duplicated, order intact;
@@ -44,12 +44,17 @@ from repro.errors import (
 )
 from repro.runtime import (
     CompiledSpanner,
-    FaultPlan,
     SpannerService,
     estimate_compile_states,
 )
-from repro.runtime.faults import FaultSpec
 
+from chaos import (
+    FLOOD_TUPLES,
+    ChaosBackend,
+    FaultPlan,
+    FaultSpec,
+    chaos_service,
+)
 from test_service import (
     BACKENDS,
     DOCS,
@@ -129,8 +134,6 @@ class TestFaultPlan:
         assert FaultPlan().driver_kill(after_tasks=5).kill_after_tasks == 5
 
     def test_flood_amount_scoping(self):
-        from repro.runtime.faults import FLOOD_TUPLES
-
         plan = FaultPlan().tuple_flood(task=3, amount=17, attempts=(2,))
         assert plan.flood_amount(3, 2) == 17
         assert plan.flood_amount(3, 1) is None  # wrong attempt
@@ -138,6 +141,30 @@ class TestFaultPlan:
         assert FaultPlan().tuple_flood(task=0).flood_amount(0, 1) == FLOOD_TUPLES
         # A non-flood spec on the task is not a flood.
         assert FaultPlan().crash(task=0).flood_amount(0, 1) is None
+
+
+class TestHarness:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_empty_plan_is_the_bare_service(self, backend):
+        """The wrapper alone injects nothing: output byte-identical to
+        an unwrapped service, and no fault counter moves."""
+        with SpannerService(workers=2, chunk_size=2, backend=backend) as bare:
+            qid = bare.register(CompiledSpanner(WORD_FORMULA))
+            expected = bare.submit(DOCS, queries=qid).result(timeout=120)
+        with chaos_service(
+            FaultPlan(), workers=2, chunk_size=2, backend=backend
+        ) as svc:
+            assert isinstance(svc._backend, ChaosBackend)
+            qid = svc.register(CompiledSpanner(WORD_FORMULA))
+            out = svc.submit(DOCS, queries=qid).result(timeout=120)
+            assert canonical(out) == canonical(expected)
+            assert svc.workers_crashed == 0
+            assert svc.tasks_retried == 0
+            assert svc.tasks_timed_out == 0
+
+    def test_production_constructor_has_no_fault_hook(self):
+        with pytest.raises(TypeError):
+            SpannerService(fault_plan=FaultPlan())
 
 
 class TestCrashInjection:
@@ -148,8 +175,8 @@ class TestCrashInjection:
         backend (process workers die by SIGKILL, thread and inline
         workers by an injected non-Exception escape)."""
         plan = FaultPlan().crash(task=0, attempts=(1,))
-        with SpannerService(
-            workers=2, chunk_size=2, fault_plan=plan, backend=backend
+        with chaos_service(
+            workers=2, chunk_size=2, plan=plan, backend=backend
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
             out = svc.submit(DOCS, queries=qid).result(timeout=120)
@@ -163,8 +190,8 @@ class TestCrashInjection:
         after MAX_TASK_ATTEMPTS; every other chunk still resolves
         byte-identically."""
         plan = FaultPlan().crash(task=0)  # every attempt
-        with SpannerService(
-            workers=2, chunk_size=2, fault_plan=plan, backend=backend
+        with chaos_service(
+            workers=2, chunk_size=2, plan=plan, backend=backend
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
             futures = [
@@ -185,8 +212,8 @@ class TestCrashInjection:
         plan = FaultPlan()
         for task in (0, 3, 7):
             plan.crash(task=task, attempts=(1,))
-        with SpannerService(
-            workers=2, chunk_size=2, fault_plan=plan, backend=backend
+        with chaos_service(
+            workers=2, chunk_size=2, plan=plan, backend=backend
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
             out = svc.submit(DOCS, queries=qid).result(timeout=120)
@@ -206,8 +233,8 @@ class TestHangsAndDeadlines:
         the observable contract — fast failure, fleet replaced, session
         serviceable — is the same."""
         plan = FaultPlan().hang(task=0)
-        with SpannerService(
-            workers=2, chunk_size=2, fault_plan=plan, task_timeout=DEADLINE,
+        with chaos_service(
+            workers=2, chunk_size=2, plan=plan, task_timeout=DEADLINE,
             backend=backend,
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
@@ -229,8 +256,8 @@ class TestHangsAndDeadlines:
         futures are per-chunk, and only the hung chunk's future sees
         TaskTimeoutError."""
         plan = FaultPlan().hang(task=0)
-        with SpannerService(
-            workers=2, chunk_size=2, fault_plan=plan, task_timeout=DEADLINE
+        with chaos_service(
+            workers=2, chunk_size=2, plan=plan, task_timeout=DEADLINE
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
             futures = [
@@ -249,8 +276,8 @@ class TestHangsAndDeadlines:
         explicit None disables the deadline entirely (a slow task is
         given the time it needs)."""
         plan = FaultPlan().slow(task=0, seconds=3 * DEADLINE)
-        with SpannerService(
-            workers=1, chunk_size=2, fault_plan=plan, task_timeout=DEADLINE
+        with chaos_service(
+            workers=1, chunk_size=2, plan=plan, task_timeout=DEADLINE
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
             # Disabled per call: the slow chunk completes exactly.
@@ -265,7 +292,7 @@ class TestHangsAndDeadlines:
     def test_per_query_timeout_override(self):
         """register(timeout=...) scopes the deadline to one query."""
         plan = FaultPlan().hang(task=0)
-        with SpannerService(workers=2, chunk_size=2, fault_plan=plan) as svc:
+        with chaos_service(workers=2, chunk_size=2, plan=plan) as svc:
             # No service default; the deadline comes from the query.
             qid = svc.register(
                 CompiledSpanner(WORD_FORMULA), timeout=DEADLINE
@@ -279,8 +306,8 @@ class TestHangsAndDeadlines:
         plan = FaultPlan().hang(task=0)
 
         async def run():
-            with SpannerService(
-                workers=2, chunk_size=4, fault_plan=plan,
+            with chaos_service(
+                workers=2, chunk_size=4, plan=plan,
                 task_timeout=DEADLINE,
             ) as svc:
                 qid = svc.register(CompiledSpanner(WORD_FORMULA))
@@ -299,8 +326,8 @@ class TestSlowAndTransient:
         """A slow task under its deadline completes byte-identically —
         deadlines punish hangs, not honest work."""
         plan = FaultPlan().slow(task=0, seconds=0.1).slow(task=1, seconds=0.1)
-        with SpannerService(
-            workers=2, chunk_size=2, fault_plan=plan, task_timeout=5.0
+        with chaos_service(
+            workers=2, chunk_size=2, plan=plan, task_timeout=5.0
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
             out = svc.submit(DOCS, queries=qid).result(timeout=120)
@@ -311,7 +338,7 @@ class TestSlowAndTransient:
         """A transient attach failure on the first two attempts
         re-dispatches (with backoff) and succeeds on the third."""
         plan = FaultPlan().shm_fault(task=0, attempts=(1, 2))
-        with SpannerService(workers=2, chunk_size=2, fault_plan=plan) as svc:
+        with chaos_service(workers=2, chunk_size=2, plan=plan) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
             out = svc.submit(DOCS, queries=qid).result(timeout=120)
             assert canonical(out) == canonical(word_serial)
@@ -322,7 +349,7 @@ class TestSlowAndTransient:
         """A transient fault on every attempt gives up after the
         attempt budget and surfaces TransientTaskError to the caller."""
         plan = FaultPlan().shm_fault(task=0)
-        with SpannerService(workers=1, chunk_size=2, fault_plan=plan) as svc:
+        with chaos_service(workers=1, chunk_size=2, plan=plan) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
             with pytest.raises(TransientTaskError):
                 svc.submit_chunk(qid, DOCS[:2]).result(timeout=120)
@@ -337,8 +364,8 @@ class TestQuarantine:
         query; subsequent submissions fail fast without consuming a
         worker; reinstate() restores service."""
         plan = self._hang_everything()
-        with SpannerService(
-            workers=1, chunk_size=2, fault_plan=plan,
+        with chaos_service(
+            workers=1, chunk_size=2, plan=plan,
             task_timeout=DEADLINE, quarantine_after=3,
             quarantine_cooldown=60.0,
         ) as svc:
@@ -376,8 +403,8 @@ class TestQuarantine:
         plan = FaultPlan()
         for task in range(3):  # only the first three tasks hang
             plan.hang(task=task)
-        with SpannerService(
-            workers=1, chunk_size=2, fault_plan=plan,
+        with chaos_service(
+            workers=1, chunk_size=2, plan=plan,
             task_timeout=DEADLINE, quarantine_after=3,
             quarantine_cooldown=0.5,
         ) as svc:
@@ -399,8 +426,8 @@ class TestQuarantine:
 
     def test_failed_probe_rearms_the_cooldown(self):
         plan = self._hang_everything()
-        with SpannerService(
-            workers=1, chunk_size=2, fault_plan=plan,
+        with chaos_service(
+            workers=1, chunk_size=2, plan=plan,
             task_timeout=DEADLINE, quarantine_after=2,
             quarantine_cooldown=0.4,
         ) as svc:
@@ -419,8 +446,8 @@ class TestQuarantine:
     def test_quarantine_is_per_query(self, word_serial):
         """One query's quarantine must not slow its neighbours."""
         plan = FaultPlan().hang(task=0)  # only "bad"'s first chunk
-        with SpannerService(
-            workers=2, chunk_size=2, fault_plan=plan,
+        with chaos_service(
+            workers=2, chunk_size=2, plan=plan,
             task_timeout=DEADLINE, quarantine_after=1,
             quarantine_cooldown=60.0,
         ) as svc:
@@ -441,9 +468,9 @@ class TestQuarantine:
 class TestOverloadPolicies:
     def test_reject_policy_raises_overloaded(self):
         plan = FaultPlan().slow(task=0, seconds=1.0)
-        with SpannerService(
+        with chaos_service(
             workers=1, chunk_size=1, max_in_flight=1,
-            on_overload="reject", fault_plan=plan,
+            on_overload="reject", plan=plan,
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
             first = svc.submit_chunk(qid, DOCS[:1])
@@ -461,9 +488,9 @@ class TestOverloadPolicies:
         future fails with OverloadedError, the newcomer takes its slot,
         and every dispatched chunk completes untouched."""
         plan = FaultPlan().slow(task=0, seconds=2.0)
-        with SpannerService(
+        with chaos_service(
             workers=1, chunk_size=1, max_in_flight=3,
-            on_overload="shed_oldest", fault_plan=plan,
+            on_overload="shed_oldest", plan=plan,
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
             # One worker, prefetch 2: task 0 runs (slowly), task 1
@@ -510,9 +537,9 @@ class TestShmUnderFaults:
             .slow(task=3, seconds=0.1)
             .shm_fault(task=4, attempts=(1,))
         )
-        service = SpannerService(
+        service = chaos_service(
             workers=2, chunk_size=2, transport="shm",
-            fault_plan=plan, task_timeout=DEADLINE,
+            plan=plan, task_timeout=DEADLINE,
         )
         try:
             service.start()
@@ -541,9 +568,9 @@ class TestShmUnderFaults:
         released when its future fails, not leaked until close."""
         _require_shm()
         plan = FaultPlan().hang(task=0)
-        with SpannerService(
+        with chaos_service(
             workers=1, chunk_size=2, transport="shm",
-            fault_plan=plan, task_timeout=DEADLINE,
+            plan=plan, task_timeout=DEADLINE,
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
             with pytest.raises(TaskTimeoutError):
@@ -574,8 +601,8 @@ class TestShmBudgetDegradation:
         clean."""
         _require_shm()
         plan = FaultPlan().shm_enospc(0, 1)
-        with SpannerService(
-            workers=2, chunk_size=2, transport="shm", fault_plan=plan
+        with chaos_service(
+            workers=2, chunk_size=2, transport="shm", plan=plan
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
             out = svc.submit(DOCS, queries=qid).result(timeout=120)
@@ -591,8 +618,8 @@ class TestShmBudgetDegradation:
         segment accounting."""
         _require_shm()
         plan = FaultPlan().shm_enospc(1, 3)
-        svc = SpannerService(
-            workers=2, chunk_size=2, transport="shm", fault_plan=plan
+        svc = chaos_service(
+            workers=2, chunk_size=2, transport="shm", plan=plan
         )
         svc.start()
         qid = svc.register(CompiledSpanner(WORD_FORMULA))
@@ -615,8 +642,8 @@ class TestResultCaps:
         """Acceptance: a tuple flood on task 0 fails that task alone
         with ResultLimitError; every sibling chunk is byte-identical."""
         plan = FaultPlan().tuple_flood(task=0, amount=500)
-        with SpannerService(
-            workers=2, chunk_size=2, max_tuples=100, fault_plan=plan
+        with chaos_service(
+            workers=2, chunk_size=2, max_tuples=100, plan=plan
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
             futures = [
@@ -642,9 +669,9 @@ class TestResultCaps:
         if transport == "shm":
             _require_shm()
         plan = FaultPlan().tuple_flood(task=0, amount=500)
-        with SpannerService(
+        with chaos_service(
             workers=1, chunk_size=2, transport=transport,
-            max_tuples=100, fault_plan=plan,
+            max_tuples=100, plan=plan,
             quarantine_after=1, quarantine_cooldown=60.0,
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
@@ -727,10 +754,10 @@ class TestMemoryWatchdog:
         health()."""
         plan = FaultPlan().rss_bloat(task=1, amount=self.BLOAT)
         soft, _hard = self._limits()
-        with SpannerService(
+        with chaos_service(
             workers=2, chunk_size=2,
             worker_memory_limit=soft,
-            fault_plan=plan,
+            plan=plan,
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
             out = svc.submit(DOCS, queries=qid).result(timeout=120)
@@ -756,11 +783,11 @@ class TestMemoryWatchdog:
         graceful recycles."""
         plan = FaultPlan().rss_bloat(task=1, amount=self.BLOAT, attempts=(1,))
         soft, hard = self._limits()
-        with SpannerService(
+        with chaos_service(
             workers=2, chunk_size=2,
             worker_memory_limit=soft,
             worker_memory_hard_limit=hard,
-            fault_plan=plan,
+            plan=plan,
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
             out = svc.submit(DOCS, queries=qid).result(timeout=120)
@@ -812,8 +839,8 @@ class TestAdmissionControl:
         rejected promptly; no worker is consumed and the fleet stays
         healthy."""
         plan = FaultPlan().slow_compile(5.0)
-        with SpannerService(
-            workers=1, chunk_size=4, compile_timeout=0.2, fault_plan=plan
+        with chaos_service(
+            workers=1, chunk_size=4, compile_timeout=0.2, plan=plan
         ) as svc:
             start = time.monotonic()
             with pytest.raises(QueryRejectedError, match="compile_timeout"):
@@ -828,8 +855,8 @@ class TestAdmissionControl:
         subprocess, since a delay fault is planned) produces an
         artifact that serves byte-identically."""
         plan = FaultPlan().slow_compile(0.1)
-        with SpannerService(
-            workers=2, chunk_size=2, compile_timeout=30.0, fault_plan=plan
+        with chaos_service(
+            workers=2, chunk_size=2, compile_timeout=30.0, plan=plan
         ) as svc:
             qid = svc.register(WORD_FORMULA)
             out = svc.submit(DOCS, queries=qid).result(timeout=120)

@@ -24,7 +24,6 @@ import pytest
 from repro.errors import QueryQuarantinedError, TaskTimeoutError
 from repro.runtime import (
     CompiledSpanner,
-    FaultPlan,
     ParallelSpanner,
     QueryHandle,
     SpannerService,
@@ -37,6 +36,8 @@ from repro.runtime.fusion import (
     plan_submission,
 )
 from repro.runtime.store import FileStore
+
+from chaos import FaultPlan, chaos_service
 
 from test_service import (
     DIGIT_FORMULA,
@@ -257,8 +258,8 @@ class TestFusedFaults:
         with SpannerService(workers=1, chunk_size=8) as probe:
             bad = str(probe.register(CompiledSpanner(DIGIT_FORMULA)))
         plan = FaultPlan().crash(task=0, member=bad)  # every attempt
-        with SpannerService(
-            workers=1, chunk_size=len(DOCS), fault_plan=plan,
+        with chaos_service(
+            workers=1, chunk_size=len(DOCS), plan=plan,
             quarantine_after=1, quarantine_cooldown=60.0,
         ) as svc:
             q_word = svc.register(CompiledSpanner(WORD_FORMULA))
@@ -286,8 +287,8 @@ class TestFusedFaults:
         with SpannerService(workers=1, chunk_size=8) as probe:
             bad = str(probe.register(CompiledSpanner(DIGIT_FORMULA)))
         plan = FaultPlan().hang(task=0, member=bad)
-        with SpannerService(
-            workers=1, chunk_size=len(DOCS), fault_plan=plan,
+        with chaos_service(
+            workers=1, chunk_size=len(DOCS), plan=plan,
             task_timeout=DEADLINE, quarantine_after=1,
             quarantine_cooldown=60.0,
         ) as svc:
@@ -311,8 +312,8 @@ class TestFusedFaults:
         with SpannerService(workers=1, chunk_size=8) as probe:
             bad = str(probe.register(CompiledSpanner(DIGIT_FORMULA)))
         plan = FaultPlan().crash(task=0, attempts=(1,), member=bad)
-        with SpannerService(
-            workers=2, chunk_size=4, fault_plan=plan
+        with chaos_service(
+            workers=2, chunk_size=4, plan=plan
         ) as svc:
             q_word = svc.register(CompiledSpanner(WORD_FORMULA))
             q_digit = svc.register(CompiledSpanner(DIGIT_FORMULA))

@@ -35,15 +35,17 @@ from repro.errors import (
     QueryRejectedError,
     SpannerError,
 )
-from repro.runtime import CompiledSpanner, FaultPlan, SpannerService
+from repro.runtime import CompiledSpanner, SpannerService
 from repro.runtime.store import FileStore
 from repro.runtime.transport import shm_available
 
+from chaos import FaultPlan, chaos_service
 from test_service import DOCS, WORD_FORMULA, canonical, dev_shm_segments
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(TESTS, os.pardir, "src")
 
 
 @pytest.fixture(scope="module")
@@ -149,11 +151,11 @@ class TestCorruptionRecovery:
     ):
         root = tmp_path / "arts"
         plan = getattr(FaultPlan(), hook)(0)  # damage the first put
-        with SpannerService(
+        with chaos_service(
             workers=2,
             chunk_size=3,
             artifact_store=FileStore(root),
-            fault_plan=plan,
+            plan=plan,
         ) as sick:
             qid = sick.register(WORD_FORMULA)  # put lands damaged
             out = sick.submit(DOCS, queries=qid).result()
@@ -319,8 +321,14 @@ class TestRestore:
 
     @pytest.mark.parametrize(
         "bad",
-        [{"workers": 0}, {"frobnicate": 1}, {"workers": "two"}],
-        ids=["out-of-range", "unknown-key", "wrong-type"],
+        [{"workers": 0}, {"frobnicate": 1}, {"workers": "two"},
+         {"encoding": "no-such-codec"}, {"errors": "bogus"},
+         {"mp_context": "bogus"}, {"workers": True}, {"chunk_size": 2.5},
+         {"task_timeout": float("nan")},
+         {"quarantine_cooldown": float("nan")}],
+        ids=["out-of-range", "unknown-key", "wrong-type", "unknown-codec",
+             "unknown-error-handler", "unknown-start-method", "bool-count",
+             "float-count", "nan-timeout", "nan-cooldown"],
     )
     def test_malformed_manifest_config_rejected(self, tmp_path, bad):
         manifest = tmp_path / "fleet.json"
@@ -397,17 +405,16 @@ class TestRestore:
 
 _KILL_CHILD = """
 import sys
-sys.path.insert(0, {src!r})
-from repro.runtime import SpannerService
-from repro.runtime.faults import FaultPlan
+sys.path[:0] = [{src!r}, {tests!r}]
+from chaos import FaultPlan, chaos_service
 
 plan = FaultPlan().driver_kill(after_tasks=1)
-service = SpannerService(
+service = chaos_service(
     workers=2,
     chunk_size=1,
     transport="shm",
     manifest_path={manifest!r},
-    fault_plan=plan,
+    plan=plan,
 )
 service.start()
 qid = service.register({formula!r}, query_id="words")
@@ -428,6 +435,7 @@ class TestDriverKill:
         manifest = tmp_path / "fleet.json"
         script = _KILL_CHILD.format(
             src=os.path.abspath(SRC),
+            tests=TESTS,
             manifest=str(manifest),
             formula=WORD_FORMULA,
         )

@@ -232,6 +232,18 @@ class TestRegistration:
             SpannerService(max_tasks_per_worker=0)
         with pytest.raises(ValueError):
             SpannerService(max_in_flight=0)
+        for bad in (
+            {"encoding": "no-such-codec"},
+            {"errors": "bogus"},
+            {"mp_context": "bogus"},
+            {"task_timeout": float("nan")},
+            {"quarantine_cooldown": float("nan")},
+        ):
+            with pytest.raises(ValueError):
+                SpannerService(**bad)
+        for bad in ({"workers": True}, {"chunk_size": 2.5}):
+            with pytest.raises(TypeError):
+                SpannerService(**bad)
 
 
 class TestFailurePaths:
@@ -316,12 +328,12 @@ class TestFailurePaths:
         ServiceClosedError, and the close returns promptly (the timeout
         also bounds the worker joins)."""
         from repro.errors import ServiceClosedError
-        from repro.runtime.faults import FaultPlan
+        from chaos import FaultPlan, chaos_service
 
         plan = FaultPlan()
         for task in range(8):
             plan.hang(task=task)
-        service = SpannerService(workers=2, chunk_size=1, fault_plan=plan)
+        service = chaos_service(workers=2, chunk_size=1, plan=plan)
         service.start()
         qid = service.register(CompiledSpanner(WORD_FORMULA))
         futures = [service.submit_chunk(qid, [doc]) for doc in DOCS[:8]]

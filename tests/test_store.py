@@ -28,6 +28,8 @@ from repro.runtime.store import (
     encode_artifact,
 )
 
+from chaos import damage_store
+
 
 @pytest.fixture(params=["memory", "file"])
 def store(request, tmp_path):
@@ -110,7 +112,7 @@ class TestStoreContract:
                 store.get(bad)
 
     def test_torn_write_quarantined_then_clean_miss(self, store):
-        store.inject_torn_write({0})
+        damage_store(store, torn={0})
         store.put("k1", b"artifact bytes" * 10)
         with pytest.raises(ArtifactCorruptError) as exc:
             store.get("k1")
@@ -124,7 +126,7 @@ class TestStoreContract:
         assert store.get("k1") == b"artifact bytes" * 10
 
     def test_corrupt_write_fails_checksum(self, store):
-        store.inject_corrupt({1})
+        damage_store(store, corrupt={1})
         store.put("healthy", b"fine")
         store.put("flipped", b"payload")
         assert store.get("healthy") == b"fine"
@@ -134,7 +136,7 @@ class TestStoreContract:
         assert store.get("flipped") is None
 
     def test_verify_reports_without_quarantining(self, store):
-        store.inject_corrupt({1})
+        damage_store(store, corrupt={1})
         store.put("good", b"fine")
         store.put("bad", b"payload")
         report = store.verify()
@@ -173,7 +175,7 @@ class TestStoreContract:
 class TestFileStoreDurability:
     def test_quarantine_renames_to_corrupt(self, tmp_path):
         store = FileStore(tmp_path / "arts")
-        store.inject_torn_write({0})
+        damage_store(store, torn={0})
         store.put("k1", b"payload")
         with pytest.raises(ArtifactCorruptError):
             store.get("k1")

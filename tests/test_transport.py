@@ -28,6 +28,8 @@ from repro.runtime.transport import (
     shm_available,
 )
 
+from chaos import fail_packs
+
 pytestmark = pytest.mark.skipif(
     not shm_available(), reason="POSIX shared memory unavailable"
 )
@@ -247,7 +249,7 @@ class TestBudgetGovernance:
     def test_injected_enospc_counts_and_falls_back(self):
         t = SharedMemoryTransport(force=True)
         try:
-            t.inject_enospc({0, 2})
+            fail_packs(t, {0, 2})
             assert t.pack(["doc"]) is None  # pack 0: injected failure
             ref = t.pack(["doc"])  # pack 1: healthy
             assert isinstance(ref, ShmChunk)
@@ -264,9 +266,9 @@ class TestBudgetGovernance:
         unlink every owned segment — degraded chunks own nothing, so
         they must not shadow the ones that do."""
         t = SharedMemoryTransport(force=True, budget=64 * 1024)
+        fail_packs(t, {1})
         ref = t.pack(["payload"] * 8)  # in flight, never released
         assert isinstance(ref, ShmChunk)
-        t.inject_enospc({1})
         assert t.pack(["degraded"] * 8) is None  # the episode
         assert t.stats()["degraded_to_pipe"] == 1
         t.close()
