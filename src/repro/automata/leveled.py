@@ -3,9 +3,8 @@
 The paper's enumeration algorithm builds, from a functional
 vset-automaton ``A`` and a string ``s``, a *leveled* NFA ``A_G`` whose
 words all have length ``|s| + 1``; it then enumerates ``L(A_G)`` in
-radix order without repetitions using a state stack and precomputed
-``minLetter`` / ``nextLetter`` functions — a tailored version of the
-Ackerman–Shallit cross-section enumeration [2].
+radix order without repetitions using a state stack — a tailored
+version of the Ackerman–Shallit cross-section enumeration [2].
 
 This module implements that machinery generically:
 
@@ -15,9 +14,14 @@ This module implements that machinery generically:
   and 3 (nextString) of the paper, with the per-answer delay bounded by
   ``O(L * n^2)`` for ``n`` states per level.
 
-Both the tuple enumerator (:mod:`repro.enumeration.graph`) and the
-test-oracle cross-section (:mod:`repro.automata.crosssection`) build a
-:class:`LeveledNFA` and hand it to :class:`RadixEnumerator`.
+The test-oracle cross-section (:mod:`repro.automata.crosssection`) and
+:meth:`~repro.enumeration.SpannerEvaluator.configuration_words` hand a
+:class:`LeveledNFA` to :class:`RadixEnumerator`.  Tuple enumeration over
+the evaluation graph (:mod:`repro.enumeration.graph`) instead runs
+:func:`repro.enumeration.enumerator.graph_tuples`, which yields the
+same radix order with an amortized delay that does not grow with
+``L`` (worst-case delay still ``O(L * n^2)``); :class:`RadixEnumerator` is
+the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -56,10 +60,6 @@ class LeveledNFA:
         self.out_edges: list[list[tuple[Label, int]]] = [[]]
         self.accepting: set[int] = set()
         self._pruned = False
-        if n_slots == 0:
-            # A zero-slot automaton accepts the empty word iff the root
-            # itself is accepting; callers mark it explicitly.
-            pass
 
     # -- Construction -----------------------------------------------------
     def add_node(self, level: int) -> int:
@@ -106,32 +106,31 @@ class LeveledNFA:
 
     # -- Pruning -----------------------------------------------------------
     def prune(self) -> None:
-        """Remove nodes/edges not on a root-to-accepting path (in place)."""
-        useful = set(self.accepting)
-        # Backward sweep: a node is useful if some edge reaches a useful
-        # node.  Nodes are created level by level in practice, but we do
-        # not rely on id order — bucket by level and walk levels top-down.
-        # Bucket only levels that hold nodes: a sweep that died early
-        # (non-matching document) has O(1) nodes over O(|s|) slots, and
-        # pruning must cost the former, not the latter.
-        by_level: dict[int, list[int]] = {}
-        for node, level in enumerate(self.level_of):
-            by_level.setdefault(level, []).append(node)
-        for level in sorted(by_level, reverse=True):
-            for node in by_level[level]:
-                if node in useful:
-                    continue
-                if any(dst in useful for _, dst in self.out_edges[node]):
-                    useful.add(node)
-        for node in range(self.n_nodes):
-            if node in useful:
-                self.out_edges[node] = [
-                    (label, dst)
-                    for label, dst in self.out_edges[node]
-                    if dst in useful
-                ]
-            else:
-                self.out_edges[node] = []
+        """Remove nodes/edges not on a root-to-accepting path (in place).
+
+        One backward pass: a node is useful when an edge reaches a
+        useful node.  Nodes are visited by descending level, not by id,
+        so any build order works; the sort is linear on the level-by-
+        level order builders use, and it costs the nodes that exist, so
+        a sweep that died early prunes in O(matched prefix), not
+        O(|s|).  An edge list is rewritten only when it loses edges.
+        """
+        level_of = self.level_of
+        out_edges = self.out_edges
+        useful = bytearray(len(level_of))
+        for node in self.accepting:
+            useful[node] = 1
+        for node in sorted(
+            range(len(level_of)), key=level_of.__getitem__, reverse=True
+        ):
+            edges = out_edges[node]
+            if not edges:
+                continue
+            kept = [edge for edge in edges if useful[edge[1]]]
+            if kept:
+                useful[node] = 1
+            if len(kept) != len(edges):
+                out_edges[node] = kept
         self._pruned = True
 
     def live_nodes(self) -> set[int]:
@@ -196,7 +195,9 @@ class RadixEnumerator:
     The per-word delay is ``O(L * W)`` where ``W`` bounds the work per
     level: finding the minimal next letter over the current state set
     and building the successor state set — ``O(n^2)`` for ``n`` states
-    per level, matching Theorem 3.3's ``O(n^2 |s|)`` delay.
+    per level, matching Theorem 3.3's ``O(n^2 |s|)`` delay.  nextString
+    scans leftwards from the last slot and minString rebuilds the word
+    out to it, so the delay grows with ``L`` even when amortized.
     """
 
     def __init__(self, leveled: LeveledNFA, label_key: Callable[[Label], object]):
@@ -245,22 +246,6 @@ class RadixEnumerator:
         self._dests[node] = {lab: tuple(ds) for lab, ds in by_label.items()}
         self._min_label[node] = ordered[0] if ordered else None
         self._min_key[node] = keys[0] if keys else None
-
-    # -- minLetter / nextLetter (precomputed per state) ---------------------
-    def _min_letter(self, node: int) -> Label | None:
-        if not self._ready[node]:
-            self._prepare(node)
-        return self._min_label[node]
-
-    def _next_letter(self, node: int, label: Label) -> Label | None:
-        """Smallest letter strictly greater than ``label`` leaving ``node``."""
-        if not self._ready[node]:
-            self._prepare(node)
-        keys = self._keys[node]
-        idx = bisect_right(keys, self.label_key(label))
-        if idx < len(keys):
-            return self._labels[node][idx]
-        return None
 
     # -- Algorithms 2 and 3 ----------------------------------------------------
     def _step(self, states: tuple[int, ...], label: Label) -> tuple[int, ...]:

@@ -16,7 +16,12 @@ the characters through the burst-step table (a dict lookup per frontier
 state, thanks to the lazily grown character index), pruning, and the
 radix enumeration itself.  The enumeration order is unchanged — a
 compiled spanner yields exactly the tuple sequence the cold evaluator
-yields, in the same radix order of configuration words.
+yields, in the same radix order of configuration words.  Enumeration is
+the event-compressed walk of
+:func:`~repro.enumeration.enumerator.graph_tuples`: its amortized
+per-tuple delay does not grow with ``|s|`` (each determinized state set
+is stepped once per document), and its worst-case delay is Theorem
+3.3's ``O(n^2 |s|)``.
 """
 
 from __future__ import annotations
@@ -166,8 +171,9 @@ class CompiledSpanner:
         """A Theorem 3.3 evaluator for ``s`` on the cached tables.
 
         Only the string-dependent preprocessing runs (the leveled-graph
-        sweep and pruning); iterate the result for polynomial-delay
-        enumeration, or use its ``count()`` / ``is_empty()``.
+        sweep and pruning); iterate the result for enumeration with
+        amortized per-tuple delay independent of ``|s|`` (worst case
+        ``O(n^2 |s|)``), or use its ``count()`` / ``is_empty()``.
         """
         return SpannerEvaluator(self.automaton, s, tables=self.tables)
 

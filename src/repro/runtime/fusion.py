@@ -48,9 +48,9 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, Iterator, Sequence
 
-from ..automata.leveled import LeveledNFA, RadixEnumerator
+from ..automata.leveled import LeveledNFA
 from ..enumeration.graph import EvaluationGraph
-from ..enumeration.enumerator import decode_configuration_word
+from ..enumeration.enumerator import graph_tuples
 from ..spans import SpanTuple
 from ..text.substrings import SubstringIndex
 from .compiled import CompiledSpanner
@@ -263,18 +263,6 @@ def fused_sweep(
     return graphs
 
 
-def _iter_graph(graph: EvaluationGraph) -> Iterator[SpanTuple]:
-    """Radix-order tuples of one pruned graph (the Theorem 3.3 stream)."""
-    if graph.leveled.is_empty:
-        return
-    enumerator = RadixEnumerator(
-        graph.leveled, lambda config: config.sort_key()
-    )
-    variables = graph.variables
-    for word in enumerator:
-        yield decode_configuration_word(word, variables)
-
-
 def _equality_stream(
     engine: CompiledEqualityQuery, s: str, index: SubstringIndex
 ) -> Iterator[SpanTuple]:
@@ -366,7 +354,7 @@ class FusedEngine:
         for entries in self._sweeps:
             graphs = fused_sweep(entries, s)
             for member, graph in graphs.items():
-                out[member] = _iter_graph(graph)
+                out[member] = graph_tuples(graph)
         if self._equality:
             index = SubstringIndex(s)
             for member, engine in self._equality:

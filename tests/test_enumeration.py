@@ -7,14 +7,34 @@ from repro.enumeration import (
     build_evaluation_graph,
     decode_configuration_word,
     enumerate_tuples,
+    graph_tuples,
     measure_delays,
 )
+from repro.enumeration.graph import EvaluationGraph
 from repro.errors import NotFunctionalError
+from repro.queries import CompiledEvaluator, RegexCQ
+from repro.runtime import CompiledSpanner
+from repro.runtime.fusion import fused_sweep
 from repro.spans import Span, SpanTuple
+from repro.text import log_lines, repeats_text
 from repro.vset import VSetAutomaton, compile_regex
 from repro.vset.configurations import CLOSED, OPEN, WAITING, VariableConfiguration
 from repro.alphabet import char_pred, close_marker, open_marker
+from repro.automata.leveled import LeveledNFA, RadixEnumerator
 from repro.automata.nfa import NFA
+
+
+def radix_reference(graph: EvaluationGraph) -> list[SpanTuple]:
+    """The paper's Algorithms 1–3 plus per-word decoding: the reference
+    the event-compressed walk must match tuple for tuple, in order."""
+    words = RadixEnumerator(graph.leveled, lambda config: config.sort_key())
+    return [decode_configuration_word(word, graph.variables) for word in words]
+
+
+def assert_walk_matches_reference(graph: EvaluationGraph) -> list[SpanTuple]:
+    got = list(graph_tuples(graph))
+    assert got == radix_reference(graph)
+    return got
 
 
 def _spans(tuples, var="x"):
@@ -154,6 +174,100 @@ class TestDecoding:
         w = VariableConfiguration.from_mapping
         with pytest.raises(ValueError):
             decode_configuration_word([w({"x": OPEN})], frozenset({"x"}))
+
+
+class TestEventWalkMatchesRadixReference:
+    """``graph_tuples`` yields the reference's tuples in the same order."""
+
+    @pytest.mark.parametrize("n_lines", [1, 4, 20])
+    def test_dense_digit_spans(self, n_lines):
+        s = "\n".join([log_lines(4, seed=2)] * 5).split("\n")[:n_lines]
+        graph = build_evaluation_graph(
+            compile_regex(".*x{[0-9]+}.*"), "\n".join(s)
+        )
+        got = assert_walk_matches_reference(graph)
+        # Every code=NNN and HH/MM/SS field: a tuple per digit sub-run.
+        assert len(got) >= 6 * n_lines
+
+    @pytest.mark.parametrize("n_lines", [1, 2])
+    def test_dense_two_variables(self, n_lines):
+        doc = "\n".join([log_lines(1, seed=5)] * n_lines)
+        graph = build_evaluation_graph(
+            compile_regex(".*x{[0-9]+}.*y{[a-z]+}.*"), doc
+        )
+        got = assert_walk_matches_reference(graph)
+        assert len(got) > 100
+
+    @pytest.mark.parametrize(
+        "formula, s",
+        [
+            ("a*x{a*}a*", "aaaaaaa"),
+            ("x{(a|aa)*}", "a" * 9),
+            (".*x{a+}.*y{b+}.*", "aabbabab"),
+            (".*x{(a|b)+}.*", "abab"),
+            ("x{.*}y{.*}", "abc"),
+            (".*x{y{a}b}.*", "abab"),
+        ],
+    )
+    def test_small_shapes(self, formula, s):
+        assert_walk_matches_reference(build_evaluation_graph(compile_regex(formula), s))
+
+    def test_empty_string(self):
+        graph = build_evaluation_graph(compile_regex("x{}"), "")
+        assert assert_walk_matches_reference(graph) == [SpanTuple({"x": Span(1, 1)})]
+
+    def test_boolean_spanner(self):
+        graph = build_evaluation_graph(compile_regex(".*ab.*"), "zabzab")
+        assert assert_walk_matches_reference(graph) == [SpanTuple({})]
+
+    def test_empty_language(self):
+        automaton = compile_regex("∅", require_functional=False)
+        graph = build_evaluation_graph(VSetAutomaton(automaton.nfa, set()), "abc")
+        assert assert_walk_matches_reference(graph) == []
+
+    def test_no_match_document(self):
+        graph = build_evaluation_graph(compile_regex(".*x{[0-9]+}.*"), "no digits")
+        assert assert_walk_matches_reference(graph) == []
+
+    def test_never_closed_variable_raises(self):
+        leveled = LeveledNFA(2)
+        opened = VariableConfiguration.from_mapping({"x": OPEN})
+        first, second = leveled.add_node(1), leveled.add_node(2)
+        leveled.add_edge(LeveledNFA.ROOT, opened, first)
+        leveled.add_edge(first, opened, second)
+        leveled.mark_accepting(second)
+        graph = EvaluationGraph(leveled, frozenset({"x"}), 2)
+        with pytest.raises(ValueError, match="never closes"):
+            radix_reference(graph)
+        with pytest.raises(ValueError, match="never closes"):
+            list(graph_tuples(graph))
+
+    def test_fused_sweep_graphs(self):
+        formulas = [".*x{[0-9]+}.*", ".*x{[a-z]+}=.*", "x{.*}y{[0-9]+}", ".*ab.*"]
+        tables = [CompiledSpanner(f).tables for f in formulas]
+        doc = log_lines(3, seed=7)
+        graphs = fused_sweep(list(enumerate(tables)), doc)
+        assert sorted(graphs) == list(range(len(formulas)))
+        for member, graph in graphs.items():
+            got = assert_walk_matches_reference(graph)
+            solo = CompiledSpanner(formulas[member])
+            assert got == list(solo.stream(doc))
+
+    def test_equality_stream(self):
+        query = RegexCQ(
+            ["x", "y"], [".*x{[ab]+}.*", ".*y{[ab]+}.*"], equalities=[("x", "y")]
+        )
+        engine = CompiledEvaluator().equality_runtime(query)
+        for seed in range(4):
+            doc = repeats_text(8, seed=seed)
+            graph = build_evaluation_graph(engine.compile_for(doc), doc)
+            assert list(engine.stream(doc)) == radix_reference(graph)
+
+    def test_generator_is_lazy_and_resumable(self):
+        graph = build_evaluation_graph(compile_regex("a*x{a*}a*"), "a" * 30)
+        stream = graph_tuples(graph)
+        head = [next(stream) for _ in range(5)]
+        assert head + list(stream) == radix_reference(graph)
 
 
 class TestDelayInstrumentation:

@@ -10,9 +10,18 @@ counterparts), encode/decode round trips, and ordering contracts.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from hypothesis import given, settings, strategies as st
 
-from repro.enumeration import SpannerEvaluator, enumerate_tuples
+from repro.automata.leveled import RadixEnumerator
+from repro.enumeration import (
+    SpannerEvaluator,
+    build_evaluation_graph,
+    decode_configuration_word,
+    enumerate_tuples,
+    graph_tuples,
+)
 from repro.oracle import oracle_evaluate
 from repro.refwords import refword_from_tuple, tuple_from_refword, clr
 from repro.regex import check_functional
@@ -30,6 +39,8 @@ from repro.relational.hypergraph import Hypergraph
 from repro.relational.relation import Relation
 from repro.relational.yannakakis import evaluate_acyclic
 from repro.relational.generic import evaluate_generic
+from repro.runtime import CompiledSpanner
+from repro.runtime.fusion import fused_sweep
 from repro.spans import Span, SpanTuple
 from repro.vset import compile_regex, equality_automaton, join, project, union
 from repro.vset.functionality import is_vset_functional
@@ -136,6 +147,14 @@ def functional_formulas(draw, max_variables: int = 2) -> RegexFormula:
 
 short_strings = st.text(alphabet=ALPHABET, max_size=4)
 tiny_strings = st.text(alphabet=ALPHABET, max_size=3)
+#: Up to 40 characters; the digit alphabet adds documents whose sweep
+#: dies part-way (no formula leaf reads a digit).
+long_strings = st.one_of(
+    st.text(alphabet=ALPHABET, max_size=40),
+    st.text(alphabet=ALPHABET + "0", max_size=40),
+)
+#: Tuples compared per case: radix order makes equal prefixes meaningful.
+WALK_PREFIX = 400
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +196,33 @@ def test_enumeration_order_and_uniqueness(formula, s):
 def test_count_matches_enumeration(formula, s):
     evaluator = SpannerEvaluator(compile_regex(formula), s)
     assert evaluator.count() == len(list(evaluator))
+
+
+def _radix_prefix(graph):
+    words = RadixEnumerator(graph.leveled, lambda config: config.sort_key())
+    return [
+        decode_configuration_word(word, graph.variables)
+        for word in islice(words, WALK_PREFIX)
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(functional_formulas(), long_strings)
+def test_event_walk_matches_radix_reference(formula, s):
+    """The production walk yields the paper's radix order, tuple for tuple."""
+    graph = build_evaluation_graph(compile_regex(formula), s)
+    got = list(islice(graph_tuples(graph), WALK_PREFIX))
+    assert got == _radix_prefix(graph)
+    assert len(got) == graph.leveled.count_words(cap=WALK_PREFIX)
+
+
+@settings(max_examples=30, deadline=None)
+@given(functional_formulas(), functional_formulas(), long_strings)
+def test_fused_sweep_walk_matches_radix_reference(f1, f2, s):
+    entries = [(0, CompiledSpanner(f1).tables), (1, CompiledSpanner(f2).tables)]
+    for graph in fused_sweep(entries, s).values():
+        got = list(islice(graph_tuples(graph), WALK_PREFIX))
+        assert got == _radix_prefix(graph)
 
 
 # ---------------------------------------------------------------------------
