@@ -388,14 +388,14 @@ def _run_e13j():
     the same ~16 KiB-document corpus through ``submit_all``.
     ``fuse=False`` dispatches Q independent scans — the pre-fusion
     serving shape, shipping every document to the workers Q times;
-    ``fuse=True`` serves the whole set from one pass, shipping each
-    document once and demultiplexing tuples per member.  Per-query
+    ``fuse=True`` serves the whole set with one task per chunk,
+    shipping each document once and demultiplexing tuples per member.  Per-query
     outputs are asserted byte-identical between the two modes and
     against the serial engine.
 
-    The fused sweep deliberately runs each member's solo construction
-    verbatim (that is what makes the streams byte-identical), so the
-    per-member automaton work is never shared — what fusion shares is
+    A fused task runs each member's own engine (that is what makes the
+    streams byte-identical), so the per-member automaton work is never
+    shared — what fusion shares is
     everything *around* it: document transport, worker-side decode,
     task dispatch and result round-trips, all paid once instead of Q
     times.  This table therefore measures the scan-dominated serving
@@ -435,7 +435,7 @@ def _run_e13j():
                 futures = service.submit_all(docs, queries=ids, fuse=fuse)
                 return [futures[qid].result() for qid in ids]
 
-            batch(True)  # warm: artifacts and the fused engine shipped
+            batch(True)  # warm: every member's artifact shipped
             batch(False)
             seq_s, seq_out = _timed_best(lambda: batch(False))
             fused_s, fused_out = _timed_best(lambda: batch(True))

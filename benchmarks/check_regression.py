@@ -16,8 +16,8 @@ Default gates:
   back toward materializing ``A_eq``.
 * ``e13j-fused-speedup`` — median ``fused speedup`` of the E13j table
   (higher is better): fused multi-query serving must keep beating Q
-  sequential scans; a slide toward 1.0 means the one-pass sweep lost
-  its sharing advantage.
+  sequential scans; a slide toward 1.0 means the fused task lost its
+  sharing advantage.
 * ``peak-rss-kib`` / ``peak-rss-children-kib`` — the run's peak
   resident-set high-water marks (max over the recorded experiments;
   lower is better): the memory trajectory PR 3 started stamping.

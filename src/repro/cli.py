@@ -49,10 +49,10 @@ Subcommands:
   (warm start across CLI invocations) and persist what they compile.
 
 Multi-query fleet runs (``extract`` with several formulas, ``query``
-with ``--next-query``) default to **fused serving**: one document scan
+with ``--next-query``) default to **fused serving**: one task per chunk
 answers every query, demultiplexed per query with output bytes
-identical to the sequential scans; ``--no-fuse`` forces one scan per
-query (same bytes, more passes).
+identical to the sequential scans; ``--no-fuse`` forces one task per
+chunk and query (same bytes, more tasks).
 
 Examples::
 
@@ -269,8 +269,8 @@ def _extract_fleet(args: argparse.Namespace, formulas: list[str]) -> int:
     Every formula is registered on one :class:`SpannerService`, so the
     workers hold each compiled artifact at most once, and the whole
     batch goes through one :meth:`submit_all` — with ``--fuse`` (the
-    default) that is a single fused document scan answering every
-    formula at once; ``--no-fuse`` dispatches one scan per formula.
+    default) each chunk is one fused task answering every formula at
+    once; ``--no-fuse`` dispatches one task per chunk and formula.
     Output is grouped query-major then file-major, exactly as the
     serial loop prints it, fused or not.
     """
@@ -544,10 +544,10 @@ def _query_fleet(
     The ``query`` twin of :func:`_extract_fleet`: every CQ's compiled
     engine (fused equality artifact or plain spanner) registers on one
     :class:`SpannerService`, the document batch goes through one
-    :meth:`submit_all` — a single fused scan with ``--fuse`` (default),
-    one scan per query with ``--no-fuse`` — and output is grouped
-    query-major (q0, q1, ...) then document-major, byte-identical to
-    running each query serially.
+    :meth:`submit_all` — one fused task per chunk with ``--fuse``
+    (default), one per chunk and query with ``--no-fuse`` — and output
+    is grouped query-major (q0, q1, ...) then document-major,
+    byte-identical to running each query serially.
     """
     if args.strategy == "canonical":
         raise SpannerError(
@@ -850,10 +850,10 @@ def build_parser() -> argparse.ArgumentParser:
             action=argparse.BooleanOptionalAction,
             default=True,
             help=(
-                "serve multi-query --workers batches through one fused "
-                "document scan answering every query at once (default); "
-                "--no-fuse forces one scan per query — output bytes are "
-                "identical either way"
+                "serve multi-query --workers batches with one fused task "
+                "per chunk answering every query at once (default); "
+                "--no-fuse forces one task per chunk and query — output "
+                "bytes are identical either way"
             ),
         )
         p.add_argument(
@@ -925,7 +925,7 @@ def build_parser() -> argparse.ArgumentParser:
             "start another CQ: the --atom/--head/--equal before each "
             "--next-query form one query; several queries print q0-, "
             "q1-, ... prefixed rows and share one fleet with --workers "
-            "(fused into a single document scan unless --no-fuse)"
+            "(one fused task per chunk unless --no-fuse)"
         ),
     )
     p_query.add_argument(

@@ -36,11 +36,12 @@
   :meth:`SpannerService.restore` (atomic durable writes, checksummed
   versioned headers, corrupt-entry quarantine, LRU byte budgets);
 * :mod:`.fusion` — :class:`FusedQuery` / :class:`FusedEngine` and
-  :func:`plan_submission`, the one-pass multi-query fusion layer: a
-  registered query set unioned into a single tagged sweep per document
-  (the Theorem 3.11 union-in-one-pass shape, generalized to arbitrary
-  members) with per-member tuple streams byte-identical to sequential
-  serving, behind :meth:`SpannerService.extract_all`;
+  :func:`plan_submission`, multi-query fusion by composition: one task
+  per chunk serves a registered query set, the worker composing the
+  members' own engines (the Theorem 3.11 union shape: each disjunct
+  runs its own evaluator) with equality members sharing one substring
+  index per document, and per-member tuple streams byte-identical to
+  sequential serving, behind :meth:`SpannerService.extract_all`;
 * :mod:`.backends` — the pluggable compute layer under the service:
   :class:`ComputeBackend` (the mechanism contract — spawn/recycle
   workers, ship artifacts once per worker lifetime, dispatch, collect,

@@ -5,14 +5,19 @@ process, a pool thread or the driver itself running inline: materialize
 the shipped artifact at most once per worker, run the exact serial
 per-document path under the resolved result caps, stamp the heartbeat
 at task boundaries (and per fused member), and report one tagged result
-message.  Backends differ only in how messages travel and what a
-"worker" physically is — that lives in the sibling modules; everything
-here is substrate-blind.
+message.  A fused task composes the members' engines the worker already
+holds (:class:`~repro.runtime.fusion.FusedEngine`) and caches the
+composition under the member-id tuple.  Backends differ only in how
+messages travel and what a "worker" physically is — that lives in the
+sibling modules; everything here is substrate-blind.
 
 Moved verbatim from :mod:`repro.runtime.service` when the backend seam
 was extracted; the wire format is unchanged: tasks are ``("task",
 task_id, attempt, query_id, payload, op, items, extra, caps)`` and
 results ``("done"|"fail", worker_id, task_id, payload, truncated)``.
+A fused task's ``query_id`` is the sorted tuple of member ids and its
+``payload`` the tuple of per-member shipments, ``None`` for each member
+the worker already holds.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from itertools import islice
 from ...errors import ResultLimitError
 from ...spans import SpanTuple
 from ..compiled import CompiledSpanner
-from ..fusion import FusedQuery
+from ..fusion import FusedEngine
 from ..tables import AutomatonTables
 from ..transport import ShmChunk, open_chunk, read_document, release_chunk
 
@@ -141,9 +146,6 @@ def materialize(artifact: object) -> object:
         # The equality-free contract: one tables object, rebuilt into a
         # spanner without rerunning any preprocessing.
         return CompiledSpanner.from_tables(artifact)
-    if isinstance(artifact, FusedQuery):
-        # A fused member set: plan cohorts once, serve many documents.
-        return artifact.materialize()
     # A self-contained engine (CompiledEqualityQuery, CompiledSpanner):
     # its pickle contract already ships everything it needs.
     return artifact
@@ -234,10 +236,10 @@ def run_fused(
     caps: "tuple | None" = None,
     heartbeat=None,
 ) -> tuple[list, int]:
-    """One fused task: every member's answer from one pass per document.
+    """One fused task: every member's answer to one chunk.
 
     ``engine`` is a :class:`~repro.runtime.fusion.FusedEngine`; per
-    document its shared sweep runs once and each member's stream is then
+    document it hands back one stream per member, and each stream is
     enumerated under that *member's* resolved result cap (``caps`` is a
     per-member tuple here, index-aligned with ``engine.member_ids``).
     The return payload is one entry per member: ``("ok", per_doc_lists,
@@ -249,9 +251,10 @@ def run_fused(
     Attribution: before each member phase the worker stamps the member
     ordinal into the heartbeat's fourth slot, so a worker killed
     mid-member — deadline, crash, memory — indicts exactly the member it
-    was serving; the shared sweep phase is stamped ``-1`` (unattributed:
-    a failure there charges every member, since all of them asked for
-    that pass).
+    was serving; the per-document phase before the member streams are
+    consumed (the sweep members' graph builds, the shared equality
+    index) is stamped ``-1`` (unattributed: a failure there charges
+    every member, since all of them asked for that document).
     """
     docs = open_chunk(items)
     m_count = len(engine.member_ids)
@@ -266,7 +269,7 @@ def run_fused(
                 doc = read_document(item, encoding=encoding, errors=errors)
             else:
                 doc = item
-            streams = engine.streams(doc)  # the one shared pass
+            streams = engine.streams(doc)
             for m, stream in enumerate(streams):
                 if errs[m] is not None:
                     continue
@@ -299,6 +302,31 @@ def run_fused(
         release_chunk(docs)
 
 
+def _engine_for(engines: dict, query_id, payload, worker_id: int):
+    """The engine serving ``query_id``, built at most once per worker.
+
+    A tuple ``query_id`` names a fused task's members: their engines
+    are resolved one by one (``payload`` holds their shipments) and
+    composed into a :class:`~repro.runtime.fusion.FusedEngine`.
+    """
+    engine = engines.get(query_id)
+    if engine is None:
+        if isinstance(query_id, tuple):
+            engine = FusedEngine([
+                (qid, _engine_for(engines, qid, shipment, worker_id))
+                for qid, shipment in zip(query_id, payload)
+            ])
+        elif payload is None:
+            raise RuntimeError(
+                f"worker {worker_id} has no artifact for query "
+                f"{query_id!r}"
+            )
+        else:
+            engine = materialize_payload(payload)
+        engines[query_id] = engine
+    return engine
+
+
 def run_task(
     engines: dict,
     msg: tuple,
@@ -311,7 +339,8 @@ def run_task(
 
     The body of every backend's worker loop.  ``engines`` is the
     worker's query-id-keyed engine table (the per-worker
-    compile-at-most-once guarantee); ``heartbeat`` is stamped with
+    compile-at-most-once guarantee; fused compositions are keyed by
+    their member-id tuple); ``heartbeat`` is stamped with
     ``(task_id, monotonic start, rss, -1)`` at task start and ``(-1,
     now, rss, -1)`` when the result is ready — the idle stamp lands
     *before* the result is visible, so the driver's deadline scan can
@@ -329,15 +358,7 @@ def run_task(
             heartbeat[2] = rss
             heartbeat[3] = -1.0
     try:
-        engine = engines.get(query_id)
-        if engine is None:
-            if payload is None:
-                raise RuntimeError(
-                    f"worker {worker_id} has no artifact for query "
-                    f"{query_id!r}"
-                )
-            engine = materialize_payload(payload)
-            engines[query_id] = engine
+        engine = _engine_for(engines, query_id, payload, worker_id)
         if op in ("fused", "fused_files"):
             out, truncated = run_fused(
                 engine, op, items, extra, encoding, errors, caps,

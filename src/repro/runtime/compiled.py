@@ -82,19 +82,6 @@ def estimate_compile_states(
         return sum(
             tables.automaton.n_states for tables, _groups in query.disjuncts
         )
-    # Lazy for the same reason: fusion.py builds on this module.
-    from .fusion import FusedQuery
-
-    if isinstance(query, FusedQuery):
-        # A fused engine is exactly its members' state inventory: the
-        # sweep never builds a product, so the sum is the true bound.
-        estimates = [
-            estimate_compile_states(artifact)
-            for _qid, artifact in query.members
-        ]
-        if any(e is None for e in estimates):
-            return None
-        return sum(estimates)  # type: ignore[arg-type]
     return None
 
 

@@ -77,16 +77,16 @@ fleet:
   runs the compilation under the fleet's deadline pattern —
   :class:`~repro.errors.QueryRejectedError` instead of an unbounded
   compile.  ``health()['resources']`` reports all of it.
-* **One-pass multi-query fusion.**  ``submit_all(docs)`` (and the
+* **Multi-query fusion.**  ``submit_all(docs)`` (and the
   ``await``-able ``extract_all``) serves one batch to *every*
-  registered query in a single document scan: the members'
-  vset-automata are fused into one tagged engine
-  (:mod:`repro.runtime.fusion`) whose shared leveled-NFA sweep answers
-  all of them per document, demultiplexed per query — per-query
-  streams byte-identical (content and order) to Q sequential
-  submissions.  Fused tasks ride the same deadline / result-cap /
-  breaker machinery; the heartbeat's member slot lets a fused failure
-  indict exactly the offending query's breaker.
+  registered query with one task per chunk: the task names its member
+  queries, and the worker composes the members' own engines
+  (:mod:`repro.runtime.fusion`) to answer all of them per document,
+  demultiplexed per query — per-query streams byte-identical (content
+  and order) to Q sequential submissions.  Fused tasks ride the same
+  deadline / result-cap / breaker machinery; the heartbeat's member
+  slot lets a fused failure indict exactly the offending query's
+  breaker.
 * **Asyncio front-end.**  ``await service.extract(query_id, docs)``
   evaluates a batch without blocking the event loop;
   :meth:`submit` returns a :class:`concurrent.futures.Future` usable
@@ -151,13 +151,7 @@ from .compiled import CompiledSpanner, estimate_compile_states
 from .config import UNSET as _UNSET
 from .config import ConfigAttributes, ServiceConfig, check_limits
 from .equality import CompiledEqualityQuery
-from .fusion import (
-    FUSED_ID_PREFIX,
-    FusedQuery,
-    fused_fingerprint,
-    fused_query_id,
-    plan_submission,
-)
+from .fusion import plan_submission
 from .store import (
     ArtifactStore,
     FileStore,
@@ -224,7 +218,8 @@ class _Task:
     ``items`` is the *wire form* of the chunk — the plain document/path
     list for pipe transport, or the :class:`ShmChunk` reference whose
     segment the driver holds alive until this task resolves (so a crash
-    re-dispatch re-sends the same reference without re-packing).
+    re-dispatch re-sends the same reference without re-packing).  A
+    fused task's ``query_id`` is the sorted tuple of its member ids.
     """
 
     __slots__ = (
@@ -236,14 +231,13 @@ class _Task:
     def __init__(
         self,
         task_id: int,
-        query_id: str,
+        query_id: "str | tuple[str, ...]",
         op: str,
         items: "list[str] | ShmChunk",
         extra: int | None,
         bounded: bool,
         deadline: float | None = None,
         caps: "tuple[int | None, int | None, str] | None" = None,
-        members: "tuple[str, ...] | None" = None,
     ):
         self.task_id = task_id
         self.query_id = query_id
@@ -260,7 +254,7 @@ class _Task:
         self.not_before = 0.0  # monotonic re-dispatch eligibility (backoff)
         #: Fused tasks only: member query ids, index-aligned with the
         #: engine's member order (and hence the heartbeat ordinal).
-        self.members = members
+        self.members = query_id if isinstance(query_id, tuple) else None
         #: The member a fleet-level failure was attributed to (from the
         #: heartbeat's member slot); None = unattributed, charge all.
         self.indicted: str | None = None
@@ -465,18 +459,9 @@ class SpannerService(ConfigAttributes):
 
     @property
     def queries(self) -> tuple[str, ...]:
-        """The registered query ids, in registration order.
-
-        Fused pseudo-entries (internal engines the fleet builds to
-        serve ``submit_all`` in one pass) are plumbing, not registered
-        queries, and are filtered out here as everywhere public.
-        """
+        """The registered query ids, in registration order."""
         with self._lock:
-            return tuple(
-                qid
-                for qid in self._registry
-                if not qid.startswith(FUSED_ID_PREFIX)
-            )
+            return tuple(self._registry)
 
     @property
     def tasks_completed(self) -> int:
@@ -631,11 +616,7 @@ class SpannerService(ConfigAttributes):
                 "workers": workers,
                 "backlog_depth": len(self._backlog),
                 "tasks_outstanding": len(self._tasks),
-                "queries_registered": sum(
-                    1
-                    for qid in self._registry
-                    if not qid.startswith(FUSED_ID_PREFIX)
-                ),
+                "queries_registered": len(self._registry),
                 "quarantined_queries": quarantined,
                 "resources": resources,
                 "counters": {
@@ -696,7 +677,7 @@ class SpannerService(ConfigAttributes):
         """
         if isinstance(query, CompiledSpanner):
             return query.tables
-        if isinstance(query, (CompiledEqualityQuery, AutomatonTables, FusedQuery)):
+        if isinstance(query, (CompiledEqualityQuery, AutomatonTables)):
             return query
         return CompiledSpanner(query).tables  # automaton / formula / syntax
 
@@ -898,8 +879,7 @@ class SpannerService(ConfigAttributes):
         if isinstance(query, str):
             return ("syntax", query)
         if isinstance(
-            query,
-            (CompiledSpanner, CompiledEqualityQuery, AutomatonTables, FusedQuery),
+            query, (CompiledSpanner, CompiledEqualityQuery, AutomatonTables)
         ):
             return None
         return (
@@ -1155,8 +1135,7 @@ class SpannerService(ConfigAttributes):
         is never stuck inside an unbounded ``compile_regex``.
         """
         precompiled = isinstance(
-            query,
-            (CompiledSpanner, CompiledEqualityQuery, AutomatonTables, FusedQuery),
+            query, (CompiledSpanner, CompiledEqualityQuery, AutomatonTables)
         )
         if self.config.compile_timeout is None or precompiled:
             return pickle.dumps(
@@ -1323,21 +1302,19 @@ class SpannerService(ConfigAttributes):
 
     def _enqueue(
         self,
-        query_id: str,
+        query_id: "str | tuple[str, ...]",
         items: list[str],
         op: str,
         extra: int | None,
         deadline: float | None,
         caps: "tuple | None",
-        members: "tuple[str, ...] | None" = None,
     ) -> Future:
         """The tail every dispatch shares, solo and fused alike: an
         in-flight slot, the chunk's wire form, the task, its dispatch.
 
         Admission and deadline/cap resolution already ran — per query
-        in :meth:`submit_chunk`, per *member* in :meth:`submit_all` (the
-        fused pseudo-id itself has no breaker, no per-query caps and no
-        manifest entry).
+        in :meth:`submit_chunk`, per *member* in :meth:`submit_all` (a
+        fused task's ``query_id`` is its sorted member-id tuple).
         """
         self.start()
         bounded = self._inflight_slots is not None
@@ -1355,7 +1332,7 @@ class SpannerService(ConfigAttributes):
                 raise ServiceClosedError("SpannerService is closed")
             task = _Task(
                 next(self._task_ids), query_id, op, wire, extra, bounded,
-                deadline, caps, members=members,
+                deadline, caps,
             )
             self._tasks[task.task_id] = task
             self._dispatch_or_backlog(task)
@@ -1523,11 +1500,12 @@ class SpannerService(ConfigAttributes):
           :class:`~concurrent.futures.Future` resolving to one result
           per item, exactly the pre-redesign behavior;
         * a sequence of ids — returns ``{query_id: Future}``, served
-          fused (one document scan answers every member, demultiplexed
-          per query) whenever ``fuse`` is true, at least two members
-          are admissible, and ``kind`` is not ``"counts"``; falls back
-          to per-query sequential submission otherwise.  Per-query
-          results are byte-identical (content *and* order) either way;
+          fused (one task per chunk answers every member with the
+          member's own engine, demultiplexed per query) whenever
+          ``fuse`` is true, at least two members are admissible, and
+          ``kind`` is not ``"counts"``; falls back to per-query
+          sequential submission otherwise.  Per-query results are
+          byte-identical (content *and* order) either way;
         * ``None`` — every registered query, as a sequence.
 
         Documents are split into ``chunk_size`` tasks balanced across
@@ -1601,15 +1579,17 @@ class SpannerService(ConfigAttributes):
 
         The multi-query face of :meth:`submit`: ``queries=None`` means
         every registered query.  With ``fuse=True`` (the default) and
-        at least two admissible members, the fleet serves the batch
-        through one *fused* engine — a single leveled-NFA sweep per
-        document answers every member, results demultiplexed per query
-        in the exact order (and bytes) Q sequential submissions would
-        produce.  Members whose circuit breaker is open fail their own
-        future with :class:`~repro.errors.QueryQuarantinedError`
-        without blocking the rest; a fleet-level failure of a fused
-        task charges only the member the heartbeat indicts (or all
-        members when it died in the shared sweep phase).
+        at least two admissible members, each chunk of the batch is one
+        *fused* task: it names the members (and ships any member
+        artifact the worker lacks), the worker composes the members'
+        own engines, and results are demultiplexed per query in the
+        exact order (and bytes) Q sequential submissions would produce;
+        equality members share one substring index per document.
+        Members whose circuit breaker is open fail their own future
+        with :class:`~repro.errors.QueryQuarantinedError` without
+        blocking the rest; a fleet-level failure of a fused task
+        charges only the member the heartbeat indicts (or all members
+        when it died before any member's stream was consumed).
         """
         op = self._op_for(kind)
         items = list(work)
@@ -1638,8 +1618,6 @@ class SpannerService(ConfigAttributes):
         mode, ordered = plan_submission(
             candidates, fuse=fuse and kind != "counts"
         )
-        if mode == "fused" and not self._fused_admissible(ordered):
-            mode = "sequential"
         if mode == "sequential":
             for qid in ordered:
                 try:
@@ -1677,83 +1655,16 @@ class SpannerService(ConfigAttributes):
                 for qid in members
             )
             member_caps = None if all(c is None for c in caps) else caps
-        fused_qid = self._ensure_fused(members)
         fused_op = "fused" if kind == "docs" else "fused_files"
         chunk_futures = [
             self._enqueue(
-                fused_qid, items[i : i + self.config.chunk_size], fused_op,
-                extra, deadline, member_caps, members,
+                members, items[i : i + self.config.chunk_size], fused_op,
+                extra, deadline, member_caps,
             )
             for i in range(0, len(items), self.config.chunk_size)
         ]
         out.update(_combine_fused(chunk_futures, members))
         return out
-
-    def _fused_admissible(self, member_ids: "Sequence[str]") -> bool:
-        """Admission control for the fused engine (compile-time bound).
-
-        The fused engine's state inventory is the sum of its members';
-        when ``max_compile_states`` would refuse that sum, fusion is
-        skipped (sequential fallback) rather than refused — every
-        member already passed admission individually.
-        """
-        if self.config.max_compile_states is None:
-            return True
-        with self._lock:
-            payloads = [self._registry[qid] for qid in member_ids]
-        total = 0
-        for payload in payloads:
-            estimate = estimate_compile_states(pickle.loads(payload))
-            if estimate is None:
-                return True  # unboundable member: admit, as register() does
-            total += estimate
-        return total <= self.config.max_compile_states
-
-    def _ensure_fused(self, member_ids: "tuple[str, ...]") -> str:
-        """The registry id of the fused engine over ``member_ids``.
-
-        Built at most once per member set: the registry entry is keyed
-        by :func:`~repro.runtime.fusion.fused_query_id` over the sorted
-        member payload fingerprints, and the artifact store (when
-        configured) caches the fused payload under
-        :func:`~repro.runtime.fusion.fused_fingerprint` — so a warm
-        restart that re-registers the same member set revives the fused
-        engine without re-pickling a single member.  Fused entries
-        never reach the manifest or the public ``queries`` tuple.
-        """
-        with self._lock:
-            shas = [
-                hashlib.sha256(self._registry[qid]).hexdigest()
-                for qid in member_ids
-            ]
-        fused_qid = fused_query_id(shas)
-        store_key = fused_fingerprint(shas)
-        with self._lock:
-            if fused_qid in self._registry:
-                return fused_qid
-        store = self.artifact_store
-        payload = None
-        if store is not None:
-            try:
-                payload = store.get(store_key)
-            except ArtifactCorruptError:
-                payload = None  # quarantined by the store; rebuild
-        if payload is None:
-            with self._lock:
-                members = [
-                    (qid, pickle.loads(self._registry[qid]))
-                    for qid in member_ids
-                ]
-            payload = pickle.dumps(
-                FusedQuery(members), protocol=pickle.HIGHEST_PROTOCOL
-            )
-            if store is not None:
-                store.put(store_key, payload)
-        with self._lock:
-            if self._closing:
-                raise ServiceClosedError("SpannerService is closed")
-            self._registry.setdefault(fused_qid, payload)
-        return fused_qid
 
     def _submit_batch(
         self,
@@ -1899,19 +1810,30 @@ class SpannerService(ConfigAttributes):
             return
         self._assign(worker, task)
 
+    def _shipment(self, worker: WorkerHandle, query_id: str) -> object:
+        """``query_id``'s artifact for ``worker``, or ``None`` once shipped.
+
+        At most one shipment per (worker, query) lifetime.  What "ship"
+        means is the backend's business: the process fleet sends the
+        registry's pickled bytes over the task queue; shared-memory
+        backends hand back a reference to the one materialized engine.
+        """
+        if query_id in worker.shipped:
+            return None
+        worker.shipped.add(query_id)
+        return self._backend.prepare_payload(
+            query_id, self._registry[query_id]
+        )
+
     def _assign(self, worker: WorkerHandle, task: _Task) -> None:
-        # Ship the artifact with the first task that needs it on this
-        # worker — at most one shipment per (worker, query) lifetime.
-        # What "ship" means is the backend's business: the process
-        # fleet sends the registry's pickled bytes over the task queue;
-        # shared-memory backends hand back a reference to the one
-        # materialized engine.
-        payload = None
-        if task.query_id not in worker.shipped:
-            payload = self._backend.prepare_payload(
-                task.query_id, self._registry[task.query_id]
+        # A fused task carries one shipment slot per member: the worker
+        # composes the fused engine from the members' own engines.
+        if task.members is None:
+            payload = self._shipment(worker, task.query_id)
+        else:
+            payload = tuple(
+                self._shipment(worker, qid) for qid in task.members
             )
-            worker.shipped.add(task.query_id)
         task.worker = worker
         task.indicted = None  # attribution is per attempt
         worker.in_flight[task.task_id] = task
@@ -2032,11 +1954,13 @@ class SpannerService(ConfigAttributes):
                 # Fused: per-member outcomes arrived in one payload —
                 # success clears a member's breaker exactly as a solo
                 # completion would, while a member-scoped ordinary
-                # exception (an "err" slot) charges nothing, matching
-                # the solo "fail" path.
-                for m, qid in enumerate(task.members):
-                    if payload[m][0] == "ok":
+                # exception (an "err" slot) charges nothing and counts
+                # a result-limit failure, matching the solo "fail" path.
+                for qid, slot in zip(task.members, payload):
+                    if slot[0] == "ok":
                         self._record_success_locked(qid)
+                    elif isinstance(slot[1], ResultLimitError):
+                        self._result_limited += 1
             else:
                 self._record_success_locked(task.query_id)
             resolutions.append((task, None, payload))
@@ -2092,8 +2016,8 @@ class SpannerService(ConfigAttributes):
             if task.members is not None and 0 <= hb_member < len(task.members):
                 # The heartbeat names the fused member being served
                 # when the deadline hit: only that member's breaker is
-                # charged (a hang in the shared sweep stays -1 and
-                # charges every member).
+                # charged (a hang before any member's stream is
+                # consumed stays -1 and charges every member).
                 task.indicted = task.members[hb_member]
             self._charge_failure_locked(task)
             indicted = (
@@ -2227,9 +2151,10 @@ class SpannerService(ConfigAttributes):
         Solo tasks charge their query.  Fused tasks charge the member
         the heartbeat indicted (the one being enumerated when the
         worker was killed or died) — the other members were innocent
-        bystanders sharing the scan; an unattributed failure (shared
-        sweep phase, or a worker that never stamped) charges every
-        member, since each of them asked for that pass.
+        bystanders sharing the task; an unattributed failure (the
+        per-document phase before any member's stream is consumed, or
+        a worker that never stamped) charges every member, since each
+        of them asked for that document.
         """
         if task.members is None:
             self._record_failure_locked(task.query_id)

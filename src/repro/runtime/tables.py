@@ -229,17 +229,6 @@ class AutomatonTables:
                 chars.update(pred.chars)
         return frozenset(chars)
 
-    def fusion_class(self) -> str:
-        """Which fused-sweep cohort these tables belong to.
-
-        ``"static"`` when the readable alphabet is statically known
-        (every terminal predicate a finite :class:`Chars` set) —
-        such members fuse eagerly into one shared sweep with complete
-        burst rows; ``"dynamic"`` for wildcard automata, which keep
-        their lazily-grown rows and fuse into their own cohort.
-        """
-        return "static" if self.static_alphabet() is not None else "dynamic"
-
     def prebuild_burst(
         self,
         *,

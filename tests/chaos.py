@@ -37,6 +37,7 @@ from __future__ import annotations
 import errno
 import itertools
 import os
+import pickle
 import signal
 import time
 from dataclasses import dataclass, field
@@ -45,6 +46,7 @@ from repro.errors import TransientTaskError
 from repro.runtime import SpannerService
 from repro.runtime.backends.serial import SerialWorkerHandle
 from repro.runtime.backends.worker import materialize_payload
+from repro.runtime.fusion import FusedEngine
 
 #: Recognised worker-side fault kinds; the driver-side faults are plan
 #: fields.
@@ -394,7 +396,16 @@ class ChaosBackend:
         _kind, task_id, attempt, query_id, payload, *rest = msg
         spec = self.plan.spec_for(task_id, attempt)
         if spec is not None:
-            if payload is None:
+            if isinstance(query_id, tuple):
+                # A fused task names its members: the wrapper carries
+                # their composed engine, so the worker receives none of
+                # the members' shipments and they are shipped again.
+                payload = FusedEngine([
+                    (qid, pickle.loads(self._registry[qid]))
+                    for qid in query_id
+                ])
+                worker.shipped.difference_update(query_id)
+            elif payload is None:
                 payload = self.inner.prepare_payload(
                     query_id, self._registry[query_id]
                 )

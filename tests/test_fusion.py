@@ -1,8 +1,8 @@
-"""One-pass multi-query fusion (``submit_all`` / ``extract_all``).
+"""Multi-query fusion (``submit_all`` / ``extract_all``).
 
-The contract under test: a fused batch — one leveled-NFA sweep per
-document answering every member query — is **observably identical** to
-Q sequential submissions:
+The contract under test: a fused batch — one task per chunk, in which
+the worker composes the members' own engines to answer every member
+query — is **observably identical** to Q sequential submissions:
 
 * per-query tuple streams byte-identical (content *and* order) to the
   serial engine and to ``fuse=False`` sequential serving, across the
@@ -10,6 +10,8 @@ Q sequential submissions:
 * faults inside a fused task indict only the member whose phase was
   running: the offending query's breaker opens, the innocent members'
   breakers stay closed and keep serving;
+* fusion is a composition: it registers, stores and materializes
+  nothing beyond the member queries themselves;
 * ``register()`` returns a :class:`QueryHandle` usable anywhere a
   query id string is.
 """
@@ -20,24 +22,25 @@ import asyncio
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.errors import QueryQuarantinedError, TaskTimeoutError
+from repro.errors import (
+    QueryQuarantinedError,
+    ResultLimitError,
+    TaskTimeoutError,
+)
 from repro.runtime import (
     CompiledSpanner,
     ParallelSpanner,
     QueryHandle,
     SpannerService,
 )
-from repro.runtime.fusion import (
-    FUSED_ID_PREFIX,
-    FusedQuery,
-    fused_fingerprint,
-    fused_query_id,
-    plan_submission,
-)
-from repro.runtime.store import FileStore
+from repro.runtime.fusion import FusedQuery, plan_cohorts, plan_submission
+from repro.runtime.store import FileStore, MemoryStore
 
 from chaos import FaultPlan, chaos_service
+
+from test_properties import ALPHABET, functional_formulas
 
 from test_service import (
     DIGIT_FORMULA,
@@ -51,7 +54,8 @@ from test_service import (
 DEADLINE = 0.5
 
 #: A third regex query with a different shape (wildcard-heavy), so the
-#: mixed-cohort tests cover sweep-static and sweep-dynamic members.
+#: mixed-cohort tests cover a member whose burst rows stay lazily grown
+#: (wildcard alphabet) beside statically indexed ones.
 UPPER_FORMULA = ".*u{[A-Z]+}.*"
 
 
@@ -85,14 +89,16 @@ class TestPlanning:
     def test_fuse_false_is_sequential(self):
         assert plan_submission(["q1", "q2"], fuse=False)[0] == "sequential"
 
-    def test_fused_ids_are_order_insensitive_and_prefixed(self):
-        a = fused_query_id(["sha-b", "sha-a"])
-        b = fused_query_id(["sha-a", "sha-b"])
-        assert a == b
-        assert a.startswith(FUSED_ID_PREFIX)
-        assert fused_fingerprint(["sha-b", "sha-a"]) == fused_fingerprint(
-            ["sha-a", "sha-b"]
-        )
+    def test_cohorts_group_members_by_engine(self):
+        eq_engine, _docs = equality_engine()
+        members = [
+            ("a", CompiledSpanner(WORD_FORMULA)),
+            ("b", eq_engine),
+            ("c", CompiledSpanner(UPPER_FORMULA).tables),
+        ]
+        kinds = [(kind, [m for m, _ in entries])
+                 for kind, entries in plan_cohorts(members)]
+        assert kinds == [("sweep", [0, 2]), ("equality", [1])]
 
     def test_fused_query_needs_two_distinct_members(self):
         spanner = CompiledSpanner(WORD_FORMULA)
@@ -194,36 +200,121 @@ class TestFusedParity:
             with pytest.raises(ValueError):
                 svc.submit_all(DOCS[:2], queries=[qid, qid])
 
-    def test_fused_artifact_cached_and_revived(self, tmp_path, word_serial):
-        """The fused engine lands in the artifact store under its
-        member-fingerprint key and is revived on a warm start."""
-        store = FileStore(str(tmp_path / "cache"))
+    def test_warm_generation_serves_fused_without_puts(
+        self, tmp_path, word_serial, digit_serial
+    ):
+        """A warm driver generation revives the members from the store
+        and serves fused batches byte-identically without a single
+        store write: there is no fused artifact to build or cache."""
+        root = str(tmp_path / "cache")
+        generations = []
         for _round in range(2):
+            store = FileStore(root)
             with SpannerService(
                 workers=1, chunk_size=8, artifact_store=store
             ) as svc:
                 q_word = svc.register(WORD_FORMULA)
-                svc.register(DIGIT_FORMULA)
+                q_digit = svc.register(DIGIT_FORMULA)
                 out = svc.submit_all(DOCS)
-                assert canonical(
-                    out[q_word].result(timeout=120)
-                ) == canonical(word_serial)
-        fused_keys = [
-            key for key, _size, _mtime in store.entries()
-            if key.startswith("f")
-        ]
-        assert fused_keys, "fused artifact missing from the store"
+                generations.append(
+                    [canonical(out[q].result(timeout=120))
+                     for q in (q_word, q_digit)]
+                )
+        assert store.stats()["puts"] == 0
+        assert store.stats()["hits"] == 2
+        expected = [canonical(word_serial), canonical(digit_serial)]
+        assert generations == [expected, expected]
 
     def test_fused_ids_stay_out_of_introspection(self):
         with SpannerService(workers=1, chunk_size=8) as svc:
-            svc.register(CompiledSpanner(WORD_FORMULA))
-            svc.register(CompiledSpanner(DIGIT_FORMULA))
+            q_word = svc.register(CompiledSpanner(WORD_FORMULA))
+            q_digit = svc.register(CompiledSpanner(DIGIT_FORMULA))
             for fut in svc.submit_all(DOCS[:4]).values():
                 fut.result(timeout=120)
-            assert all(
-                not qid.startswith(FUSED_ID_PREFIX) for qid in svc.queries
-            )
+            assert svc.queries == (q_word, q_digit)
             assert svc.health()["queries_registered"] == 2
+
+
+# ---------------------------------------------------------------------------
+# Fusion is a composition: nothing beyond the members is built or shipped
+# ---------------------------------------------------------------------------
+def _serve_solo_then_fused(svc) -> tuple[str, str]:
+    q_word = svc.register(WORD_FORMULA)
+    q_digit = svc.register(DIGIT_FORMULA)
+    for qid in (q_word, q_digit):
+        svc.submit(DOCS, queries=qid).result(timeout=120)
+    for fut in svc.submit_all(DOCS).values():
+        fut.result(timeout=120)
+    return q_word, q_digit
+
+
+class TestComposition:
+    def test_registry_and_store_hold_only_registered_queries(self):
+        store = MemoryStore()
+        with SpannerService(
+            workers=1, chunk_size=8, artifact_store=store
+        ) as svc:
+            qids = _serve_solo_then_fused(svc)
+            assert svc.queries == qids
+            assert set(svc._registry) == set(qids)
+            assert len(store.keys()) == 2
+            assert store.stats()["puts"] == 2
+
+    def test_thread_backend_holds_one_engine_per_query(self):
+        with SpannerService(
+            workers=2, chunk_size=8, backend="thread"
+        ) as svc:
+            qids = _serve_solo_then_fused(svc)
+            assert set(svc._backend._engines) == set(qids)
+
+    def test_worker_holding_members_gets_no_payload(self):
+        """A process worker that already served both members solo
+        receives its first fused task with no shipment at all."""
+        with SpannerService(
+            workers=1, chunk_size=len(DOCS), backend="process"
+        ) as svc:
+            sent = []
+            dispatch = svc._backend.dispatch
+
+            def recording(worker, msg):
+                sent.append(msg)
+                dispatch(worker, msg)
+
+            svc._backend.dispatch = recording
+            qids = _serve_solo_then_fused(svc)
+        solo = [msg for msg in sent if msg[5] == "evaluate"]
+        fused = [msg for msg in sent if msg[5] == "fused"]
+        assert [type(msg[4]) for msg in solo] == [bytes, bytes]
+        assert len(fused) == 1
+        assert fused[0][3] == tuple(sorted(qids))
+        assert fused[0][4] == (None, None)
+
+
+# ---------------------------------------------------------------------------
+# One oracle for fused serving: each member's own evaluate_many
+# ---------------------------------------------------------------------------
+@settings(max_examples=10, deadline=None)
+@given(
+    st.lists(functional_formulas(), min_size=2, max_size=3),
+    st.lists(st.text(alphabet=ALPHABET, max_size=12), min_size=1, max_size=3),
+)
+def test_fused_serving_matches_member_engines(formulas, docs):
+    spanners = [CompiledSpanner(f) for f in formulas]
+    expected = [list(sp.evaluate_many(docs)) for sp in spanners]
+    for backend in ("serial", "thread"):
+        with SpannerService(workers=2, chunk_size=2, backend=backend) as svc:
+            # Explicit ids: two formulas may compile to one artifact.
+            ids = [
+                svc.register(sp, query_id=f"m{i}")
+                for i, sp in enumerate(spanners)
+            ]
+            full = svc.submit_all(docs, queries=ids)
+            first = svc.submit_all(docs, queries=ids, limit=1)
+            for qid, want in zip(ids, expected):
+                assert full[qid].result(timeout=60) == want
+                assert first[qid].result(timeout=60) == [
+                    per_doc[:1] for per_doc in want
+                ]
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +441,25 @@ class TestFusedFaults:
             assert canonical(out[q_word].result(timeout=120)) == canonical(
                 word_serial
             )
+
+
+# ---------------------------------------------------------------------------
+# Result caps count per (chunk, member), fused or not
+# ---------------------------------------------------------------------------
+class TestFusedResultLimits:
+    @pytest.mark.parametrize("fuse", [True, False])
+    def test_result_limited_members_counted(self, fuse):
+        with SpannerService(
+            workers=1, backend="serial", chunk_size=len(DOCS), max_tuples=1
+        ) as svc:
+            q_word = svc.register(CompiledSpanner(WORD_FORMULA))
+            q_digit = svc.register(CompiledSpanner(DIGIT_FORMULA))
+            out = svc.submit_all(DOCS, fuse=fuse)
+            for qid in (q_word, q_digit):
+                with pytest.raises(ResultLimitError):
+                    out[qid].result(timeout=120)
+            assert svc.tasks_result_limited == 2
+            assert svc.health()["resources"]["tasks_result_limited"] == 2
 
 
 # ---------------------------------------------------------------------------
