@@ -450,9 +450,9 @@ def _run_e13j():
         "sequential vs serial at every Q; anchored probes exit the "
         "sweep on the first character, so the measured cost is the "
         "shared scan machinery (transport, decode, dispatch) the "
-        "sequential path pays Q times; Q=1 routes through the same "
-        "plan_submission decision point and degrades to one sequential "
-        "scan (speedup ~1 by construction) — target: fused beats Q "
+        "sequential path pays Q times; at Q=1 both paths submit the "
+        "same one-member task per chunk (speedup ~1 by construction) "
+        "— target: fused beats Q "
         "sequential scans from Q >= 4"
     )
     return table

@@ -22,7 +22,9 @@
   for huge file-backed documents);
 * :mod:`.service` — :class:`SpannerService`, the long-lived queue-fed
   worker fleet serving *multiple* registered queries (keyed by query
-  fingerprint into each worker's engine table) with worker recycling,
+  fingerprint into each worker's engine table) through one task shape
+  — a sorted member-query tuple per chunk, one member for a
+  single-query submission — with worker recycling,
   crash re-dispatch with backoff, per-task deadlines over a heartbeat
   channel, per-query quarantine breakers, overload shedding policies,
   an asyncio front-end and transport negotiation
@@ -35,13 +37,14 @@
   compiled artifacts behind warm ``register()`` starts and
   :meth:`SpannerService.restore` (atomic durable writes, checksummed
   versioned headers, corrupt-entry quarantine, LRU byte budgets);
-* :mod:`.fusion` — :class:`FusedQuery` / :class:`FusedEngine` and
-  :func:`plan_submission`, multi-query fusion by composition: one task
-  per chunk serves a registered query set, the worker composing the
-  members' own engines (the Theorem 3.11 union shape: each disjunct
-  runs its own evaluator) with equality members sharing one substring
-  index per document, and per-member tuple streams byte-identical to
-  sequential serving, behind :meth:`SpannerService.extract_all`;
+* :mod:`.fusion` — :class:`FusedQuery` / :class:`FusedEngine`,
+  multi-query fusion by composition: one task per chunk serves its
+  member queries, the worker composing the members' own engines (the
+  Theorem 3.11 union shape: each disjunct runs its own evaluator, a
+  single query being a union of one) with equality members sharing one
+  substring index per document, and per-member tuple streams
+  byte-identical to one-member serving, behind
+  :meth:`SpannerService.extract_all`;
 * :mod:`.backends` — the pluggable compute layer under the service:
   :class:`ComputeBackend` (the mechanism contract — spawn/recycle
   workers, ship artifacts once per worker lifetime, dispatch, collect,
@@ -76,7 +79,6 @@ __all__ = [
     "QueryHandle",
     "FusedQuery",
     "FusedEngine",
-    "plan_submission",
     "equality_join",
     "CacheStats",
     "LRUCache",
@@ -112,7 +114,7 @@ def __getattr__(name: str):
         from . import service
 
         return getattr(service, name)
-    if name in ("FusedQuery", "FusedEngine", "plan_submission"):
+    if name in ("FusedQuery", "FusedEngine"):
         from . import fusion
 
         return getattr(fusion, name)

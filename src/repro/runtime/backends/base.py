@@ -136,7 +136,7 @@ class WorkerHandle:
         """The (running task id, stamp, rss bytes, member ordinal)
         quadruple; task id is -1 when idle, rss is 0.0 until the
         worker's first stamp, and the member ordinal is -1 outside a
-        fused task's per-member enumeration phases."""
+        multi-member task's per-member enumeration phases."""
         raise NotImplementedError
 
 

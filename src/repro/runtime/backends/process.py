@@ -254,10 +254,10 @@ class ProcessBackend(ComputeBackend):
         # would wedge the shared lock for every survivor).
         result_reader, result_writer = self._ctx.Pipe(duplex=False)
         # [running task id (or -1.0), monotonic stamp, rss bytes,
-        # fused member ordinal (or -1.0)] — four doubles under one lock
-        # so a reader never sees a torn set.  RSS rides the same
-        # channel the deadline scan reads: the memory watchdog costs no
-        # extra IPC; the member slot is what lets a fused-task kill
+        # member ordinal (or -1.0)] — four doubles under one lock so a
+        # reader never sees a torn set.  RSS rides the same channel the
+        # deadline scan reads: the memory watchdog costs no extra IPC;
+        # the member slot is what lets a multi-member task's kill
         # indict exactly the member being served.
         heartbeat = self._ctx.Array("d", [-1.0, 0.0, 0.0, -1.0])
         process = self._ctx.Process(

@@ -2,22 +2,22 @@
 
 One task's evaluation is the same code whether the worker is a spawned
 process, a pool thread or the driver itself running inline: materialize
-the shipped artifact at most once per worker, run the exact serial
-per-document path under the resolved result caps, stamp the heartbeat
-at task boundaries (and per fused member), and report one tagged result
-message.  A fused task composes the members' engines the worker already
-holds (:class:`~repro.runtime.fusion.FusedEngine`) and caches the
-composition under the member-id tuple.  Backends differ only in how
+each shipped artifact at most once per worker, run every member's exact
+serial per-document path under its resolved result cap, stamp the
+heartbeat at task boundaries (and per member when there are several),
+and report one tagged result message.  Backends differ only in how
 messages travel and what a "worker" physically is — that lives in the
 sibling modules; everything here is substrate-blind.
 
-Moved verbatim from :mod:`repro.runtime.service` when the backend seam
-was extracted; the wire format is unchanged: tasks are ``("task",
-task_id, attempt, query_id, payload, op, items, extra, caps)`` and
-results ``("done"|"fail", worker_id, task_id, payload, truncated)``.
-A fused task's ``query_id`` is the sorted tuple of member ids and its
-``payload`` the tuple of per-member shipments, ``None`` for each member
-the worker already holds.
+Wire format.  Tasks are ``("task", task_id, attempt, members, payload,
+op, items, extra, caps)``: ``members`` is the sorted tuple of member
+query ids (one id for a single-query task), ``payload`` one shipment
+per member (``None`` where the worker already holds that member),
+``op`` one of ``evaluate``/``files``/``count`` and ``caps`` ``None`` or
+one resolved cap per member.  Results are ``("done"|"fail", worker_id,
+task_id, payload, truncated)``; a ``done`` payload holds one slot per
+member (see :func:`run_members`), a ``fail`` payload the exception that
+failed the whole task.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ import pickle
 import time
 from itertools import islice
 
-from ...errors import ResultLimitError
-from ...spans import SpanTuple
+from ...errors import ResultLimitError, TransientTaskError
 from ..compiled import CompiledSpanner
 from ..fusion import FusedEngine
 from ..tables import AutomatonTables
@@ -39,8 +38,7 @@ __all__ = [
     "enumerate_capped",
     "materialize",
     "materialize_payload",
-    "run_op",
-    "run_fused",
+    "run_members",
     "run_task",
     "CAP_PROBE_BATCH",
 ]
@@ -164,70 +162,25 @@ def materialize_payload(payload: object) -> object:
     return materialize(payload)
 
 
-def run_op(
-    engine,
-    op: str,
-    items: "list[str] | ShmChunk",
-    extra: int | None,
-    encoding: str,
-    errors: str,
-    caps: "tuple[int | None, int | None, str] | None" = None,
-) -> tuple[list, int]:
-    """One task's evaluation — exactly the serial per-document path.
-
-    ``items`` is either the plain document/path list the pipe carried,
-    or a :class:`ShmChunk` reference to a shared-memory segment the
-    driver packed; either way the evaluation loop sees a sequence of
-    strings (decoded lazily out of the shared buffer in the shm case),
-    and the attachment is released before the result ships back.
-
-    ``caps`` is the resolved ``(max_tuples, max_result_bytes, policy)``
-    result cap (or ``None``, the uncapped fast path — ``islice`` at the
-    caller's explicit ``limit`` only, as before the governance layer).
-    Returns ``(per_doc_results, truncated_docs)``; under the ``error``
-    policy a crossed cap raises :class:`~repro.errors.ResultLimitError`
-    out of here instead.  ``count`` tasks are never capped — a count is
-    one integer per document regardless of how many tuples it counts.
-    """
-    docs = open_chunk(items)
-    truncated = 0
+def _portable(err: Exception) -> Exception:
+    """``err`` itself when it pickles, else a ``RuntimeError`` naming it
+    — what a worker can ship back over a result pipe."""
     try:
-        if op == "evaluate":
-            out: list[list[SpanTuple]] = []
-            for doc in docs:
-                # Enumeration stops (polynomial delay) at whichever
-                # bound bites first instead of materializing
-                # combinatorially many tuples only to discard them.
-                tuples, cut = enumerate_capped(engine.stream(doc), extra, caps)
-                truncated += cut
-                out.append(tuples)
-            return out, truncated
-        if op == "count":
-            return [engine.count(doc, cap=extra) for doc in docs], 0
-        if op == "files":
-            # Only paths crossed the pipe; read the documents
-            # worker-side (huge files decode straight from mmap).
-            out = []
-            for path in docs:
-                doc = read_document(path, encoding=encoding, errors=errors)
-                tuples, cut = enumerate_capped(engine.stream(doc), extra, caps)
-                truncated += cut
-                out.append(tuples)
-            return out, truncated
-        raise ValueError(f"unknown task op {op!r}")
-    finally:
-        release_chunk(docs)
+        pickle.dumps(err)
+    except Exception:
+        return RuntimeError(f"{type(err).__name__}: {err}")
+    return err
 
 
 def _stamp_member(heartbeat, ordinal: float) -> None:
-    """Publish which fused member this worker is serving (-1 = shared)."""
+    """Publish which member this worker is serving (-1 = shared)."""
     if heartbeat is not None:
         with heartbeat.get_lock():
             heartbeat[3] = ordinal
 
 
-def run_fused(
-    engine,
+def run_members(
+    members: "list[tuple[str, object]]",
     op: str,
     items: "list[str] | ShmChunk",
     extra: int | None,
@@ -236,94 +189,103 @@ def run_fused(
     caps: "tuple | None" = None,
     heartbeat=None,
 ) -> tuple[list, int]:
-    """One fused task: every member's answer to one chunk.
+    """One task: every member's answer to one chunk, per document
+    exactly the member's serial path.
 
-    ``engine`` is a :class:`~repro.runtime.fusion.FusedEngine`; per
-    document it hands back one stream per member, and each stream is
-    enumerated under that *member's* resolved result cap (``caps`` is a
-    per-member tuple here, index-aligned with ``engine.member_ids``).
-    The return payload is one entry per member: ``("ok", per_doc_lists,
-    truncated_docs)`` for members that completed, ``("err", exc)`` for
-    members whose enumeration raised — an ordinary per-member exception
-    fails exactly that member's future driver-side and, like every
-    ordinary worker exception, never charges a breaker.
+    ``members`` pairs each member query id with its engine.  ``items``
+    is the document/path list the pipe carried or a :class:`ShmChunk`
+    (decoded lazily, released before the result ships); ``files``
+    paths are read worker-side.  ``evaluate``/``files`` serve each
+    document through the members' engines composed into a
+    :class:`~repro.runtime.fusion.FusedEngine`, each member's stream
+    enumerated under its own resolved cap (``caps`` is index-aligned
+    with ``members``, ``None`` the uncapped fast path); ``count`` calls
+    each member engine's own ``count(doc, cap=extra)``, never capped.
 
-    Attribution: before each member phase the worker stamps the member
-    ordinal into the heartbeat's fourth slot, so a worker killed
-    mid-member — deadline, crash, memory — indicts exactly the member it
-    was serving; the per-document phase before the member streams are
-    consumed (the sweep members' graph builds, the shared equality
-    index) is stamped ``-1`` (unattributed: a failure there charges
-    every member, since all of them asked for that document).
+    Returns ``(slots, truncated_docs)``, one slot per member:
+    ``("ok", per_doc_results, truncated_docs)``, or ``("err", exc)``
+    when the member's evaluation raised (a crossed ``error``-policy
+    cap included) — that fails exactly the member's future and never
+    charges a breaker.  Failures outside the member phases (shm
+    attach, an unreadable path, a transient error) raise and fail the
+    whole task.
+
+    Attribution: with several members the heartbeat's fourth slot
+    names the member being served (``-1`` for the shared per-document
+    phase: graph builds, the equality index), so a worker killed
+    mid-member indicts exactly that member.  A one-member task is
+    never stamped: attribution is unambiguous.
     """
+    if op not in ("evaluate", "files", "count"):
+        raise ValueError(f"unknown task op {op!r}")
     docs = open_chunk(items)
-    m_count = len(engine.member_ids)
+    m_count = len(members)
+    fused = None if op == "count" else FusedEngine(members)
     member_caps = caps if caps is not None else (None,) * m_count
-    per_doc: list[list] = [[] for _ in range(m_count)]
+    stamp = heartbeat if m_count > 1 else None
+    results: list[list] = [[] for _ in range(m_count)]
     errs: list = [None] * m_count
     truncated = [0] * m_count
+    live = m_count
     try:
         for item in docs:
-            _stamp_member(heartbeat, -1.0)
-            if op == "fused_files":
+            if not live:
+                break  # every member already failed
+            _stamp_member(stamp, -1.0)
+            if op == "files":
                 doc = read_document(item, encoding=encoding, errors=errors)
             else:
                 doc = item
-            streams = engine.streams(doc)
-            for m, stream in enumerate(streams):
+            streams = None if fused is None else fused.streams(doc)
+            for m, (_qid, engine) in enumerate(members):
                 if errs[m] is not None:
                     continue
-                _stamp_member(heartbeat, float(m))
+                _stamp_member(stamp, float(m))
                 try:
-                    tuples, cut = enumerate_capped(
-                        stream, extra, member_caps[m]
-                    )
+                    if streams is None:
+                        value, cut = engine.count(doc, cap=extra), False
+                    else:
+                        # Enumeration stops (polynomial delay) at
+                        # whichever bound bites first instead of
+                        # materializing combinatorially many tuples
+                        # only to discard them.
+                        value, cut = enumerate_capped(
+                            streams[m], extra, member_caps[m]
+                        )
+                except TransientTaskError:
+                    raise  # "try again" concerns the whole task
                 except Exception as err:
-                    try:  # ship the real exception when it pickles
-                        pickle.dumps(err)
-                    except Exception:
-                        err = RuntimeError(f"{type(err).__name__}: {err}")
-                    errs[m] = err
+                    errs[m] = _portable(err)
+                    live -= 1
                     continue
-                per_doc[m].append(tuples)
+                results[m].append(value)
                 truncated[m] += cut
-        _stamp_member(heartbeat, -1.0)
-        out = [
+        _stamp_member(stamp, -1.0)
+        slots = [
             ("err", errs[m])
             if errs[m] is not None
-            else ("ok", per_doc[m], truncated[m])
+            else ("ok", results[m], truncated[m])
             for m in range(m_count)
         ]
         total_truncated = sum(
             truncated[m] for m in range(m_count) if errs[m] is None
         )
-        return out, total_truncated
+        return slots, total_truncated
     finally:
         release_chunk(docs)
 
 
-def _engine_for(engines: dict, query_id, payload, worker_id: int):
-    """The engine serving ``query_id``, built at most once per worker.
-
-    A tuple ``query_id`` names a fused task's members: their engines
-    are resolved one by one (``payload`` holds their shipments) and
-    composed into a :class:`~repro.runtime.fusion.FusedEngine`.
-    """
+def _engine_for(engines: dict, query_id: str, shipment, worker_id: int):
+    """The engine serving ``query_id``, materialized at most once per
+    worker (``shipment`` is ``None`` once the worker holds it)."""
     engine = engines.get(query_id)
     if engine is None:
-        if isinstance(query_id, tuple):
-            engine = FusedEngine([
-                (qid, _engine_for(engines, qid, shipment, worker_id))
-                for qid, shipment in zip(query_id, payload)
-            ])
-        elif payload is None:
+        if shipment is None:
             raise RuntimeError(
                 f"worker {worker_id} has no artifact for query "
                 f"{query_id!r}"
             )
-        else:
-            engine = materialize_payload(payload)
-        engines[query_id] = engine
+        engine = engines[query_id] = materialize_payload(shipment)
     return engine
 
 
@@ -339,15 +301,14 @@ def run_task(
 
     The body of every backend's worker loop.  ``engines`` is the
     worker's query-id-keyed engine table (the per-worker
-    compile-at-most-once guarantee; fused compositions are keyed by
-    their member-id tuple); ``heartbeat`` is stamped with
+    compile-at-most-once guarantee); ``heartbeat`` is stamped with
     ``(task_id, monotonic start, rss, -1)`` at task start and ``(-1,
     now, rss, -1)`` when the result is ready — the idle stamp lands
     *before* the result is visible, so the driver's deadline scan can
     never kill a worker for work it already finished.
     """
     (
-        _kind, task_id, _attempt, query_id, payload, op, items, extra,
+        _kind, task_id, _attempt, member_ids, payload, op, items, extra,
         caps,
     ) = msg
     if heartbeat is not None:
@@ -358,22 +319,15 @@ def run_task(
             heartbeat[2] = rss
             heartbeat[3] = -1.0
     try:
-        engine = _engine_for(engines, query_id, payload, worker_id)
-        if op in ("fused", "fused_files"):
-            out, truncated = run_fused(
-                engine, op, items, extra, encoding, errors, caps,
-                heartbeat=heartbeat,
-            )
-        else:
-            out, truncated = run_op(
-                engine, op, items, extra, encoding, errors, caps
-            )
+        members = [
+            (qid, _engine_for(engines, qid, shipment, worker_id))
+            for qid, shipment in zip(member_ids, payload)
+        ]
+        out, truncated = run_members(
+            members, op, items, extra, encoding, errors, caps, heartbeat
+        )
     except Exception as err:
-        try:  # ship the real exception when it pickles
-            pickle.dumps(err)
-        except Exception:
-            err = RuntimeError(f"{type(err).__name__}: {err}")
-        result = ("fail", worker_id, task_id, err, 0)
+        result = ("fail", worker_id, task_id, _portable(err), 0)
     else:
         result = ("done", worker_id, task_id, out, truncated)
     if heartbeat is not None:

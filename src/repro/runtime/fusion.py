@@ -1,19 +1,18 @@
 """Multi-query fusion by composition: one task serves many queries.
 
-The serving fleet registers many queries but evaluates an ordinary task
-with exactly one query's engine, so a corpus served to Q queries is
-shipped, decoded and dispatched Q times.  A *fused* task serves one
-chunk of documents to several registered queries at once — the UCQ
-perspective of §2.3/Theorem 3.11: a union is answered by running each
-disjunct's own evaluator, its tuples kept tagged with the query they
-came from.
+Every serving task names a tuple of member queries and serves one chunk
+of documents to all of them — the UCQ perspective of §2.3/Theorem 3.11:
+a union is answered by running each disjunct's own evaluator, its
+tuples kept tagged with the query they came from, and a single query is
+a union of one.  Serving a corpus to Q queries in one task ships,
+decodes and dispatches it once instead of Q times.
 
 Fusion is a composition, not a compiled artifact.  A worker holds each
-registered query's engine in its engine table already; for a fused task
-it composes a :class:`FusedEngine` out of the members' engines and
-caches it.  Nothing new is compiled, pickled, shipped or stored, and
-every member's tuple stream is its solo stream, byte for byte, because
-it *is* its solo engine.
+registered query's engine in its engine table already; for every
+evaluating task it composes a :class:`FusedEngine` out of the members'
+engines.  Nothing new is compiled, pickled, shipped or stored, and
+every member's tuple stream is its one-member stream, byte for byte,
+because it *is* the member's own engine.
 
 What the members share is what a task carries: one dispatch, one
 document transport and decode, one result message per chunk.  The
@@ -46,26 +45,7 @@ __all__ = [
     "FusedEngine",
     "fused_sweep",
     "plan_cohorts",
-    "plan_submission",
 ]
-
-
-def plan_submission(
-    member_ids: Sequence[str], *, fuse: bool = True
-) -> tuple[str, tuple[str, ...]]:
-    """The fused-vs-sequential decision point, shared by every caller.
-
-    ``SpannerService.submit_all`` and single-query sessions
-    (:class:`~repro.runtime.parallel.ParallelSpanner`) both route
-    through this function so the decision is made in exactly one place:
-    fusion pays off only when at least two members share the task.
-
-    Returns ``("fused", ids)`` or ``("sequential", ids)``.
-    """
-    ids = tuple(member_ids)
-    if fuse and len(ids) >= 2:
-        return ("fused", ids)
-    return ("sequential", ids)
 
 
 def plan_cohorts(
@@ -128,7 +108,7 @@ def _equality_stream(
 class FusedQuery:
     """A fused query set: ``(query_id, engine)`` pairs sorted by id.
 
-    Each engine is what the member's solo registration serves with
+    Each engine is what the member's registration serves with
     (:class:`CompiledSpanner` or its :class:`AutomatonTables`,
     :class:`CompiledEqualityQuery`, ...).  :meth:`materialize` composes
     them into the evaluating :class:`FusedEngine`.
@@ -157,7 +137,7 @@ class FusedQuery:
 
 
 class FusedEngine:
-    """The members' own engines, composed to serve one fused task.
+    """The members' own engines, composed to serve one task.
 
     Cohorts are planned once at construction; :meth:`streams` then
     yields one lazy tuple iterator per member (member order) per

@@ -100,7 +100,7 @@ class ParallelSpanner(ConfigAttributes):
       nothing from processes or threads.  The rule lives here, not in
       backend resolution, so ``SpannerService(workers=1)`` keeps its
       killable worker and hence its deadlines.
-    * the session is single-query, so it never fuses.
+    * the session is single-query: every chunk is a one-member task.
 
     Args:
         max_pending: chunks in flight before dispatch blocks; bounds

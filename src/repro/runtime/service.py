@@ -77,15 +77,15 @@ fleet:
   runs the compilation under the fleet's deadline pattern —
   :class:`~repro.errors.QueryRejectedError` instead of an unbounded
   compile.  ``health()['resources']`` reports all of it.
-* **Multi-query fusion.**  ``submit_all(docs)`` (and the
-  ``await``-able ``extract_all``) serves one batch to *every*
-  registered query with one task per chunk: the task names its member
-  queries, and the worker composes the members' own engines
-  (:mod:`repro.runtime.fusion`) to answer all of them per document,
-  demultiplexed per query — per-query streams byte-identical (content
-  and order) to Q sequential submissions.  Fused tasks ride the same
-  deadline / result-cap / breaker machinery; the heartbeat's member
-  slot lets a fused failure indict exactly the offending query's
+* **One task shape, multi-query fusion.**  Every task names a sorted
+  tuple of member queries and the worker composes the members' own
+  engines (:mod:`repro.runtime.fusion`) to answer each of them per
+  document, demultiplexed per query.  A single-query submission is a
+  one-member task; ``submit_all(docs)`` (and the ``await``-able
+  ``extract_all``) serves one batch to *every* registered query with
+  one task per chunk — per-query streams byte-identical (content and
+  order) to Q one-member submissions.  The heartbeat's member slot
+  lets a multi-member failure indict exactly the offending query's
   breaker.
 * **Asyncio front-end.**  ``await service.extract(query_id, docs)``
   evaluates a batch without blocking the event loop;
@@ -112,8 +112,9 @@ the worker count, chunking, recycling or crash history.
         f2 = service.submit(mail_bodies, queries=mail)   # share workers
         answers = f1.result(), f2.result()
 
-    async def serve():
-        async with_service...  # or: await service.extract(logs, docs)
+    async def serve(service, query_id, docs):
+        # Submission runs in a thread: the event loop never blocks.
+        return await service.extract(query_id, docs)
 """
 
 from __future__ import annotations
@@ -151,7 +152,6 @@ from .compiled import CompiledSpanner, estimate_compile_states
 from .config import UNSET as _UNSET
 from .config import ConfigAttributes, ServiceConfig, check_limits
 from .equality import CompiledEqualityQuery
-from .fusion import plan_submission
 from .store import (
     ArtifactStore,
     FileStore,
@@ -213,51 +213,56 @@ MAX_WORKER_PREFETCH = 2
 
 
 class _Task:
-    """One dispatched chunk: its future, where it is, how often it ran.
+    """One dispatched chunk: its futures, where it is, how often it ran.
 
-    ``items`` is the *wire form* of the chunk — the plain document/path
-    list for pipe transport, or the :class:`ShmChunk` reference whose
-    segment the driver holds alive until this task resolves (so a crash
-    re-dispatch re-sends the same reference without re-packing).  A
-    fused task's ``query_id`` is the sorted tuple of its member ids.
+    ``members`` is the sorted tuple of the query ids the chunk is
+    evaluated for — one id for a single-query submission — index-aligned
+    with ``futures`` (one per member), ``caps`` and the heartbeat's
+    member ordinal.  ``items`` is the *wire form* of the chunk — the
+    plain document/path list for pipe transport, or the
+    :class:`ShmChunk` reference whose segment the driver holds alive
+    until this task resolves (so a crash re-dispatch re-sends the same
+    reference without re-packing).
     """
 
     __slots__ = (
-        "task_id", "query_id", "op", "items", "extra", "caps",
-        "future", "worker", "attempts", "done", "bounded",
-        "deadline", "not_before", "members", "indicted",
+        "task_id", "members", "op", "items", "extra", "caps",
+        "futures", "worker", "attempts", "done", "bounded",
+        "deadline", "not_before", "indicted",
     )
 
     def __init__(
         self,
         task_id: int,
-        query_id: "str | tuple[str, ...]",
+        members: "tuple[str, ...]",
         op: str,
         items: "list[str] | ShmChunk",
         extra: int | None,
         bounded: bool,
         deadline: float | None = None,
-        caps: "tuple[int | None, int | None, str] | None" = None,
+        caps: "tuple | None" = None,
     ):
         self.task_id = task_id
-        self.query_id = query_id
+        self.members = members
         self.op = op
         self.items = items
         self.extra = extra
-        self.caps = caps  # resolved (max_tuples, max_bytes, policy)
-        self.future: Future = Future()
+        self.caps = caps  # per member: resolved (max_tuples, max_bytes, policy)
+        self.futures = [Future() for _ in members]
         self.worker: "WorkerHandle | None" = None
         self.attempts = 0
         self.done = False
         self.bounded = bounded  # holds one max_in_flight slot
         self.deadline = deadline  # seconds of *execution* per attempt
         self.not_before = 0.0  # monotonic re-dispatch eligibility (backoff)
-        #: Fused tasks only: member query ids, index-aligned with the
-        #: engine's member order (and hence the heartbeat ordinal).
-        self.members = query_id if isinstance(query_id, tuple) else None
         #: The member a fleet-level failure was attributed to (from the
         #: heartbeat's member slot); None = unattributed, charge all.
         self.indicted: str | None = None
+
+    @property
+    def label(self) -> "str | tuple[str, ...]":
+        """What error messages name: the query id, or the member ids."""
+        return self.members[0] if len(self.members) == 1 else self.members
 
 
 class _Breaker:
@@ -1207,7 +1212,9 @@ class SpannerService(ConfigAttributes):
             if self._closed:
                 return
             self._closing = True
-            outstanding = [t.future for t in self._tasks.values()]
+            outstanding = [
+                f for t in self._tasks.values() for f in t.futures
+            ]
             started = self._started
         if drain and started and outstanding:
             wait(outstanding, timeout=timeout)
@@ -1261,11 +1268,11 @@ class SpannerService(ConfigAttributes):
         max_tuples: int | None = _UNSET,  # type: ignore[assignment]
         max_result_bytes: int | None = _UNSET,  # type: ignore[assignment]
     ) -> Future:
-        """Dispatch one chunk; returns the future of its result list.
+        """Dispatch ``items`` as one one-member task; returns the future
+        of its result list.
 
-        The building block the batch APIs (and
-        :class:`~repro.runtime.parallel.ParallelSpanner`'s streaming
-        sessions) fan out over.  While ``max_in_flight`` chunks are
+        What :class:`~repro.runtime.parallel.ParallelSpanner`'s
+        streaming sessions build on.  While ``max_in_flight`` chunks are
         already outstanding the ``on_overload`` policy applies (block,
         reject, or shed the oldest backlogged task).  ``timeout``
         overrides the query/service deadline for this chunk alone, and
@@ -1275,46 +1282,95 @@ class SpannerService(ConfigAttributes):
         before consuming an in-flight slot or any worker time — while
         the query's circuit breaker is open.
         """
+        items = list(items)
+        return self._submit_members(
+            (query_id,), items, op, extra, max(len(items), 1),
+            timeout, max_tuples, max_result_bytes,
+        )[0]
+
+    def _check_known_locked(self, query_ids: Iterable[str]) -> None:
+        """Refuse work on a closed service or for an unregistered id —
+        whatever the batch size, empty included."""
+        if self._closing:
+            raise ServiceClosedError("SpannerService is closed")
+        for qid in query_ids:
+            if qid not in self._registry:
+                raise KeyError(f"unknown query id {qid!r}")
+
+    def _submit_members(
+        self,
+        members: "tuple[str, ...]",
+        items: list[str],
+        op: str,
+        extra: int | None,
+        size: int,
+        timeout: float | None,
+        max_tuples: int | None,
+        max_result_bytes: int | None,
+    ) -> "list[Future]":
+        """One task per ``size`` slice of ``items`` for ``members``;
+        returns one batch future per member, its chunk results
+        concatenated in submission order.
+
+        Admission, deadline and caps are resolved here once per batch.
+        A non-empty batch admits every member
+        (:class:`~repro.errors.QueryQuarantinedError` while a breaker is
+        open; past its cool-down this batch is the probe) — an empty one
+        dispatches nothing, so it consumes no probe.  Without a per-call
+        ``timeout`` the deadline is the most restrictive member deadline
+        — a single member's own.  Caps are resolved per member, ``None``
+        when no member is capped (the worker's uncapped fast path).
+        """
         # Normalize QueryHandle (a str subclass) back to plain str so
         # the worker wire protocol never pickles the handle type.
-        query_id = str(query_id)
-        items = list(items)
+        members = tuple(str(qid) for qid in members)
         check_limits(timeout, max_tuples, max_result_bytes)
-        if not items:
-            fut: Future = Future()
-            fut.set_result([])
-            return fut
         with self._lock:
-            if self._closing:
-                raise ServiceClosedError("SpannerService is closed")
-            if query_id not in self._registry:
-                raise KeyError(f"unknown query id {query_id!r}")
-            self._admit_locked(query_id)
-            deadline = timeout
-            if deadline is _UNSET:
-                deadline = self._query_timeouts.get(query_id, _UNSET)
-            if deadline is _UNSET:
-                deadline = self.config.task_timeout
-            caps = self._resolve_caps_locked(
-                query_id, max_tuples, max_result_bytes
+            self._check_known_locked(members)
+            for qid in members if items else ():
+                self._admit_locked(qid)
+            if timeout is _UNSET:
+                finite = [
+                    d
+                    for d in (
+                        self._query_timeouts.get(qid, self.config.task_timeout)
+                        for qid in members
+                    )
+                    if d is not None
+                ]
+                timeout = min(finite) if finite else None
+            caps = tuple(
+                self._resolve_caps_locked(qid, max_tuples, max_result_bytes)
+                for qid in members
             )
-        return self._enqueue(query_id, items, op, extra, deadline, caps)
+        if all(c is None for c in caps):
+            caps = None
+        chunks = [
+            self._enqueue(
+                members, items[i : i + size], op, extra, timeout, caps
+            )
+            for i in range(0, len(items), size)
+        ]
+        return [
+            _combine([futures[m] for futures in chunks])
+            for m in range(len(members))
+        ]
 
     def _enqueue(
         self,
-        query_id: "str | tuple[str, ...]",
+        members: "tuple[str, ...]",
         items: list[str],
         op: str,
         extra: int | None,
         deadline: float | None,
         caps: "tuple | None",
-    ) -> Future:
-        """The tail every dispatch shares, solo and fused alike: an
-        in-flight slot, the chunk's wire form, the task, its dispatch.
+    ) -> "list[Future]":
+        """The tail every dispatch shares: an in-flight slot, the
+        chunk's wire form, the task, its dispatch.  Returns the task's
+        per-member futures.
 
-        Admission and deadline/cap resolution already ran — per query
-        in :meth:`submit_chunk`, per *member* in :meth:`submit_all` (a
-        fused task's ``query_id`` is its sorted member-id tuple).
+        Admission and deadline/cap resolution already ran
+        (:meth:`_submit_members`).
         """
         self.start()
         bounded = self._inflight_slots is not None
@@ -1331,14 +1387,14 @@ class SpannerService(ConfigAttributes):
                 self._release_wire(wire)
                 raise ServiceClosedError("SpannerService is closed")
             task = _Task(
-                next(self._task_ids), query_id, op, wire, extra, bounded,
+                next(self._task_ids), members, op, wire, extra, bounded,
                 deadline, caps,
             )
             self._tasks[task.task_id] = task
             self._dispatch_or_backlog(task)
         if self._backend.inline:
             self._drain_inline()
-        return task.future
+        return task.futures
 
     def _resolve_caps_locked(
         self,
@@ -1454,7 +1510,7 @@ class SpannerService(ConfigAttributes):
         wire codec — ``self.config.encoding`` only governs how workers read
         *files*.
         """
-        if self._doc_transport is None or op in ("files", "fused_files"):
+        if self._doc_transport is None or op == "files":
             return items
         ref = self._doc_transport.pack(items)
         return items if ref is None else ref
@@ -1498,14 +1554,13 @@ class SpannerService(ConfigAttributes):
 
         * a single query id (or :class:`QueryHandle`) — returns one
           :class:`~concurrent.futures.Future` resolving to one result
-          per item, exactly the pre-redesign behavior;
-        * a sequence of ids — returns ``{query_id: Future}``, served
-          fused (one task per chunk answers every member with the
-          member's own engine, demultiplexed per query) whenever
-          ``fuse`` is true, at least two members are admissible, and
-          ``kind`` is not ``"counts"``; falls back to per-query
-          sequential submission otherwise.  Per-query results are
-          byte-identical (content *and* order) either way;
+          per item: one one-member task per chunk;
+        * a sequence of ids — returns ``{query_id: Future}``: with
+          ``fuse`` true, one task per chunk answers every admissible
+          member with the member's own engine, demultiplexed per
+          query; with ``fuse`` false, one one-member task per chunk
+          and query.  Per-query results are byte-identical (content
+          *and* order) either way;
         * ``None`` — every registered query, as a sequence.
 
         Documents are split into ``chunk_size`` tasks balanced across
@@ -1522,11 +1577,11 @@ class SpannerService(ConfigAttributes):
                 timeout=timeout, max_tuples=max_tuples,
                 max_result_bytes=max_result_bytes, fuse=fuse,
             )
-        return self._submit_batch(
-            queries, work, self._op_for(kind),
-            cap if kind == "counts" else limit,
+        return self._submit_members(
+            (queries,), list(work), self._op_for(kind),
+            cap if kind == "counts" else limit, self.config.chunk_size,
             timeout, max_tuples, max_result_bytes,
-        )
+        )[0]
 
     def submit_files(
         self,
@@ -1557,8 +1612,8 @@ class SpannerService(ConfigAttributes):
     ):
         """Per-document distinct-tuple counts (no tuple decoding).
 
-        :meth:`submit` with ``kind="counts"`` — always sequential (a
-        count is one integer per document; there is no fused count op)."""
+        :meth:`submit` with ``kind="counts"``: each member's count is
+        its own engine's ``count``."""
         return self.submit(work, queries=queries, kind="counts", cap=cap,
                            timeout=timeout)
 
@@ -1578,18 +1633,19 @@ class SpannerService(ConfigAttributes):
         """Evaluate one batch against many queries; ``{query_id: Future}``.
 
         The multi-query face of :meth:`submit`: ``queries=None`` means
-        every registered query.  With ``fuse=True`` (the default) and
-        at least two admissible members, each chunk of the batch is one
-        *fused* task: it names the members (and ships any member
-        artifact the worker lacks), the worker composes the members'
-        own engines, and results are demultiplexed per query in the
-        exact order (and bytes) Q sequential submissions would produce;
-        equality members share one substring index per document.
-        Members whose circuit breaker is open fail their own future
-        with :class:`~repro.errors.QueryQuarantinedError` without
-        blocking the rest; a fleet-level failure of a fused task
-        charges only the member the heartbeat indicts (or all members
-        when it died before any member's stream was consumed).
+        every registered query.  With ``fuse=True`` (the default) each
+        chunk of the batch is one task for every admissible member: it
+        names the members (and ships any member artifact the worker
+        lacks), the worker composes the members' own engines, and
+        results are demultiplexed per query in the exact order (and
+        bytes) Q one-member submissions would produce; equality members
+        share one substring index per document.  ``fuse=False`` submits
+        one one-member task per chunk and query instead.  Members whose
+        circuit breaker is open fail their own future with
+        :class:`~repro.errors.QueryQuarantinedError` without blocking
+        the rest; a fleet-level failure of a multi-member task charges
+        only the member the heartbeat indicts (or all members when it
+        died before any member's stream was consumed).
         """
         op = self._op_for(kind)
         items = list(work)
@@ -1601,90 +1657,30 @@ class SpannerService(ConfigAttributes):
         if len(set(member_ids)) != len(member_ids):
             raise ValueError("duplicate query ids in submit_all")
         extra = cap if kind == "counts" else limit
-        out: "dict[str, Future]" = {}
-        candidates: list[str] = []
         with self._lock:
-            for qid in member_ids:
-                if qid not in self._registry:
-                    raise KeyError(f"unknown query id {qid!r}")
-            for qid in member_ids:
-                blocked = self._quarantine_error_locked(qid)
-                if blocked is not None:
-                    refused: Future = Future()
-                    refused.set_exception(blocked)
-                    out[qid] = refused
-                else:
-                    candidates.append(qid)
-        mode, ordered = plan_submission(
-            candidates, fuse=fuse and kind != "counts"
+            self._check_known_locked(member_ids)
+            blocked = {
+                qid: self._quarantine_error_locked(qid) for qid in member_ids
+            }
+        out = {
+            qid: _failed(err) for qid, err in blocked.items() if err is not None
+        }
+        admitted = [qid for qid in member_ids if blocked[qid] is None]
+        groups = (
+            [tuple(sorted(admitted))]
+            if fuse and admitted
+            else [(qid,) for qid in admitted]
         )
-        if mode == "sequential":
-            for qid in ordered:
-                try:
-                    out[qid] = self._submit_batch(
-                        qid, items, op, extra, timeout,
-                        max_tuples, max_result_bytes,
-                    )
-                except QueryQuarantinedError as err:  # raced a breaker
-                    refused = Future()
-                    refused.set_exception(err)
-                    out[qid] = refused
-            return out
-        members = tuple(sorted(ordered))
-        with self._lock:
-            # Consume the members' half-open probes now: the fused
-            # batch IS the probe for any cooled-down breaker.
-            for qid in members:
-                self._admit_locked(qid)
-            if timeout is _UNSET:
-                # The fused task serves every member, so the most
-                # restrictive member deadline bounds it.
-                finite = [
-                    d
-                    for d in (
-                        self._query_timeouts.get(qid, self.config.task_timeout)
-                        for qid in members
-                    )
-                    if d is not None
-                ]
-                deadline = min(finite) if finite else None
-            else:
-                deadline = timeout
-            caps = tuple(
-                self._resolve_caps_locked(qid, max_tuples, max_result_bytes)
-                for qid in members
-            )
-            member_caps = None if all(c is None for c in caps) else caps
-        fused_op = "fused" if kind == "docs" else "fused_files"
-        chunk_futures = [
-            self._enqueue(
-                members, items[i : i + self.config.chunk_size], fused_op,
-                extra, deadline, member_caps,
-            )
-            for i in range(0, len(items), self.config.chunk_size)
-        ]
-        out.update(_combine_fused(chunk_futures, members))
+        for members in groups:
+            try:
+                futures = self._submit_members(
+                    members, items, op, extra, self.config.chunk_size,
+                    timeout, max_tuples, max_result_bytes,
+                )
+            except QueryQuarantinedError as err:  # raced a breaker
+                futures = [_failed(err) for _ in members]
+            out.update(zip(members, futures))
         return out
-
-    def _submit_batch(
-        self,
-        query_id: str,
-        items: Iterable[str],
-        op: str,
-        extra: int | None,
-        timeout: float | None = _UNSET,  # type: ignore[assignment]
-        max_tuples: int | None = _UNSET,  # type: ignore[assignment]
-        max_result_bytes: int | None = _UNSET,  # type: ignore[assignment]
-    ) -> Future:
-        items = list(items)
-        chunk_futures = [
-            self.submit_chunk(query_id, items[i : i + self.config.chunk_size],
-                              op=op, extra=extra, timeout=timeout,
-                              max_tuples=max_tuples,
-                              max_result_bytes=max_result_bytes)
-            for i in range(0, len(items), self.config.chunk_size)
-        ]
-        return _combine(chunk_futures)
 
     # -- Asyncio front-end --------------------------------------------------
     async def extract(
@@ -1826,14 +1822,9 @@ class SpannerService(ConfigAttributes):
         )
 
     def _assign(self, worker: WorkerHandle, task: _Task) -> None:
-        # A fused task carries one shipment slot per member: the worker
-        # composes the fused engine from the members' own engines.
-        if task.members is None:
-            payload = self._shipment(worker, task.query_id)
-        else:
-            payload = tuple(
-                self._shipment(worker, qid) for qid in task.members
-            )
+        # One shipment slot per member: the worker serves the task
+        # with the members' own engines.
+        payload = tuple(self._shipment(worker, qid) for qid in task.members)
         task.worker = worker
         task.indicted = None  # attribution is per attempt
         worker.in_flight[task.task_id] = task
@@ -1846,7 +1837,7 @@ class SpannerService(ConfigAttributes):
         self._backend.dispatch(
             worker,
             (
-                "task", task.task_id, task.attempts + 1, task.query_id,
+                "task", task.task_id, task.attempts + 1, task.members,
                 payload, task.op, task.items, task.extra, task.caps,
             ),
         )
@@ -1950,24 +1941,20 @@ class SpannerService(ConfigAttributes):
             # Only clean completions reset the breaker: ordinary task
             # exceptions say nothing fleet-level either way.
             self._truncated_docs += truncated
-            if task.members is not None:
-                # Fused: per-member outcomes arrived in one payload —
-                # success clears a member's breaker exactly as a solo
-                # completion would, while a member-scoped ordinary
-                # exception (an "err" slot) charges nothing and counts
-                # a result-limit failure, matching the solo "fail" path.
-                for qid, slot in zip(task.members, payload):
-                    if slot[0] == "ok":
-                        self._record_success_locked(qid)
-                    elif isinstance(slot[1], ResultLimitError):
-                        self._result_limited += 1
-            else:
-                self._record_success_locked(task.query_id)
+            # Per-member outcomes: success clears a member's breaker,
+            # while a member-scoped ordinary exception (an "err" slot)
+            # charges nothing and counts a result-limit failure.
+            for qid, slot in zip(task.members, payload):
+                if slot[0] == "ok":
+                    self._record_success_locked(qid)
+                elif isinstance(slot[1], ResultLimitError):
+                    self._result_limited += 1
             resolutions.append((task, None, payload))
         else:
-            # Ordinary worker exception: fails exactly this future,
-            # NEVER charges the breaker — including ResultLimitError,
-            # which indicts the input's output volume, not the fleet.
+            # Ordinary task-level worker exception: fails exactly this
+            # task's futures, NEVER charges the breaker — including
+            # ResultLimitError, which indicts the input's output
+            # volume, not the fleet.
             if isinstance(payload, ResultLimitError):
                 self._result_limited += 1
             resolutions.append((task, payload, None))
@@ -2013,11 +2000,12 @@ class SpannerService(ConfigAttributes):
             task.done = True
             task.worker = None
             self._timed_out += 1
-            if task.members is not None and 0 <= hb_member < len(task.members):
-                # The heartbeat names the fused member being served
-                # when the deadline hit: only that member's breaker is
-                # charged (a hang before any member's stream is
-                # consumed stays -1 and charges every member).
+            if 0 <= hb_member < len(task.members):
+                # The heartbeat names the member being served when the
+                # deadline hit: only that member's breaker is charged
+                # (a hang before any member's stream is consumed — or
+                # in a one-member task, never stamped — stays -1 and
+                # charges every member).
                 task.indicted = task.members[hb_member]
             self._charge_failure_locked(task)
             indicted = (
@@ -2029,7 +2017,7 @@ class SpannerService(ConfigAttributes):
                 (
                     task,
                     TaskTimeoutError(
-                        f"task for query {task.query_id!r} exceeded its "
+                        f"task for query {task.label!r} exceeded its "
                         f"{task.deadline}s deadline "
                         f"(ran {now - hb_stamp:.2f}s){indicted}; worker "
                         f"{worker.worker_id} killed"
@@ -2102,11 +2090,7 @@ class SpannerService(ConfigAttributes):
             if task.done:
                 continue
             task.worker = None
-            if (
-                task.members is not None
-                and task.task_id == hb_task
-                and 0 <= hb_member < len(task.members)
-            ):
+            if task.task_id == hb_task and 0 <= hb_member < len(task.members):
                 # The worker died mid-member: remember whom to indict
                 # if the retry budget runs out.  (Prefetched orphans
                 # never ran, so they stay unattributed.)
@@ -2115,7 +2099,7 @@ class SpannerService(ConfigAttributes):
                 task,
                 resolutions,
                 RuntimeError(
-                    f"task for query {task.query_id!r} lost "
+                    f"task for query {task.label!r} lost "
                     f"{task.attempts + 1} workers; giving up"
                 ),
             )
@@ -2148,17 +2132,15 @@ class SpannerService(ConfigAttributes):
     def _charge_failure_locked(self, task: _Task) -> None:
         """Charge a fleet-level failure to the right breaker(s).
 
-        Solo tasks charge their query.  Fused tasks charge the member
-        the heartbeat indicted (the one being enumerated when the
-        worker was killed or died) — the other members were innocent
-        bystanders sharing the task; an unattributed failure (the
-        per-document phase before any member's stream is consumed, or
-        a worker that never stamped) charges every member, since each
-        of them asked for that document.
+        The member the heartbeat indicted (the one being enumerated
+        when the worker was killed or died) is charged alone — the
+        other members were innocent bystanders sharing the task; an
+        unattributed failure (the per-document phase before any
+        member's stream is consumed, a one-member task, or a worker
+        that never stamped) charges every member, since each of them
+        asked for that document.
         """
-        if task.members is None:
-            self._record_failure_locked(task.query_id)
-        elif task.indicted is not None:
+        if task.indicted is not None:
             self._record_failure_locked(task.indicted)
         else:
             for qid in task.members:
@@ -2247,22 +2229,34 @@ class SpannerService(ConfigAttributes):
         self._release_wire(task.items)
         if task.bounded and self._inflight_slots is not None:
             self._inflight_slots.release()
-        future = task.future
-        if future.cancelled():
-            return
-        try:
-            if exc is _CANCELLED:
-                future.cancel()
-            elif exc is not None:
-                future.set_exception(exc)
-            else:
-                future.set_result(value)
-        except InvalidStateError:  # cancelled concurrently by a caller
-            pass
+        # A task-level outcome (exc) resolves every member's future; a
+        # result resolves each from its own slot: ("ok", per_doc, _) or
+        # ("err", member_exc).
+        for m, future in enumerate(task.futures):
+            if future.cancelled():
+                continue
+            try:
+                if exc is _CANCELLED:
+                    future.cancel()
+                elif exc is not None:
+                    future.set_exception(exc)
+                elif value[m][0] == "err":
+                    future.set_exception(value[m][1])
+                else:
+                    future.set_result(value[m][1])
+            except InvalidStateError:  # cancelled concurrently by a caller
+                pass
 
 
 #: Sentinel: resolve a task's future by cancellation (terminate path).
 _CANCELLED = CancelledError()
+
+
+def _failed(exc: BaseException) -> Future:
+    """A future already failed with ``exc``."""
+    future: Future = Future()
+    future.set_exception(exc)
+    return future
 
 
 def _combine(chunk_futures: list[Future]) -> Future:
@@ -2299,60 +2293,3 @@ def _combine(chunk_futures: list[Future]) -> Future:
     for chunk in chunk_futures:
         chunk.add_done_callback(on_done)
     return aggregate
-
-
-def _combine_fused(
-    chunk_futures: "list[Future]", members: "tuple[str, ...]"
-) -> "dict[str, Future]":
-    """Demultiplex fused chunk results into one future per member.
-
-    Each chunk future resolves to one entry per member — ``("ok",
-    per_doc_lists, truncated)`` or ``("err", exc)``.  A member's future
-    concatenates its ``ok`` slices across chunks in submission order
-    (byte-identical to the member's sequential batch); the first
-    member-scoped ``err`` in chunk order fails that member's future
-    alone, and a chunk-level failure (deadline, lost workers, shed,
-    close) fails every member's future with that exception — exactly
-    what Q sequential submissions sharing the doomed fleet would see.
-    """
-    out: "dict[str, Future]" = {qid: Future() for qid in members}
-    if not chunk_futures:
-        for fut in out.values():
-            fut.set_result([])
-        return out
-    remaining = [len(chunk_futures)]
-    remaining_lock = threading.Lock()
-
-    def on_done(_f: Future) -> None:
-        with remaining_lock:
-            remaining[0] -= 1
-            if remaining[0]:
-                return
-        for m, qid in enumerate(members):
-            fut = out[qid]
-            if fut.cancelled():
-                continue
-            docs: list = []
-            exc: BaseException | None = None
-            for chunk in chunk_futures:
-                try:
-                    slots = chunk.result()
-                except BaseException as err:
-                    exc = err
-                    break
-                slot = slots[m]
-                if slot[0] == "err":
-                    exc = slot[1]
-                    break
-                docs.extend(slot[1])
-            try:
-                if exc is not None:
-                    fut.set_exception(exc)
-                else:
-                    fut.set_result(docs)
-            except InvalidStateError:  # cancelled concurrently
-                pass
-
-    for chunk in chunk_futures:
-        chunk.add_done_callback(on_done)
-    return out

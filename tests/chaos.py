@@ -7,12 +7,12 @@ production code.  :func:`chaos_service` builds an ordinary
 :class:`~repro.runtime.SpannerService` and wraps, from the outside:
 
 * its compute backend in a :class:`ChaosBackend`.  When a planned
-  ``(task_id, attempt)`` is dispatched, the message is rewritten to
-  carry a :class:`ChaosEngine` under a one-off query id; the worker
-  takes it like any shipped artifact (unknown artifacts pass through
-  ``materialize`` unchanged), and the engine fires the fault on first
-  use — after ``run_task`` stamped the heartbeat, so an injected hang
-  ages exactly like a real one;
+  ``(task_id, attempt)`` is dispatched, the message is rewritten so one
+  member slot carries a :class:`ChaosEngine` under a one-off query id;
+  the worker takes it like any shipped artifact (unknown artifacts pass
+  through ``materialize`` unchanged), and the engine fires the fault on
+  first use — after ``run_task`` stamped the heartbeat, so an injected
+  hang ages exactly like a real one;
 * its transport's segment allocation (``shm_enospc``), its artifact
   store's writes (``store_torn_write`` / ``store_corrupt``), the
   compile step (``slow_compile``) and the results the driver sees
@@ -28,7 +28,7 @@ budget), ``slow`` (completes late but byte-identical), ``shm_attach``
 ``rss_bloat`` (a leak past the memory watchdog's limit) and
 ``tuple_flood`` (every result stream padded to ``amount`` tuples, the
 output volume Theorem 5.4 allows).  A spec with ``member=`` fires in
-that member's phase of a fused task; ``attempts=`` limits a spec to
+that member's phase of a task naming it; ``attempts=`` limits a spec to
 chosen 1-based attempts, so the retry path runs end to end.
 """
 
@@ -37,7 +37,6 @@ from __future__ import annotations
 import errno
 import itertools
 import os
-import pickle
 import signal
 import time
 from dataclasses import dataclass, field
@@ -46,7 +45,6 @@ from repro.errors import TransientTaskError
 from repro.runtime import SpannerService
 from repro.runtime.backends.serial import SerialWorkerHandle
 from repro.runtime.backends.worker import materialize_payload
-from repro.runtime.fusion import FusedEngine
 
 #: Recognised worker-side fault kinds; the driver-side faults are plan
 #: fields.
@@ -97,8 +95,9 @@ class FaultSpec:
             ``None`` for every attempt.
         amount: leaked bytes for ``rss_bloat``, padded tuples per
             document for ``tuple_flood``.
-        member: for fused tasks, the member query id whose phase
-            triggers the fault; ``None`` fires at task start.
+        member: the member query id whose phase triggers the fault
+            (tasks not naming it run clean); ``None`` fires at task
+            start.
     """
 
     kind: str
@@ -273,14 +272,14 @@ class FaultPlan:
 
 
 class ChaosEngine:
-    """A serving engine that fires one planned fault on first use.
+    """A member engine that fires one planned fault on first use.
 
     ``payload`` is what the backend would have shipped for the real
     query — pickled bytes for a process worker, the shared engine for a
     thread or inline one — and is materialized lazily, inside the task,
     so the fault lands after the heartbeat stamp.  Specs without a
-    member fire on the first ``stream``/``count``/``streams`` call; a
-    member spec fires when that member's stream of a fused task is
+    member fire on the first ``stream``/``count`` call, in the task's
+    per-document phase; a member spec fires when the member's stream is
     first consumed, after the worker stamped the member ordinal.
 
     A ``tuple_flood`` pads every document's stream: the genuine tuples
@@ -303,28 +302,18 @@ class ChaosEngine:
                 self._spec.trigger(inline=self._inline)
         return self._engine
 
-    @property
-    def member_ids(self):
-        return self._first_use().member_ids
-
-    def streams(self, doc):
-        streams = self._first_use().streams(doc)
-        member = self._spec.member
-        if member is not None and member in self.member_ids:
-            m = self.member_ids.index(member)
-            streams[m] = self._member_stream(streams[m])
-        return streams
-
     def _member_stream(self, stream):
         self._spec.trigger(inline=self._inline)
         yield from stream
 
     def stream(self, doc):
-        engine = self._first_use()
+        stream = self._first_use().stream(doc)
+        if self._spec.member is not None:
+            return self._member_stream(stream)
         if self._spec.kind != "tuple_flood":
-            return engine.stream(doc)
+            return stream
         amount = FLOOD_TUPLES if self._spec.amount is None else self._spec.amount
-        return self._flood(engine.stream(doc), amount)
+        return self._flood(stream, amount)
 
     @staticmethod
     def _flood(stream, amount: int):
@@ -393,30 +382,26 @@ class ChaosBackend:
         return handle
 
     def dispatch(self, worker, msg: tuple) -> None:
-        _kind, task_id, attempt, query_id, payload, *rest = msg
+        _kind, task_id, attempt, members, payload, *rest = msg
         spec = self.plan.spec_for(task_id, attempt)
-        if spec is not None:
-            if isinstance(query_id, tuple):
-                # A fused task names its members: the wrapper carries
-                # their composed engine, so the worker receives none of
-                # the members' shipments and they are shipped again.
-                payload = FusedEngine([
-                    (qid, pickle.loads(self._registry[qid]))
-                    for qid in query_id
-                ])
-                worker.shipped.difference_update(query_id)
-            elif payload is None:
-                payload = self.inner.prepare_payload(
-                    query_id, self._registry[query_id]
-                )
+        if spec is not None and spec.member in (None, *members):
+            # The fault rides in one member's engine — the named
+            # member's, or the first one's for a task-start fault —
+            # shipped under a one-off id in that member's slot.
+            m = 0 if spec.member is None else members.index(spec.member)
+            members, payload = list(members), list(payload)
+            qid, shipment = members[m], payload[m]
+            if shipment is None:
+                shipment = self.inner.prepare_payload(qid, self._registry[qid])
             else:
                 # The real artifact rides inside the wrapper, so the
                 # worker does not hold it under its own id yet.
-                worker.shipped.discard(query_id)
-            engine = ChaosEngine(payload, spec, self._inline)
+                worker.shipped.discard(qid)
+            members[m] = f"chaos-{task_id}-{attempt}"
+            payload[m] = ChaosEngine(shipment, spec, self._inline)
             msg = (
-                "task", task_id, attempt, f"chaos-{task_id}-{attempt}",
-                engine, *rest,
+                "task", task_id, attempt, tuple(members), tuple(payload),
+                *rest,
             )
         try:
             self.inner.dispatch(worker, msg)

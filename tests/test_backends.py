@@ -102,7 +102,9 @@ class TestArtifactShippedOnce:
             original = inner.dispatch
 
             def spying_dispatch(worker, msg):
-                shipments.append((worker.worker_id, msg[4] is not None))
+                # msg[4]: one shipment slot per member, None = held.
+                shipped = any(slot is not None for slot in msg[4])
+                shipments.append((worker.worker_id, shipped))
                 original(worker, msg)
 
             inner.dispatch = spying_dispatch

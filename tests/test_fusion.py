@@ -35,7 +35,7 @@ from repro.runtime import (
     QueryHandle,
     SpannerService,
 )
-from repro.runtime.fusion import FusedQuery, plan_cohorts, plan_submission
+from repro.runtime.fusion import FusedQuery, plan_cohorts
 from repro.runtime.store import FileStore, MemoryStore
 
 from chaos import FaultPlan, chaos_service
@@ -58,6 +58,10 @@ DEADLINE = 0.5
 #: (wildcard alphabet) beside statically indexed ones.
 UPPER_FORMULA = ".*u{[A-Z]+}.*"
 
+#: One tuple per span of the document: the member that makes a
+#: ``max_tuples`` cap cut.
+EVERY_SPAN_FORMULA = ".*x{.*}.*"
+
 
 @pytest.fixture(scope="module")
 def word_serial():
@@ -78,17 +82,6 @@ def upper_serial():
 # Planning layer
 # ---------------------------------------------------------------------------
 class TestPlanning:
-    def test_single_member_never_fuses(self):
-        assert plan_submission(["q1"]) == ("sequential", ("q1",))
-
-    def test_two_members_fuse_by_default(self):
-        mode, ids = plan_submission(["q1", "q2"])
-        assert mode == "fused"
-        assert sorted(ids) == ["q1", "q2"]
-
-    def test_fuse_false_is_sequential(self):
-        assert plan_submission(["q1", "q2"], fuse=False)[0] == "sequential"
-
     def test_cohorts_group_members_by_engine(self):
         eq_engine, _docs = equality_engine()
         members = [
@@ -282,39 +275,75 @@ class TestComposition:
 
             svc._backend.dispatch = recording
             qids = _serve_solo_then_fused(svc)
-        solo = [msg for msg in sent if msg[5] == "evaluate"]
-        fused = [msg for msg in sent if msg[5] == "fused"]
-        assert [type(msg[4]) for msg in solo] == [bytes, bytes]
+        # msg[3] names the task's members, msg[4] one shipment each.
+        solo = [msg for msg in sent if len(msg[3]) == 1]
+        fused = [msg for msg in sent if len(msg[3]) > 1]
+        assert [type(slot) for msg in solo for slot in msg[4]] == [
+            bytes, bytes
+        ]
         assert len(fused) == 1
         assert fused[0][3] == tuple(sorted(qids))
         assert fused[0][4] == (None, None)
 
 
 # ---------------------------------------------------------------------------
-# One oracle for fused serving: each member's own evaluate_many
+# One oracle for every serving path: each member's own evaluate_many
 # ---------------------------------------------------------------------------
 @settings(max_examples=10, deadline=None)
 @given(
-    st.lists(functional_formulas(), min_size=2, max_size=3),
+    st.lists(functional_formulas(), min_size=1, max_size=3),
     st.lists(st.text(alphabet=ALPHABET, max_size=12), min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=3),
 )
-def test_fused_serving_matches_member_engines(formulas, docs):
+def test_fused_serving_matches_member_engines(formulas, docs, k):
+    """submit_all, single-query submit and submit_chunk all answer each
+    member exactly as its own engine does — uncapped, under ``limit``,
+    and truncated at ``max_tuples=k`` (the serial prefix, with every
+    cut document counted)."""
     spanners = [CompiledSpanner(f) for f in formulas]
     expected = [list(sp.evaluate_many(docs)) for sp in spanners]
+    # Drawn formulas rarely give a document more than one tuple, so the
+    # truncate case adds a member with a tuple per span and a non-empty
+    # document: some document is always cut.
+    capped_docs = docs + ["abab"]
+    capped_spanners = spanners + [CompiledSpanner(EVERY_SPAN_FORMULA)]
+    prefixes = [
+        [per_doc[:k] for per_doc in sp.evaluate_many(capped_docs)]
+        for sp in capped_spanners
+    ]
+    cut = sum(
+        len(per_doc) > k
+        for sp in capped_spanners
+        for per_doc in sp.evaluate_many(capped_docs)
+    )
     for backend in ("serial", "thread"):
-        with SpannerService(workers=2, chunk_size=2, backend=backend) as svc:
+        with SpannerService(
+            workers=2, chunk_size=2, backend=backend,
+            on_result_limit="truncate",
+        ) as svc:
             # Explicit ids: two formulas may compile to one artifact.
             ids = [
                 svc.register(sp, query_id=f"m{i}")
-                for i, sp in enumerate(spanners)
+                for i, sp in enumerate(capped_spanners)
             ]
-            full = svc.submit_all(docs, queries=ids)
-            first = svc.submit_all(docs, queries=ids, limit=1)
-            for qid, want in zip(ids, expected):
+            members = ids[:-1]
+            full = svc.submit_all(docs, queries=members)
+            first = svc.submit_all(docs, queries=members, limit=1)
+            for qid, want in zip(members, expected):
                 assert full[qid].result(timeout=60) == want
                 assert first[qid].result(timeout=60) == [
                     per_doc[:1] for per_doc in want
                 ]
+                assert svc.submit(docs, queries=qid).result(timeout=60) == want
+                assert svc.submit_chunk(qid, docs).result(timeout=60) == want
+            assert svc.docs_truncated == 0
+            capped = svc.submit_all(capped_docs, queries=ids, max_tuples=k)
+            for qid, prefix in zip(ids, prefixes):
+                assert capped[qid].result(timeout=60) == prefix
+                assert svc.submit(
+                    capped_docs, queries=qid, max_tuples=k
+                ).result(timeout=60) == prefix
+            assert cut and svc.docs_truncated == 2 * cut
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +487,8 @@ class TestFusedResultLimits:
             for qid in (q_word, q_digit):
                 with pytest.raises(ResultLimitError):
                     out[qid].result(timeout=120)
+            # One chunk: one task naming both members, or one per query.
+            assert svc.tasks_completed == (1 if fuse else 2)
             assert svc.tasks_result_limited == 2
             assert svc.health()["resources"]["tasks_result_limited"] == 2
 

@@ -216,6 +216,30 @@ class TestRegistration:
             with pytest.raises(KeyError):
                 service.submit_chunk("no-such-query", ["doc"])
 
+    @pytest.mark.parametrize("entry", ["submit", "submit_chunk", "submit_all"])
+    def test_empty_batch_still_checked(self, entry):
+        """Every entry point refuses an unknown id and a closed service
+        whatever the batch size — an empty batch included."""
+        from repro.errors import ServiceClosedError
+
+        submitters = {
+            "submit": lambda svc, qid: svc.submit([], queries=qid),
+            "submit_chunk": lambda svc, qid: svc.submit_chunk(qid, []),
+            "submit_all": lambda svc, qid: svc.submit_all([], queries=[qid]),
+        }
+        submit = submitters[entry]
+        service = SpannerService(workers=1, backend="serial")
+        qid = service.register(CompiledSpanner(WORD_FORMULA))
+        with service:
+            with pytest.raises(KeyError):
+                submit(service, "no-such-query")
+            outcome = submit(service, qid)
+            if isinstance(outcome, dict):
+                outcome = outcome[qid]
+            assert outcome.result(timeout=10) == []
+        with pytest.raises(ServiceClosedError):
+            submit(service, qid)
+
     def test_late_registration_reaches_running_workers(self, digit_serial):
         with SpannerService(workers=2, chunk_size=3) as service:
             q1 = service.register(CompiledSpanner(WORD_FORMULA))
