@@ -17,17 +17,31 @@ Series reproduced:
   enumerator walks each forced stretch of ``A_G`` once per document
   and decodes from event positions, so the amortized delay depends on
   the automaton, not on ``|s|`` (the worst single gap is still
-  ``O(n^2 |s|)``).
+  ``O(n^2 |s|)``).  Gated on both paths: the cold ``SpannerEvaluator``
+  (which walks the pruned ``A_G``) and ``CompiledSpanner.stream``
+  (which walks memoized state sets);
+* E1d: where a document's time goes on each path, per stage — the
+  graph path's sweep, prune and walk against the state-set path's
+  forward, live and walk passes — on the dense-logs shape and on the
+  serve-logs shape (three extractors over ~44-char log lines).
 """
 
 from __future__ import annotations
 
 import statistics
+from time import perf_counter_ns
 
-from repro.enumeration import SpannerEvaluator, measure_delays
+from repro.enumeration import SpannerEvaluator, graph_tuples, measure_delays
+from repro.enumeration.enumerator import walk_tuples
+from repro.enumeration.graph import EvaluationGraph, sweep_evaluation_graph
+from repro.enumeration.instrumentation import measure_generator_delays
+from repro.enumeration.statesets import StateSetLevels
+from repro.extractors import capitalized_spanner, dictionary_spanner
+from repro.runtime import CompiledSpanner
 from repro.text import log_lines, unary_text
 from repro.vset import compile_regex
 
+from .bench_e13_runtime import DICTIONARY
 from .common import Table, fit_loglog_slope, grown_automaton
 
 BASE_PATTERN = "a*x{a*}a*"
@@ -45,20 +59,30 @@ def dense_document(n_lines: int) -> str:
     return "\n".join([block] * (n_lines // DENSE_BLOCK_LINES))
 
 
-def dense_delay_rows() -> list[tuple[int, int, float, float]]:
+def dense_delay_rows(
+    compiled: bool = False,
+) -> list[tuple[int, int, float, float]]:
     """``(|s|, answers, p50 delay, mean delay)`` per E1c document.
 
-    Delays exclude the first tuple (its gap is the enumeration's start,
-    not a between-tuple delay); each document keeps the run with the
-    lowest p50 of three to damp scheduler noise.
+    ``compiled`` streams through one ``CompiledSpanner`` (state sets,
+    memos kept across documents) instead of a cold ``SpannerEvaluator``
+    per run (the pruned ``A_G``).  Delays exclude the first tuple (its
+    gap is the enumeration's start, not a between-tuple delay); each
+    document keeps the run with the lowest p50 of three to damp
+    scheduler noise.
     """
     automaton = compile_regex(DENSE_PATTERN)
+    spanner = CompiledSpanner(automaton) if compiled else None
     rows = []
     for n_lines in DENSE_LINE_COUNTS:
         s = dense_document(n_lines)
         best = None
         for _ in range(3):
-            gaps = measure_delays(automaton, s).delays[1:]
+            if compiled:
+                report = measure_generator_delays(lambda: spanner.stream(s))
+            else:
+                report = measure_delays(automaton, s)
+            gaps = report.delays[1:]
             row = (len(s), len(gaps) + 1, statistics.median(gaps),
                    statistics.fmean(gaps))
             if best is None or row[2] < best[2]:
@@ -119,20 +143,134 @@ def run() -> list[Table]:
 
     dense = Table(
         "E1c  per-tuple delay vs |s| on dense logs  (.*x{[0-9]+}.*)",
-        ["lines", "|s|", "answers", "p50 delay (s)", "mean delay (s)"],
+        ["path", "lines", "|s|", "answers", "p50 delay (s)", "mean delay (s)"],
     )
-    rows = dense_delay_rows()
-    for n_lines, (length, answers, p50, mean) in zip(DENSE_LINE_COUNTS, rows):
-        dense.add(n_lines, length, answers, p50, mean)
-    dense_slope = fit_loglog_slope(
-        [row[0] for row in rows], [row[2] for row in rows]
-    )
-    dense.note(
-        f"fitted p50-delay slope vs |s|: {dense_slope:.2f} "
-        "(claim: amortized delay independent of |s| => ~0; gate < 0.5)"
-    )
+    for path, compiled in (("cold", False), ("compiled", True)):
+        rows = dense_delay_rows(compiled)
+        for n_lines, row in zip(DENSE_LINE_COUNTS, rows):
+            dense.add(path, n_lines, *row)
+        dense_slope = fit_loglog_slope(
+            [row[0] for row in rows], [row[2] for row in rows]
+        )
+        dense.note(
+            f"{path}: fitted p50-delay slope vs |s|: {dense_slope:.2f} "
+            "(claim: amortized delay independent of |s| => ~0; gate < 0.5)"
+        )
 
-    return [sweep_n_string, sweep_states, dense]
+    return [sweep_n_string, sweep_states, dense, stage_table()]
+
+
+# ---------------------------------------------------------------------------
+# E1d: per-document stage times, graph path vs state-set path
+# ---------------------------------------------------------------------------
+
+#: E1d documents per shape, and timed passes over them (best kept).
+STAGE_DOCS = 24
+STAGE_REPEATS = 3
+
+
+def stage_shapes() -> list[tuple[str, list[CompiledSpanner], list[str]]]:
+    """``(name, spanners, documents)`` for the two E1d workload shapes."""
+    dense = [log_lines(20, seed=k) for k in range(STAGE_DOCS)]
+    lines = log_lines(STAGE_DOCS * 4, seed=1).split("\n")
+    return [
+        ("dense-logs", [CompiledSpanner(DENSE_PATTERN)], dense),
+        (
+            "serve-logs",
+            [
+                CompiledSpanner(dictionary_spanner(DICTIONARY)),
+                CompiledSpanner(capitalized_spanner()),
+                CompiledSpanner(".*code=x{[0-9]+}.*"),
+            ],
+            lines,
+        ),
+    ]
+
+
+def _graph_stages(spanner: CompiledSpanner, s: str) -> tuple[int, int, int, int]:
+    """ns in sweep, prune and walk (plus the tuple count) on the ``A_G``."""
+    t0 = perf_counter_ns()
+    leveled = sweep_evaluation_graph(spanner.tables, s)
+    t1 = perf_counter_ns()
+    leveled.prune()
+    t2 = perf_counter_ns()
+    graph = EvaluationGraph(leveled, spanner.tables.variables, len(s) + 1)
+    n = sum(1 for _ in graph_tuples(graph))
+    return t1 - t0, t2 - t1, perf_counter_ns() - t2, n
+
+
+def _state_set_stages(spanner: CompiledSpanner, s: str) -> tuple[int, int, int, int]:
+    """ns in forward, live and walk (plus the tuple count) on state sets."""
+    t0 = perf_counter_ns()
+    levels = StateSetLevels(spanner.tables, s)
+    t1 = perf_counter_ns()
+    if not levels.is_empty:
+        levels.live_pass()
+    t2 = perf_counter_ns()
+    n = sum(1 for _ in walk_tuples(levels))
+    return t1 - t0, t2 - t1, perf_counter_ns() - t2, n
+
+
+def stage_rows() -> list[tuple[str, str, float, float, float, float]]:
+    """``(shape, path, stage 1, stage 2, walk, total)`` in ms per document.
+
+    A document's time is summed over the shape's spanners.  Every
+    document runs once untimed first, so the state-set memos are warm
+    (the steady state of a stream); each path keeps its best of
+    :data:`STAGE_REPEATS` passes.
+    """
+    rows = []
+    for shape, spanners, docs in stage_shapes():
+        for spanner in spanners:
+            for s in docs:
+                list(spanner.stream(s))
+        counts: dict[str, int] = {}
+        for path, stages in (
+            ("graph", _graph_stages), ("state sets", _state_set_stages)
+        ):
+            best = None
+            for _ in range(STAGE_REPEATS):
+                totals = [0, 0, 0]
+                tuples = 0
+                for spanner in spanners:
+                    for s in docs:
+                        *times, n = stages(spanner, s)
+                        totals = [a + b for a, b in zip(totals, times)]
+                        tuples += n
+                if best is None or sum(totals) < sum(best):
+                    best = totals
+            counts[path] = tuples
+            ms = [ns / 1e6 / len(docs) for ns in best]
+            rows.append((shape, path, *ms, sum(ms)))
+        if counts["graph"] != counts["state sets"]:
+            raise AssertionError(f"E1d {shape}: the paths disagree on tuples")
+    return rows
+
+
+def stage_table() -> Table:
+    table = Table(
+        "E1d  per-document stage times: graph path vs state-set path",
+        ["shape", "path", "sweep|forward (ms)", "prune|live (ms)",
+         "walk (ms)", "total (ms)"],
+    )
+    rows = stage_rows()
+    for row in rows:
+        table.add(*row)
+    for graph, state_sets in zip(rows[::2], rows[1::2]):
+        before = graph[2] + graph[3]
+        after = state_sets[2] + state_sets[3]
+        table.note(
+            f"{graph[0]}: sweep + prune {before:.3f} ms -> forward + live "
+            f"{after:.3f} ms ({before / after:.1f}x); total "
+            f"{graph[5] / state_sets[5]:.1f}x"
+        )
+    table.note(
+        "graph path: sweep, prune, walk of the pruned A_G (the cold "
+        "evaluator's and perfbench --trace 1's decomposition; its walk "
+        "includes filling the per-document children memo); state-set "
+        "path: forward, live, walk over the memos CompiledSpanner runs"
+    )
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +310,14 @@ def test_e1_delay_shape_polynomial():
 def test_e1c_dense_delay_flat():
     """E1c gate: the p50 per-tuple delay does not grow with ``|s|``."""
     rows = dense_delay_rows()
+    assert all(answers > 1 for _length, answers, _p50, _mean in rows)
+    slope = fit_loglog_slope([row[0] for row in rows], [row[2] for row in rows])
+    assert slope < 0.5, f"p50 delay slope {slope:.2f} vs |s| is not flat"
+
+
+def test_e1c_compiled_dense_delay_flat():
+    """E1c gate on the compiled path (``CompiledSpanner.stream``)."""
+    rows = dense_delay_rows(compiled=True)
     assert all(answers > 1 for _length, answers, _p50, _mean in rows)
     slope = fit_loglog_slope([row[0] for row in rows], [row[2] for row in rows])
     assert slope < 0.5, f"p50 delay slope {slope:.2f} vs |s| is not flat"

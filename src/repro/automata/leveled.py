@@ -16,12 +16,16 @@ This module implements that machinery generically:
 
 The test-oracle cross-section (:mod:`repro.automata.crosssection`) and
 :meth:`~repro.enumeration.SpannerEvaluator.configuration_words` hand a
-:class:`LeveledNFA` to :class:`RadixEnumerator`.  Tuple enumeration over
-the evaluation graph (:mod:`repro.enumeration.graph`) instead runs
-:func:`repro.enumeration.enumerator.graph_tuples`, which yields the
-same radix order with an amortized delay that does not grow with
-``L`` (worst-case delay still ``O(L * n^2)``); :class:`RadixEnumerator` is
-the reference it is tested against.
+:class:`LeveledNFA` to :class:`RadixEnumerator`.  Tuple enumeration
+instead runs :func:`repro.enumeration.enumerator.walk_tuples`, which
+yields the same radix order with an amortized delay that does not grow
+with ``L`` (worst-case delay still ``O(L * n^2)``);
+:class:`RadixEnumerator` is the reference it is tested against.  Only
+the cold evaluator (and the references) build a :class:`LeveledNFA` per
+document: compiled spanners walk memoized state sets
+(:mod:`repro.enumeration.statesets`), where a backward live pass plays
+the role of :meth:`LeveledNFA.prune` and a per-level DP over memoized
+children the role of :meth:`LeveledNFA.count_words`.
 """
 
 from __future__ import annotations

@@ -1,10 +1,14 @@
 """Polynomial-delay enumeration of ``[[A]](s)`` (Theorem 3.3, Section 4).
 
-The pipeline: build the leveled evaluation graph ``G`` / NFA ``A_G``
-over the variable-configuration alphabet (:mod:`.graph`), then walk
-the determinized ``A_G`` in radix order with forced stretches collapsed,
-decoding each word from the slots where its configuration changes
-(:func:`.enumerator.graph_tuples`).  The paper's state-stack algorithm
+The pipeline walks the determinized evaluation NFA ``A_G`` over the
+variable-configuration alphabet in radix order, forced stretches
+collapsed, decoding each word from the slots where its configuration
+changes (:func:`.enumerator.walk_tuples`).  The walk reads one of two
+level sources: the leveled graph ``G`` / pruned ``A_G`` itself
+(:mod:`.graph`; the cold ``SpannerEvaluator``), or memoized
+automaton-state sets that need no per-document graph (:mod:`.statesets`;
+evaluators over shared tables, i.e. ``CompiledSpanner`` and fused
+serving).  The paper's state-stack algorithm
 (:class:`repro.automata.leveled.RadixEnumerator`) plus
 :func:`decode_configuration_word` is the reference that walk matches.
 """

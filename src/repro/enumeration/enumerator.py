@@ -2,17 +2,21 @@
 
 :class:`SpannerEvaluator` separates the two phases the theorem
 distinguishes: the ``O(n^2 |s| + mn)`` preprocessing happens in the
-constructor (building the pruned ``A_G``); iteration then yields each
-tuple of ``[[A]](s)`` exactly once, in the radix order of configuration
-sequences.
+constructor; iteration then yields each tuple of ``[[A]](s)`` exactly
+once, in the radix order of configuration sequences.
 
-Iteration runs :func:`graph_tuples`, an event-compressed walk of
-``A_G``.  Its worst-case delay is the theorem's ``O(n^2 |s|)``, but its
-amortized delay does not grow with ``|s|``: each determinized state set
-is stepped once per document, and on top of that a tuple costs work
-bounded by the automaton (``n`` states, ``|V|`` variables), because a
-word is carried as the at most ``2|V| + 1`` slots where its letter
-changes.  The paper's Algorithms 1–3
+Iteration runs :func:`walk_tuples`, an event-compressed walk of the
+determinized ``A_G`` over a *level source*.  The cold evaluator's
+source is the pruned ``A_G`` itself (:class:`GraphLevels`, also
+:func:`graph_tuples`); an evaluator over shared tables walks memoized
+automaton-state sets instead
+(:class:`~repro.enumeration.statesets.StateSetLevels`) and builds no
+graph.  The walk's worst-case delay is the theorem's ``O(n^2 |s|)``,
+but its amortized delay does not grow with ``|s|``: each determinized
+state set is stepped once per document, and on top of that a tuple
+costs work bounded by the automaton (``n`` states, ``|V|``
+variables), because a word is carried as the at most ``2|V| + 1``
+slots where its letter changes.  The paper's Algorithms 1–3
 (:class:`~repro.automata.leveled.RadixEnumerator` plus
 :func:`decode_configuration_word`) remain the reference the walk is
 tested against, and serve :meth:`SpannerEvaluator.configuration_words`.
@@ -28,12 +32,15 @@ from ..runtime.tables import AutomatonTables
 from ..vset.automaton import VSetAutomaton
 from ..vset.configurations import CLOSED, WAITING, VariableConfiguration
 from .graph import EvaluationGraph, build_evaluation_graph
+from .statesets import StateSetLevels
 
 __all__ = [
     "SpannerEvaluator",
     "enumerate_tuples",
     "decode_configuration_word",
     "graph_tuples",
+    "walk_tuples",
+    "GraphLevels",
 ]
 
 
@@ -69,15 +76,25 @@ def decode_configuration_word(
 
 # -- The event-compressed walk ----------------------------------------------
 #
-# A state set ``S`` is a sorted tuple of A_G nodes; node ids are unique to
-# their level, so ``S`` names its level too.  A letter is a configuration's
-# ``states`` tuple: all configurations of one graph share their variable
-# tuple, so ``states`` identifies the letter and its natural tuple order is
-# the radix order ``<_K`` (``VariableConfiguration.sort_key``).  A word is
-# an *event list* of ``(slot, letter)`` pairs, one per slot where the
-# letter differs from the slot before.  Every in-edge of node ``(i, q)``
-# carries ``~c_q`` and configurations only advance ``w -> o -> c``, so a
-# word has at most ``2|V| + 1`` events, whatever ``|s|``.
+# The walk runs over a *level source*: an object with ``root`` (the set at
+# level 0), ``n_slots`` (levels below the root, ``N + 1``), ``variables``,
+# ``is_empty``, ``children_memos()`` and ``children(states, level)``.  The
+# children of a set are its ``(letter, successor set)`` pairs in ascending
+# letter order; ``children_memos()`` returns one dict per level holding
+# the children known so far, which the walk reads inline, and
+# ``children(states, level)`` computes, memoizes and returns the children
+# of a set missing there.  Two sources exist: the
+# pruned ``A_G`` (:class:`GraphLevels`, whose sets are sorted tuples of
+# graph nodes) and :class:`~repro.enumeration.statesets.StateSetLevels`
+# (whose sets are interned automaton-state sets).  A letter is a
+# configuration's ``states`` tuple: all configurations of one automaton
+# share their variable tuple, so ``states`` identifies the letter and its
+# natural tuple order is the radix order ``<_K``
+# (``VariableConfiguration.sort_key``).  A word is an *event list* of
+# ``(slot, letter)`` pairs, one per slot where the letter differs from the
+# slot before.  Every in-edge of node ``(i, q)`` carries ``~c_q`` and
+# configurations only advance ``w -> o -> c``, so a word has at most
+# ``2|V| + 1`` events, whatever ``|s|``.
 
 
 def _children(
@@ -99,31 +116,68 @@ def _children(
     )
 
 
+class GraphLevels:
+    """A pruned ``A_G`` as a level source for :func:`walk_tuples`.
+
+    A set is a sorted tuple of graph nodes; node ids are unique to their
+    level, so a set names its level too, and one per-document dict
+    memoizes the children of every level.  :meth:`children_memos` fills
+    it upfront for every single node with a single edge (most nodes), so
+    a forced step of the walk is a dict read, not a call.
+    """
+
+    __slots__ = ("out_edges", "n_slots", "variables", "is_empty", "_memo")
+
+    root = (LeveledNFA.ROOT,)
+
+    def __init__(self, graph: EvaluationGraph):
+        leveled = graph.leveled
+        self.out_edges = leveled.out_edges
+        self.n_slots = leveled.n_slots
+        self.variables = graph.variables
+        self.is_empty = leveled.is_empty
+        self._memo: dict = {}
+
+    def children_memos(self) -> list[dict]:
+        memo = self._memo
+        for node, edges in enumerate(self.out_edges):
+            if len(edges) == 1:
+                label, dst = edges[0]
+                memo[(node,)] = ((label.states, (dst,)),)
+        return [memo] * self.n_slots
+
+    def children(self, states: tuple[int, ...], level: int) -> tuple:
+        found = self._memo[states] = _children(self.out_edges, states)
+        return found
+
+
 def _walk(
-    out_edges: list[list[tuple[VariableConfiguration, int]]],
-    states: tuple[int, ...],
+    children,
+    memos: list[dict],
+    chains: list[dict],
+    states: object,
     level: int,
     last_level: int,
-    chains: dict,
-    branches: dict,
+    kids: tuple,
 ) -> None:
     """Memoize the forced stretch that starts at ``(level, states)``.
+
+    ``kids`` are the children of ``states``, which the caller has read.
 
     A set with one outgoing letter is *forced*; one with several is a
     *branch*.  The walk follows forced sets until it reaches a branch,
     the last level, or a set an earlier walk already covered (whose
-    stretch it then joins).  Every forced set it passes maps in
-    ``chains`` to ``(stretch, index)``: ``stretch`` is the shared
-    ``[events, end set, end level]`` record and ``events[index - 1]``
-    the letter run that set's slot belongs to.  A branch lands in
-    ``branches`` with its children, so afterwards ``states`` is in
-    exactly one of the two memos (or at the last level).
+    stretch it then joins, copying that stretch's events from the join
+    point on).  Every forced set it passes maps in ``chains[level]`` to
+    ``(stretch, index)``: ``stretch`` is the shared ``[events, end set,
+    end level]`` record and ``events[index - 1]`` the letter run that
+    set's slot belongs to.
     """
     events: list[tuple[int, tuple[int, ...]]] = []
     stretch: list = [events, states, level]
     previous = None
     while level < last_level:
-        joined = chains.get(states)
+        joined = chains[level].get(states)
         if joined is not None:
             other, index = joined
             other_events = other[0]
@@ -133,28 +187,24 @@ def _walk(
             events.extend(other_events[index:])
             states, level = other[1], other[2]
             break
-        edges = out_edges[states[0]] if len(states) == 1 else None
-        if edges is not None and len(edges) == 1:
-            label, dst = edges[0]
-            letter, successor = label.states, (dst,)
-        else:
-            if states in branches:
-                break
-            children = _children(out_edges, states)
-            if len(children) != 1:
-                if not children:
-                    raise AssertionError(
-                        "pruned leveled NFA must complete every prefix"
-                    )
-                branches[states] = children
-                break
-            letter, successor = children[0]
+        if kids is None:
+            kids = memos[level].get(states)
+            if kids is None:
+                kids = children(states, level)
+        if len(kids) != 1:
+            if not kids:
+                raise AssertionError(
+                    "pruned leveled NFA must complete every prefix"
+                )
+            break
+        letter, successor = kids[0]
         if letter != previous:
             events.append((level, letter))
             previous = letter
-        chains[states] = (stretch, len(events))
+        chains[level][states] = (stretch, len(events))
         states = successor
         level += 1
+        kids = None
     stretch[1] = states
     stretch[2] = level
 
@@ -185,50 +235,57 @@ def _decode_events(
     return SpanTuple(spans)
 
 
-def graph_tuples(graph: EvaluationGraph) -> Iterator[SpanTuple]:
-    """Stream the tuples of a pruned ``A_G`` in radix order.
+def walk_tuples(source) -> Iterator[SpanTuple]:
+    """Stream the tuples of a level source in radix order.
 
     A depth-first walk of the determinized ``A_G`` in ascending letter
     order.  All words have ``N + 1`` letters, so depth-first order is
     exactly the radix order :class:`RadixEnumerator` produces, tuple
-    for tuple.  Two per-document memos, which die with the generator,
-    make each determinized ``(level, S)`` cost its ``O(n^2)`` step at
-    most once: ``branches`` holds the sorted children of every set with
-    several letters, and ``chains`` (filled by :func:`_walk`) jumps a
-    forced stretch in one step.  Collapsing forced stretches leaves a
-    tree whose inner nodes all branch, so it has fewer inner nodes than
-    leaves.  Beyond stepping each distinct ``(level, S)`` once, a tuple
-    therefore costs work bounded by ``n`` and ``|V|``, independent of
-    ``|s|``, and on tuple-dense documents the amortized delay is flat
-    in ``|s|`` (benchmark E1c).  A single gap can still step a fresh
-    stretch of ``O(|s|)`` levels, so the worst-case delay stays
-    Theorem 3.3's ``O(n^2 |s|)``.
+    for tuple.  The per-level ``chains`` memo (filled by :func:`_walk`,
+    dying with the generator) jumps a forced stretch in one step, and
+    the source's per-level children memos hold each set's children, so
+    each determinized
+    ``(level, S)`` costs its ``O(n^2)`` step at most once per document —
+    and on the state-set source, at most once per memo across documents.
+    Collapsing forced stretches leaves a tree whose inner nodes all
+    branch, so it has fewer inner nodes than leaves.  Beyond stepping
+    each distinct ``(level, S)`` once, a tuple therefore costs work
+    bounded by ``n`` and ``|V|``, independent of ``|s|``, and on
+    tuple-dense documents the amortized delay is flat in ``|s|``
+    (benchmark E1c).  A single gap can still step a fresh stretch of
+    ``O(|s|)`` levels, so the worst-case delay stays Theorem 3.3's
+    ``O(n^2 |s|)``.
     """
-    leveled = graph.leveled
-    if leveled.is_empty:
+    if source.is_empty:
         return
-    last_level = leveled.n_slots
-    out_edges = leveled.out_edges
-    names = tuple(sorted(graph.variables))
-    chains: dict = {}
-    branches: dict = {}
+    last_level = source.n_slots
+    children = source.children
+    memos = source.children_memos()
+    names = tuple(sorted(source.variables))
+    chains: list[dict] = [{} for _ in range(last_level)]
     events: list[tuple[int, tuple[int, ...]]] = []
     # Frames of the branches on the current path:
     # [children, next child to try, len(events) at the branch, level].
     frames: list[list] = []
-    states: tuple[int, ...] = (LeveledNFA.ROOT,)
+    states = source.root
     level = 0
     while True:
         # Descend along first children to the leftmost leaf below.
         while level < last_level:
-            entry = chains.get(states)
+            entry = chains[level].get(states)
             if entry is None:
-                children = branches.get(states)
-                if children is None:
-                    _walk(out_edges, states, level, last_level, chains, branches)
+                kids = memos[level].get(states)
+                if kids is None:
+                    kids = children(states, level)
+                if len(kids) == 1:
+                    _walk(children, memos, chains, states, level, last_level, kids)
                     continue
-                frames.append([children, 1, len(events), level])
-                letter, states = children[0]
+                if not kids:
+                    raise AssertionError(
+                        "pruned leveled NFA must complete every prefix"
+                    )
+                frames.append([kids, 1, len(events), level])
+                letter, states = kids[0]
                 if not events or events[-1][1] != letter:
                     events.append((level, letter))
                 level += 1
@@ -245,11 +302,11 @@ def graph_tuples(graph: EvaluationGraph) -> Iterator[SpanTuple]:
         # Backtrack to the deepest branch with an untried child.
         while frames:
             frame = frames[-1]
-            children, i, n_events, level = frame
-            if i < len(children):
+            kids, i, n_events, level = frame
+            if i < len(kids):
                 frame[1] = i + 1
                 del events[n_events:]
-                letter, states = children[i]
+                letter, states = kids[i]
                 if not events or events[-1][1] != letter:
                     events.append((level, letter))
                 level += 1
@@ -257,6 +314,15 @@ def graph_tuples(graph: EvaluationGraph) -> Iterator[SpanTuple]:
             frames.pop()
         else:
             return
+
+
+def graph_tuples(graph: EvaluationGraph) -> Iterator[SpanTuple]:
+    """Stream the tuples of a pruned ``A_G`` in radix order.
+
+    :func:`walk_tuples` over :class:`GraphLevels`: the reference-path
+    counterpart of the state-set source, same walk, same tuples.
+    """
+    return walk_tuples(GraphLevels(graph))
 
 
 class SpannerEvaluator:
@@ -274,10 +340,17 @@ class SpannerEvaluator:
     :class:`~repro.errors.NotFunctionalError` on non-functional input.
 
     The string-independent half of that preprocessing is factored into
-    :class:`~repro.runtime.tables.AutomatonTables`; pass ``tables`` to
-    reuse a precomputed set (``CompiledSpanner`` does this to amortize
-    it across a document stream), otherwise a fresh one is built for
-    this call.
+    :class:`~repro.runtime.tables.AutomatonTables`.  Without ``tables``
+    a one-off set is built for this call and the constructor builds the
+    pruned ``A_G`` (:func:`build_evaluation_graph`) — the cold path.  A
+    caller that passes ``tables`` holds them across documents
+    (``CompiledSpanner`` does, to amortize them over a stream), so the
+    evaluator runs the state-set source instead
+    (:class:`~repro.enumeration.statesets.StateSetLevels`), whose memos
+    live on those tables and serve every later document; there the
+    ``A_G`` is built only if :attr:`graph` or
+    :meth:`configuration_words` is read.  Both paths yield the same
+    tuples in the same order.
     """
 
     def __init__(
@@ -289,11 +362,24 @@ class SpannerEvaluator:
     ):
         self.automaton = automaton
         self.string = s
-        self.graph: EvaluationGraph = build_evaluation_graph(
-            automaton, s, tables=tables
-        )
+        self._tables = tables
+        self._graph: EvaluationGraph | None = None
+        self._levels: StateSetLevels | None = None
+        if tables is None:
+            self._graph = build_evaluation_graph(automaton, s)
+        else:
+            self._levels = StateSetLevels(tables, s)
 
     # -- Introspection ------------------------------------------------------
+    @property
+    def graph(self) -> EvaluationGraph:
+        """The pruned ``A_G`` (built on first read on the state-set path)."""
+        if self._graph is None:
+            self._graph = build_evaluation_graph(
+                self.automaton, self.string, tables=self._tables
+            )
+        return self._graph
+
     @property
     def graph_nodes(self) -> int:
         return self.graph.leveled.n_nodes
@@ -304,10 +390,14 @@ class SpannerEvaluator:
 
     def is_empty(self) -> bool:
         """True iff ``[[A]](s)`` is empty — O(1) after preprocessing."""
+        if self._levels is not None:
+            return self._levels.is_empty
         return self.graph.leveled.is_empty
 
     def count(self, cap: int | None = None) -> int:
         """Number of distinct tuples (without decoding them)."""
+        if self._levels is not None:
+            return self._levels.count(cap=cap)
         return self.graph.leveled.count_words(cap=cap)
 
     # -- Enumeration -----------------------------------------------------------
@@ -320,6 +410,8 @@ class SpannerEvaluator:
 
     def __iter__(self) -> Iterator[SpanTuple]:
         """The tuples, in the radix order of :meth:`configuration_words`."""
+        if self._levels is not None:
+            return walk_tuples(self._levels)
         return graph_tuples(self.graph)
 
 

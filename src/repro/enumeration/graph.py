@@ -24,6 +24,12 @@ paper's "remove nodes from which ``(N, q_f)`` cannot be reached" — is
 Sizes: ``G`` has at most ``N*n + 1`` nodes and ``N*n^2`` edges, and the
 construction runs in ``O(N n^2)`` after the ``O(mn)`` closure
 precomputation — the preprocessing bound of Theorem 3.3.
+
+This is the cold ``SpannerEvaluator``'s level source and the reference
+the production path is checked against.  Evaluators over shared tables
+(``CompiledSpanner``, fused serving) build no ``A_G``: they walk the
+same determinized levels as memoized state sets
+(:mod:`repro.enumeration.statesets`).
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from ..automata.leveled import LeveledNFA
 from ..runtime.tables import AutomatonTables
 from ..vset.automaton import VSetAutomaton
 
-__all__ = ["build_evaluation_graph", "EvaluationGraph"]
+__all__ = ["build_evaluation_graph", "sweep_evaluation_graph", "EvaluationGraph"]
 
 
 class EvaluationGraph:
@@ -63,8 +69,8 @@ def build_evaluation_graph(
 
     The string-independent half (trim, configuration sweep, VE closures,
     terminal-edge lists) lives in :class:`AutomatonTables`; pass
-    precomputed ``tables`` (the compiled-spanner runtime does) to skip
-    it entirely and pay only the per-string sweep.  Without ``tables``
+    precomputed ``tables`` to skip it entirely and pay only the
+    per-string sweep.  Without ``tables``
     the artifacts are rebuilt for this call — the cold path of
     ``SpannerEvaluator``.
 
@@ -75,13 +81,22 @@ def build_evaluation_graph(
     """
     if tables is None:
         tables = AutomatonTables(automaton)
-    n = len(s)
-    leveled = LeveledNFA(n + 1)
+    leveled = sweep_evaluation_graph(tables, s)
+    leveled.prune()
+    return EvaluationGraph(leveled, tables.variables, len(s) + 1)
 
+
+def sweep_evaluation_graph(tables: AutomatonTables, s: str) -> LeveledNFA:
+    """The forward sweep of :func:`build_evaluation_graph`, unpruned.
+
+    Builds ``A_G`` level by level through the burst-step table and marks
+    ``(N, q_f)`` accepting; :meth:`LeveledNFA.prune` then finishes the
+    preprocessing.  Split out so benchmarks can time the two apart.
+    """
+    leveled = LeveledNFA(len(s) + 1)
     if tables.is_empty:
-        leveled.prune()
-        return EvaluationGraph(leveled, tables.variables, n + 1)
-
+        return leveled
+    n = len(s)
     tables.require_all_closed_final()
     configs = tables.configs
     # The construction below appends nodes/edges directly instead of
@@ -137,5 +152,4 @@ def build_evaluation_graph(
     final_node = node_of.get(tables.automaton.final)
     if final_node is not None:
         leveled.mark_accepting(final_node)
-    leveled.prune()
-    return EvaluationGraph(leveled, tables.variables, n + 1)
+    return leveled

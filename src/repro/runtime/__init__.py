@@ -4,9 +4,10 @@
   artifacts of Theorem 3.3's preprocessing (trim/compaction,
   configuration sweep, interned VE closures, terminal-edge lists, the
   character-indexed burst-step table — lazily grown, or prebuilt
-  eagerly for statically-known alphabets), plus the shared
-  :func:`tables_for` cache; picklable, so one compiled artifact can be
-  shipped to worker processes;
+  eagerly for statically-known alphabets), the bounded state-set
+  memos every compiled evaluation reads (never pickled), plus the
+  shared :func:`tables_for` cache; picklable, so one compiled artifact
+  can be shipped to worker processes;
 * :mod:`.cache` — the process-wide bounded LRU compilation cache with
   hit/miss/eviction counters (:func:`compilation_cache`,
   :func:`cache_metrics`);

@@ -212,8 +212,8 @@ def run_members(
 
     Attribution: with several members the heartbeat's fourth slot
     names the member being served (``-1`` for the shared per-document
-    phase: graph builds, the equality index), so a worker killed
-    mid-member indicts exactly that member.  A one-member task is
+    phase: the regex members' forward passes, the equality index), so
+    a worker killed mid-member indicts exactly that member.  A one-member task is
     never stamped: attribution is unambiguous.
     """
     if op not in ("evaluate", "files", "count"):

@@ -11,17 +11,22 @@ number of documents through the cached tables:
     for answers in spanner.evaluate_many(documents):
         ...
 
-Per document only the truly string-dependent work remains: one pass over
-the characters through the burst-step table (a dict lookup per frontier
-state, thanks to the lazily grown character index), pruning, and the
-radix enumeration itself.  The enumeration order is unchanged — a
-compiled spanner yields exactly the tuple sequence the cold evaluator
-yields, in the same radix order of configuration words.  Enumeration is
-the event-compressed walk of
-:func:`~repro.enumeration.enumerator.graph_tuples`: its amortized
+Per document a compiled spanner builds no evaluation graph.  It runs
+*state-set evaluation*
+(:class:`~repro.enumeration.statesets.StateSetLevels`): one interned
+automaton-state set per level, stepped through memos that live on the
+shared tables (:class:`~repro.runtime.tables.StateSetMemo`) and serve
+every later document — a forward pass (a dict read per character once
+warm), a backward live pass in place of pruning, and the walk's
+children in place of ``A_G`` out-edges.  The enumeration order is
+unchanged — a compiled spanner yields exactly the tuple sequence the
+cold evaluator yields (which still builds and walks the pruned
+``A_G``), in the same radix order of configuration words.  Enumeration
+is the event-compressed walk of
+:func:`~repro.enumeration.enumerator.walk_tuples`: its amortized
 per-tuple delay does not grow with ``|s|`` (each determinized state set
-is stepped once per document), and its worst-case delay is Theorem
-3.3's ``O(n^2 |s|)``.
+is stepped at most once per document), and its worst-case delay is
+Theorem 3.3's ``O(n^2 |s|)``.
 """
 
 from __future__ import annotations
@@ -98,7 +103,8 @@ class CompiledSpanner:
 
     The tables come from the shared :func:`tables_for` cache, so a
     ``CompiledSpanner`` and a join using the same automaton object share
-    one set of closures.
+    one set of closures.  They also carry the state-set memos every
+    evaluation reads and fills; threads may share one spanner.
     """
 
     __slots__ = ("automaton", "tables")
@@ -157,10 +163,13 @@ class CompiledSpanner:
     def evaluator(self, s: str) -> SpannerEvaluator:
         """A Theorem 3.3 evaluator for ``s`` on the cached tables.
 
-        Only the string-dependent preprocessing runs (the leveled-graph
-        sweep and pruning); iterate the result for enumeration with
+        Only the string-dependent preprocessing runs: the forward pass
+        of state-set evaluation (the live pass follows on first
+        enumeration or count).  Iterate the result for enumeration with
         amortized per-tuple delay independent of ``|s|`` (worst case
-        ``O(n^2 |s|)``), or use its ``count()`` / ``is_empty()``.
+        ``O(n^2 |s|)``), or use its ``count()`` (a per-level DP over the
+        memoized children) / ``is_empty()`` (the final state in the last
+        forward set).  Its ``graph`` builds the pruned ``A_G`` on read.
         """
         return SpannerEvaluator(self.automaton, s, tables=self.tables)
 

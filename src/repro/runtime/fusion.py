@@ -18,10 +18,13 @@ What the members share is what a task carries: one dispatch, one
 document transport and decode, one result message per chunk.  The
 engine groups its members into *fusion cohorts* (:func:`plan_cohorts`):
 
-* ``sweep`` — :class:`AutomatonTables` members; per document
-  :func:`fused_sweep` builds each one's pruned evaluation graph, one
-  :func:`~repro.enumeration.graph.build_evaluation_graph` call per
-  member, before any member is enumerated;
+* ``sweep`` — :class:`AutomatonTables` members; per document each one
+  runs the forward pass of its state-set evaluation
+  (:class:`~repro.enumeration.statesets.StateSetLevels`, whose memos
+  live on the member's tables and are shared with its solo engine)
+  before any member is enumerated.  :func:`fused_sweep` is the
+  reference decomposition of the same cohort — each member's pruned
+  ``A_G`` — that the traced benchmark replay times and compares;
 * ``equality`` — :class:`CompiledEqualityQuery` members, which share one
   per-document :class:`~repro.text.substrings.SubstringIndex` (the
   rolling-hash index dominates their per-document setup);
@@ -32,8 +35,9 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from ..enumeration.enumerator import graph_tuples
+from ..enumeration.enumerator import walk_tuples
 from ..enumeration.graph import EvaluationGraph, build_evaluation_graph
+from ..enumeration.statesets import StateSetLevels
 from ..spans import SpanTuple
 from ..text.substrings import SubstringIndex
 from .compiled import CompiledSpanner
@@ -81,11 +85,13 @@ def fused_sweep(
 ) -> dict[int, EvaluationGraph]:
     """Every sweep member's pruned evaluation graph for ``s``.
 
-    ``entries`` pairs member indices with their compiled tables; the
-    result maps each member index to the graph its solo evaluation
-    builds — one :func:`~repro.enumeration.graph.build_evaluation_graph`
-    call per member — so its enumeration is byte-identical to the
-    member's solo stream.
+    The reference and trace decomposition of the sweep cohort:
+    ``entries`` pairs member indices with their compiled tables, and the
+    result maps each member index to its pruned ``A_G`` — one
+    :func:`~repro.enumeration.graph.build_evaluation_graph` call per
+    member.  Walking a graph yields exactly the member's production
+    stream (:meth:`FusedEngine.streams`, which evaluates state sets and
+    builds no graph), tuple for tuple.
     """
     return {
         member: build_evaluation_graph(tables.automaton, s, tables)
@@ -156,13 +162,13 @@ class FusedEngine:
     def streams(self, s: str) -> list[Iterator[SpanTuple]]:
         """One tuple iterator per member (member order) for document ``s``.
 
-        The sweep members' evaluation graphs are built here, before any
-        member is enumerated; enumeration — and the equality members'
-        per-document compilation — stays lazy in the returned iterators.
+        The sweep members' forward passes run here, before any member is
+        enumerated; their walks — and the equality members' per-document
+        compilation — stay lazy in the returned iterators.
         """
         out: list[Iterator[SpanTuple]] = [iter(())] * len(self.member_ids)
-        for member, graph in fused_sweep(self._sweep, s).items():
-            out[member] = graph_tuples(graph)
+        for member, tables in self._sweep:
+            out[member] = walk_tuples(StateSetLevels(tables, s))
         if self._equality:
             index = SubstringIndex(s)
             for member, engine in self._equality:

@@ -1,8 +1,9 @@
 """Multiprocess corpus sharding: a single-query session over the fleet.
 
 ``CompiledSpanner.evaluate_many`` is embarrassingly parallel per
-document — every document runs the same string-dependent sweep over the
-same immutable :class:`~repro.runtime.tables.AutomatonTables` — but a
+document — every document runs the same string-dependent passes over
+the same :class:`~repro.runtime.tables.AutomatonTables` (whose only
+mutable parts are per-process caches) — but a
 single Python process is GIL-bound to one core.  :class:`ParallelSpanner`
 shards a document iterable across worker processes.
 

@@ -29,6 +29,13 @@ sweep at all.  Wildcard automata (``NotChars``/``AnyChar``) have no
 complete build, so the same method prebuilds a *probe* alphabet (ASCII
 letters/digits) and leaves the long tail to the lazy fallback.
 
+On top of the burst rows sits the **state-set memo**
+(:class:`StateSetMemo`): automaton-state sets interned to ints, and the
+forward, live and children steps between them that compiled evaluation
+(:mod:`repro.enumeration.statesets`) reads instead of building a
+per-document ``A_G``.  It fills lazily, is bounded by
+:data:`STATE_MEMO_MAX_ENTRIES`, and is safe to share across threads.
+
 **Pickling.**  ``AutomatonTables`` is an explicit serialization
 contract (``__getstate__``/``__setstate__``) so that
 :class:`~repro.runtime.parallel.ParallelSpanner` can ship one compiled
@@ -36,8 +43,9 @@ artifact to every worker process: the prepared automaton,
 configurations, closures, terminal edges and every burst row built so
 far survive the round trip; pickle's memo preserves the interning of
 shared closure tuples and configurations; the ``views`` scratch dict
-(in-memory derived caches, e.g. the join's operand buckets) is
-deliberately dropped and rebuilt lazily on the other side.
+(in-memory derived caches, e.g. the join's operand buckets) and the
+state-set memo are deliberately dropped and rebuilt lazily on the
+other side.
 
 :func:`tables_for` memoizes tables per automaton *object* (weakly, so
 dropping the automaton frees its tables); it is shared by
@@ -47,6 +55,8 @@ operand twice never recomputes its closures.
 """
 
 from __future__ import annotations
+
+import threading
 
 from ..alphabet import Chars, is_epsilon, is_marker, is_marker_set, is_symbol
 from ..automata.ops import closure
@@ -58,7 +68,7 @@ from ..vset.configurations import (
 )
 from .cache import WeakCache
 
-__all__ = ["AutomatonTables", "tables_for"]
+__all__ = ["AutomatonTables", "StateSetMemo", "StepContext", "tables_for"]
 
 #: Maximum number of distinct characters the burst-step table caches.
 #: Real workloads converge on a few dozen rows; the cap only matters
@@ -66,6 +76,15 @@ __all__ = ["AutomatonTables", "tables_for"]
 #: computed per call (predicate fallback) instead of growing memory
 #: with input character diversity.
 BURST_TABLE_MAX_ROWS = 512
+
+#: Maximum number of entries (interned state sets plus forward, live,
+#: step-context and children entries) one :class:`StateSetMemo` holds.
+#: Per query, real streams settle at a few hundred interned sets; the
+#: cap only bounds adversarial streams.  A memo is never cleared in
+#: place — a live walk holds ids into it — so once the cap is reached
+#: the next document starts on a fresh memo and the old one dies with
+#: the last evaluation still reading it.
+STATE_MEMO_MAX_ENTRIES = 1 << 15
 
 #: :meth:`AutomatonTables.prebuild_burst` thresholds: skip the eager
 #: build when the static alphabet exceeds this many characters ...
@@ -87,6 +106,14 @@ PROBE_ALPHABET = (
 
 #: One burst row: successor tuples indexed by state (``()`` = none).
 BurstRow = "tuple[tuple[int, ...], ...]"
+
+#: The step out of the virtual root at level 0: it reads no document
+#: character (no character is the empty string); its successors are
+#: the initial variable-epsilon burst.
+ROOT_STEP = ""
+
+#: Guards installing a fresh :class:`StateSetMemo` on a tables object.
+_MEMO_LOCK = threading.Lock()
 
 
 def _variable_epsilon(label: object) -> bool:
@@ -111,6 +138,8 @@ class AutomatonTables:
         views: a scratch dict for downstream layers (e.g. the join's
             per-shared-variable-set operand buckets) to cache derived
             data alongside the tables.  Not pickled.
+
+    The state-set memo (:meth:`state_memo`) is not pickled either.
     """
 
     __slots__ = (
@@ -126,6 +155,7 @@ class AutomatonTables:
         "_burst",
         "_burst_complete",
         "_empty_row",
+        "_memo",
         "__weakref__",
     )
 
@@ -140,6 +170,7 @@ class AutomatonTables:
         self._burst: dict[str, BurstRow] = {}
         self._burst_complete = False
         self._empty_row: BurstRow = ()
+        self._memo: StateSetMemo | None = None
         if self.is_empty:
             self.configs: tuple[VariableConfiguration | None, ...] = ()
             self.final_config: VariableConfiguration | None = None
@@ -285,6 +316,29 @@ class AutomatonTables:
         """How many burst-table rows exist (introspection / tests)."""
         return len(self._burst)
 
+    # -- State-set evaluation ---------------------------------------------
+    def state_memo(self) -> "StateSetMemo":
+        """The shared :class:`StateSetMemo` a document evaluates against.
+
+        Created on first use.  Once it holds
+        :data:`STATE_MEMO_MAX_ENTRIES` entries the next document starts
+        on a fresh memo; evaluations still reading the old one keep it
+        alive until they finish.  Call once per document and keep the
+        result: the ids a document stores belong to that memo.
+        """
+        memo = self._memo
+        if memo is None or memo.size >= STATE_MEMO_MAX_ENTRIES:
+            with _MEMO_LOCK:
+                memo = self._memo
+                if memo is None or memo.size >= STATE_MEMO_MAX_ENTRIES:
+                    memo = self._memo = StateSetMemo(self)
+        return memo
+
+    @property
+    def state_memo_entries(self) -> int:
+        """Entries in the current state-set memo (0 before first use)."""
+        return 0 if self._memo is None else self._memo.size
+
     # -- Serialization (the ParallelSpanner shipping contract) --------------
     def __getstate__(self) -> dict:
         return {
@@ -314,6 +368,171 @@ class AutomatonTables:
         self._empty_row = ((),) * len(self.terminal_edges)
         # Derived per-process caches rebuild lazily on first use.
         self.views = {}
+        self._memo = None
+
+
+class StepContext:
+    """The memos of one ``(character, live target set)`` pair.
+
+    A document level reads its character (:data:`ROOT_STEP` at the
+    root) into the live set of the level after it, the *target*.  Every
+    level of every document with the same pair shares this record:
+
+    * ``live`` maps a forward set to its subset that can still reach
+      the target — the backward pass that replaces
+      :meth:`~repro.automata.leveled.LeveledNFA.prune`;
+    * ``children`` maps a live set to its ``(letter, successor set)``
+      pairs, letters ascending — the walk step that replaces the scan of
+      ``A_G`` out-edges.
+
+    Keys and successor sets are :class:`StateSetMemo` ids.
+    """
+
+    __slots__ = ("ch", "target", "live", "children")
+
+    def __init__(self, ch: str, target: frozenset[int]):
+        self.ch = ch
+        self.target = target
+        self.live: dict[int, int] = {}
+        self.children: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
+
+
+class StateSetMemo:
+    """Document-independent memos of state-set evaluation.
+
+    The pruned ``A_G`` of a document is determined by one automaton-
+    state set per level, and across a document stream those sets come
+    from a small pool.  This memo interns them to dense ids (so memo
+    keys hash in O(1)) and caches every step between them, the lazy-DFA
+    view of Florenzano et al. (PODS 2018):
+
+    * ``forward[S]`` maps a character to the set ``S`` reaches by one
+      burst step (built from :meth:`AutomatonTables.burst_step` rows);
+    * ``contexts[T]`` maps a character to the :class:`StepContext`
+      whose live target is ``T``.
+
+    Ids index ``sets`` (the sorted state tuples).  The virtual root of
+    ``A_G`` is the pseudo-state ``n`` (one past the last state), whose
+    only step is :data:`ROOT_STEP` to the initial burst.
+
+    Threads may share a memo: hits are lock-free reads, and every
+    insertion runs under the memo's lock, so each set gets exactly one
+    id and ``size`` (entries of every kind) is exact.  Entries are never
+    removed; :meth:`AutomatonTables.state_memo` bounds the size by
+    starting over on a fresh memo.
+    """
+
+    __slots__ = (
+        "tables",
+        "sets",
+        "ids",
+        "forward",
+        "contexts",
+        "size",
+        "empty",
+        "root",
+        "initial",
+        "accept",
+        "_letters",
+        "_root_row",
+        "_lock",
+    )
+
+    def __init__(self, tables: AutomatonTables):
+        self.tables = tables
+        self.sets: list[tuple[int, ...]] = []
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.forward: list[dict[str, int]] = []
+        self.contexts: list[dict[str, StepContext]] = []
+        self.size = 0
+        self._lock = threading.Lock()
+        self._letters = tuple(config.states for config in tables.configs)
+        self._root_row = tables._empty_row + (tables.initial_ve,)
+        self.empty = self.intern(())
+        self.root = self.intern((len(tables.terminal_edges),))
+        self.initial = self.intern(tables.initial_ve)
+        self.accept = self.intern((tables.automaton.final,))
+
+    def intern(self, states: tuple[int, ...]) -> int:
+        """The id of a sorted state tuple, assigned on first sight."""
+        found = self.ids.get(states)
+        if found is None:
+            with self._lock:
+                found = self.ids.get(states)
+                if found is None:
+                    found = len(self.sets)
+                    self.sets.append(states)
+                    self.forward.append({})
+                    self.contexts.append({})
+                    # Published last: a reader that finds the id also
+                    # finds its set and its memo rows.
+                    self.ids[states] = found
+                    self.size += 1
+        return found
+
+    def _insert(self, memo: dict, key: object, value: object) -> object:
+        """Store a computed entry unless a racing thread stored it first."""
+        with self._lock:
+            found = memo.get(key)
+            if found is None:
+                memo[key] = found = value
+                self.size += 1
+        return found
+
+    def _row(self, ch: str) -> BurstRow:
+        if ch == ROOT_STEP:
+            return self._root_row
+        return self.tables.burst_step(ch)
+
+    # -- Miss paths (hits are plain dict reads at the call sites) ----------
+    def step(self, states: int, ch: str) -> int:
+        """``forward[states][ch]``: the set ``states`` reaches on ``ch``."""
+        row = self.tables.burst_step(ch)
+        reached: set[int] = set()
+        for p in self.sets[states]:
+            reached.update(row[p])
+        return self._insert(
+            self.forward[states], ch, self.intern(tuple(sorted(reached)))
+        )
+
+    def context(self, target: int, ch: str) -> StepContext:
+        """``contexts[target][ch]``, created on first use."""
+        ctx = StepContext(ch, frozenset(self.sets[target]))
+        return self._insert(self.contexts[target], ch, ctx)
+
+    def live(self, ctx: StepContext, states: int) -> int:
+        """``ctx.live[states]``: the members with a successor in the target."""
+        row = self._row(ctx.ch)
+        target = ctx.target
+        return self._insert(ctx.live, states, self.intern(tuple(
+            p for p in self.sets[states] if not target.isdisjoint(row[p])
+        )))
+
+    def children(
+        self, ctx: StepContext, states: int
+    ) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """``ctx.children[states]``: successors in the target by letter.
+
+        A letter is a configuration's ``states`` tuple (every ``A_G``
+        edge into ``q`` carries ``~c_q``), so grouping the successors by
+        it and sorting gives the radix order ``<_K``.
+        """
+        row = self._row(ctx.ch)
+        target = ctx.target
+        letters = self._letters
+        groups: dict[tuple[int, ...], set[int]] = {}
+        for p in self.sets[states]:
+            for q in row[p]:
+                if q in target:
+                    group = groups.get(letters[q])
+                    if group is None:
+                        groups[letters[q]] = {q}
+                    else:
+                        group.add(q)
+        return self._insert(ctx.children, states, tuple(
+            (letter, self.intern(tuple(sorted(group))))
+            for letter, group in sorted(groups.items())
+        ))
 
 
 _CACHE: WeakCache = WeakCache(name="automaton-tables")

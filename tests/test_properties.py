@@ -3,7 +3,10 @@
 The heavyweight invariant: on *random functional regex formulas* and
 *random strings*, the production pipeline (compile → configurations →
 leveled graph → radix enumeration) agrees with the brute-force ref-word
-oracle, which implements the paper's definitions literally.  Around it,
+oracle, which implements the paper's definitions literally.  The
+compiled path's state-set evaluation, whose memos outlive a document,
+is checked on document streams against the cold ``A_G`` and the
+paper's radix enumerator.  Around it,
 algebraic laws (join/projection/union against their relational
 counterparts), encode/decode round trips, and ordering contracts.
 """
@@ -40,7 +43,7 @@ from repro.relational.relation import Relation
 from repro.relational.yannakakis import evaluate_acyclic
 from repro.relational.generic import evaluate_generic
 from repro.runtime import CompiledSpanner
-from repro.runtime.fusion import fused_sweep
+from repro.runtime.fusion import FusedQuery, fused_sweep
 from repro.spans import Span, SpanTuple
 from repro.vset import compile_regex, equality_automaton, join, project, union
 from repro.vset.functionality import is_vset_functional
@@ -223,6 +226,63 @@ def test_fused_sweep_walk_matches_radix_reference(f1, f2, s):
     for graph in fused_sweep(entries, s).values():
         got = list(islice(graph_tuples(graph), WALK_PREFIX))
         assert got == _radix_prefix(graph)
+
+
+# ---------------------------------------------------------------------------
+# State-set evaluation across documents vs the cold A_G reference
+# ---------------------------------------------------------------------------
+
+#: A document stream: one spanner serves every string of it, so the
+#: state-set memos its tables carry are reused from document to document.
+document_streams = st.lists(long_strings, min_size=1, max_size=8)
+
+
+def _cold_reference(automaton, s):
+    """Radix-order prefix, capped counts and emptiness of the cold path."""
+    graph = build_evaluation_graph(automaton, s)
+    counts = {
+        cap: graph.leveled.count_words(cap=cap) for cap in (0, 1, 2, None)
+    }
+    return _radix_prefix(graph), counts, graph.leveled.is_empty
+
+
+@settings(max_examples=60, deadline=None)
+@given(functional_formulas(), functional_formulas(), document_streams)
+def test_state_sets_match_cold_reference_across_documents(f1, f2, docs):
+    spanners = [CompiledSpanner(f1), CompiledSpanner(f2)]
+    engine = FusedQuery(
+        [("q0", spanners[0].tables), ("q1", spanners[1].tables)]
+    ).materialize()
+    for s in docs:
+        fused = engine.streams(s)
+        for spanner, stream in zip(spanners, fused):
+            tuples, counts, empty = _cold_reference(spanner.automaton, s)
+            assert list(islice(spanner.stream(s), WALK_PREFIX)) == tuples
+            assert list(islice(stream, WALK_PREFIX)) == tuples
+            for cap, want in counts.items():
+                assert spanner.count(s, cap=cap) == want
+            assert spanner.is_empty(s) == empty
+
+
+@settings(max_examples=30, deadline=None)
+@given(functional_formulas(), long_strings, long_strings)
+def test_alternately_advanced_streams_match_cold_reference(formula, s1, s2):
+    spanner = CompiledSpanner(formula)
+    want = [_cold_reference(spanner.automaton, s)[0] for s in (s1, s2)]
+    streams = [spanner.stream(s1), spanner.stream(s2)]
+    got: list[list] = [[], []]
+    live = [True, True]
+    while any(live):
+        for i, stream in enumerate(streams):
+            if live[i] and len(got[i]) < WALK_PREFIX:
+                nxt = next(stream, None)
+                if nxt is None:
+                    live[i] = False
+                else:
+                    got[i].append(nxt)
+            else:
+                live[i] = False
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
