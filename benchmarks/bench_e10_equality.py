@@ -18,18 +18,33 @@ Engineering claims on top (the fused equality runtime):
   span relations asserted (E10d);
 * equality workloads shard: a :class:`CompiledEqualityQuery` shipped
   through :class:`ParallelSpanner` scales docs/sec with workers while
-  reproducing the serial output exactly (E10e).
+  reproducing the serial output exactly (E10e);
+* where a document's time goes (E10f): the production path walks the
+  levels of the fused product straight from its BFS record (product
+  BFS, level build, walk), against the reference path that compiles
+  the product to an automaton and runs the cold Theorem 3.3 pipeline
+  on it (``compile_for``, ``AutomatonTables``,
+  ``build_evaluation_graph``, walk) — the decomposition perfbench's
+  traced ``equality``/``tables``/``graph`` layers time.
 """
 
 from __future__ import annotations
 
 import time
+from time import perf_counter_ns
 
+from repro.enumeration.enumerator import graph_tuples, walk_tuples
+from repro.enumeration.graph import build_evaluation_graph
 from repro.enumeration.instrumentation import measure_generator_delays
 from repro.queries import CanonicalEvaluator, CompiledEvaluator, RegexCQ
-from repro.runtime import ParallelSpanner
+from repro.runtime import AutomatonTables, ParallelSpanner
 from repro.runtime.cache import LRUCache
-from repro.text import repeats_text
+from repro.runtime.equality import (
+    CompiledEqualityQuery,
+    EqualityLevels,
+    EqualityProduct,
+)
+from repro.text import SubstringIndex, repeats_text
 from repro.vset import equality_automaton
 
 from .common import Table, available_cpus, fit_loglog_slope, time_call
@@ -178,7 +193,113 @@ def run() -> list[Table]:
         "the equality-free path needs"
     )
 
-    return [sizes, strategies, two_groups, fused_table, eq_scaling]
+    return [sizes, strategies, two_groups, fused_table, eq_scaling, stage_table()]
+
+
+# ---------------------------------------------------------------------------
+# E10f: per-document stage times, level source vs reference pipeline
+# ---------------------------------------------------------------------------
+
+#: E10f documents (the equality-cq shape: 32 characters over a-h with a
+#: planted repeat) and timed passes over them (best kept).
+STAGE_DOCS = 16
+STAGE_LENGTH = 32
+STAGE_REPEATS = 3
+
+
+def stage_documents() -> list[str]:
+    return [_wide_text(STAGE_LENGTH, seed=200 + i) for i in range(STAGE_DOCS)]
+
+
+#: Stage names per path, in the order the stage functions time them.
+LEVEL_STAGES = ("product BFS", "level build", "walk")
+REFERENCE_STAGES = ("compile_for", "AutomatonTables", "build_evaluation_graph", "walk")
+
+
+def _level_stages(engine: CompiledEqualityQuery, s: str) -> tuple[list[int], int]:
+    """ns per :data:`LEVEL_STAGES` stage, and the tuple count."""
+    ((tables, (group,)),) = engine.disjuncts
+    t0 = perf_counter_ns()
+    product = EqualityProduct(tables, group, s, SubstringIndex(s))
+    t1 = perf_counter_ns()
+    levels = EqualityLevels([product], engine.head, len(s) + 1)
+    t2 = perf_counter_ns()
+    n = sum(1 for _ in walk_tuples(levels))
+    return [t1 - t0, t2 - t1, perf_counter_ns() - t2], n
+
+
+def _reference_stages(
+    engine: CompiledEqualityQuery, s: str
+) -> tuple[list[int], int]:
+    """ns per :data:`REFERENCE_STAGES` stage, and the tuple count."""
+    t0 = perf_counter_ns()
+    automaton = engine.compile_for(s)
+    t1 = perf_counter_ns()
+    tables = AutomatonTables(automaton)
+    t2 = perf_counter_ns()
+    graph = build_evaluation_graph(automaton, s, tables=tables)
+    t3 = perf_counter_ns()
+    n = sum(1 for _ in graph_tuples(graph))
+    return [t1 - t0, t2 - t1, t3 - t2, perf_counter_ns() - t3], n
+
+
+def stage_rows() -> list[tuple[str, str, float]]:
+    """``(path, stage, ms per document)``, each path closed by its total.
+
+    Every document runs once untimed first (the skeleton memo and the
+    static operand's views are then warm, as in a stream); each path
+    keeps its best of :data:`STAGE_REPEATS` passes.  Raises when the
+    paths disagree on any document's tuples.
+    """
+    engine = CompiledEvaluator(LRUCache(8)).equality_runtime(_wide_dedup_query())
+    docs = stage_documents()
+    for s in docs:
+        reference = build_evaluation_graph(engine.compile_for(s), s)
+        if list(engine.stream(s)) != list(graph_tuples(reference)):
+            raise AssertionError(f"E10f: the paths disagree on {s!r}")
+    rows = []
+    for path, stages, names in (
+        ("levels", _level_stages, LEVEL_STAGES),
+        ("reference", _reference_stages, REFERENCE_STAGES),
+    ):
+        best: list[int] | None = None
+        for _ in range(STAGE_REPEATS):
+            totals = [0] * len(names)
+            for s in docs:
+                times, _n = stages(engine, s)
+                totals = [a + b for a, b in zip(totals, times)]
+            if best is None or sum(totals) < sum(best):
+                best = totals
+        ms = [ns / 1e6 / len(docs) for ns in best]
+        rows.extend((path, name, value) for name, value in zip(names, ms))
+        rows.append((path, "total", sum(ms)))
+    return rows
+
+
+def stage_table() -> Table:
+    table = Table(
+        "E10f  per-document stage times on equality-cq documents: "
+        "level source vs reference pipeline",
+        ["path", "stage", "ms/doc"],
+    )
+    rows = stage_rows()
+    for row in rows:
+        table.add(*row)
+    totals = {path: ms for path, stage, ms in rows if stage == "total"}
+    table.note(
+        f"total {totals['reference']:.2f} -> {totals['levels']:.2f} ms/doc "
+        f"({totals['reference'] / totals['levels']:.1f}x), "
+        f"{STAGE_DOCS} documents of {STAGE_LENGTH} characters"
+    )
+    table.note(
+        "levels: the production path (CompiledEqualityQuery.stream) — "
+        "the product BFS record turned straight into the walk's levels; "
+        "reference: compile_for (the same BFS, then the product "
+        "automaton, trim and projection), a cold AutomatonTables, the "
+        "pruned A_G and the walk — what perfbench --trace 1 times as "
+        "its equality, tables and graph layers"
+    )
+    return table
 
 
 def test_e10_equality_automaton_build(benchmark):
@@ -254,6 +375,15 @@ def test_e10_equality_parallel_two_workers_identical():
         return "\n".join(lines).encode()
 
     assert canonical(parallel) == canonical(serial)
+
+
+def test_e10f_stage_paths_agree():
+    """The E10f decomposition: both paths yield the same tuples."""
+    engine = CompiledEvaluator(LRUCache(8)).equality_runtime(_wide_dedup_query())
+    for s in stage_documents()[:4]:
+        level_n = _level_stages(engine, s)[1]
+        reference_n = _reference_stages(engine, s)[1]
+        assert level_n == reference_n == len(list(engine.stream(s))) > 0
 
 
 def test_e10_fused_speedup():

@@ -10,10 +10,13 @@ determinized ``A_G`` over a *level source*.  The cold evaluator's
 source is the pruned ``A_G`` itself (:class:`GraphLevels`, also
 :func:`graph_tuples`); an evaluator over shared tables walks memoized
 automaton-state sets instead
-(:class:`~repro.enumeration.statesets.StateSetLevels`) and builds no
-graph.  The walk's worst-case delay is the theorem's ``O(n^2 |s|)``,
-but its amortized delay does not grow with ``|s|``: each determinized
-state set is stepped once per document, and on top of that a tuple
+(:class:`~repro.enumeration.statesets.StateSetLevels`), and an
+equality query's evaluator walks the levels of its fused product
+(:class:`~repro.runtime.equality.EqualityLevels`); neither builds a
+graph.  :func:`count_tuples` counts over any source.  The walk's
+worst-case delay is the theorem's ``O(n^2 |s|)``, but its amortized
+delay does not grow with ``|s|``: each determinized state set is
+stepped once per document, and on top of that a tuple
 costs work bounded by the automaton (``n`` states, ``|V|``
 variables), because a word is carried as the at most ``2|V| + 1``
 slots where its letter changes.  The paper's Algorithms 1–3
@@ -24,7 +27,7 @@ tested against, and serve :meth:`SpannerEvaluator.configuration_words`.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ..spans import Span, SpanTuple
 from ..automata.leveled import LeveledNFA, RadixEnumerator
@@ -40,6 +43,7 @@ __all__ = [
     "decode_configuration_word",
     "graph_tuples",
     "walk_tuples",
+    "count_tuples",
     "GraphLevels",
 ]
 
@@ -83,10 +87,12 @@ def decode_configuration_word(
 # letter order; ``children_memos()`` returns one dict per level holding
 # the children known so far, which the walk reads inline, and
 # ``children(states, level)`` computes, memoizes and returns the children
-# of a set missing there.  Two sources exist: the
-# pruned ``A_G`` (:class:`GraphLevels`, whose sets are sorted tuples of
-# graph nodes) and :class:`~repro.enumeration.statesets.StateSetLevels`
-# (whose sets are interned automaton-state sets).  A letter is a
+# of a set missing there.  Three sources exist: the pruned ``A_G``
+# (:class:`GraphLevels`, whose sets are sorted tuples of graph nodes),
+# :class:`~repro.enumeration.statesets.StateSetLevels` (whose sets are
+# interned automaton-state sets) and
+# :class:`~repro.runtime.equality.EqualityLevels` (whose sets are sorted
+# tuples of fused equality-product states).  A letter is a
 # configuration's ``states`` tuple: all configurations of one automaton
 # share their variable tuple, so ``states`` identifies the letter and its
 # natural tuple order is the radix order ``<_K``
@@ -316,6 +322,32 @@ def walk_tuples(source) -> Iterator[SpanTuple]:
             return
 
 
+def count_tuples(source, cap: int | None = None) -> int:
+    """Distinct tuples of a level source: a per-level DP over its children.
+
+    Words, not paths, as :meth:`LeveledNFA.count_words` counts them,
+    with the same ``cap`` contract: the result is ``min(count, cap)``.
+    """
+    if source.is_empty:
+        return 0
+    children = source.children
+    memos = source.children_memos()
+    frontier = {source.root: 1}
+    for level in range(source.n_slots):
+        memo = memos[level]
+        nxt: dict = {}
+        for states, paths in frontier.items():
+            kids = memo.get(states)
+            if kids is None:
+                kids = children(states, level)
+            for _letter, successor in kids:
+                nxt[successor] = nxt.get(successor, 0) + paths
+        frontier = nxt
+        if cap is not None and sum(frontier.values()) >= cap:
+            return cap
+    return sum(frontier.values())
+
+
 def graph_tuples(graph: EvaluationGraph) -> Iterator[SpanTuple]:
     """Stream the tuples of a pruned ``A_G`` in radix order.
 
@@ -350,7 +382,9 @@ class SpannerEvaluator:
     live on those tables and serve every later document; there the
     ``A_G`` is built only if :attr:`graph` or
     :meth:`configuration_words` is read.  Both paths yield the same
-    tuples in the same order.
+    tuples in the same order.  :meth:`over_levels` wraps a level source
+    built elsewhere (an equality query's fused product), with the
+    automaton compiled only when read.
     """
 
     def __init__(
@@ -360,17 +394,47 @@ class SpannerEvaluator:
         *,
         tables: AutomatonTables | None = None,
     ):
-        self.automaton = automaton
+        self._automaton: VSetAutomaton | None = automaton
+        self._build: Callable[[], VSetAutomaton] | None = None
         self.string = s
         self._tables = tables
         self._graph: EvaluationGraph | None = None
-        self._levels: StateSetLevels | None = None
+        self._levels = None
         if tables is None:
             self._graph = build_evaluation_graph(automaton, s)
         else:
             self._levels = StateSetLevels(tables, s)
 
+    @classmethod
+    def over_levels(
+        cls, levels, s: str, build: Callable[[], VSetAutomaton]
+    ) -> "SpannerEvaluator":
+        """An evaluator walking ``levels``, a level source for ``s``.
+
+        ``build()`` must return an automaton with the same tuples on
+        ``s``; it runs only when :attr:`automaton`, :attr:`graph` or
+        :meth:`configuration_words` is read, and the graph is then the
+        cold one.
+        """
+        evaluator = cls.__new__(cls)
+        evaluator._automaton = None
+        evaluator._build = build
+        evaluator.string = s
+        evaluator._tables = None
+        evaluator._graph = None
+        evaluator._levels = levels
+        return evaluator
+
     # -- Introspection ------------------------------------------------------
+    @property
+    def automaton(self) -> VSetAutomaton:
+        """The evaluated automaton (built on first read if the evaluator
+        comes from :meth:`over_levels`)."""
+        if self._automaton is None:
+            assert self._build is not None
+            self._automaton = self._build()
+        return self._automaton
+
     @property
     def graph(self) -> EvaluationGraph:
         """The pruned ``A_G`` (built on first read on the state-set path)."""
@@ -397,7 +461,7 @@ class SpannerEvaluator:
     def count(self, cap: int | None = None) -> int:
         """Number of distinct tuples (without decoding them)."""
         if self._levels is not None:
-            return self._levels.count(cap=cap)
+            return count_tuples(self._levels, cap)
         return self.graph.leveled.count_words(cap=cap)
 
     # -- Enumeration -----------------------------------------------------------

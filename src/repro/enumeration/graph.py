@@ -29,7 +29,8 @@ This is the cold ``SpannerEvaluator``'s level source and the reference
 the production path is checked against.  Evaluators over shared tables
 (``CompiledSpanner``, fused serving) build no ``A_G``: they walk the
 same determinized levels as memoized state sets
-(:mod:`repro.enumeration.statesets`).
+(:mod:`repro.enumeration.statesets`), and equality queries walk the
+levels of their fused product (:mod:`repro.runtime.equality`).
 """
 
 from __future__ import annotations

@@ -37,8 +37,9 @@ class StateSetLevels:
     A level source for the walk: ``root``, ``n_slots`` (``|s| + 1``),
     ``variables``, ``is_empty``, :meth:`children_memos` and
     :meth:`children`.  Construction runs the forward pass; the backward
-    pass (:meth:`live_pass`) runs when the walk or :meth:`count` first
-    needs children, so :attr:`is_empty` costs the forward pass alone
+    pass (:meth:`live_pass`) runs when the walk or
+    :func:`~repro.enumeration.enumerator.count_tuples` first needs
+    children, so :attr:`is_empty` costs the forward pass alone
     (the final state is in the last forward set).
 
     Raises:
@@ -134,23 +135,3 @@ class StateSetLevels:
         if found is None:
             found = self.memo.children(ctx, states)
         return found
-
-    def count(self, cap: int | None = None) -> int:
-        """Distinct tuples: a per-level DP over the memoized children.
-
-        Words, not paths, as :meth:`LeveledNFA.count_words` counts them,
-        with the same ``cap`` contract: the result is ``min(count, cap)``.
-        """
-        if self.is_empty:
-            return 0
-        children = self.children
-        frontier = {self.root: 1}
-        for level in range(self.n_slots):
-            nxt: dict[int, int] = {}
-            for states, paths in frontier.items():
-                for _letter, successor in children(states, level):
-                    nxt[successor] = nxt.get(successor, 0) + paths
-            frontier = nxt
-            if cap is not None and sum(frontier.values()) >= cap:
-                return cap
-        return sum(frontier.values())

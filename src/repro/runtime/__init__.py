@@ -13,10 +13,12 @@
   :func:`cache_metrics`);
 * :mod:`.compiled` — :class:`CompiledSpanner`, the compile-once /
   evaluate-many entry point with batch APIs;
-* :mod:`.equality` — the fused equality-join runtime
-  (:func:`equality_join`, never materializing Theorem 5.4's per-string
-  ``A_eq``) and :class:`CompiledEqualityQuery`, its ship-to-workers
-  per-query artifact;
+* :mod:`.equality` — the fused equality-join runtime, never
+  materializing Theorem 5.4's per-string ``A_eq``: one product BFS per
+  document whose record :class:`CompiledEqualityQuery` (the
+  ship-to-workers per-query artifact) walks directly as Theorem 3.3's
+  levels, and :func:`equality_join` turns into the product automaton
+  (the reference path);
 * :mod:`.transport` — the shared-memory document transport: chunked
   corpora packed into ref-counted ``multiprocessing.shared_memory``
   segments with explicit owner-unlinks (plus the ``mmap`` read path

@@ -104,7 +104,7 @@ def _equality_stream(
 ) -> Iterator[SpanTuple]:
     """A lazy per-member equality stream sharing the document's index.
 
-    Lazy on purpose: the per-document compile (``compile_for``) runs on
+    Lazy on purpose: the per-document product BFS and level build run on
     first ``next()``, inside the consumer's per-member accounting
     window, so fleet-side fault attribution indicts the right member.
     """

@@ -59,7 +59,16 @@ class SubstringIndex:
     choice enumeration) pays ``O(N^2)`` total — never ``O(N^3)``.
     """
 
-    __slots__ = ("string", "n", "_h1", "_h2", "_p1", "_p2", "_by_length")
+    __slots__ = (
+        "string",
+        "n",
+        "_h1",
+        "_h2",
+        "_p1",
+        "_p2",
+        "_by_length",
+        "_classes",
+    )
 
     def __init__(self, s: str):
         self.string = s
@@ -83,6 +92,10 @@ class SubstringIndex:
         # iterating buckets rely on (it reproduces the historical
         # substring-keyed bucketing exactly).
         self._by_length: dict[int, dict[tuple[int, int], list[int]]] = {}
+        # length -> (reps, starts): ``reps[p]`` is the class id (first
+        # occurrence) of the substring at start ``p``, and
+        # ``starts[rep]`` that class's ascending start list.
+        self._classes: dict[int, tuple[list[int], list[list[int] | None]]] = {}
 
     # -- Hashing ------------------------------------------------------------
     def signature(self, start: int, length: int) -> tuple[int, int]:
@@ -97,7 +110,8 @@ class SubstringIndex:
         """True iff the length-``length`` substrings at ``p``/``q`` agree."""
         if p == q:
             return True
-        return self.signature(p, length) == self.signature(q, length)
+        reps = self.classes(length)[0]
+        return reps[p] == reps[q]
 
     # -- Per-length bucketing -----------------------------------------------
     def buckets(self, length: int) -> dict[tuple[int, int], list[int]]:
@@ -118,6 +132,30 @@ class SubstringIndex:
             self._by_length[length] = table
         return table
 
+    def classes(
+        self, length: int
+    ) -> tuple[list[int], list[list[int] | None]]:
+        """The class-id arrays of one length (lazily, from :meth:`buckets`).
+
+        Returns ``(reps, starts)``: ``reps[p]`` is :meth:`class_rep` of
+        start ``p`` (index 0 is unused), and ``starts[rep]`` is the
+        ascending start list of the class whose first occurrence is
+        ``rep`` (``None`` at non-representatives).  Every query below is
+        an index into these, with no hashing.
+        """
+        found = self._classes.get(length)
+        if found is None:
+            size = self.n + 2 - length
+            reps = [0] * size
+            starts: list[list[int] | None] = [None] * size
+            for bucket in self.buckets(length).values():
+                rep = bucket[0]
+                starts[rep] = bucket
+                for p in bucket:
+                    reps[p] = rep
+            found = self._classes.setdefault(length, (reps, starts))
+        return found
+
     def class_rep(self, start: int, length: int) -> int:
         """The first occurrence of the substring value at ``start``.
 
@@ -125,19 +163,21 @@ class SubstringIndex:
         with this content": two starts share a representative iff their
         substrings are equal.
         """
-        return self.buckets(length)[self.signature(start, length)][0]
+        return self.classes(length)[0][start]
 
     def occurrences(self, rep: int, length: int) -> list[int]:
         """All starts (ascending) whose substring equals the one at ``rep``."""
-        return self.buckets(length)[self.signature(rep, length)]
+        reps, starts = self.classes(length)
+        return starts[reps[rep]]  # type: ignore[return-value]
 
     def first_occurrence_at_or_after(
         self, rep: int, length: int, min_start: int
     ) -> int | None:
         """Smallest occurrence start ``>= min_start``, or ``None``."""
         starts = self.occurrences(rep, length)
-        idx = bisect_left(starts, min_start)
-        return starts[idx] if idx < len(starts) else None
+        if starts[-1] < min_start:
+            return None
+        return starts[bisect_left(starts, min_start)]
 
     # -- Longest common extension -------------------------------------------
     def lce(self, p: int, q: int) -> int:

@@ -10,14 +10,18 @@ enumeration caps, serially and at any worker count.
 from __future__ import annotations
 
 import pickle
+import sys
+import threading
 from itertools import islice
 
 import pytest
 
+from repro.enumeration import SpannerEvaluator
 from repro.errors import SchemaError
 from repro.oracle import oracle_evaluate
 from repro.queries import CanonicalEvaluator, CompiledEvaluator, RegexCQ, RegexUCQ
 from repro.runtime import CompiledEqualityQuery, ParallelSpanner, equality_join
+from repro.runtime import equality as equality_module
 from repro.runtime.cache import LRUCache
 from repro.text import repeats_text
 from repro.vset import compile_regex, equality_automaton, join
@@ -257,3 +261,143 @@ class TestCompiledEqualityQuery:
         with ParallelSpanner(engine, workers=2, chunk_size=2) as pool:
             capped = list(pool.evaluate_many(docs, limit=4))
         assert capped == [doc[:4] for doc in serial]
+
+
+class TestLevelSource:
+    """The production path walks the product's levels, built per document."""
+
+    QUERY = TestCompiledEvaluatorParity.QUERIES["two-groups"]
+
+    def engine(self) -> CompiledEqualityQuery:
+        engine = fused_evaluator().equality_runtime(self.QUERY)
+        assert engine is not None
+        return engine
+
+    def test_evaluator_compiles_the_automaton_only_when_read(self, monkeypatch):
+        engine = self.engine()
+        doc = repeats_text(7, seed=6)
+        calls = []
+        compile_for = CompiledEqualityQuery.compile_for
+
+        def counting(self, s, *, index=None):
+            calls.append(s)
+            return compile_for(self, s, index=index)
+
+        monkeypatch.setattr(CompiledEqualityQuery, "compile_for", counting)
+        evaluator = engine.evaluator(doc)
+        tuples = list(evaluator)
+        assert evaluator.count() == len(tuples)
+        assert evaluator.is_empty() == (not tuples)
+        assert calls == []
+        cold = SpannerEvaluator(compile_for(engine, doc), doc)
+        assert evaluator.graph_nodes == cold.graph_nodes
+        assert list(evaluator.configuration_words()) == list(
+            cold.configuration_words()
+        )
+        assert calls == [doc]
+        assert list(cold) == tuples
+
+    def test_threads_sharing_one_query_match_serial(self, monkeypatch):
+        # A fresh skeleton memo: the threads race on building its entries.
+        monkeypatch.setattr(equality_module, "_SKELETONS", {})
+        engine = fused_evaluator().equality_runtime(
+            RegexUCQ([
+                TestCompiledEvaluatorParity.QUERIES["merged-ternary"],
+                RegexCQ(
+                    ["x", "y", "z"],
+                    [".*x{a+}.*", ".*y{[ab]+}.*", ".*z{b+}.*"],
+                    equalities=[("x", "y")],
+                ),
+            ])
+        )
+        docs = [repeats_text(7 + i % 5, seed=60 + i) for i in range(24)]
+        n_threads = 4
+        got: list = [None] * len(docs)
+        barrier = threading.Barrier(n_threads)
+        errors: list[BaseException] = []
+
+        def serve(offset: int) -> None:
+            try:
+                barrier.wait()
+                for i in range(offset, len(docs), n_threads):
+                    got[i] = list(engine.stream(docs[i]))
+                    assert engine.count(docs[i]) == len(got[i])
+            except BaseException as err:  # re-raised on the main thread
+                errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=serve, args=(k,))
+                for k in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert got == [list(engine.stream(doc)) for doc in docs]
+
+    def test_racing_skeleton_builds_publish_whole_entries(self, monkeypatch):
+        # Race the memo's miss path head on: every thread asks for every
+        # burst shape of up to 4 variables, in the same order, on a fresh
+        # memo, and must see each shape complete.
+        keys = [
+            (k, closed, opened)
+            for k in range(5)
+            for closed in range(1 << k)
+            for opened in range(1 << k)
+            if not closed & opened
+        ]
+        want = {key: equality_module._skeleton(*key) for key in keys}
+        n_threads = 4
+        for _round in range(3):
+            monkeypatch.setattr(equality_module, "_SKELETONS", {})
+            barrier = threading.Barrier(n_threads)
+            errors: list[BaseException] = []
+
+            def build_all() -> None:
+                try:
+                    barrier.wait()
+                    for key in keys:
+                        assert equality_module._skeleton(*key) == want[key]
+                except BaseException as err:  # re-raised on the main thread
+                    errors.append(err)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [
+                    threading.Thread(target=build_all)
+                    for _ in range(n_threads)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors, errors
+
+    def test_pickle_contract_unchanged_by_evaluation(self):
+        engine = self.engine()
+        assert set(engine.__getstate__()) == {"head", "disjuncts"}
+        before = pickle.dumps(engine, protocol=pickle.HIGHEST_PROTOCOL)
+        for i in range(4):
+            list(engine.stream(repeats_text(6, seed=70 + i)))
+        after = pickle.dumps(engine, protocol=pickle.HIGHEST_PROTOCOL)
+        assert after == before
+
+    @pytest.mark.parametrize("s", ["", "ab", "abab"])
+    def test_head_outside_the_disjunct_raises_like_projection(self, s):
+        static = join(compile_regex(".*x{a+}.*"), compile_regex(".*y{a+}.*"))
+        engine = CompiledEqualityQuery([static], [[("x", "y")]], ["x", "w"])
+        with pytest.raises(SchemaError, match="unknown variables"):
+            list(engine.stream(s))
+        with pytest.raises(SchemaError, match="unknown variables"):
+            engine.compile_for(s)

@@ -13,7 +13,7 @@ counterparts), encode/decode round trips, and ordering contracts.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import islice, product as cartesian_product
 
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +26,7 @@ from repro.enumeration import (
     graph_tuples,
 )
 from repro.oracle import oracle_evaluate
+from repro.queries import CompiledEvaluator, RegexCQ, RegexUCQ
 from repro.refwords import refword_from_tuple, tuple_from_refword, clr
 from repro.regex import check_functional
 from repro.regex.ast import (
@@ -43,6 +44,7 @@ from repro.relational.relation import Relation
 from repro.relational.yannakakis import evaluate_acyclic
 from repro.relational.generic import evaluate_generic
 from repro.runtime import CompiledSpanner
+from repro.runtime.cache import LRUCache
 from repro.runtime.fusion import FusedQuery, fused_sweep
 from repro.spans import Span, SpanTuple
 from repro.vset import compile_regex, equality_automaton, join, project, union
@@ -283,6 +285,157 @@ def test_alternately_advanced_streams_match_cold_reference(formula, s1, s2):
             else:
                 live[i] = False
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Equality queries: the fused product's levels vs three references
+# ---------------------------------------------------------------------------
+
+#: Capture bodies of single-group queries, and the more selective ones
+#: of two-group queries (whose answers multiply across the groups).
+EQ_BODIES = ("[ab]+", "a+", "b[ab]*", "[ab]*a")
+EQ_SELECTIVE_BODIES = ("ab", "ba", "a+b", "b[ab]a")
+#: Group sizes per shape, over the variables x, y, z, u.
+EQ_SHAPES = ((2,), (3,), (2, 2))
+#: The explicit ``A_eq`` has ``O(N^{k+2})`` states per group, so the
+#: materializing reference runs on a prefix of the document this long.
+EQ_MATERIALIZED_PREFIX = {(2,): 8, (3,): 5, (2, 2): 4}
+
+equality_strings = st.text(alphabet=ALPHABET, max_size=14)
+
+
+@st.composite
+def equality_queries(draw):
+    """``(shape, query)``: a regex CQ, or a union of two, with equalities.
+
+    Every variable has one atom ``.*v{body}.*``.  The head is every
+    variable, a proper subset of them, or empty (a boolean query).  The
+    second disjunct of a union has the first one's groups or none.
+    """
+    shape = draw(st.sampled_from(EQ_SHAPES))
+    groups = []
+    variables = ""
+    for k in shape:
+        groups.append(tuple("xyzu"[len(variables) : len(variables) + k]))
+        variables += "xyzu"[len(variables) : len(variables) + k]
+    head_kind = draw(st.sampled_from(["full", "projected", "boolean"]))
+    if head_kind == "full":
+        head = list(variables)
+    elif head_kind == "projected":
+        head = sorted(draw(st.sets(
+            st.sampled_from(variables), min_size=1, max_size=len(variables) - 1
+        )))
+    else:
+        head = []
+    bodies = EQ_BODIES if len(shape) == 1 else EQ_SELECTIVE_BODIES
+
+    def cq(equalities) -> RegexCQ:
+        atoms = [
+            f".*{v}{{{draw(st.sampled_from(bodies))}}}.*" for v in variables
+        ]
+        return RegexCQ(head, atoms, equalities=equalities)
+
+    first = cq(groups)
+    if not draw(st.booleans()):
+        return shape, first
+    second = cq(groups if draw(st.booleans()) else [])
+    return shape, RegexUCQ([first, second])
+
+
+def _oracle_query(query, s: str) -> set:
+    """A CQ/UCQ by definition: atom oracles, equal substrings, projection.
+
+    Each atom binds one variable, so a disjunct's join is a product:
+    per equality group the span choices with one common substring, per
+    other variable its atom's spans, each projected onto the head.
+    """
+    cqs = query.disjuncts if isinstance(query, RegexUCQ) else (query,)
+    out: set = set()
+    for cq in cqs:
+        spans: dict[str, list] = {}
+        for atom in cq.regex_atoms:
+            for mu in oracle_evaluate(atom.formula, s):
+                for var in mu.variables:
+                    spans.setdefault(var, []).append(mu[var])
+        head = set(cq.head)
+        parts = []
+        grouped: set[str] = set()
+        for eq in cq.merged_equalities():
+            names = sorted(eq.variable_set)
+            grouped |= set(names)
+            by_value: dict[str, dict[str, list]] = {}
+            for var in names:
+                for span in spans.get(var, ()):
+                    value = s[span.start - 1 : span.end - 1]
+                    by_value.setdefault(value, {}).setdefault(var, []).append(
+                        span
+                    )
+            part = set()
+            for per_var in by_value.values():
+                if len(per_var) == len(names):
+                    for combo in cartesian_product(
+                        *(per_var[var] for var in names)
+                    ):
+                        part.add(tuple(
+                            (var, span)
+                            for var, span in zip(names, combo)
+                            if var in head
+                        ))
+            parts.append(part)
+        for var in sorted(set(spans) - grouped):
+            parts.append({
+                ((var, span),) if var in head else () for span in spans[var]
+            })
+        if len(spans) < len(cq.body_variables):
+            continue  # some atom never matches
+        for combo in cartesian_product(*parts):
+            out.add(SpanTuple([pair for part in combo for pair in part]))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(equality_queries(), equality_strings)
+def test_equality_levels_match_references(shaped, s):
+    """``stream``, ``count(cap)`` and ``is_empty`` of the fused levels.
+
+    References: the compiled automaton (``compile_for``) through the
+    cold ``A_G`` and the paper's radix enumerator; the explicit
+    ``A_eq`` (``materialize_equalities=True``) on a prefix of ``s``;
+    and the oracle, as a set.
+    """
+    shape, query = shaped
+    fused = CompiledEvaluator(LRUCache(8))
+    engine = fused.equality_runtime(query)
+    tuples, counts, empty = _cold_reference(engine.compile_for(s), s)
+    assert list(islice(engine.stream(s), WALK_PREFIX)) == tuples
+    for cap, want in counts.items():
+        assert engine.count(s, cap=cap) == want
+    assert engine.is_empty(s) == empty
+    assert list(islice(fused.stream(query, s), WALK_PREFIX)) == tuples
+    assert set(engine.stream(s)) == _oracle_query(query, s)
+
+    prefix = s[: EQ_MATERIALIZED_PREFIX[shape]]
+    materializing = CompiledEvaluator(LRUCache(8), materialize_equalities=True)
+    assert list(islice(engine.stream(prefix), WALK_PREFIX)) == list(
+        islice(materializing.stream(query, prefix), WALK_PREFIX)
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(equality_queries(), functional_formulas(), document_streams)
+def test_fused_engine_equality_member_matches_references(shaped, formula, docs):
+    """An equality member and a regex member fused in one engine."""
+    _shape, query = shaped
+    engine = CompiledEvaluator(LRUCache(8)).equality_runtime(query)
+    spanner = CompiledSpanner(formula)
+    fused = FusedQuery([("eq", engine), ("re", spanner.tables)]).materialize()
+    for s in docs:
+        s = s[:14]
+        eq_stream, re_stream = fused.streams(s)
+        want = _cold_reference(engine.compile_for(s), s)[0]
+        assert list(islice(eq_stream, WALK_PREFIX)) == want
+        want = _cold_reference(spanner.automaton, s)[0]
+        assert list(islice(re_stream, WALK_PREFIX)) == want
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import product as cartesian_product
 
 import pytest
@@ -94,6 +95,47 @@ class TestQueries:
                 ):
                     naive += 1
                 assert index.lce(p, q) == naive, (s, p, q)
+
+
+class TestClassArrays:
+    """The class-id arrays answer exactly what the hash pairs define."""
+
+    @staticmethod
+    def random_strings() -> list[str]:
+        rng = random.Random(11)
+        out = ["", "a", "aaaaaaa"]
+        for alphabet in ("ab", "abc", "abcdefgh"):
+            for length in (2, 7, 15):
+                out.append("".join(rng.choice(alphabet) for _ in range(length)))
+        return out
+
+    def test_queries_match_hash_pair_definitions(self):
+        for s in self.random_strings():
+            index = SubstringIndex(s)
+            n = len(s)
+            for length in range(0, n + 1):
+                starts = range(1, n + 2 - length)
+                for p in starts:
+                    sig = index.signature(p, length)
+                    same = [q for q in starts if index.signature(q, length) == sig]
+                    assert index.class_rep(p, length) == same[0], (s, p, length)
+                    assert index.occurrences(p, length) == same
+                    for q in starts:
+                        assert index.equal(p, q, length) == (
+                            index.signature(q, length) == sig
+                        )
+                    for min_start in range(0, n + 3):
+                        later = [q for q in same if q >= min_start]
+                        assert index.first_occurrence_at_or_after(
+                            p, length, min_start
+                        ) == (later[0] if later else None)
+
+    def test_arrays_are_built_from_the_buckets(self):
+        index = SubstringIndex("abcab")
+        reps, starts = index.classes(2)
+        assert reps[1:] == [1, 2, 3, 1]
+        assert starts[1] == [1, 4] and starts[4] is None
+        assert starts[1] is index.buckets(2)[index.signature(1, 2)]
 
 
 class TestChoiceEnumeration:
