@@ -31,7 +31,13 @@
   crash re-dispatch with backoff, per-task deadlines over a heartbeat
   channel, per-query quarantine breakers, overload shedding policies,
   an asyncio front-end and transport negotiation
-  (``transport={"auto","shm","pipe"}``);
+  (``transport={"auto","shm","pipe"}``) — the scheduler over the two
+  owners in :mod:`.registry`;
+* :mod:`.registry` — :class:`QueryRegistry` (registration, admission
+  control, artifact-store lookups, one per-query options record, the
+  restart manifest journal and its validation for ``restore()``) and
+  :class:`CircuitBreakers` (the per-query quarantine breakers and the
+  one open-quarantine snapshot), both guarded by the service's lock;
 * :mod:`.config` — :class:`ServiceConfig`, the one frozen, validated
   record of every fleet setting, shared by :class:`SpannerService`,
   :class:`ParallelSpanner`, the CLI and the restart manifest;

@@ -31,6 +31,7 @@ under every one of those behaviors unchanged.
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
 from abc import ABC, abstractmethod
@@ -46,6 +47,7 @@ __all__ = [
     "ComputeBackend",
     "WorkerHandle",
     "LocalHeartbeat",
+    "LocalWorkerHandle",
     "default_backend_name",
     "resolve_backend",
 ]
@@ -138,6 +140,30 @@ class WorkerHandle:
         worker's first stamp, and the member ordinal is -1 outside a
         multi-member task's per-member enumeration phases."""
         raise NotImplementedError
+
+
+class LocalWorkerHandle(WorkerHandle):
+    """A worker in the driver's own process — a thread, or the inline
+    caller — stamping a :class:`LocalHeartbeat`."""
+
+    __slots__ = ("heartbeat",)
+
+    def __init__(self, worker_id: int):
+        super().__init__(worker_id)
+        self.heartbeat = LocalHeartbeat()
+
+    @property
+    def pid(self) -> int | None:
+        return os.getpid()
+
+    def read_heartbeat(self) -> tuple[int, float, float, int]:
+        with self.heartbeat.get_lock():
+            return (
+                int(self.heartbeat[0]),
+                self.heartbeat[1],
+                self.heartbeat[2],
+                int(self.heartbeat[3]),
+            )
 
 
 class ComputeBackend(ABC):

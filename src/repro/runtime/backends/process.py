@@ -88,12 +88,11 @@ def _compile_child(conn, query: object) -> None:
     hung tasks, applied to compilation, which otherwise runs
     driver-side with nothing to bound it.
     """
-    from ..service import SpannerService
+    from .. import registry
 
     try:
         payload = pickle.dumps(
-            SpannerService._artifact_for(query),
-            protocol=pickle.HIGHEST_PROTOCOL,
+            registry.artifact_for(query), protocol=pickle.HIGHEST_PROTOCOL
         )
         conn.send(("ok", payload))
     except Exception as err:

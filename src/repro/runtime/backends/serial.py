@@ -21,43 +21,28 @@ the service documents as the serial trade-off.
 
 from __future__ import annotations
 
-import os
 import pickle
 import threading
 import time
 from typing import Callable
 
-from .base import ComputeBackend, LocalHeartbeat, WorkerHandle
+from .base import ComputeBackend, LocalWorkerHandle
 from .worker import materialize, run_task
 
 __all__ = ["SerialBackend", "SerialWorkerHandle"]
 
 
-class SerialWorkerHandle(WorkerHandle):
+class SerialWorkerHandle(LocalWorkerHandle):
     """Driver-side record of the inline pseudo-worker."""
 
-    __slots__ = ("heartbeat", "engines")
+    __slots__ = ("engines",)
 
     def __init__(self, worker_id: int):
         super().__init__(worker_id)
-        self.heartbeat = LocalHeartbeat()
         self.engines: dict[str, object] = {}  # run_task's engine table
-
-    @property
-    def pid(self) -> int | None:
-        return os.getpid()
 
     def alive(self) -> bool:
         return True  # the caller's own thread
-
-    def read_heartbeat(self) -> tuple[int, float, float, int]:
-        with self.heartbeat.get_lock():
-            return (
-                int(self.heartbeat[0]),
-                self.heartbeat[1],
-                self.heartbeat[2],
-                int(self.heartbeat[3]),
-            )
 
 
 class SerialBackend(ComputeBackend):

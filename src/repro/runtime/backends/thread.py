@@ -21,47 +21,32 @@ worker replaced), which is the contract ``supports_kill`` promises.
 
 from __future__ import annotations
 
-import os
 import pickle
 import queue
 import threading
 from typing import Callable
 
-from .base import ComputeBackend, LocalHeartbeat, WorkerHandle
+from .base import ComputeBackend, LocalWorkerHandle
 from .worker import materialize, run_task
 
 __all__ = ["ThreadBackend", "ThreadWorkerHandle"]
 
 
-class ThreadWorkerHandle(WorkerHandle):
+class ThreadWorkerHandle(LocalWorkerHandle):
     """Driver-side record of one worker thread."""
 
-    __slots__ = ("thread", "task_queue", "heartbeat", "killed")
+    __slots__ = ("thread", "task_queue", "killed")
 
     def __init__(self, worker_id: int):
         super().__init__(worker_id)
         self.thread: threading.Thread | None = None
         self.task_queue: queue.SimpleQueue = queue.SimpleQueue()
-        self.heartbeat = LocalHeartbeat()
         self.killed = False  # abandoned by the driver (watchdogs)
-
-    @property
-    def pid(self) -> int | None:
-        return os.getpid()  # every worker shares the driver's process
 
     def alive(self) -> bool:
         if self.killed:
             return False
         return self.thread is not None and self.thread.is_alive()
-
-    def read_heartbeat(self) -> tuple[int, float, float, int]:
-        with self.heartbeat.get_lock():
-            return (
-                int(self.heartbeat[0]),
-                self.heartbeat[1],
-                self.heartbeat[2],
-                int(self.heartbeat[3]),
-            )
 
 
 class ThreadBackend(ComputeBackend):

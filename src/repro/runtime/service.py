@@ -97,6 +97,14 @@ fleet:
   queues.  Cancelling an ``extract`` abandons its result but leaves
   the fleet fully serviceable.
 
+The per-query state lives in two owners in :mod:`repro.runtime.registry`
+— :class:`~repro.runtime.registry.QueryRegistry` (registration,
+admission control, store lookups, per-query options, the restart
+manifest) and :class:`~repro.runtime.registry.CircuitBreakers` — and
+:class:`SpannerService` keeps the public API and the scheduling over
+them (tasks, backlog, dispatch, the collector, retry and backoff, the
+watchdogs, overload and shutdown), all under the service's one lock.
+
 Results are **byte-identical and in-order** versus the serial runtime:
 chunks are submitted in document order and concatenated in submission
 order, and each worker runs the exact serial per-document evaluation,
@@ -120,49 +128,44 @@ the worker count, chunking, recycling or crash history.
 from __future__ import annotations
 
 import asyncio
-import base64
-import hashlib
-import json
 import os
-import pickle
 import threading
 import time
 from collections import deque
 from concurrent.futures import CancelledError, Future, InvalidStateError, wait
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import count
 from pathlib import Path
 from typing import TYPE_CHECKING, Awaitable, Iterable, Sequence
 
 from ..errors import (
-    ArtifactCorruptError,
     OverloadedError,
     QueryQuarantinedError,
-    QueryRejectedError,
     ResultLimitError,
     ServiceClosedError,
-    SpannerError,
     TaskTimeoutError,
     TransientTaskError,
 )
 from ..spans import SpanTuple
-from ..vset.automaton import VSetAutomaton
 from .backends.base import WorkerHandle, resolve_backend
-from .compiled import CompiledSpanner, estimate_compile_states
 from .config import UNSET as _UNSET
 from .config import ConfigAttributes, ServiceConfig, check_limits
-from .equality import CompiledEqualityQuery
-from .store import (
-    ArtifactStore,
-    FileStore,
-    MemoryStore,
-    atomic_write_bytes,
+from .registry import (
+    MANIFEST_FORMAT_VERSION,
+    CircuitBreakers,
+    QueryHandle,
+    QueryRegistry,
+    read_manifest,
 )
-from .tables import AutomatonTables
 from .transport import ShmChunk, create_transport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..regex.ast import RegexFormula
+    from ..vset.automaton import VSetAutomaton
+    from .compiled import CompiledSpanner
+    from .equality import CompiledEqualityQuery
+    from .store import ArtifactStore
+    from .tables import AutomatonTables
 
 __all__ = [
     "SpannerService",
@@ -184,19 +187,19 @@ MAX_TASK_ATTEMPTS = 3
 RETRY_BACKOFF_BASE = 0.05
 RETRY_BACKOFF_CAP = 1.0
 
-#: The per-query overrides ``register()`` accepts and the manifest
-#: journals (each omitted one inherits the service default).
-_QUERY_OPTIONS = ("timeout", "max_tuples", "max_result_bytes")
-
-#: Bump when the restart-manifest layout changes; ``restore()`` rejects
-#: unknown versions rather than guessing at field meanings.
-#:
-#: v1 -> v2: the config records the resolved ``backend`` name, so
-#: ``restore()`` revives the fleet onto the same substrate.  v1
-#: manifests (which predate the backend seam and could only have been
-#: written by a process fleet) are still accepted: restore reads them
-#: as ``backend="process"``.
-MANIFEST_FORMAT_VERSION = 2
+#: The fleet's lifetime counters, in ``health()["counters"]`` order;
+#: each ``workers_*`` one counts worker restarts.
+_FLEET_COUNTERS = (
+    "tasks_completed", "tasks_timed_out", "tasks_retried", "tasks_shed",
+    "workers_recycled", "workers_crashed", "workers_killed_on_timeout",
+    "workers_killed_on_memory",
+)
+#: ...and with them the governance counters ``health()["resources"]``
+#: reports: the service's one counter mapping.
+_COUNTERS = _FLEET_COUNTERS + (
+    "docs_truncated", "tasks_result_limited", "queries_rejected",
+    "workers_recycled_on_memory",
+)
 
 #: Tasks a worker may hold (one running + prefetch) before dispatch
 #: falls back to the service backlog.  Keeping per-worker queues this
@@ -212,6 +215,7 @@ MAX_WORKER_PREFETCH = 2
 # -- Driver side --------------------------------------------------------------
 
 
+@dataclass(slots=True, eq=False)
 class _Task:
     """One dispatched chunk: its futures, where it is, how often it ran.
 
@@ -225,110 +229,48 @@ class _Task:
     reference without re-packing).
     """
 
-    __slots__ = (
-        "task_id", "members", "op", "items", "extra", "caps",
-        "futures", "worker", "attempts", "done", "bounded",
-        "deadline", "not_before", "indicted",
-    )
+    task_id: int
+    members: "tuple[str, ...]"
+    op: str
+    items: "list[str] | ShmChunk"
+    extra: int | None
+    deadline: float | None  # seconds of *execution* per attempt
+    caps: "tuple | None"  # per member: (max_tuples, max_bytes, policy)
+    futures: list = field(init=False)
+    worker: "WorkerHandle | None" = None
+    attempts: int = 0
+    done: bool = False
+    not_before: float = 0.0  # monotonic re-dispatch eligibility (backoff)
+    #: The member a fleet-level failure was attributed to (from the
+    #: heartbeat's member slot); None = unattributed, charge all.
+    indicted: str | None = None
 
-    def __init__(
-        self,
-        task_id: int,
-        members: "tuple[str, ...]",
-        op: str,
-        items: "list[str] | ShmChunk",
-        extra: int | None,
-        bounded: bool,
-        deadline: float | None = None,
-        caps: "tuple | None" = None,
-    ):
-        self.task_id = task_id
-        self.members = members
-        self.op = op
-        self.items = items
-        self.extra = extra
-        self.caps = caps  # per member: resolved (max_tuples, max_bytes, policy)
-        self.futures = [Future() for _ in members]
-        self.worker: "WorkerHandle | None" = None
-        self.attempts = 0
-        self.done = False
-        self.bounded = bounded  # holds one max_in_flight slot
-        self.deadline = deadline  # seconds of *execution* per attempt
-        self.not_before = 0.0  # monotonic re-dispatch eligibility (backoff)
-        #: The member a fleet-level failure was attributed to (from the
-        #: heartbeat's member slot); None = unattributed, charge all.
-        self.indicted: str | None = None
+    def __post_init__(self) -> None:
+        self.futures = [Future() for _ in self.members]
 
     @property
     def label(self) -> "str | tuple[str, ...]":
         """What error messages name: the query id, or the member ids."""
         return self.members[0] if len(self.members) == 1 else self.members
 
+    @property
+    def blamed(self) -> "tuple[str, ...]":
+        """Whose breakers a fleet-level failure charges.
 
-class _Breaker:
-    """Per-query circuit-breaker state (guarded by the service lock).
-
-    closed (``opened_at is None``): counting consecutive fleet-level
-    failures.  open: submissions fail fast until the cool-down elapses,
-    then exactly one probe is admitted (``probe_at`` stamps it); the
-    probe's success closes the breaker, its failure re-arms the
-    cool-down.  ``probe_at`` is a timestamp rather than a flag so a
-    probe that never resolves (shed, cancelled, lost in a close) merely
-    delays the next probe by one cool-down instead of wedging the
-    breaker half-open forever.
-    """
-
-    __slots__ = ("failures", "opened_at", "probe_at")
-
-    def __init__(self) -> None:
-        self.failures = 0
-        self.opened_at: float | None = None
-        self.probe_at: float | None = None
+        The member the heartbeat indicted (the one being enumerated
+        when the worker was killed or died) is charged alone — the
+        other members were innocent bystanders sharing the task; an
+        unattributed failure (the per-document phase before any
+        member's stream is consumed, a one-member task, or a worker
+        that never stamped) charges every member, since each of them
+        asked for that document.
+        """
+        return self.members if self.indicted is None else (self.indicted,)
 
 
-class QueryHandle(str):
-    """A registered query's id with its registration facts attached.
-
-    Returned by :meth:`SpannerService.register`.  It *is* the query id
-    — a ``str`` subclass, so every pre-existing call form
-    (``submit(qid, ...)``, dict keys, manifest entries) keeps working
-    unchanged — but it additionally carries the artifact fingerprint
-    and the effective per-task limits the query was registered with:
-
-    * ``fingerprint`` — sha256 hex digest of the pickled artifact (the
-      same bytes the manifest journals as ``payload_sha256``);
-    * ``timeout`` / ``max_tuples`` / ``max_result_bytes`` — the
-      *effective* values after query-over-service inheritance, i.e.
-      what a ``submit`` without call-level overrides will enforce.
-
-    Handles compare and hash as plain strings, and the driver
-    normalizes them back to ``str`` at the submission boundary so the
-    worker wire protocol never carries the subclass.
-    """
-
-    # str is a variable-length builtin, so no __slots__: the attributes
-    # live in a per-instance dict like any ordinary class.
-    def __new__(
-        cls,
-        query_id: str,
-        *,
-        fingerprint: str | None = None,
-        timeout: float | None = None,
-        max_tuples: int | None = None,
-        max_result_bytes: int | None = None,
-    ) -> "QueryHandle":
-        self = super().__new__(cls, query_id)
-        self.fingerprint = fingerprint
-        self.timeout = timeout
-        self.max_tuples = max_tuples
-        self.max_result_bytes = max_result_bytes
-        return self
-
-    def __repr__(self) -> str:
-        return (
-            f"QueryHandle({str.__repr__(self)}, "
-            f"fingerprint={self.fingerprint!r})"
-        )
+def _counter(name: str) -> property:
+    """A read-only view of one of the service's lifetime counters."""
+    return property(lambda self: self._counters[name])
 
 
 class SpannerService(ConfigAttributes):
@@ -404,29 +346,22 @@ class SpannerService(ConfigAttributes):
             if self._backend.uses_wire_transport
             else None
         )
-        self.manifest_path = (
-            Path(manifest_path) if manifest_path is not None else None
-        )
-        if artifact_store is None and self.manifest_path is not None:
-            # A manifest without a store would journal queries it can
-            # only revive from source; defaulting the store next to the
-            # manifest makes restore() warm for every registration.
-            artifact_store = FileStore(self.manifest_path.parent / "artifacts")
-        self.artifact_store = artifact_store
-        #: qid -> its manifest record; insertion order mirrors _registry.
-        self._manifest_entries: dict[str, dict] = {}
-        #: Quarantine state changed since the last manifest write; the
-        #: collector flushes this outside its hot path.
-        self._manifest_dirty = False
-
+        #: The one lock: the scheduler's state, the registry and the
+        #: breakers are all guarded by it.
         self._lock = threading.RLock()
-        self._registry: dict[str, bytes] = {}  # query id -> pickled artifact
-        self._query_timeouts: dict[str, float | None] = {}  # per-query override
-        # per-query result-cap overrides: (max_tuples, max_result_bytes),
-        # each either a value, None (explicitly uncapped) or _UNSET
-        # (inherit the service default).
-        self._query_caps: dict[str, tuple] = {}
-        self._breakers: dict[str, _Breaker] = {}  # query id -> breaker
+        self._breakers = CircuitBreakers(self.config)
+        self._registry = QueryRegistry(
+            self.config,
+            self._lock,
+            self._breakers,
+            store=artifact_store,
+            manifest_path=(
+                Path(manifest_path) if manifest_path is not None else None
+            ),
+            check_open=self._check_open,
+            on_reject=self._count_rejection,
+        )
+        self._counters = dict.fromkeys(_COUNTERS, 0)
         self._workers: list[WorkerHandle] = []
         self._tasks: dict[int, _Task] = {}  # every unresolved task
         self._backlog: deque[_Task] = deque()  # awaiting an eligible worker
@@ -441,20 +376,18 @@ class SpannerService(ConfigAttributes):
         self._started = False
         self._closing = False
         self._closed = False
-        self._completed = 0
-        self._recycled = 0
-        self._crashed = 0
-        self._timed_out = 0  # tasks failed by their deadline
-        self._timeout_kills = 0  # workers killed for a hung task
-        self._retried = 0  # re-dispatches (crash + transient)
-        self._shed = 0  # tasks failed by the shed_oldest policy
-        self._truncated_docs = 0  # docs cut at their cap (truncate policy)
-        self._result_limited = 0  # tasks failed by ResultLimitError
-        self._rejected = 0  # register() admissions refused
-        self._memory_recycles = 0  # workers drained by the watchdog
-        self._memory_kills = 0  # workers killed past the hard ceiling
 
     # -- Introspection ------------------------------------------------------
+    @property
+    def artifact_store(self) -> "ArtifactStore | None":
+        """The artifact store behind warm registration, if any."""
+        return self._registry.store
+
+    @property
+    def manifest_path(self) -> "Path | None":
+        """Where the restart manifest is journaled, if anywhere."""
+        return self._registry.manifest_path
+
     @property
     def _all_processes(self) -> list:
         """Every worker process the backend has ever spawned (process
@@ -466,67 +399,24 @@ class SpannerService(ConfigAttributes):
     def queries(self) -> tuple[str, ...]:
         """The registered query ids, in registration order."""
         with self._lock:
-            return tuple(self._registry)
+            return tuple(self._registry.payloads)
 
-    @property
-    def tasks_completed(self) -> int:
-        with self._lock:
-            return self._completed
-
-    @property
-    def workers_recycled(self) -> int:
-        with self._lock:
-            return self._recycled
-
-    @property
-    def workers_crashed(self) -> int:
-        with self._lock:
-            return self._crashed
-
-    @property
-    def tasks_timed_out(self) -> int:
-        with self._lock:
-            return self._timed_out
-
-    @property
-    def tasks_retried(self) -> int:
-        with self._lock:
-            return self._retried
-
-    @property
-    def tasks_shed(self) -> int:
-        with self._lock:
-            return self._shed
-
-    @property
-    def docs_truncated(self) -> int:
-        with self._lock:
-            return self._truncated_docs
-
-    @property
-    def tasks_result_limited(self) -> int:
-        with self._lock:
-            return self._result_limited
-
-    @property
-    def queries_rejected(self) -> int:
-        with self._lock:
-            return self._rejected
-
-    @property
-    def workers_recycled_on_memory(self) -> int:
-        with self._lock:
-            return self._memory_recycles
+    tasks_completed = _counter("tasks_completed")
+    workers_recycled = _counter("workers_recycled")
+    workers_crashed = _counter("workers_crashed")
+    tasks_timed_out = _counter("tasks_timed_out")
+    tasks_retried = _counter("tasks_retried")
+    tasks_shed = _counter("tasks_shed")
+    docs_truncated = _counter("docs_truncated")
+    tasks_result_limited = _counter("tasks_result_limited")
+    queries_rejected = _counter("queries_rejected")
+    workers_recycled_on_memory = _counter("workers_recycled_on_memory")
 
     @property
     def quarantined_queries(self) -> tuple[str, ...]:
         """Query ids whose circuit breaker is currently open."""
         with self._lock:
-            return tuple(
-                qid
-                for qid, b in self._breakers.items()
-                if b.opened_at is not None
-            )
+            return tuple(self._breakers.open())
 
     def health(self) -> dict:
         """A point-in-time fleet health snapshot (plain dict, loggable).
@@ -577,41 +467,31 @@ class SpannerService(ConfigAttributes):
                         "rss_bytes": rss,
                     }
                 )
-            if self._doc_transport is not None:
-                shm = self._doc_transport.stats()
-            else:
-                shm = {
-                    "bytes_in_flight": 0,
-                    "bytes_pooled": 0,
-                    "budget": None,
-                    "degraded_to_pipe": 0,
-                    "orphans_swept": 0,
-                }
+            # No transport (same-address-space workers): all zeros.
+            shm = (
+                self._doc_transport.stats()
+                if self._doc_transport is not None
+                else {}
+            )
+            c = self._counters
+            store = self.artifact_store
             resources = {
-                "shm_bytes_in_flight": shm["bytes_in_flight"],
-                "shm_bytes_pooled": shm["bytes_pooled"],
-                "shm_budget": shm["budget"],
-                "degraded_to_pipe": shm["degraded_to_pipe"],
+                "shm_bytes_in_flight": shm.get("bytes_in_flight", 0),
+                "shm_bytes_pooled": shm.get("bytes_pooled", 0),
+                "shm_budget": shm.get("budget"),
+                "degraded_to_pipe": shm.get("degraded_to_pipe", 0),
                 "orphans_swept": shm.get("orphans_swept", 0),
-                "store": (
-                    self.artifact_store.stats()
-                    if self.artifact_store is not None
-                    else None
-                ),
+                "store": store.stats() if store is not None else None,
                 "worker_rss_bytes": worker_rss,
-                "docs_truncated": self._truncated_docs,
-                "tasks_result_limited": self._result_limited,
-                "queries_rejected": self._rejected,
-                "memory_recycles": self._memory_recycles,
-                "memory_kills": self._memory_kills,
+                "docs_truncated": c["docs_truncated"],
+                "tasks_result_limited": c["tasks_result_limited"],
+                "queries_rejected": c["queries_rejected"],
+                "memory_recycles": c["workers_recycled_on_memory"],
+                "memory_kills": c["workers_killed_on_memory"],
             }
             quarantined = {
-                qid: {
-                    "failures": b.failures,
-                    "open_for": now - b.opened_at,
-                }
-                for qid, b in self._breakers.items()
-                if b.opened_at is not None
+                qid: {"failures": b.failures, "open_for": now - b.opened_at}
+                for qid, b in self._breakers.open().items()
             }
             return {
                 "backend": {
@@ -621,24 +501,18 @@ class SpannerService(ConfigAttributes):
                 "workers": workers,
                 "backlog_depth": len(self._backlog),
                 "tasks_outstanding": len(self._tasks),
-                "queries_registered": len(self._registry),
+                "queries_registered": len(self._registry.payloads),
                 "quarantined_queries": quarantined,
                 "resources": resources,
                 "counters": {
-                    "tasks_completed": self._completed,
-                    "tasks_timed_out": self._timed_out,
-                    "tasks_retried": self._retried,
-                    "tasks_shed": self._shed,
-                    "workers_recycled": self._recycled,
-                    "workers_crashed": self._crashed,
-                    "workers_killed_on_timeout": self._timeout_kills,
-                    "workers_killed_on_memory": self._memory_kills,
+                    **{name: c[name] for name in _FLEET_COUNTERS},
                     # memory_recycles are ordinary (graceful) recycles,
                     # already inside workers_recycled — attribution, not
                     # an extra restart.
-                    "worker_restarts": (
-                        self._recycled + self._crashed
-                        + self._timeout_kills + self._memory_kills
+                    "worker_restarts": sum(
+                        c[name]
+                        for name in _FLEET_COUNTERS
+                        if name.startswith("workers_")
                     ),
                 },
             }
@@ -652,40 +526,25 @@ class SpannerService(ConfigAttributes):
         gone, let it through now".
         """
         with self._lock:
-            breaker = self._breakers.pop(query_id, None)
-            was_open = breaker is not None and breaker.opened_at is not None
-            if was_open and self.manifest_path is not None:
+            was_open = self._breakers.clear(query_id)
+            if was_open:
                 # An operator decision deserves immediate durability —
                 # a crash right after reinstate() must not resurrect
                 # the quarantine.
-                self._write_manifest_locked()
+                self._registry.write()
             return was_open
 
     def __repr__(self) -> str:
+        c = self._counters
         return (
             f"SpannerService(workers={self.config.workers}, "
-            f"queries={len(self._registry)}, "
-            f"completed={self._completed}, recycled={self._recycled}, "
-            f"crashed={self._crashed})"
+            f"queries={len(self._registry.payloads)}, "
+            f"completed={c['tasks_completed']}, "
+            f"recycled={c['workers_recycled']}, "
+            f"crashed={c['workers_crashed']})"
         )
 
     # -- Registration -------------------------------------------------------
-    @staticmethod
-    def _artifact_for(query: object) -> object:
-        """The ship-to-workers artifact for anything register() accepts.
-
-        The pickle contract matches :class:`ParallelSpanner`'s:
-        equality-free spanners ship their
-        :class:`~repro.runtime.tables.AutomatonTables` (a worker
-        rebuilds a ``CompiledSpanner`` around them without rerunning
-        preprocessing); self-contained engines ship themselves.
-        """
-        if isinstance(query, CompiledSpanner):
-            return query.tables
-        if isinstance(query, (CompiledEqualityQuery, AutomatonTables)):
-            return query
-        return CompiledSpanner(query).tables  # automaton / formula / syntax
-
     def register(
         self,
         query: (
@@ -707,16 +566,19 @@ class SpannerService(ConfigAttributes):
 
         The id is a fingerprint of the pickled compiled artifact, so
         registering the same compiled query twice dedupes to one entry
-        (and one shipment per worker).  Pass ``query_id`` to pick a
-        stable name; re-using a name for a *different* artifact raises.
-        Registration is allowed at any time — workers receive the
-        artifact lazily, with the first task that needs it.
+        (and one shipment per worker).  Pass ``query_id`` (a non-empty
+        string, else ``ValueError``) to pick a stable name; re-using a
+        name for a *different* artifact raises.  Registration is
+        allowed at any time — workers receive the artifact lazily, with
+        the first task that needs it.
 
         ``timeout`` sets this query's per-task deadline, overriding the
         service's ``task_timeout`` (``None`` disables the deadline for
         this query; omit it to inherit the service default).
         ``max_tuples`` / ``max_result_bytes`` override the service's
-        result caps for this query the same way.
+        result caps for this query the same way.  Re-registering a
+        query overrides only the limits it names; the rest keep their
+        earlier values, and the manifest journals the merged record.
 
         Admission control runs first: with ``max_compile_states`` set,
         a query whose *estimated* automaton size exceeds the bound is
@@ -746,253 +608,19 @@ class SpannerService(ConfigAttributes):
         asserts that ``source`` compiles to ``query`` — the pairing is
         not checked.  Ignored when ``query`` is itself compilable.
         """
-        check_limits(timeout, max_tuples, max_result_bytes)
-        # The explicit per-query overrides; omitted ones inherit.
-        options = {
-            name: value
-            for name, value in zip(
-                _QUERY_OPTIONS, (timeout, max_tuples, max_result_bytes)
-            )
-            if value is not _UNSET
-        }
-        self._check_compile_states(query, "estimated")
-        store = self.artifact_store
-        spec = self._source_spec(query)
-        if spec is None and source is not None:
-            # Precompiled query with a declared origin: fingerprint by
-            # the origin so warm starts work across driver processes.
-            spec = self._source_spec(source)
-        store_key = (
-            self._source_key(spec)
-            if store is not None and spec is not None
-            else None
+        return self._registry.register(
+            query, query_id, source, timeout=timeout, max_tuples=max_tuples,
+            max_result_bytes=max_result_bytes,
         )
-        payload = None
-        if store is not None and store_key is not None:
-            try:
-                payload = store.get(store_key)
-            except ArtifactCorruptError:
-                payload = None  # quarantined by the store; recompile
-        if payload is None:
-            payload = self._compile_payload(query)
-            if store is not None:
-                if store_key is None:
-                    # Precompiled input: no source to fingerprint, so
-                    # key by the artifact bytes themselves.
-                    store_key = (
-                        "a" + hashlib.sha256(payload).hexdigest()[:24]
-                    )
-                store.put(store_key, payload)
-        qid = (
-            str(query_id)
-            if query_id is not None
-            else "q" + hashlib.sha256(payload).hexdigest()[:16]
-        )
-        self._commit_registration(
-            qid,
-            payload,
-            options,
-            store_key=store_key,
-            source_json=self._source_json(spec),
-        )
-        cfg = self.config
+
+    def _count_rejection(self) -> None:
         with self._lock:
-            eff_timeout = self._query_timeouts.get(qid, cfg.task_timeout)
-            q_tuples, q_bytes = self._query_caps.get(qid, (_UNSET, _UNSET))
-        return QueryHandle(
-            qid,
-            fingerprint=hashlib.sha256(payload).hexdigest(),
-            timeout=eff_timeout,
-            max_tuples=cfg.max_tuples if q_tuples is _UNSET else q_tuples,
-            max_result_bytes=(
-                cfg.max_result_bytes if q_bytes is _UNSET else q_bytes
-            ),
-        )
+            self._counters["queries_rejected"] += 1
 
-    def _check_compile_states(self, query: object, context: str) -> None:
-        """Admission control: refuse (and count) a query whose estimated
-        automaton size exceeds ``max_compile_states``."""
-        limit = self.config.max_compile_states
-        if limit is None:
-            return
-        estimate = estimate_compile_states(query)
-        if estimate is not None and estimate > limit:
-            with self._lock:
-                self._rejected += 1
-            raise QueryRejectedError(
-                f"{context} automaton size {estimate} exceeds "
-                f"max_compile_states={limit}",
-                estimated_states=estimate,
-                max_compile_states=limit,
-            )
-
-    def _commit_registration(
-        self,
-        qid: str,
-        payload: bytes,
-        options: dict,
-        *,
-        store_key: str | None,
-        source_json: dict | None,
-    ) -> str:
-        """The locked tail of registration (shared with ``restore()``).
-
-        Installs the payload in the registry, records the per-query
-        overrides (``options``: the explicitly given ``timeout`` /
-        ``max_tuples`` / ``max_result_bytes``, exactly as the manifest
-        journals them), and — with a manifest configured — journals the
-        registration atomically before returning.
-        """
-        with self._lock:
-            if self._closing:
-                raise ServiceClosedError("SpannerService is closed")
-            existing = self._registry.get(qid)
-            if existing is not None and existing != payload:
-                raise ValueError(
-                    f"query id {qid!r} already registered with a "
-                    "different artifact"
-                )
-            self._registry[qid] = payload
-            if "timeout" in options:
-                self._query_timeouts[qid] = options["timeout"]
-            if "max_tuples" in options or "max_result_bytes" in options:
-                self._query_caps[qid] = (
-                    options.get("max_tuples", _UNSET),
-                    options.get("max_result_bytes", _UNSET),
-                )
-            if self.manifest_path is not None:
-                self._manifest_entries[qid] = {
-                    "query_id": qid,
-                    "store_key": store_key,
-                    "payload_sha256": hashlib.sha256(payload).hexdigest(),
-                    "source": source_json,
-                    "options": dict(options),
-                }
-                self._write_manifest_locked()
-        return qid
-
-    # -- Durable state: source specs, the manifest, restore ------------------
-    @staticmethod
-    def _source_spec(query: object) -> tuple[str, object] | None:
-        """A restorable description of a compilable input, or ``None``.
-
-        Concrete syntax survives as itself; formula/automaton inputs as
-        their (deterministic, pure-data) pickle.  Precompiled inputs
-        return ``None`` — there is nothing cheaper than the artifact to
-        record, so the store entry is their only revival path.
-        """
-        if isinstance(query, str):
-            return ("syntax", query)
-        if isinstance(
-            query, (CompiledSpanner, CompiledEqualityQuery, AutomatonTables)
-        ):
-            return None
-        return (
-            "pickle",
-            pickle.dumps(query, protocol=pickle.HIGHEST_PROTOCOL),
-        )
-
-    @staticmethod
-    def _source_key(source: tuple[str, object]) -> str:
-        """The store key of a source spec: ``s`` + a sha256 prefix.
-
-        Keyed on the *source*, not the artifact, so a warm ``register``
-        can look up the compiled bytes before any compilation happens —
-        the whole point of the warm start.
-        """
-        kind, data = source
-        raw = data.encode("utf-8") if isinstance(data, str) else data
-        digest = hashlib.sha256(kind.encode("ascii") + b"\x00" + raw)
-        return "s" + digest.hexdigest()[:24]
-
-    @staticmethod
-    def _source_json(source: tuple[str, object] | None) -> dict | None:
-        if source is None:
-            return None
-        kind, data = source
-        if kind == "syntax":
-            return {"kind": "syntax", "data": data}
-        return {"kind": "pickle", "data": base64.b64encode(data).decode("ascii")}
-
-    @staticmethod
-    def _query_from_source(source_json: dict) -> object:
-        if source_json["kind"] == "syntax":
-            return source_json["data"]
-        return pickle.loads(base64.b64decode(source_json["data"]))
-
-    def _store_descriptor(self) -> dict | None:
-        """How to rebuild (or at least name) the configured store."""
-        store = self.artifact_store
-        if store is None:
-            return None
-        if isinstance(store, FileStore):
-            return {
-                "kind": "file",
-                "root": str(store.root),
-                "budget": store.budget,
-            }
-        if isinstance(store, MemoryStore):
-            return {"kind": "memory", "budget": store.budget}
-        return {"kind": "custom"}
-
-    @staticmethod
-    def _store_from_descriptor(desc: dict | None) -> "ArtifactStore | None":
-        if not desc:
-            return None
-        kind = desc.get("kind")
-        if kind == "file":
-            return FileStore(desc["root"], budget=desc.get("budget"))
-        if kind == "memory":
-            # A MemoryStore died with its driver; restoring builds an
-            # empty one and every query revives from source.
-            return MemoryStore(budget=desc.get("budget"))
-        return None  # custom stores cannot be rebuilt from a manifest
-
-    def _write_manifest_locked(self) -> None:
-        """Atomically rewrite the restart manifest (self._lock held).
-
-        The write is the same tmp + fsync + rename primitive the
-        ``FileStore`` uses, so a crash at any instant leaves the old
-        manifest or the new one — never a torn JSON document.
-        """
-        if self.manifest_path is None:
-            return
-        doc = {
-            "format": MANIFEST_FORMAT_VERSION,
-            "config": asdict(self.config),
-            "store": self._store_descriptor(),
-            "queries": [
-                self._manifest_entries[qid]
-                for qid in self._registry
-                if qid in self._manifest_entries
-            ],
-            "quarantined": {
-                qid: {"failures": b.failures}
-                for qid, b in self._breakers.items()
-                if b.opened_at is not None
-            },
-        }
-        atomic_write_bytes(
-            self.manifest_path, json.dumps(doc, indent=2).encode("utf-8")
-        )
-
-    def _flush_manifest(self) -> None:
-        """Write the manifest if quarantine state changed (collector tick).
-
-        Best-effort: a full disk must not take the fleet down with it —
-        queries keep serving and the next tick retries.
-        """
-        if self.manifest_path is None or not self._manifest_dirty:
-            return
-        try:
-            with self._lock:
-                if not self._manifest_dirty:
-                    return
-                self._manifest_dirty = False
-                self._write_manifest_locked()
-        except OSError:
-            with self._lock:
-                self._manifest_dirty = True
+    def _check_open(self) -> None:
+        """Refuse new work once :meth:`close` has begun."""
+        if self._closing:
+            raise ServiceClosedError("SpannerService is closed")
 
     @classmethod
     def restore(
@@ -1024,154 +652,37 @@ class SpannerService(ConfigAttributes):
 
         Raises :class:`~repro.errors.SpannerError` when the manifest is
         unreadable, from an unknown format version, records a config
-        :class:`ServiceConfig` rejects, or names a query
-        whose artifact is gone *and* that has no recompilable source.
+        :class:`ServiceConfig` rejects, is otherwise malformed (a
+        wrong shape, a bad source, out-of-range per-query options), or
+        names a query whose artifact is gone *and* that has no
+        recompilable source.
         """
         path = Path(manifest_path)
-        try:
-            doc = json.loads(path.read_text("utf-8"))
-        except (OSError, ValueError) as err:
-            raise SpannerError(
-                f"cannot restore fleet: unreadable manifest {path}: {err}"
-            ) from err
-        fmt = doc.get("format")
-        if fmt not in (1, MANIFEST_FORMAT_VERSION):
-            raise SpannerError(
-                f"manifest {path} is format {fmt!r}; this "
-                f"build speaks v{MANIFEST_FORMAT_VERSION}"
-            )
-        try:
-            recorded = dict(doc.get("config") or {})
-            if fmt == 1:
-                # v1 predates the backend seam: only the process fleet
-                # existed, so that is what the manifest implicitly
-                # records.
-                recorded.setdefault("backend", "process")
-            config = ServiceConfig(**recorded)
-        except (TypeError, ValueError) as err:
-            raise SpannerError(
-                f"manifest {path} records an invalid config: {err}"
-            ) from err
-        config = replace(config, **overrides)
-        if artifact_store is None:
-            artifact_store = cls._store_from_descriptor(doc.get("store"))
+        config, store, entries, quarantined = read_manifest(
+            path, artifact_store
+        )
         service = cls(
-            artifact_store=artifact_store,
+            artifact_store=store,
             manifest_path=path,
-            **asdict(config),
+            **asdict(replace(config, **overrides)),
         )
         try:
-            for entry in doc.get("queries") or ():
-                service._restore_entry(entry)
-            now = time.monotonic()
-            with service._lock:
-                for qid, rec in (doc.get("quarantined") or {}).items():
-                    if qid not in service._registry:
-                        continue
-                    breaker = _Breaker()
-                    breaker.failures = int(
-                        rec.get("failures", service.config.quarantine_after)
-                    )
-                    breaker.opened_at = now
-                    service._breakers[qid] = breaker
-                service._write_manifest_locked()
+            service._registry.restore(entries, quarantined)
         except BaseException:
             service.close(drain=False)
             raise
         return service
 
-    def _restore_entry(self, entry: dict) -> None:
-        """Re-register one journaled query: store-first, source-second."""
-        qid = entry.get("query_id")
-        if not isinstance(qid, str) or not qid:
-            raise SpannerError(f"manifest query entry without an id: {entry!r}")
-        recorded = entry.get("options") or {}
-        options = {k: recorded[k] for k in _QUERY_OPTIONS if k in recorded}
-        store = self.artifact_store
-        key = entry.get("store_key")
-        recorded_sha = entry.get("payload_sha256")
-        payload = None
-        if store is not None and key:
-            try:
-                payload = store.get(key)
-            except ArtifactCorruptError:
-                payload = None  # quarantined; fall back to the source
-            if (
-                payload is not None
-                and recorded_sha
-                and hashlib.sha256(payload).hexdigest() != recorded_sha
-            ):
-                # Internally consistent entry, but not the artifact the
-                # manifest promised (e.g. a source-key collision after
-                # an eviction/re-put cycle): not safe to revive.
-                payload = None
-        if payload is not None:
-            if self.config.max_compile_states is not None:
-                self._check_compile_states(
-                    pickle.loads(payload), f"restored query {qid!r}:"
-                )
-            self._commit_registration(
-                qid,
-                payload,
-                options,
-                store_key=key,
-                source_json=entry.get("source"),
-            )
-            return
-        source_json = entry.get("source")
-        if source_json is None:
-            raise SpannerError(
-                f"cannot restore query {qid!r}: artifact {key!r} is not in "
-                "the store and the manifest records no recompilable source"
-            )
-        self.register(
-            self._query_from_source(source_json), query_id=qid, **options
-        )
-
-    def _compile_payload(self, query: object) -> bytes:
-        """The pickled ship-to-workers artifact, under the compile deadline.
-
-        Without a ``compile_timeout`` (or for inputs that are already
-        compiled — nothing left to bound), compilation runs inline,
-        exactly the pre-governance path.  With one, a throwaway process
-        compiles and pickles the artifact while we poll its pipe under
-        the deadline; expiry kills the process and raises
-        :class:`~repro.errors.QueryRejectedError` — the driver thread
-        is never stuck inside an unbounded ``compile_regex``.
-        """
-        precompiled = isinstance(
-            query, (CompiledSpanner, CompiledEqualityQuery, AutomatonTables)
-        )
-        if self.config.compile_timeout is None or precompiled:
-            return pickle.dumps(
-                self._artifact_for(query), protocol=pickle.HIGHEST_PROTOCOL
-            )
-        # The bounded compile is process-lifecycle mechanism, so it
-        # lives with the process backend — and is used *whatever* the
-        # serving backend, since a throwaway process is the only
-        # compile-bounding primitive Python offers.
-        from .backends.process import compile_in_subprocess
-
-        def on_timeout() -> None:
-            with self._lock:
-                self._rejected += 1
-
-        return compile_in_subprocess(
-            query, self.config.compile_timeout, self.config.mp_context,
-            on_timeout=on_timeout,
-        )
-
     # -- Lifecycle ----------------------------------------------------------
     def start(self) -> "SpannerService":
         """Spawn the fleet (idempotent; called lazily by submission)."""
         with self._lock:
-            if self._closing:
-                raise ServiceClosedError("SpannerService is closed")
+            self._check_open()
             if self._started:
                 return self
             self._backend.start()
             for _ in range(self.config.workers):
-                self._spawn_worker()
+                self._workers.append(self._backend.spawn_worker())
             self._collector = threading.Thread(
                 target=self._collector_loop,
                 name="spanner-service-collector",
@@ -1218,16 +729,6 @@ class SpannerService(ConfigAttributes):
             started = self._started
         if drain and started and outstanding:
             wait(outstanding, timeout=timeout)
-        leftovers: list[_Task] = []
-        with self._lock:
-            for task in self._tasks.values():
-                task.done = True
-                leftovers.append(task)
-            self._tasks.clear()
-            self._backlog.clear()
-            for w in self._workers:
-                self._backend.stop_worker(w, graceful=drain)
-            self._workers.clear()
         # A drain that gave up (timeout expired with work unresolved)
         # FAILS the leftovers — a pending future after close() returns
         # would strand its caller forever.  A no-drain close cancels
@@ -1235,15 +736,17 @@ class SpannerService(ConfigAttributes):
         detail = (
             f" (drain timed out after {timeout}s)" if timeout is not None else ""
         )
-        leftover_exc = (
+        self._fail_outstanding(
             ServiceClosedError(
                 f"service closed before this task completed{detail}"
             )
             if drain
             else _CANCELLED
         )
-        for task in leftovers:
-            self._finish(task, leftover_exc, None)
+        with self._lock:
+            for w in self._workers:
+                self._backend.stop_worker(w, graceful=drain)
+            self._workers.clear()
         self._stop_event.set()
         if self._collector is not None:
             self._collector.join(timeout=budget(10))
@@ -1285,16 +788,15 @@ class SpannerService(ConfigAttributes):
         items = list(items)
         return self._submit_members(
             (query_id,), items, op, extra, max(len(items), 1),
-            timeout, max_tuples, max_result_bytes,
+            (timeout, max_tuples, max_result_bytes),
         )[0]
 
     def _check_known_locked(self, query_ids: Iterable[str]) -> None:
         """Refuse work on a closed service or for an unregistered id —
         whatever the batch size, empty included."""
-        if self._closing:
-            raise ServiceClosedError("SpannerService is closed")
+        self._check_open()
         for qid in query_ids:
-            if qid not in self._registry:
+            if qid not in self._registry.payloads:
                 raise KeyError(f"unknown query id {qid!r}")
 
     def _submit_members(
@@ -1304,15 +806,15 @@ class SpannerService(ConfigAttributes):
         op: str,
         extra: int | None,
         size: int,
-        timeout: float | None,
-        max_tuples: int | None,
-        max_result_bytes: int | None,
+        call: tuple,
     ) -> "list[Future]":
         """One task per ``size`` slice of ``items`` for ``members``;
         returns one batch future per member, its chunk results
         concatenated in submission order.
 
-        Admission, deadline and caps are resolved here once per batch.
+        Admission, deadline and caps (from the ``call``'s ``(timeout,
+        max_tuples, max_result_bytes)``) are resolved here once per
+        batch.
         A non-empty batch admits every member
         (:class:`~repro.errors.QueryQuarantinedError` while a breaker is
         open; past its cool-down this batch is the probe) — an empty one
@@ -1324,30 +826,27 @@ class SpannerService(ConfigAttributes):
         # Normalize QueryHandle (a str subclass) back to plain str so
         # the worker wire protocol never pickles the handle type.
         members = tuple(str(qid) for qid in members)
-        check_limits(timeout, max_tuples, max_result_bytes)
+        check_limits(*call)
         with self._lock:
             self._check_known_locked(members)
             for qid in members if items else ():
-                self._admit_locked(qid)
-            if timeout is _UNSET:
-                finite = [
-                    d
-                    for d in (
-                        self._query_timeouts.get(qid, self.config.task_timeout)
-                        for qid in members
-                    )
-                    if d is not None
-                ]
-                timeout = min(finite) if finite else None
-            caps = tuple(
-                self._resolve_caps_locked(qid, max_tuples, max_result_bytes)
-                for qid in members
-            )
+                self._breakers.admit(qid)
+            limits = [self._registry.limits(qid, call) for qid in members]
+        deadline = min(
+            (t for t, _, _ in limits if t is not None), default=None
+        )
+        # A member's cap is None when it is uncapped altogether.
+        caps = tuple(
+            None
+            if n is None and b is None
+            else (n, b, self.config.on_result_limit)
+            for _, n, b in limits
+        )
         if all(c is None for c in caps):
             caps = None
         chunks = [
             self._enqueue(
-                members, items[i : i + size], op, extra, timeout, caps
+                members, items[i : i + size], op, extra, deadline, caps
             )
             for i in range(0, len(items), size)
         ]
@@ -1373,8 +872,8 @@ class SpannerService(ConfigAttributes):
         (:meth:`_submit_members`).
         """
         self.start()
-        bounded = self._inflight_slots is not None
-        if bounded:
+        slots = self._inflight_slots  # each task holds one, if bounded
+        if slots is not None:
             self._acquire_slot()
         # Pack only after holding an in-flight slot: a submitter parked
         # on the backpressure bound must not pin a packed segment's
@@ -1382,77 +881,26 @@ class SpannerService(ConfigAttributes):
         wire = self._pack(items, op)
         with self._lock:
             if self._closing:
-                if bounded:
-                    self._inflight_slots.release()
+                if slots is not None:
+                    slots.release()
                 self._release_wire(wire)
                 raise ServiceClosedError("SpannerService is closed")
             task = _Task(
-                next(self._task_ids), members, op, wire, extra, bounded,
-                deadline, caps,
+                next(self._task_ids), members, op, wire, extra, deadline,
+                caps,
             )
             self._tasks[task.task_id] = task
-            self._dispatch_or_backlog(task)
+            worker = self._pick_worker()
+            if worker is None:
+                # Every worker is busy to its prefetch bound (or
+                # retiring/replacing); the collector hands backlogged
+                # tasks to workers as their in-flight chunks complete.
+                self._backlog.append(task)
+            else:
+                self._assign(worker, task)
         if self._backend.inline:
             self._drain_inline()
         return task.futures
-
-    def _resolve_caps_locked(
-        self,
-        query_id: str,
-        max_tuples: "int | None",
-        max_result_bytes: "int | None",
-    ) -> "tuple[int | None, int | None, str] | None":
-        """The effective per-document result cap for one chunk.
-
-        Per-call beats per-query beats the service default, per field;
-        an explicit ``None`` at a more specific level disables the
-        inherited cap.  ``None`` (no cap at all) keeps the worker on
-        the uncapped fast path.
-        """
-        q_tuples, q_bytes = self._query_caps.get(query_id, (_UNSET, _UNSET))
-        cfg = self.config
-        if max_tuples is _UNSET:
-            max_tuples = cfg.max_tuples if q_tuples is _UNSET else q_tuples
-        if max_result_bytes is _UNSET:
-            max_result_bytes = (
-                cfg.max_result_bytes if q_bytes is _UNSET else q_bytes
-            )
-        if max_tuples is None and max_result_bytes is None:
-            return None
-        return (max_tuples, max_result_bytes, cfg.on_result_limit)
-
-    def _quarantine_error_locked(
-        self, query_id: str
-    ) -> "QueryQuarantinedError | None":
-        """The error an admission of ``query_id`` would raise, or ``None``
-        when its breaker is closed or cooled down enough for a probe."""
-        breaker = self._breakers.get(query_id)
-        if breaker is None or breaker.opened_at is None:
-            return None
-        now = time.monotonic()
-        ready_at = breaker.opened_at + self.config.quarantine_cooldown
-        if breaker.probe_at is not None:
-            ready_at = max(
-                ready_at, breaker.probe_at + self.config.quarantine_cooldown
-            )
-        if now >= ready_at:
-            return None  # would admit (as the probe)
-        return QueryQuarantinedError(query_id, breaker.failures, ready_at - now)
-
-    def _admit_locked(self, query_id: str) -> None:
-        """Fail fast while ``query_id``'s breaker is open (lock held).
-
-        Once the cool-down has elapsed, admits exactly one *probe*
-        submission (half-open); further submissions keep failing until
-        the probe resolves — or until a full extra cool-down passes, in
-        case the probe itself was lost (shed, cancelled, closed away).
-        """
-        blocked = self._quarantine_error_locked(query_id)
-        if blocked is not None:
-            raise blocked
-        breaker = self._breakers.get(query_id)
-        if breaker is not None and breaker.opened_at is not None:
-            breaker.probe_at = time.monotonic()  # this submission is the probe
 
     def _acquire_slot(self) -> None:
         """One ``max_in_flight`` slot, by way of the overload policy."""
@@ -1482,7 +930,7 @@ class SpannerService(ConfigAttributes):
                         continue
                     candidate.done = True
                     self._tasks.pop(candidate.task_id, None)
-                    self._shed += 1
+                    self._counters["tasks_shed"] += 1
                     shed = candidate
                     break
             if shed is None:
@@ -1580,7 +1028,7 @@ class SpannerService(ConfigAttributes):
         return self._submit_members(
             (queries,), list(work), self._op_for(kind),
             cap if kind == "counts" else limit, self.config.chunk_size,
-            timeout, max_tuples, max_result_bytes,
+            (timeout, max_tuples, max_result_bytes),
         )[0]
 
     def submit_files(
@@ -1659,9 +1107,7 @@ class SpannerService(ConfigAttributes):
         extra = cap if kind == "counts" else limit
         with self._lock:
             self._check_known_locked(member_ids)
-            blocked = {
-                qid: self._quarantine_error_locked(qid) for qid in member_ids
-            }
+            blocked = {qid: self._breakers.blocked(qid) for qid in member_ids}
         out = {
             qid: _failed(err) for qid, err in blocked.items() if err is not None
         }
@@ -1675,7 +1121,7 @@ class SpannerService(ConfigAttributes):
             try:
                 futures = self._submit_members(
                     members, items, op, extra, self.config.chunk_size,
-                    timeout, max_tuples, max_result_bytes,
+                    (timeout, max_tuples, max_result_bytes),
                 )
             except QueryQuarantinedError as err:  # raced a breaker
                 futures = [_failed(err) for _ in members]
@@ -1778,11 +1224,6 @@ class SpannerService(ConfigAttributes):
         return await asyncio.gather(*aws)
 
     # -- Scheduling (driver internals; self._lock held throughout) ----------
-    def _spawn_worker(self) -> WorkerHandle:
-        handle = self._backend.spawn_worker()
-        self._workers.append(handle)
-        return handle
-
     def _pick_worker(self) -> WorkerHandle | None:
         eligible = [
             w
@@ -1792,19 +1233,7 @@ class SpannerService(ConfigAttributes):
             and len(w.in_flight) < MAX_WORKER_PREFETCH
             and w.alive()
         ]
-        if not eligible:
-            return None
-        return min(eligible, key=lambda w: len(w.in_flight))
-
-    def _dispatch_or_backlog(self, task: _Task) -> None:
-        worker = self._pick_worker()
-        if worker is None:
-            # Every worker is busy to its prefetch bound (or
-            # retiring/replacing); the collector hands backlogged tasks
-            # to workers as their in-flight chunks complete.
-            self._backlog.append(task)
-            return
-        self._assign(worker, task)
+        return min(eligible, key=lambda w: len(w.in_flight), default=None)
 
     def _shipment(self, worker: WorkerHandle, query_id: str) -> object:
         """``query_id``'s artifact for ``worker``, or ``None`` once shipped.
@@ -1818,7 +1247,7 @@ class SpannerService(ConfigAttributes):
             return None
         worker.shipped.add(query_id)
         return self._backend.prepare_payload(
-            query_id, self._registry[query_id]
+            query_id, self._registry.payloads[query_id]
         )
 
     def _assign(self, worker: WorkerHandle, task: _Task) -> None:
@@ -1864,48 +1293,39 @@ class SpannerService(ConfigAttributes):
             with self._lock:
                 for msg in msgs:
                     self._handle_result(msg, resolutions)
-                self._check_deadlines(resolutions)
-                self._check_memory(resolutions)
-                self._reap_crashed(resolutions)
+                self._watch_workers(resolutions)
                 self._recycle_retiring()
                 self._ensure_fleet()
                 self._drain_backlog()
                 self._backend.reap()
                 stopping = self._stop_event.is_set()
-            for task, exc, value in resolutions:
-                self._finish(task, exc, value)
-            self._flush_manifest()
+            for resolution in resolutions:
+                self._finish(*resolution)
+            self._registry.flush()
         except Exception as err:  # pragma: no cover - defensive
+            failure = RuntimeError(f"serving fleet scheduler failed: {err!r}")
             for task, _exc, _value in resolutions:
-                self._finish(
-                    task,
-                    RuntimeError(f"serving fleet scheduler failed: {err!r}"),
-                    None,
-                )
-            self._fail_all_outstanding(err)
+                self._finish(task, failure, None)
+            self._fail_outstanding(failure)
             return self._stop_event.is_set()
         return stopping
 
-    def _fail_all_outstanding(self, err: Exception) -> None:
-        """Resolve every unfinished future with ``err`` (never hang)."""
+    def _fail_outstanding(self, exc: BaseException) -> None:
+        """Resolve every unresolved task with ``exc`` (never hang)."""
         with self._lock:
-            stranded = [t for t in self._tasks.values() if not t.done]
+            stranded = list(self._tasks.values())  # none of them done
             for task in stranded:
                 task.done = True
             self._tasks.clear()
             self._backlog.clear()
         for task in stranded:
-            self._finish(
-                task,
-                RuntimeError(f"serving fleet scheduler failed: {err!r}"),
-                None,
-            )
+            self._finish(task, exc, None)
 
     def _drain_inline(self) -> None:
         """Resolve results an inline backend produced during dispatch.
 
         On the serial backend the result exists the moment
-        ``_dispatch_or_backlog`` returns; draining it here (on the
+        dispatch returns; draining it here (on the
         submitting thread) instead of waiting for the collector tick
         keeps a serial service's latency at bare-loop levels.
         """
@@ -1914,8 +1334,8 @@ class SpannerService(ConfigAttributes):
         with self._lock:
             for msg in msgs:
                 self._handle_result(msg, resolutions)
-        for task, exc, value in resolutions:
-            self._finish(task, exc, value)
+        for resolution in resolutions:
+            self._finish(*resolution)
 
     def _handle_result(self, msg, resolutions) -> None:
         kind, _worker_id, task_id, payload, truncated = msg
@@ -1936,19 +1356,20 @@ class SpannerService(ConfigAttributes):
             return
         self._tasks.pop(task_id, None)
         task.done = True
-        self._completed += 1
+        counters = self._counters
+        counters["tasks_completed"] += 1
         if kind == "done":
             # Only clean completions reset the breaker: ordinary task
             # exceptions say nothing fleet-level either way.
-            self._truncated_docs += truncated
+            counters["docs_truncated"] += truncated
             # Per-member outcomes: success clears a member's breaker,
             # while a member-scoped ordinary exception (an "err" slot)
             # charges nothing and counts a result-limit failure.
             for qid, slot in zip(task.members, payload):
                 if slot[0] == "ok":
-                    self._record_success_locked(qid)
+                    self._breakers.clear(qid)
                 elif isinstance(slot[1], ResultLimitError):
-                    self._result_limited += 1
+                    counters["tasks_result_limited"] += 1
             resolutions.append((task, None, payload))
         else:
             # Ordinary task-level worker exception: fails exactly this
@@ -1956,133 +1377,124 @@ class SpannerService(ConfigAttributes):
             # ResultLimitError, which indicts the input's output
             # volume, not the fleet.
             if isinstance(payload, ResultLimitError):
-                self._result_limited += 1
+                counters["tasks_result_limited"] += 1
             resolutions.append((task, payload, None))
 
-    def _check_deadlines(self, resolutions) -> None:
-        """Kill workers whose running task has outlived its deadline.
+    def _watch_workers(self, resolutions) -> None:
+        """The watchdogs — deadlines, memory, crashes — over one
+        heartbeat read per worker.
 
-        The heartbeat names the task a worker is executing and when it
-        started; a deadlined task older than its budget gets its worker
-        killed (SIGKILL — a genuinely hung process may ignore SIGTERM),
-        its future failed with :class:`TaskTimeoutError`, and its
-        query's breaker charged.  The task is NOT re-dispatched — see
-        the class docstring — but the worker's *prefetched* tasks never
-        started running, so those go back through the retry path like
-        crash orphans.  ``_ensure_fleet`` respawns the replacement on
-        this same collector pass, so detection-to-replacement is one
-        0.05s tick past the deadline.
+        *Deadlines.*  The heartbeat names the task a worker is
+        executing and when it started; a deadlined task older than its
+        budget gets its worker killed (SIGKILL — a genuinely hung
+        process may ignore SIGTERM), its future failed with
+        :class:`TaskTimeoutError`, and its blamed breakers charged.  The
+        task is NOT re-dispatched — see the module docstring — but the
+        worker's *prefetched* tasks never started running, so those go
+        back through the retry path like crash orphans.  The serial
+        backend's "worker" is the calling thread: there is nothing to
+        kill, so deadlines are not enforced there (documented as the
+        serial trade-off).
+
+        *Memory.*  Past ``worker_memory_limit`` (on the RSS sample a
+        worker stamps at task boundaries) the worker is marked retiring:
+        it finishes its in-flight tasks, gets no new ones, and is
+        replaced gracefully on a later pass — no tuple is ever lost to a
+        soft recycle.  Past ``worker_memory_hard_limit`` it is killed now
+        (it may never reach a task boundary) and its in-flight tasks
+        re-dispatch like crash orphans.  Only a process worker owns its
+        memory: thread and inline workers share the driver's address
+        space, so their heartbeat RSS is the whole process and the
+        limits would misfire.  A never-stamped heartbeat (rss 0.0) shows
+        no evidence either way.
+
+        *Crashes.*  A worker that died without being told to stop is
+        replaced and everything it was holding re-dispatched.
+
+        ``_ensure_fleet`` respawns every replacement on this same
+        collector pass, so detection-to-replacement is one 0.05s tick.
         """
-        if not self._backend.supports_kill:
-            # The serial backend's "worker" is the calling thread:
-            # there is nothing to kill, so deadlines are not enforced
-            # (documented as the serial trade-off).
-            return
-        now = time.monotonic()
-        for worker in list(self._workers):
-            if worker.stopped or not worker.alive():
-                continue
-            hb_task, hb_stamp, _hb_rss, hb_member = worker.read_heartbeat()
-            if hb_task < 0:
-                continue
-            task = worker.in_flight.get(hb_task)
-            if task is None or task.done or task.deadline is None:
-                continue
-            if now - hb_stamp <= task.deadline:
-                continue
-            self._workers.remove(worker)
-            # kill_worker marks the handle stopped, so _reap_crashed
-            # never double-counts this death as a crash.
-            self._backend.kill_worker(worker)
-            self._timeout_kills += 1
-            worker.in_flight.pop(task.task_id, None)
-            self._tasks.pop(task.task_id, None)
-            task.done = True
-            task.worker = None
-            self._timed_out += 1
-            if 0 <= hb_member < len(task.members):
-                # The heartbeat names the member being served when the
-                # deadline hit: only that member's breaker is charged
-                # (a hang before any member's stream is consumed — or
-                # in a one-member task, never stamped — stays -1 and
-                # charges every member).
-                task.indicted = task.members[hb_member]
-            self._charge_failure_locked(task)
-            indicted = (
-                f" while serving member {task.indicted!r}"
-                if task.indicted is not None
-                else ""
-            )
-            resolutions.append(
-                (
-                    task,
-                    TaskTimeoutError(
-                        f"task for query {task.label!r} exceeded its "
-                        f"{task.deadline}s deadline "
-                        f"(ran {now - hb_stamp:.2f}s){indicted}; worker "
-                        f"{worker.worker_id} killed"
-                    ),
-                    None,
-                )
-            )
-            self._orphan_worker_tasks(worker, resolutions)
-
-    def _check_memory(self, resolutions) -> None:
-        """The memory watchdog: drain bloated workers, kill ballooning ones.
-
-        Reads the RSS sample each worker stamps on its heartbeat at
-        task boundaries.  Past ``worker_memory_limit`` the worker is
-        marked retiring — it finishes its in-flight tasks, gets no new
-        ones, and ``_recycle_retiring``/``_ensure_fleet`` replace it
-        gracefully on a later pass: no tuple is ever lost to a soft
-        recycle.  Past ``worker_memory_hard_limit`` the worker is
-        killed now (it may never reach a task boundary) and its
-        in-flight tasks re-dispatch exactly like crash orphans.
-        A never-stamped heartbeat (rss 0.0) is skipped — a fresh idle
-        worker has shown no evidence either way.
-        """
+        backend = self._backend
         soft = self.config.worker_memory_limit
         hard = self.config.worker_memory_hard_limit
-        if soft is None and hard is None:
-            return
-        if self._backend.worker_model != "process":
-            # Thread and inline workers share the driver's address
-            # space: their heartbeat RSS is the whole process, so the
-            # per-worker limits would misfire.  The watchdog only
-            # means something where a worker owns its memory.
-            return
+        if backend.worker_model != "process":
+            soft = hard = None
+        now = time.monotonic()
         for worker in list(self._workers):
-            if worker.stopped or not worker.alive():
+            if worker.stopped:
                 continue
-            _hb_task, _hb_stamp, rss, _hb_member = worker.read_heartbeat()
-            if rss <= 0:
+            if not worker.alive():
+                self._lose_worker(
+                    worker, backend.release_worker, "workers_crashed",
+                    resolutions,
+                )
                 continue
-            if hard is not None and rss > hard:
-                self._workers.remove(worker)
-                # kill_worker marks the handle stopped (no crash
-                # double-count in _reap_crashed).
-                self._backend.kill_worker(worker)
-                self._memory_kills += 1
-                self._orphan_worker_tasks(worker, resolutions)
-                continue
-            if soft is not None and rss > soft and not worker.retiring:
+            hb_task, hb_stamp, rss, hb_member = worker.read_heartbeat()
+            task = worker.in_flight.get(hb_task)
+            if (
+                backend.supports_kill
+                and task is not None
+                and not task.done
+                and task.deadline is not None
+                and now - hb_stamp > task.deadline
+            ):
+                # Done now, so losing the worker below does not orphan
+                # it into a retry.
+                self._tasks.pop(task.task_id, None)
+                task.done = True
+                self._counters["tasks_timed_out"] += 1
+                if 0 <= hb_member < len(task.members):
+                    # The heartbeat names the member being served when
+                    # the deadline hit: only that member's breaker is
+                    # charged (a hang before any member's stream is
+                    # consumed — or in a one-member task, never stamped
+                    # — stays -1 and charges every member).
+                    task.indicted = task.members[hb_member]
+                self._breakers.charge(*task.blamed)
+                indicted = (
+                    f" while serving member {task.indicted!r}"
+                    if task.indicted is not None
+                    else ""
+                )
+                resolutions.append(
+                    (
+                        task,
+                        TaskTimeoutError(
+                            f"task for query {task.label!r} exceeded its "
+                            f"{task.deadline}s deadline "
+                            f"(ran {now - hb_stamp:.2f}s){indicted}; "
+                            f"worker {worker.worker_id} killed"
+                        ),
+                        None,
+                    )
+                )
+                self._lose_worker(
+                    worker, backend.kill_worker, "workers_killed_on_timeout",
+                    resolutions,
+                )
+            elif hard is not None and rss > hard:
+                self._lose_worker(
+                    worker, backend.kill_worker, "workers_killed_on_memory",
+                    resolutions,
+                )
+            elif soft is not None and rss > soft and not worker.retiring:
                 worker.retiring = True
                 worker.memory_flagged = True
-                self._memory_recycles += 1
+                self._counters["workers_recycled_on_memory"] += 1
 
-    def _reap_crashed(self, resolutions) -> None:
-        for worker in list(self._workers):
-            if worker.stopped or worker.alive():
-                continue
-            # Died without being told to stop: a crash.  Replace it and
-            # re-dispatch everything it was holding.
-            self._workers.remove(worker)
-            self._backend.release_worker(worker)
-            self._crashed += 1
-            self._orphan_worker_tasks(worker, resolutions)
+    def _lose_worker(
+        self, worker: WorkerHandle, end, counter: str, resolutions
+    ) -> None:
+        """Drop ``worker`` from the fleet, ``end`` it (the backend's
+        ``kill_worker`` or ``release_worker``), count it under
+        ``counter`` and route its in-flight tasks through retry/give-up.
 
-    def _orphan_worker_tasks(self, worker: WorkerHandle, resolutions) -> None:
-        """Route a dead worker's in-flight tasks through retry/give-up."""
+        ``kill_worker`` marks the handle stopped, so a killed worker is
+        never counted again as a crash.
+        """
+        self._workers.remove(worker)
+        end(worker)
+        self._counters[counter] += 1
         hb_task, _hb_stamp, _hb_rss, hb_member = worker.read_heartbeat()
         orphans = list(worker.in_flight.values())
         worker.in_flight.clear()
@@ -2118,71 +1530,22 @@ class SpannerService(ConfigAttributes):
         if task.attempts >= MAX_TASK_ATTEMPTS:
             task.done = True
             self._tasks.pop(task.task_id, None)
-            self._charge_failure_locked(task)
+            self._breakers.charge(*task.blamed)
             resolutions.append((task, give_up_exc, None))
             return
-        self._retried += 1
+        self._counters["tasks_retried"] += 1
         task.not_before = time.monotonic() + min(
             RETRY_BACKOFF_BASE * (2 ** (task.attempts - 1)),
             RETRY_BACKOFF_CAP,
         )
         self._backlog.append(task)
 
-    # -- Circuit breakers (self._lock held) -----------------------------------
-    def _charge_failure_locked(self, task: _Task) -> None:
-        """Charge a fleet-level failure to the right breaker(s).
-
-        The member the heartbeat indicted (the one being enumerated
-        when the worker was killed or died) is charged alone — the
-        other members were innocent bystanders sharing the task; an
-        unattributed failure (the per-document phase before any
-        member's stream is consumed, a one-member task, or a worker
-        that never stamped) charges every member, since each of them
-        asked for that document.
-        """
-        if task.indicted is not None:
-            self._record_failure_locked(task.indicted)
-        else:
-            for qid in task.members:
-                self._record_failure_locked(qid)
-
-    def _record_failure_locked(self, query_id: str) -> None:
-        """A fleet-level failure: deadline kill, lost workers, or
-        exhausted transient retries.  Ordinary worker exceptions (a bad
-        path in ``submit_files``, a decode error) do NOT land here —
-        they indict the input, not the fleet, and must never quarantine
-        a query other inputs are using fine.
-        """
-        breaker = self._breakers.setdefault(query_id, _Breaker())
-        breaker.failures += 1
-        now = time.monotonic()
-        if breaker.opened_at is not None:
-            # Open already (this was the probe, or a straggler): re-arm
-            # the cool-down from now.
-            breaker.opened_at = now
-            breaker.probe_at = None
-        elif breaker.failures >= self.config.quarantine_after:
-            breaker.opened_at = now
-        if breaker.opened_at is not None and self.manifest_path is not None:
-            self._manifest_dirty = True  # journaled at the next tick
-
-    def _record_success_locked(self, query_id: str) -> None:
-        # Consecutive-failure semantics: any clean completion (probe or
-        # otherwise) clears the query's whole failure history.
-        breaker = self._breakers.pop(query_id, None)
-        if (
-            breaker is not None
-            and breaker.opened_at is not None
-            and self.manifest_path is not None
-        ):
-            self._manifest_dirty = True  # a quarantine closed
-
     def _recycle_retiring(self) -> None:
         for worker in list(self._workers):
             if worker.retiring and not worker.stopped and not worker.in_flight:
                 self._backend.stop_worker(worker, graceful=True)
                 self._workers.remove(worker)
-                self._recycled += 1
+                self._counters["workers_recycled"] += 1
 
     def _ensure_fleet(self) -> None:
         """Keep the fleet at full strength (replaces crashed/recycled
@@ -2194,7 +1557,7 @@ class SpannerService(ConfigAttributes):
             return
         while len(self._workers) < self.config.workers:
             try:
-                self._spawn_worker()
+                self._workers.append(self._backend.spawn_worker())
             except Exception:
                 break  # retry on the next collector pass
 
@@ -2227,7 +1590,7 @@ class SpannerService(ConfigAttributes):
         # and is unlinked by the owner.  Runs before the cancelled
         # check below so an abandoned future can never pin a segment.
         self._release_wire(task.items)
-        if task.bounded and self._inflight_slots is not None:
+        if self._inflight_slots is not None:
             self._inflight_slots.release()
         # A task-level outcome (exc) resolves every member's future; a
         # result resolves each from its own slot: ("ok", per_doc, _) or
@@ -2275,20 +1638,15 @@ def _combine(chunk_futures: list[Future]) -> Future:
                 return
         out: list = []
         try:
-            for chunk in chunk_futures:
-                out.extend(chunk.result())
-        except BaseException as err:
-            if not aggregate.cancelled():
-                try:
-                    aggregate.set_exception(err)
-                except InvalidStateError:
-                    pass
-            return
-        if not aggregate.cancelled():
             try:
+                for chunk in chunk_futures:
+                    out.extend(chunk.result())
+            except BaseException as err:
+                aggregate.set_exception(err)
+            else:
                 aggregate.set_result(out)
-            except InvalidStateError:
-                pass
+        except InvalidStateError:  # the caller cancelled the aggregate
+            pass
 
     for chunk in chunk_futures:
         chunk.add_done_callback(on_done)

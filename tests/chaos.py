@@ -42,7 +42,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.errors import TransientTaskError
-from repro.runtime import SpannerService
+from repro.runtime import SpannerService, registry
 from repro.runtime.backends.serial import SerialWorkerHandle
 from repro.runtime.backends.worker import materialize_payload
 
@@ -348,15 +348,15 @@ class ChaosBackend:
 
     Everything not overridden here is the wrapped backend's own
     attribute, so the service sees the same name, capabilities and
-    workers.  ``registry`` is the service's query-id -> pickled
+    workers.  ``payloads`` is the service's query-id -> pickled
     artifact table, consulted when the faulted task's message carries
     no payload (its query was already shipped to that worker).
     """
 
-    def __init__(self, inner, plan: FaultPlan, registry: dict):
+    def __init__(self, inner, plan: FaultPlan, payloads: dict):
         self.inner = inner
         self.plan = plan
-        self._registry = registry
+        self._payloads = payloads
         self._inline = inner.worker_model != "process"
         self._done = 0
         if inner.worker_model == "thread":
@@ -392,7 +392,7 @@ class ChaosBackend:
             members, payload = list(members), list(payload)
             qid, shipment = members[m], payload[m]
             if shipment is None:
-                shipment = self.inner.prepare_payload(qid, self._registry[qid])
+                shipment = self.inner.prepare_payload(qid, self._payloads[qid])
             else:
                 # The real artifact rides inside the wrapper, so the
                 # worker does not hold it under its own id yet.
@@ -463,7 +463,7 @@ def damage_store(store, torn=(), corrupt=()) -> None:
 def chaos_service(plan: FaultPlan | None = None, **settings) -> SpannerService:
     """A :class:`SpannerService` (same keyword arguments) under ``plan``.
 
-    A ``slow_compile`` delay patches the class-wide compile step until
+    A ``slow_compile`` delay patches the module-wide compile step until
     the service is closed, and pins ``mp_context="fork"`` so a
     ``compile_timeout`` subprocess inherits the patch.
     """
@@ -471,7 +471,9 @@ def chaos_service(plan: FaultPlan | None = None, **settings) -> SpannerService:
     if plan.compile_delay is not None:
         settings.setdefault("mp_context", "fork")
     service = SpannerService(**settings)
-    service._backend = ChaosBackend(service._backend, plan, service._registry)
+    service._backend = ChaosBackend(
+        service._backend, plan, service._registry.payloads
+    )
     if plan.enospc_packs and service._doc_transport is not None:
         fail_packs(service._doc_transport, plan.enospc_packs)
     damaged = plan.store_torn_puts or plan.store_corrupt_puts
@@ -485,20 +487,19 @@ def chaos_service(plan: FaultPlan | None = None, **settings) -> SpannerService:
 
 
 def _slow_compiles(service: SpannerService, delay: float) -> None:
-    original = SpannerService.__dict__["_artifact_for"]
-    compile_artifact = original.__func__
+    original = registry.artifact_for
 
     def slow_artifact_for(query):
         time.sleep(delay)
-        return compile_artifact(query)
+        return original(query)
 
-    SpannerService._artifact_for = staticmethod(slow_artifact_for)
+    registry.artifact_for = slow_artifact_for
     close = service.close
 
     def close_and_restore(**kwargs) -> None:
         try:
             close(**kwargs)
         finally:
-            SpannerService._artifact_for = original
+            registry.artifact_for = original
 
     service.close = close_and_restore

@@ -131,7 +131,7 @@ class TestArtifactShippedOnce:
             qid = service.register(CompiledSpanner(WORD_FORMULA))
             service.submit(DOCS, queries=qid).result(timeout=120)
             assert service.workers_recycled > 0  # several worker lifetimes
-            payload = service._registry[str(qid)]
+            payload = service._registry.payloads[str(qid)]
             engine = inner.prepare_payload(str(qid), payload)
             assert inner.prepare_payload(str(qid), payload) is engine
             assert list(inner._engines) == [str(qid)]

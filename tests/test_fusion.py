@@ -249,7 +249,7 @@ class TestComposition:
         ) as svc:
             qids = _serve_solo_then_fused(svc)
             assert svc.queries == qids
-            assert set(svc._registry) == set(qids)
+            assert set(svc._registry.payloads) == set(qids)
             assert len(store.keys()) == 2
             assert store.stats()["puts"] == 2
 
@@ -455,15 +455,11 @@ class TestFusedFaults:
         ) as svc:
             q_word = svc.register(CompiledSpanner(WORD_FORMULA))
             q_digit = svc.register(CompiledSpanner(DIGIT_FORMULA))
-            # Open the digit breaker directly via the ledger: a fused
-            # batch with a poisoned member is exercised above; here we
-            # only need the filtered-submission behavior.
-            from repro.runtime.service import _Breaker
-
+            # Open the digit breaker directly: a fused batch with a
+            # poisoned member is exercised above; here we only need the
+            # filtered-submission behavior.
             with svc._lock:
-                breaker = svc._breakers.setdefault(str(q_digit), _Breaker())
-                breaker.failures = 1
-                breaker.opened_at = time.monotonic()
+                svc._breakers.charge(str(q_digit))
             out = svc.submit_all(DOCS)
             with pytest.raises(QueryQuarantinedError):
                 out[q_digit].result(timeout=120)

@@ -40,7 +40,13 @@ from repro.runtime.store import FileStore
 from repro.runtime.transport import shm_available
 
 from chaos import FaultPlan, chaos_service
-from test_service import DOCS, WORD_FORMULA, canonical, dev_shm_segments
+from test_service import (
+    DIGIT_FORMULA,
+    DOCS,
+    WORD_FORMULA,
+    canonical,
+    dev_shm_segments,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -201,7 +207,7 @@ class TestRestore:
             assert stats["hits"] == 1 and stats["puts"] == 0  # no recompile
             assert restored.workers == 2 and restored.chunk_size == 3
             # The per-query override came back through the manifest.
-            assert restored._query_caps[qid][0] == 10_000
+            assert restored._registry.limits(qid)[1] == 10_000
             out2 = restored.submit(DOCS, queries=qid).result()
         finally:
             restored.close()
@@ -272,9 +278,9 @@ class TestRestore:
         )
         qid = service.register(WORD_FORMULA)
         with service._lock:
-            service._record_failure_locked(qid)
-            service._record_failure_locked(qid)
-        service._flush_manifest()
+            service._breakers.charge(qid)
+            service._breakers.charge(qid)
+        service._registry.flush()
         assert qid in service.quarantined_queries
         service.close()
 
@@ -298,8 +304,8 @@ class TestRestore:
         )
         qid = service.register(WORD_FORMULA)
         with service._lock:
-            service._record_failure_locked(qid)
-        service._flush_manifest()
+            service._breakers.charge(qid)
+        service._registry.flush()
         service.reinstate(qid)  # writes the manifest immediately
         service.close()
         restored = SpannerService.restore(manifest)
@@ -339,6 +345,97 @@ class TestRestore:
         doc["config"].update(bad)
         manifest.write_text(json.dumps(doc))
         with pytest.raises(SpannerError, match="invalid config"):
+            SpannerService.restore(manifest)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc, entry: [doc],
+            lambda doc, entry: doc.update(queries=["not an object"]),
+            lambda doc, entry: doc.update(
+                quarantined={entry["query_id"]: {"failures": "x"}}
+            ),
+            lambda doc, entry: doc.update(
+                quarantined={entry["query_id"]: [1]}
+            ),
+            lambda doc, entry: entry.update(
+                store_key=None, source={"kind": "pickle", "data": "!!!"}
+            ),
+            lambda doc, entry: entry.update(
+                store_key=None, source={"data": WORD_FORMULA}
+            ),
+            lambda doc, entry: entry.update(options={"timeout": -5}),
+            lambda doc, entry: entry.update(options={"max_tuples": "many"}),
+        ],
+        ids=["top-level-list", "entry-not-object", "non-int-failures",
+             "quarantine-record-list", "bad-base64-source",
+             "source-without-kind", "negative-timeout",
+             "non-int-max-tuples"],
+    )
+    def test_malformed_manifest_rejected(self, tmp_path, corrupt):
+        """Whatever shape a damaged manifest has, restore() refuses it
+        with a SpannerError — never a stray AttributeError, KeyError,
+        ValueError or EOFError, and never a fleet that restores and
+        then fails every submit."""
+        manifest = tmp_path / "fleet.json"
+        service = SpannerService(
+            workers=1, backend="serial", manifest_path=manifest
+        )
+        service.register(WORD_FORMULA, query_id="words")
+        service.close()
+        doc = json.loads(manifest.read_text())
+        (entry,) = doc["queries"]
+        replaced = corrupt(doc, entry)
+        manifest.write_text(json.dumps(doc if replaced is None else replaced))
+        with pytest.raises(SpannerError):
+            SpannerService.restore(manifest)
+
+    def test_reregistration_keeps_journaled_limits(self, tmp_path):
+        """A re-registration overrides only the limits it names: the
+        fleet keeps enforcing the earlier ones, the manifest journals
+        the merged record, and restore() brings all of them back."""
+        manifest = tmp_path / "fleet.json"
+        service = SpannerService(
+            workers=1, backend="serial", manifest_path=manifest
+        )
+        first = service.register(WORD_FORMULA, timeout=5.0, max_tuples=10)
+        again = service.register(WORD_FORMULA)
+        assert again == first
+        assert (again.timeout, again.max_tuples) == (5.0, 10)
+        bumped = service.register(WORD_FORMULA, max_tuples=20)
+        assert (bumped.timeout, bumped.max_tuples) == (5.0, 20)
+        service.close()
+        (entry,) = json.loads(manifest.read_text())["queries"]
+        assert entry["options"] == {"timeout": 5.0, "max_tuples": 20}
+
+        restored = SpannerService.restore(manifest)
+        try:
+            handle = restored.register(WORD_FORMULA)
+            assert handle == first
+            assert (handle.timeout, handle.max_tuples) == (5.0, 20)
+        finally:
+            restored.close()
+
+    @pytest.mark.parametrize("bad_id", ["", 7])
+    def test_register_rejects_an_id_restore_would_refuse(self, tmp_path,
+                                                       bad_id):
+        """register() accepts exactly the ids restore() can revive: an
+        empty or non-string id is a ValueError up front, and the
+        manifest never records it."""
+        manifest = tmp_path / "fleet.json"
+        with SpannerService(
+            workers=1, backend="serial", manifest_path=manifest
+        ) as service:
+            with pytest.raises(ValueError, match="query_id"):
+                service.register(WORD_FORMULA, query_id=bad_id)
+            assert service.queries == ()
+            service.register(WORD_FORMULA, query_id="words")
+        doc = json.loads(manifest.read_text())
+        assert [q["query_id"] for q in doc["queries"]] == ["words"]
+        # ...and the restore side refuses the same ids.
+        doc["queries"][0]["query_id"] = bad_id
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(SpannerError, match="without an id"):
             SpannerService.restore(manifest)
 
     def test_manifest_from_an_earlier_build_restores(self, tmp_path):
@@ -399,6 +496,61 @@ class TestRestore:
         finally:
             restored.close()
         assert canonical(out2) == canonical(out1)
+
+
+# -- The journal itself ------------------------------------------------------
+
+
+def _journal_snapshot(manifest: Path) -> dict:
+    """The manifest minus what varies between runs: artifact digests
+    (a compiled artifact's pickle bytes differ per process) and paths."""
+    doc = json.loads(manifest.read_text())
+    doc["store"].pop("root", None)
+    for entry in doc["queries"]:
+        entry.pop("payload_sha256")
+    return doc
+
+
+def _record_journal(tmp_path: Path) -> list:
+    """The manifest after each step of a fixed registration sequence:
+    a syntax query with limits, a precompiled query with ``source=``, a
+    query whose breaker opens, then ``reinstate``."""
+    manifest = tmp_path / "fleet.json"
+    snapshots = []
+    with chaos_service(
+        workers=1, chunk_size=2, backend="serial", manifest_path=manifest,
+        quarantine_after=1, quarantine_cooldown=60.0,
+        plan=FaultPlan().crash(task=0),  # every attempt: the breaker opens
+    ) as service:
+        service.register(
+            DIGIT_FORMULA, query_id="logs", timeout=5.0, max_tuples=10
+        )
+        snapshots.append(_journal_snapshot(manifest))
+        service.register(
+            CompiledSpanner(WORD_FORMULA), query_id="words",
+            source=WORD_FORMULA,
+        )
+        snapshots.append(_journal_snapshot(manifest))
+        bad = service.register(".*b{[a-z]+}.*", query_id="bad")
+        with pytest.raises(RuntimeError, match="giving up"):
+            service.submit_chunk(bad, DOCS[:2]).result(timeout=120)
+        deadline = time.monotonic() + 30
+        while not _journal_snapshot(manifest)["quarantined"]:
+            assert time.monotonic() < deadline, "quarantine never journaled"
+            time.sleep(0.02)
+        snapshots.append(_journal_snapshot(manifest))
+        assert service.reinstate(bad) is True
+        snapshots.append(_journal_snapshot(manifest))
+    return snapshots
+
+
+def test_journal_matches_recorded_fixture(tmp_path):
+    """``fixtures/manifest_journal.json`` holds the manifests journaled
+    by :func:`_record_journal`; the serving layer must keep writing the
+    same keys, in the same order, with the same values."""
+    recorded = json.loads((FIXTURES / "manifest_journal.json").read_text())
+    journaled = _record_journal(tmp_path)
+    assert json.dumps(journaled, indent=2) == json.dumps(recorded, indent=2)
 
 
 # -- kill -9 mid-stream -------------------------------------------------------
