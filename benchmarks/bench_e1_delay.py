@@ -23,7 +23,18 @@ Series reproduced:
 * E1d: where a document's time goes on each path, per stage — the
   graph path's sweep, prune and walk against the state-set path's
   forward, live and walk passes — on the dense-logs shape and on the
-  serve-logs shape (three extractors over ~44-char log lines).
+  serve-logs shape (three extractors over ~44-char log lines), with
+  the walk's steps per document beside them;
+* E1e: walk steps track tuples, not ``|s|``: a dense document's tuple
+  count stays fixed while digit-free padding doubles, then quadruples,
+  ``|s|``.  Gated on the compiled path, whose walk jumps the silent
+  stretches of the all-``WAITING`` word and ends every word at its
+  all-``CLOSED`` letter (steps may grow < 10%); the cold path steps
+  the padding level by level and is reported for contrast.
+
+A walk *step* is one children lookup (a memo read or a ``children()``
+call) or one jump.  :class:`CountingLevels` counts them from outside
+the walk, by wrapping its level source.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ import statistics
 from time import perf_counter_ns
 
 from repro.enumeration import SpannerEvaluator, graph_tuples, measure_delays
-from repro.enumeration.enumerator import walk_tuples
+from repro.enumeration.enumerator import GraphLevels, walk_tuples
 from repro.enumeration.graph import EvaluationGraph, sweep_evaluation_graph
 from repro.enumeration.instrumentation import measure_generator_delays
 from repro.enumeration.statesets import StateSetLevels
@@ -89,6 +100,64 @@ def dense_delay_rows(
                 best = row
         rows.append(best)
     return rows
+
+
+class _CountingMemo:
+    __slots__ = ("levels", "memo")
+
+    def __init__(self, levels: "CountingLevels", memo: dict):
+        self.levels = levels
+        self.memo = memo
+
+    def get(self, states):
+        self.levels.steps += 1
+        return self.memo.get(states)
+
+
+class CountingLevels:
+    """A level source that counts the walk's steps on the one it wraps.
+
+    Every children-memo read, ``children()`` call and jump the walk asks
+    of the wrapped source adds one to :attr:`steps`.
+    """
+
+    def __init__(self, source):
+        self.source = source
+        self.steps = 0
+        self.root = source.root
+        self.n_slots = source.n_slots
+        self.variables = source.variables
+        self.is_empty = source.is_empty
+
+    def children_memos(self) -> list[_CountingMemo]:
+        return [
+            _CountingMemo(self, memo) for memo in self.source.children_memos()
+        ]
+
+    def children(self, states, level: int):
+        self.steps += 1
+        return self.source.children(states, level)
+
+    def jumps(self):
+        jumps = self.source.jumps()
+        self.steps += len(jumps)
+        return jumps
+
+
+def walk_steps(levels) -> tuple[int, int]:
+    """``(steps, tuples)`` of one full walk over ``levels``."""
+    counting = CountingLevels(levels)
+    tuples = sum(1 for _ in walk_tuples(counting))
+    return counting.steps, tuples
+
+
+def graph_levels(spanner: CompiledSpanner, s: str) -> GraphLevels:
+    """The cold path's level source: the pruned ``A_G`` of ``s``."""
+    leveled = sweep_evaluation_graph(spanner.tables, s)
+    leveled.prune()
+    return GraphLevels(
+        EvaluationGraph(leveled, spanner.tables.variables, len(s) + 1)
+    )
 
 
 def run() -> list[Table]:
@@ -157,7 +226,9 @@ def run() -> list[Table]:
             "(claim: amortized delay independent of |s| => ~0; gate < 0.5)"
         )
 
-    return [sweep_n_string, sweep_states, dense, stage_table()]
+    return [
+        sweep_n_string, sweep_states, dense, stage_table(), padding_table()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +282,22 @@ def _state_set_stages(spanner: CompiledSpanner, s: str) -> tuple[int, int, int, 
     return t1 - t0, t2 - t1, perf_counter_ns() - t2, n
 
 
-def stage_rows() -> list[tuple[str, str, float, float, float, float]]:
-    """``(shape, path, stage 1, stage 2, walk, total)`` in ms per document.
+#: E1d's level source per path, for counting walk steps.
+STAGE_LEVELS = {
+    "graph": graph_levels,
+    "state sets": lambda spanner, s: StateSetLevels(spanner.tables, s),
+}
 
-    A document's time is summed over the shape's spanners.  Every
-    document runs once untimed first, so the state-set memos are warm
-    (the steady state of a stream); each path keeps its best of
-    :data:`STAGE_REPEATS` passes.
+
+def stage_rows() -> list[tuple[str, str, float, float, float, float, float]]:
+    """``(shape, path, stage 1, stage 2, walk, total, walk steps)`` per
+    document, times in ms.
+
+    A document's time and steps are summed over the shape's spanners.
+    Every document runs once untimed first, so the state-set memos are
+    warm (the steady state of a stream); each path keeps its best of
+    :data:`STAGE_REPEATS` passes.  Steps come from a separate, untimed
+    walk through :class:`CountingLevels`.
     """
     rows = []
     for shape, spanners, docs in stage_shapes():
@@ -228,6 +308,11 @@ def stage_rows() -> list[tuple[str, str, float, float, float, float]]:
         for path, stages in (
             ("graph", _graph_stages), ("state sets", _state_set_stages)
         ):
+            steps = sum(
+                walk_steps(STAGE_LEVELS[path](spanner, s))[0]
+                for spanner in spanners
+                for s in docs
+            )
             best = None
             for _ in range(STAGE_REPEATS):
                 totals = [0, 0, 0]
@@ -241,7 +326,7 @@ def stage_rows() -> list[tuple[str, str, float, float, float, float]]:
                     best = totals
             counts[path] = tuples
             ms = [ns / 1e6 / len(docs) for ns in best]
-            rows.append((shape, path, *ms, sum(ms)))
+            rows.append((shape, path, *ms, sum(ms), steps / len(docs)))
         if counts["graph"] != counts["state sets"]:
             raise AssertionError(f"E1d {shape}: the paths disagree on tuples")
     return rows
@@ -251,7 +336,7 @@ def stage_table() -> Table:
     table = Table(
         "E1d  per-document stage times: graph path vs state-set path",
         ["shape", "path", "sweep|forward (ms)", "prune|live (ms)",
-         "walk (ms)", "total (ms)"],
+         "walk (ms)", "total (ms)", "walk steps / doc"],
     )
     rows = stage_rows()
     for row in rows:
@@ -270,6 +355,74 @@ def stage_table() -> Table:
         "includes filling the per-document children memo); state-set "
         "path: forward, live, walk over the memos CompiledSpanner runs"
     )
+    table.note(
+        "walk steps: children lookups (memo reads or children() calls) "
+        "plus jumps, counted by CountingLevels in an untimed walk; the "
+        "state-set walk jumps the all-WAITING word's silent stretches, "
+        "the graph walk steps them"
+    )
+    return table
+
+
+# ---------------------------------------------------------------------------
+# E1e: walk steps at a fixed tuple count as |s| grows
+# ---------------------------------------------------------------------------
+
+#: E1e: how many times |s| the padded documents are.
+PADDING_FACTORS = (1, 2, 4)
+#: Digit-free filler: ``.*x{[0-9]+}.*`` fires no marker on it.
+PADDING = "idle ok; "
+
+
+def padded_document(factor: int) -> str:
+    """A dense-logs document grown about ``factor``-fold with padding.
+
+    The digit-free padding goes before the first line, between lines
+    and after the last, in equal shares, so the tuple count stays fixed.
+    """
+    lines = log_lines(20, seed=0).split("\n")
+    share = (factor - 1) * len("\n".join(lines)) // (len(lines) + 1)
+    filler = (PADDING * (share // len(PADDING) + 1))[:share]
+    return "\n".join(filler + line for line in lines) + filler
+
+
+def padding_rows() -> list[tuple[str, int, int, int, int]]:
+    """``(path, factor, |s|, tuples, walk steps)`` per E1e document.
+
+    One spanner serves every document, and each is walked once before
+    it is counted, so the state-set memos are warm.
+    """
+    spanner = CompiledSpanner(DENSE_PATTERN)
+    rows = []
+    for path, levels in STAGE_LEVELS.items():
+        for factor in PADDING_FACTORS:
+            s = padded_document(factor)
+            list(spanner.stream(s))
+            steps, tuples = walk_steps(levels(spanner, s))
+            rows.append((path, factor, len(s), tuples, steps))
+    return rows
+
+
+def padding_growth(rows, path: str) -> float:
+    """Walk steps at the largest factor over those at factor 1."""
+    steps = [row[4] for row in rows if row[0] == path]
+    return steps[-1] / steps[0]
+
+
+def padding_table() -> Table:
+    table = Table(
+        "E1e  walk steps vs |s| at a fixed tuple count (digit-free padding)",
+        ["path", "|s| factor", "|s|", "answers", "walk steps"],
+    )
+    rows = padding_rows()
+    for row in rows:
+        table.add(*row)
+    for path in STAGE_LEVELS:
+        table.note(
+            f"{path}: walk steps x{padding_growth(rows, path):.2f} from "
+            f"|s| x1 to x{PADDING_FACTORS[-1]} (gate on state sets: "
+            "< 1.10)"
+        )
     return table
 
 
@@ -313,6 +466,18 @@ def test_e1c_dense_delay_flat():
     assert all(answers > 1 for _length, answers, _p50, _mean in rows)
     slope = fit_loglog_slope([row[0] for row in rows], [row[2] for row in rows])
     assert slope < 0.5, f"p50 delay slope {slope:.2f} vs |s| is not flat"
+
+
+def test_e1e_walk_steps_track_tuples():
+    """E1e gate: padding |s| x2 and x4 grows compiled walk steps < 10%."""
+    rows = [row for row in padding_rows() if row[0] == "state sets"]
+    assert len({row[3] for row in rows}) == 1, "padding changed the tuples"
+    assert rows[-1][2] >= 3.5 * rows[0][2], "padding did not grow |s|"
+    for _path, factor, _length, _tuples, steps in rows[1:]:
+        growth = steps / rows[0][4]
+        assert growth < 1.10, (
+            f"walk steps x{growth:.2f} at |s| x{factor}: not tracking tuples"
+        )
 
 
 def test_e1c_compiled_dense_delay_flat():

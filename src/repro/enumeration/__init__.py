@@ -3,12 +3,16 @@
 The pipeline walks the determinized evaluation NFA ``A_G`` over the
 variable-configuration alphabet in radix order, forced stretches
 collapsed, decoding each word from the slots where its configuration
-changes (:func:`.enumerator.walk_tuples`).  The walk reads one of three
-level sources: the leveled graph ``G`` / pruned ``A_G`` itself
-(:mod:`.graph`; the cold ``SpannerEvaluator``), memoized
-automaton-state sets that need no per-document graph (:mod:`.statesets`;
-evaluators over shared tables, i.e. ``CompiledSpanner`` and fused
-serving), or an equality query's fused product
+changes (:func:`.enumerator.walk_tuples`).  A word ends at its
+all-``CLOSED`` letter, and on the state-set source the all-``WAITING``
+word jumps between the levels where a marker can fire, so there the
+walk no longer steps the stretches before a word's first marker or
+after its last.  The walk reads one of three level sources: the
+leveled graph ``G`` / pruned ``A_G`` itself (:mod:`.graph`; the cold
+``SpannerEvaluator``), memoized automaton-state sets that need no
+per-document graph (:mod:`.statesets`; evaluators over shared tables,
+i.e. ``CompiledSpanner`` and fused serving), or an equality query's
+fused product
 (:class:`repro.runtime.equality.EqualityLevels`).  The paper's
 state-stack algorithm (:class:`repro.automata.leveled.RadixEnumerator`) plus
 :func:`decode_configuration_word` is the reference that walk matches.

@@ -14,12 +14,18 @@ automaton-state sets instead
 equality query's evaluator walks the levels of its fused product
 (:class:`~repro.runtime.equality.EqualityLevels`); neither builds a
 graph.  :func:`count_tuples` counts over any source.  The walk's
-worst-case delay is the theorem's ``O(n^2 |s|)``, but its amortized
-delay does not grow with ``|s|``: each determinized state set is
-stepped once per document, and on top of that a tuple
-costs work bounded by the automaton (``n`` states, ``|V|``
-variables), because a word is carried as the at most ``2|V| + 1``
-slots where its letter changes.  The paper's Algorithms 1–3
+worst-case delay is the theorem's ``O(n^2 |s|)``.  A word is carried
+as the at most ``2|V| + 1`` slots where its letter changes, and it
+ends at its all-``CLOSED`` letter, since no letter can change after
+it.  On the state-set source the word whose letters are all
+``WAITING`` jumps from one level where a marker can fire to the next,
+using the live pass's record of those levels.  Past the forward and
+live passes, a document on that source then pays only for the levels
+where some variable is open on the word being walked, plus work
+proportional to its tuples times ``|V|``: with short captures,
+nothing grows with ``|s|`` (benchmark E1e).  The graph and equality
+sources step the all-``WAITING`` word level by level.  The paper's
+Algorithms 1–3
 (:class:`~repro.automata.leveled.RadixEnumerator` plus
 :func:`decode_configuration_word`) remain the reference the walk is
 tested against, and serve :meth:`SpannerEvaluator.configuration_words`.
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Sequence
 
-from ..spans import Span, SpanTuple
+from ..spans import Span, SpanTuple, _span, _span_tuple
 from ..automata.leveled import LeveledNFA, RadixEnumerator
 from ..runtime.tables import AutomatonTables
 from ..vset.automaton import VSetAutomaton
@@ -82,12 +88,16 @@ def decode_configuration_word(
 #
 # The walk runs over a *level source*: an object with ``root`` (the set at
 # level 0), ``n_slots`` (levels below the root, ``N + 1``), ``variables``,
-# ``is_empty``, ``children_memos()`` and ``children(states, level)``.  The
-# children of a set are its ``(letter, successor set)`` pairs in ascending
-# letter order; ``children_memos()`` returns one dict per level holding
-# the children known so far, which the walk reads inline, and
-# ``children(states, level)`` computes, memoizes and returns the children
-# of a set missing there.  Three sources exist: the pruned ``A_G``
+# ``is_empty``, ``children_memos()``, ``children(states, level)`` and
+# ``jumps()``.  The children of a set are its ``(letter, successor set)``
+# pairs in ascending letter order; ``children_memos()`` returns one dict
+# per level holding the children known so far, which the walk reads
+# inline, and ``children(states, level)`` computes, memoizes and returns
+# the children of a set missing there.  ``jumps()`` lists the silent
+# stretches of the all-``WAITING`` word as ``(level, set, end level, end
+# set)``: each level from ``level`` up to ``end level`` has one child,
+# with the all-``WAITING`` letter (none for a source that steps them).
+# Three sources exist: the pruned ``A_G``
 # (:class:`GraphLevels`, whose sets are sorted tuples of graph nodes),
 # :class:`~repro.enumeration.statesets.StateSetLevels` (whose sets are
 # interned automaton-state sets) and
@@ -156,6 +166,9 @@ class GraphLevels:
         found = self._memo[states] = _children(self.out_edges, states)
         return found
 
+    def jumps(self) -> tuple:
+        return ()
+
 
 def _walk(
     children,
@@ -165,6 +178,7 @@ def _walk(
     level: int,
     last_level: int,
     kids: tuple,
+    closed: tuple[int, ...],
 ) -> None:
     """Memoize the forced stretch that starts at ``(level, states)``.
 
@@ -172,9 +186,11 @@ def _walk(
 
     A set with one outgoing letter is *forced*; one with several is a
     *branch*.  The walk follows forced sets until it reaches a branch,
-    the last level, or a set an earlier walk already covered (whose
+    the last level, a set an earlier walk already covered (whose
     stretch it then joins, copying that stretch's events from the join
-    point on).  Every forced set it passes maps in ``chains[level]`` to
+    point on), or the all-``CLOSED`` letter ``closed``, after which the
+    letter cannot change: the stretch then ends at the last level.
+    Every forced set it passes maps in ``chains[level]`` to
     ``(stretch, index)``: ``stretch`` is the shared ``[events, end set,
     end level]`` record and ``events[index - 1]`` the letter run that
     set's slot belongs to.
@@ -207,6 +223,10 @@ def _walk(
         if letter != previous:
             events.append((level, letter))
             previous = letter
+            if letter == closed:
+                chains[level][states] = (stretch, len(events))
+                states, level = successor, last_level
+                break
         chains[level][states] = (stretch, len(events))
         states = successor
         level += 1
@@ -222,6 +242,8 @@ def _decode_events(
 
     A variable's span starts and ends at slots where its state changes,
     and every such slot is an event, so scanning the events suffices.
+    ``names`` ascend, so the pairs go straight into a
+    :class:`SpanTuple`, with no re-sort.
     """
     spans = []
     for j, name in enumerate(names):
@@ -232,13 +254,13 @@ def _decode_events(
                 if not start:
                     start = slot + 1
                 if state == CLOSED:
-                    spans.append((name, Span(start, slot + 1)))
+                    spans.append((name, _span(start, slot + 1)))
                     break
         else:
             raise ValueError(
                 f"configuration word never closes variable {name!r}"
             )
-    return SpanTuple(spans)
+    return _span_tuple(tuple(spans))
 
 
 def walk_tuples(source) -> Iterator[SpanTuple]:
@@ -250,16 +272,31 @@ def walk_tuples(source) -> Iterator[SpanTuple]:
     for tuple.  The per-level ``chains`` memo (filled by :func:`_walk`,
     dying with the generator) jumps a forced stretch in one step, and
     the source's per-level children memos hold each set's children, so
-    each determinized
-    ``(level, S)`` costs its ``O(n^2)`` step at most once per document —
-    and on the state-set source, at most once per memo across documents.
-    Collapsing forced stretches leaves a tree whose inner nodes all
-    branch, so it has fewer inner nodes than leaves.  Beyond stepping
-    each distinct ``(level, S)`` once, a tuple therefore costs work
-    bounded by ``n`` and ``|V|``, independent of ``|s|``, and on
+    each determinized ``(level, S)`` costs its ``O(n^2)`` step at most
+    once per document — and on the state-set source, at most once per
+    memo across documents.
+
+    Two rules skip levels where no letter can change.  Configurations
+    only advance ``w -> o -> c`` and every set the walk visits is live,
+    so once a word's latest letter is all-``CLOSED`` the word is
+    complete: the walk yields it without stepping the remaining levels
+    (a Boolean head's ``()`` letter yields after its first event).  And
+    the source's :meth:`jumps` seed ``chains`` with the silent
+    stretches of the all-``WAITING`` word, so the walk lands on the next
+    level where a marker can fire in one step.  Only the state-set
+    source has jumps; the graph and equality sources return none.
+
+    A tuple therefore costs its branches, which all change a letter,
+    plus its at most ``2|V| + 1`` events and their decode.  Collapsing
+    forced stretches leaves a tree whose inner nodes all branch, so it
+    has fewer inner nodes than leaves.  On the state-set source the
+    only stretches still stepped level by level are those where some
+    variable is open, each ``(level, S)`` once per document; with short
+    captures a document costs its forward and live passes plus work
+    proportional to tuples times ``|V|`` (benchmark E1e), and on
     tuple-dense documents the amortized delay is flat in ``|s|``
-    (benchmark E1c).  A single gap can still step a fresh stretch of
-    ``O(|s|)`` levels, so the worst-case delay stays Theorem 3.3's
+    (benchmark E1c).  A single gap can still step a fresh open stretch
+    of ``O(|s|)`` levels, so the worst-case delay stays Theorem 3.3's
     ``O(n^2 |s|)``.
     """
     if source.is_empty:
@@ -268,7 +305,13 @@ def walk_tuples(source) -> Iterator[SpanTuple]:
     children = source.children
     memos = source.children_memos()
     names = tuple(sorted(source.variables))
+    closed = (CLOSED,) * len(names)
     chains: list[dict] = [{} for _ in range(last_level)]
+    # A jump is a one-event stretch: the all-WAITING letter, unchanged
+    # from ``level`` up to ``end_level``.
+    waiting = (WAITING,) * len(names)
+    for level, start, end_level, end in source.jumps():
+        chains[level][start] = ([[(level, waiting)], end, end_level], 1)
     events: list[tuple[int, tuple[int, ...]]] = []
     # Frames of the branches on the current path:
     # [children, next child to try, len(events) at the branch, level].
@@ -284,7 +327,10 @@ def walk_tuples(source) -> Iterator[SpanTuple]:
                 if kids is None:
                     kids = children(states, level)
                 if len(kids) == 1:
-                    _walk(children, memos, chains, states, level, last_level, kids)
+                    _walk(
+                        children, memos, chains, states, level, last_level,
+                        kids, closed,
+                    )
                     continue
                 if not kids:
                     raise AssertionError(
@@ -292,9 +338,11 @@ def walk_tuples(source) -> Iterator[SpanTuple]:
                     )
                 frames.append([kids, 1, len(events), level])
                 letter, states = kids[0]
-                if not events or events[-1][1] != letter:
-                    events.append((level, letter))
                 level += 1
+                if not events or events[-1][1] != letter:
+                    events.append((level - 1, letter))
+                    if letter == closed:
+                        break
                 continue
             stretch, index = entry
             run = stretch[0]
@@ -313,9 +361,11 @@ def walk_tuples(source) -> Iterator[SpanTuple]:
                 frame[1] = i + 1
                 del events[n_events:]
                 letter, states = kids[i]
-                if not events or events[-1][1] != letter:
-                    events.append((level, letter))
                 level += 1
+                if not events or events[-1][1] != letter:
+                    events.append((level - 1, letter))
+                    if letter == closed:
+                        level = last_level
                 break
             frames.pop()
         else:
@@ -327,11 +377,15 @@ def count_tuples(source, cap: int | None = None) -> int:
 
     Words, not paths, as :meth:`LeveledNFA.count_words` counts them,
     with the same ``cap`` contract: the result is ``min(count, cap)``.
+    A path whose letter turns all-``CLOSED`` continues as exactly one
+    word, so it joins a running total and leaves the frontier.
     """
     if source.is_empty:
         return 0
     children = source.children
     memos = source.children_memos()
+    closed = (CLOSED,) * len(source.variables)
+    done = 0
     frontier = {source.root: 1}
     for level in range(source.n_slots):
         memo = memos[level]
@@ -340,12 +394,17 @@ def count_tuples(source, cap: int | None = None) -> int:
             kids = memo.get(states)
             if kids is None:
                 kids = children(states, level)
-            for _letter, successor in kids:
-                nxt[successor] = nxt.get(successor, 0) + paths
+            for letter, successor in kids:
+                if letter == closed:
+                    done += paths
+                else:
+                    nxt[successor] = nxt.get(successor, 0) + paths
         frontier = nxt
-        if cap is not None and sum(frontier.values()) >= cap:
+        if cap is not None and done + sum(frontier.values()) >= cap:
             return cap
-    return sum(frontier.values())
+        if not frontier:
+            break
+    return done + sum(frontier.values())
 
 
 def graph_tuples(graph: EvaluationGraph) -> Iterator[SpanTuple]:

@@ -11,12 +11,16 @@ evaluates one document against the document-independent memos of
 
 * the forward pass ``(S, σ) → S'`` replaces the evaluation-graph sweep;
 * the backward live pass ``(S, σ, live') → live`` replaces
-  :meth:`~repro.automata.leveled.LeveledNFA.prune`;
+  :meth:`~repro.automata.leveled.LeveledNFA.prune`, and also records
+  the levels where the all-``WAITING`` part of ``live`` can fire a
+  marker, so the walk jumps the stretches between them
+  (:meth:`StateSetLevels.jumps`);
 * the walk's children ``(T, σ, live') → ((letter, T'), ...)`` replace
   the scan of ``A_G`` out-edges.
 
 Per document this costs a few dict reads per level once the memos are
-warm, instead of building ``O(N n)`` nodes and ``O(N n^2)`` edges.  The
+warm, instead of building ``O(N n)`` nodes and ``O(N n^2)`` edges; the
+walk then skips the levels where no letter can change.  The
 memos only pay off when the tables serve many documents, so
 :class:`~repro.enumeration.enumerator.SpannerEvaluator` takes this path
 exactly when its caller passes tables it already holds (a
@@ -25,6 +29,8 @@ exactly when its caller passes tables it already holds (a
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from ..runtime.tables import ROOT_STEP, AutomatonTables, StepContext
 
@@ -35,9 +41,9 @@ class StateSetLevels:
     """One document's levels over its tables' shared state-set memo.
 
     A level source for the walk: ``root``, ``n_slots`` (``|s| + 1``),
-    ``variables``, ``is_empty``, :meth:`children_memos` and
-    :meth:`children`.  Construction runs the forward pass; the backward
-    pass (:meth:`live_pass`) runs when the walk or
+    ``variables``, ``is_empty``, :meth:`children_memos`,
+    :meth:`children` and :meth:`jumps`.  Construction runs the forward
+    pass; the backward pass (:meth:`live_pass`) runs when the walk or
     :func:`~repro.enumeration.enumerator.count_tuples` first needs
     children, so :attr:`is_empty` costs the forward pass alone
     (the final state is in the last forward set).
@@ -56,6 +62,7 @@ class StateSetLevels:
         "is_empty",
         "forward",
         "_contexts",
+        "_jumps",
     )
 
     def __init__(self, tables: AutomatonTables, s: str):
@@ -63,6 +70,7 @@ class StateSetLevels:
         self.n_slots = len(s) + 1
         self.variables = tables.variables
         self._contexts: list[StepContext] | None = None
+        self._jumps: list[tuple[int, int, int, int]] = []
         if tables.is_empty:
             self.memo = None
             self.root = 0
@@ -96,7 +104,9 @@ class StateSetLevels:
 
         Level ``i``'s context pairs the character it reads with the live
         set of level ``i + 1``; its ``live`` memo yields level ``i``'s
-        live set in turn.  Runs once; later calls return the result.
+        live set in turn, with that set's all-``WAITING`` part and
+        whether the part fires (see :meth:`jumps`).  Runs once; later
+        calls return the result.
         """
         if self._contexts is not None:
             return self._contexts
@@ -105,22 +115,54 @@ class StateSetLevels:
         forward = self.forward
         text = self.text
         contexts: list[StepContext] = [None] * self.n_slots  # type: ignore[list-item]
+        jumps: list[tuple[int, int, int, int]] = []
+        # The nearest firing level above (0: none yet), its part, and
+        # the part one level up.
+        fire_level = 0
+        fire_part = above = memo.empty
         target = memo.accept
-        for level in range(len(text), 0, -1):
-            ch = text[level - 1]
+        # Level i > 0 reads text[i - 1]; the root reads ROOT_STEP.
+        for level, ch in zip(
+            range(len(text), -1, -1), chain(reversed(text), (ROOT_STEP,))
+        ):
             ctx = contexts_of[target].get(ch)
             if ctx is None:
                 ctx = memo.context(target, ch)
             contexts[level] = ctx
             states = forward[level]
-            live = ctx.live.get(states)
-            if live is None:
-                live = memo.live(ctx, states)
+            found = ctx.live.get(states)
+            if found is None:
+                found = memo.live(ctx, states)
+            live, part, fires = found
+            if fires:
+                if fire_level > level + 1:
+                    jumps.append((level + 1, above, fire_level, fire_part))
+                fire_level = level
+                fire_part = part
+            above = part
             target = live
-        ctx = contexts_of[target].get(ROOT_STEP)
-        contexts[0] = ctx if ctx is not None else memo.context(target, ROOT_STEP)
+        if fire_level > 0:
+            # The root is silent: the all-WAITING word starts with a jump.
+            jumps.append((0, above, fire_level, fire_part))
+        self._jumps = jumps
         self._contexts = contexts
         return contexts
+
+    def jumps(self) -> list[tuple[int, int, int, int]]:
+        """The silent stretches of the all-``WAITING`` word, as jumps.
+
+        The word whose letters are all ``WAITING`` holds, at each level,
+        the all-``WAITING`` part of the live set.  A level *fires* when
+        that part has a child with another letter (a marker opens into
+        the next live set); between two firing levels the part has one
+        child, the next level's part.  Each stretch of such silent
+        levels is one ``(level, part, end level, end part)``: the walk
+        lands on ``end part`` at ``end level`` in one step, appending no
+        event.  The ``live`` memos hold what decides it, so recording
+        the jumps costs the live pass a few local operations per level.
+        """
+        self.live_pass()
+        return self._jumps
 
     def children_memos(self) -> list[dict]:
         """Per level, the shared children memo of its step context."""

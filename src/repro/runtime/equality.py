@@ -902,6 +902,9 @@ class EqualityLevels:
         found = self._memo[states] = self._group(tuple(sorted(reached)))
         return found
 
+    def jumps(self) -> tuple:
+        return ()
+
 
 class CompiledEqualityQuery:
     """A ship-anywhere engine for equality queries: compile once, fuse per doc.

@@ -63,6 +63,7 @@ from ..automata.ops import closure
 from ..errors import NotFunctionalError
 from ..vset.automaton import VSetAutomaton
 from ..vset.configurations import (
+    WAITING,
     VariableConfiguration,
     compute_state_configurations,
 )
@@ -378,14 +379,17 @@ class StepContext:
     root) into the live set of the level after it, the *target*.  Every
     level of every document with the same pair shares this record:
 
-    * ``live`` maps a forward set to its subset that can still reach
-      the target — the backward pass that replaces
-      :meth:`~repro.automata.leveled.LeveledNFA.prune`;
+    * ``live`` maps a forward set to ``(live, part, fires)``: its subset
+      that can still reach the target — the backward pass that replaces
+      :meth:`~repro.automata.leveled.LeveledNFA.prune` — then that
+      subset's all-``WAITING`` part and whether the part has a child with
+      another letter, which lets the walk jump the levels where no
+      marker fires on the all-``WAITING`` word;
     * ``children`` maps a live set to its ``(letter, successor set)``
       pairs, letters ascending — the walk step that replaces the scan of
       ``A_G`` out-edges.
 
-    Keys and successor sets are :class:`StateSetMemo` ids.
+    Keys and sets are :class:`StateSetMemo` ids.
     """
 
     __slots__ = ("ch", "target", "live", "children")
@@ -393,7 +397,7 @@ class StepContext:
     def __init__(self, ch: str, target: frozenset[int]):
         self.ch = ch
         self.target = target
-        self.live: dict[int, int] = {}
+        self.live: dict[int, tuple[int, int, bool]] = {}
         self.children: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
 
 
@@ -434,6 +438,7 @@ class StateSetMemo:
         "initial",
         "accept",
         "_letters",
+        "_waiting",
         "_root_row",
         "_lock",
     )
@@ -447,6 +452,7 @@ class StateSetMemo:
         self.size = 0
         self._lock = threading.Lock()
         self._letters = tuple(config.states for config in tables.configs)
+        self._waiting = (WAITING,) * len(tables.variables)
         self._root_row = tables._empty_row + (tables.initial_ve,)
         self.empty = self.intern(())
         self.root = self.intern((len(tables.terminal_edges),))
@@ -500,13 +506,37 @@ class StateSetMemo:
         ctx = StepContext(ch, frozenset(self.sets[target]))
         return self._insert(self.contexts[target], ch, ctx)
 
-    def live(self, ctx: StepContext, states: int) -> int:
-        """``ctx.live[states]``: the members with a successor in the target."""
+    def live(self, ctx: StepContext, states: int) -> tuple[int, int, bool]:
+        """``ctx.live[states]``: the members with a successor in the target,
+        their all-``WAITING`` part, and whether that part fires.
+
+        On the word whose letters are all ``WAITING``, the walk's set at
+        a level is exactly the all-``WAITING`` part of the level's live
+        set: a ``WAITING`` state's predecessors are ``WAITING`` too, and
+        live.  The part *fires* when one of its children carries another
+        letter (letters ascend from all-``WAITING``, so the last one
+        decides).  The root is its own part.
+        """
         row = self._row(ctx.ch)
         target = ctx.target
-        return self._insert(ctx.live, states, self.intern(tuple(
+        live = self.intern(tuple(
             p for p in self.sets[states] if not target.isdisjoint(row[p])
-        )))
+        ))
+        waiting = self._waiting
+        if live == self.root:
+            part = live
+        else:
+            letters = self._letters
+            part = self.intern(tuple(
+                q for q in self.sets[live] if letters[q] == waiting
+            ))
+        fires = False
+        if part != self.empty:
+            kids = ctx.children.get(part)
+            if kids is None:
+                kids = self.children(ctx, part)
+            fires = kids[-1][0] != waiting
+        return self._insert(ctx.live, states, (live, part, fires))
 
     def children(
         self, ctx: StepContext, states: int

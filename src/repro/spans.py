@@ -41,10 +41,7 @@ class Span:
 
     def __post_init__(self) -> None:
         if self.start < 1 or self.end < self.start:
-            raise InvalidSpanError(
-                f"invalid span [{self.start}, {self.end}>: "
-                "need 1 <= start <= end"
-            )
+            raise _invalid_span(self.start, self.end)
 
     # ------------------------------------------------------------------
     # Basic geometry
@@ -130,6 +127,32 @@ class Span:
         return f"[{self.start}, {self.end}>"
 
 
+def _invalid_span(start: int, end: int) -> InvalidSpanError:
+    return InvalidSpanError(
+        f"invalid span [{start}, {end}>: need 1 <= start <= end"
+    )
+
+
+_new = object.__new__
+_set_start = Span.start.__set__  # type: ignore[attr-defined]
+_set_end = Span.end.__set__  # type: ignore[attr-defined]
+
+
+def _span(start: int, end: int) -> Span:
+    """``Span(start, end)`` without the dataclass ``__init__``.
+
+    The same ``1 <= start <= end`` check runs and raises the same
+    :class:`InvalidSpanError`; the enumerator's decoder builds a span
+    per variable per tuple, so it skips only the generic machinery.
+    """
+    if start < 1 or end < start:
+        raise _invalid_span(start, end)
+    span = _new(Span)
+    _set_start(span, start)
+    _set_end(span, end)
+    return span
+
+
 class SpanTuple(Mapping[str, Span]):
     """An immutable ``(V, s)``-tuple: a mapping from variables to spans.
 
@@ -211,6 +234,22 @@ class SpanTuple(Mapping[str, Span]):
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}={s}" for n, s in self._items)
         return f"{{{inner}}}"
+
+
+_set_items = SpanTuple._items.__set__  # type: ignore[attr-defined]
+
+
+def _span_tuple(items: tuple[tuple[str, Span], ...]) -> SpanTuple:
+    """A :class:`SpanTuple` over ``items``, taken as they are.
+
+    The caller guarantees what the public constructor establishes:
+    distinct names in ascending order, each paired with a
+    :class:`Span`.  The enumerator's decoder emits exactly that, so it
+    skips the ``dict``, the ``isinstance`` checks and the sort.
+    """
+    mu = _new(SpanTuple)
+    _set_items(mu, items)
+    return mu
 
 
 #: The empty tuple over no variables.  A Boolean spanner returns either

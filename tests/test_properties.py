@@ -25,6 +25,7 @@ from repro.enumeration import (
     enumerate_tuples,
     graph_tuples,
 )
+from repro.enumeration.enumerator import GraphLevels, count_tuples
 from repro.oracle import oracle_evaluate
 from repro.queries import CompiledEvaluator, RegexCQ, RegexUCQ
 from repro.refwords import refword_from_tuple, tuple_from_refword, clr
@@ -38,7 +39,7 @@ from repro.regex.ast import (
     Star,
     Union,
 )
-from repro.alphabet import Chars
+from repro.alphabet import ANY, Chars
 from repro.relational.hypergraph import Hypergraph
 from repro.relational.relation import Relation
 from repro.relational.yannakakis import evaluate_acyclic
@@ -219,6 +220,82 @@ def test_event_walk_matches_radix_reference(formula, s):
     got = list(islice(graph_tuples(graph), WALK_PREFIX))
     assert got == _radix_prefix(graph)
     assert len(got) == graph.leveled.count_words(cap=WALK_PREFIX)
+
+
+#: Padding no capture reads, so no marker fires inside a run of it: the
+#: state-set walk jumps it, the graph and equality walks step it.
+PAD = "-"
+_ANYTHING = Star(CharClass(ANY))
+
+
+@st.composite
+def padded_strings(draw, max_size: int = 40) -> str:
+    """Runs of a/b with long padding before, between and after them."""
+    runs = draw(st.lists(
+        st.text(alphabet=ALPHABET, min_size=1, max_size=4), max_size=3
+    ))
+    pads = draw(st.lists(
+        st.integers(0, 14), min_size=len(runs) + 1, max_size=len(runs) + 1
+    ))
+    s = PAD * pads[0] + "".join(
+        run + PAD * pad for run, pad in zip(runs, pads[1:])
+    )
+    return s[:max_size]
+
+
+_A, _B, _DASH = (CharClass(Chars(ch)) for ch in "ab" + PAD)
+#: What may precede a formula's first capture: anything, or patterns
+#: that read the padding statefully (dash parity, dashes after an
+#: ``a``), so the all-WAITING part of a live set changes from level to
+#: level inside a silent stretch.
+_LEADS = (
+    _ANYTHING,
+    Star(Union(Union(Concat(_DASH, _DASH), _A), _B)),
+    Concat(_ANYTHING, Concat(_A, Star(_DASH))),
+)
+
+
+@st.composite
+def padded_formulas(draw) -> RegexFormula:
+    """``LF.*`` (``F`` has zero to two variables; none is a Boolean
+    head; ``L`` is one of :data:`_LEADS`) or ``.*F.*G.*`` with one
+    variable each, so the two close in different runs, across padding.
+    """
+    anything = _ANYTHING
+    if draw(st.booleans()):
+        lead = draw(st.sampled_from(_LEADS))
+        return Concat(Concat(lead, draw(functional_formulas())), anything)
+    first = draw(_formula_over(("v0",), depth=2))
+    second = draw(_formula_over(("v1",), depth=2))
+    return Concat(
+        Concat(Concat(Concat(anything, first), anything), second), anything
+    )
+
+
+def _assert_counts(count, got: list) -> None:
+    """``count(cap)`` against the number of tuples the walk yielded."""
+    for cap in (0, 1, 2, WALK_PREFIX):
+        assert count(cap) == min(len(got), cap)
+    if len(got) < WALK_PREFIX:
+        assert count(None) == len(got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(padded_formulas(), st.lists(padded_strings(), min_size=1, max_size=3))
+def test_padded_walk_matches_radix_reference(formula, docs):
+    """Long marker-free padding: the state-set walk jumps it, a word
+    ends at its all-closed letter, and the order stays the paper's."""
+    spanner = CompiledSpanner(formula)
+    for s in docs:
+        graph = build_evaluation_graph(spanner.automaton, s)
+        want = _radix_prefix(graph)
+        got = list(islice(spanner.stream(s), WALK_PREFIX))
+        assert got == want
+        _assert_counts(lambda cap: spanner.count(s, cap=cap), got)
+        assert list(islice(graph_tuples(graph), WALK_PREFIX)) == want
+        levels = GraphLevels(graph)
+        _assert_counts(lambda cap: count_tuples(levels, cap), got)
+        assert spanner.is_empty(s) == (not want)
 
 
 @settings(max_examples=30, deadline=None)
@@ -419,6 +496,20 @@ def test_equality_levels_match_references(shaped, s):
     assert list(islice(engine.stream(prefix), WALK_PREFIX)) == list(
         islice(materializing.stream(query, prefix), WALK_PREFIX)
     )
+
+
+@settings(max_examples=30, deadline=None)
+@given(equality_queries(), padded_strings(max_size=24))
+def test_padded_equality_walk_matches_radix_reference(shaped, s):
+    """The equality levels step the padding plainly; a word still ends
+    at its all-closed letter, in the compiled automaton's radix order."""
+    _shape, query = shaped
+    engine = CompiledEvaluator(LRUCache(8)).equality_runtime(query)
+    want = _radix_prefix(build_evaluation_graph(engine.compile_for(s), s))
+    got = list(islice(engine.stream(s), WALK_PREFIX))
+    assert got == want
+    _assert_counts(lambda cap: engine.count(s, cap=cap), got)
+    assert engine.is_empty(s) == (not want)
 
 
 @settings(max_examples=20, deadline=None)

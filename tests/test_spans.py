@@ -1,9 +1,18 @@
 """Unit tests for spans, span tuples and span relations (§2.1)."""
 
+import pickle
+
 import pytest
 
 from repro.errors import InvalidSpanError, SchemaError
-from repro.spans import EMPTY_TUPLE, Span, SpanRelation, SpanTuple
+from repro.spans import (
+    EMPTY_TUPLE,
+    Span,
+    SpanRelation,
+    SpanTuple,
+    _span,
+    _span_tuple,
+)
 
 
 class TestSpan:
@@ -138,6 +147,67 @@ class TestSpanTuple:
     def test_empty_tuple_constant(self):
         assert len(EMPTY_TUPLE) == 0
         assert EMPTY_TUPLE.variables == frozenset()
+
+
+class TestDecoderConstructors:
+    """The enumerator's decoder builds spans and tuples through private
+    constructors; what they build must be indistinguishable from the
+    public constructors' output, and a bad span must still raise."""
+
+    def _pairs(self):
+        return (("x", Span(1, 4)), ("y", Span(2, 2)), ("z", Span(5, 9)))
+
+    def test_span_matches_public_constructor(self):
+        for start, end in ((1, 1), (1, 4), (7, 9)):
+            private, public = _span(start, end), Span(start, end)
+            assert type(private) is Span
+            assert private == public
+            assert hash(private) == hash(public)
+            assert not private < public and not public < private
+            assert pickle.dumps(private) == pickle.dumps(public)
+            assert pickle.loads(pickle.dumps(private)) == public
+
+    @pytest.mark.parametrize(
+        "start, end", [(0, 1), (0, 0), (3, 2), (-1, 4)]
+    )
+    def test_span_keeps_its_check(self, start, end):
+        with pytest.raises(InvalidSpanError) as private:
+            _span(start, end)
+        with pytest.raises(InvalidSpanError) as public:
+            Span(start, end)
+        assert str(private.value) == str(public.value)
+
+    def test_span_stays_frozen(self):
+        span = _span(1, 2)
+        with pytest.raises(AttributeError):
+            span.start = 5  # type: ignore[misc]
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_span_tuple_matches_public_constructor(self, n):
+        pairs = self._pairs()[:n]
+        private = _span_tuple(
+            tuple((name, _span(sp.start, sp.end)) for name, sp in pairs)
+        )
+        public = SpanTuple(dict(reversed(pairs)))
+        assert type(private) is SpanTuple
+        assert private == public and public == private
+        assert hash(private) == hash(public)
+        assert list(private.items()) == list(public.items())
+        assert repr(private) == repr(public)
+        assert pickle.dumps(private) == pickle.dumps(public)
+        assert pickle.loads(pickle.dumps(private)) == public
+        assert {private, public} == {public}
+
+    def test_decoded_tuples_match_public_constructor(self):
+        from repro.runtime import CompiledSpanner
+
+        spanner = CompiledSpanner(".*x{a+}.*y{b*}.*")
+        for mu in spanner.stream("aab-ab"):
+            public = SpanTuple(
+                {name: Span(sp.start, sp.end) for name, sp in mu.items()}
+            )
+            assert mu == public
+            assert pickle.dumps(mu) == pickle.dumps(public)
 
 
 class TestSpanRelation:
