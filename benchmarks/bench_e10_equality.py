@@ -22,10 +22,9 @@ Engineering claims on top (the fused equality runtime):
 * where a document's time goes (E10f): the production path walks the
   levels of the fused product straight from its BFS record (product
   BFS, level build, walk), against the reference path that compiles
-  the product to an automaton and runs the cold Theorem 3.3 pipeline
-  on it (``compile_for``, ``AutomatonTables``,
-  ``build_evaluation_graph``, walk) — the decomposition perfbench's
-  traced ``equality``/``tables``/``graph`` layers time.
+  the product to an automaton and runs the cold Theorem 3.3 evaluator
+  on it (``compile_for``, ``AutomatonTables``, forward, live, walk) —
+  what ``SpannerEvaluator(engine.compile_for(s), s)`` runs.
 """
 
 from __future__ import annotations
@@ -33,9 +32,9 @@ from __future__ import annotations
 import time
 from time import perf_counter_ns
 
-from repro.enumeration.enumerator import graph_tuples, walk_tuples
-from repro.enumeration.graph import build_evaluation_graph
+from repro.enumeration.enumerator import SpannerEvaluator, walk_tuples
 from repro.enumeration.instrumentation import measure_generator_delays
+from repro.enumeration.statesets import StateSetLevels
 from repro.queries import CanonicalEvaluator, CompiledEvaluator, RegexCQ
 from repro.runtime import AutomatonTables, ParallelSpanner
 from repro.runtime.cache import LRUCache
@@ -213,7 +212,7 @@ def stage_documents() -> list[str]:
 
 #: Stage names per path, in the order the stage functions time them.
 LEVEL_STAGES = ("product BFS", "level build", "walk")
-REFERENCE_STAGES = ("compile_for", "AutomatonTables", "build_evaluation_graph", "walk")
+REFERENCE_STAGES = ("compile_for", "AutomatonTables", "forward", "live", "walk")
 
 
 def _level_stages(engine: CompiledEqualityQuery, s: str) -> tuple[list[int], int]:
@@ -237,10 +236,13 @@ def _reference_stages(
     t1 = perf_counter_ns()
     tables = AutomatonTables(automaton)
     t2 = perf_counter_ns()
-    graph = build_evaluation_graph(automaton, s, tables=tables)
+    levels = StateSetLevels(tables, s)
     t3 = perf_counter_ns()
-    n = sum(1 for _ in graph_tuples(graph))
-    return [t1 - t0, t2 - t1, t3 - t2, perf_counter_ns() - t3], n
+    if not levels.is_empty:
+        levels.live_pass()
+    t4 = perf_counter_ns()
+    n = sum(1 for _ in walk_tuples(levels))
+    return [t1 - t0, t2 - t1, t3 - t2, t4 - t3, perf_counter_ns() - t4], n
 
 
 def stage_rows() -> list[tuple[str, str, float]]:
@@ -254,8 +256,8 @@ def stage_rows() -> list[tuple[str, str, float]]:
     engine = CompiledEvaluator(LRUCache(8)).equality_runtime(_wide_dedup_query())
     docs = stage_documents()
     for s in docs:
-        reference = build_evaluation_graph(engine.compile_for(s), s)
-        if list(engine.stream(s)) != list(graph_tuples(reference)):
+        reference = SpannerEvaluator(engine.compile_for(s), s)
+        if list(engine.stream(s)) != list(reference):
             raise AssertionError(f"E10f: the paths disagree on {s!r}")
     rows = []
     for path, stages, names in (
@@ -295,9 +297,9 @@ def stage_table() -> Table:
         "levels: the production path (CompiledEqualityQuery.stream) — "
         "the product BFS record turned straight into the walk's levels; "
         "reference: compile_for (the same BFS, then the product "
-        "automaton, trim and projection), a cold AutomatonTables, the "
-        "pruned A_G and the walk — what perfbench --trace 1 times as "
-        "its equality, tables and graph layers"
+        "automaton, trim and projection), then what a cold "
+        "SpannerEvaluator runs on it: one-off AutomatonTables and the "
+        "forward, live and walk passes over their state sets"
     )
     return table
 

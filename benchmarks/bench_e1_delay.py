@@ -18,19 +18,17 @@ Series reproduced:
   and decodes from event positions, so the amortized delay depends on
   the automaton, not on ``|s|`` (the worst single gap is still
   ``O(n^2 |s|)``).  Gated on both paths: the cold ``SpannerEvaluator``
-  (which walks the pruned ``A_G``) and ``CompiledSpanner.stream``
-  (which walks memoized state sets);
+  (state sets on one-off tables) and ``CompiledSpanner.stream`` (state
+  sets on tables whose memos serve every document);
 * E1d: where a document's time goes on each path, per stage — the
-  graph path's sweep, prune and walk against the state-set path's
-  forward, live and walk passes — on the dense-logs shape and on the
-  serve-logs shape (three extractors over ~44-char log lines), with
-  the walk's steps per document beside them;
+  table build, forward, live and walk passes — on the dense-logs shape
+  and on the serve-logs shape (three extractors over ~44-char log
+  lines), with the walk's steps per document beside them;
 * E1e: walk steps track tuples, not ``|s|``: a dense document's tuple
   count stays fixed while digit-free padding doubles, then quadruples,
-  ``|s|``.  Gated on the compiled path, whose walk jumps the silent
-  stretches of the all-``WAITING`` word and ends every word at its
-  all-``CLOSED`` letter (steps may grow < 10%); the cold path steps
-  the padding level by level and is reported for contrast.
+  ``|s|``.  Gated on both paths, whose walk jumps the silent stretches
+  of the all-``WAITING`` word and ends every word at its all-``CLOSED``
+  letter (steps may grow < 10%).
 
 A walk *step* is one children lookup (a memo read or a ``children()``
 call) or one jump.  :class:`CountingLevels` counts them from outside
@@ -42,13 +40,12 @@ from __future__ import annotations
 import statistics
 from time import perf_counter_ns
 
-from repro.enumeration import SpannerEvaluator, graph_tuples, measure_delays
-from repro.enumeration.enumerator import GraphLevels, walk_tuples
-from repro.enumeration.graph import EvaluationGraph, sweep_evaluation_graph
+from repro.enumeration import SpannerEvaluator, measure_delays
+from repro.enumeration.enumerator import walk_tuples
 from repro.enumeration.instrumentation import measure_generator_delays
 from repro.enumeration.statesets import StateSetLevels
 from repro.extractors import capitalized_spanner, dictionary_spanner
-from repro.runtime import CompiledSpanner
+from repro.runtime import AutomatonTables, CompiledSpanner
 from repro.text import log_lines, unary_text
 from repro.vset import compile_regex
 
@@ -77,10 +74,10 @@ def dense_delay_rows(
 
     ``compiled`` streams through one ``CompiledSpanner`` (state sets,
     memos kept across documents) instead of a cold ``SpannerEvaluator``
-    per run (the pruned ``A_G``).  Delays exclude the first tuple (its
-    gap is the enumeration's start, not a between-tuple delay); each
-    document keeps the run with the lowest p50 of three to damp
-    scheduler noise.
+    per run (state sets on one-off tables).  Delays exclude the first
+    tuple (its gap is the enumeration's start, not a between-tuple
+    delay); each document keeps the run with the lowest p50 of three
+    to damp scheduler noise.
     """
     automaton = compile_regex(DENSE_PATTERN)
     spanner = CompiledSpanner(automaton) if compiled else None
@@ -149,15 +146,6 @@ def walk_steps(levels) -> tuple[int, int]:
     counting = CountingLevels(levels)
     tuples = sum(1 for _ in walk_tuples(counting))
     return counting.steps, tuples
-
-
-def graph_levels(spanner: CompiledSpanner, s: str) -> GraphLevels:
-    """The cold path's level source: the pruned ``A_G`` of ``s``."""
-    leveled = sweep_evaluation_graph(spanner.tables, s)
-    leveled.prune()
-    return GraphLevels(
-        EvaluationGraph(leveled, spanner.tables.variables, len(s) + 1)
-    )
 
 
 def run() -> list[Table]:
@@ -232,7 +220,7 @@ def run() -> list[Table]:
 
 
 # ---------------------------------------------------------------------------
-# E1d: per-document stage times, graph path vs state-set path
+# E1d: per-document stage times, cold path vs compiled path
 # ---------------------------------------------------------------------------
 
 #: E1d documents per shape, and timed passes over them (best kept).
@@ -258,46 +246,49 @@ def stage_shapes() -> list[tuple[str, list[CompiledSpanner], list[str]]]:
     ]
 
 
-def _graph_stages(spanner: CompiledSpanner, s: str) -> tuple[int, int, int, int]:
-    """ns in sweep, prune and walk (plus the tuple count) on the ``A_G``."""
-    t0 = perf_counter_ns()
-    leveled = sweep_evaluation_graph(spanner.tables, s)
+def _stages(tables: AutomatonTables, s: str, t0: int) -> list[int]:
+    """ns since ``t0`` in forward, live and walk on ``tables``, plus the
+    tuple count."""
     t1 = perf_counter_ns()
-    leveled.prune()
+    levels = StateSetLevels(tables, s)
     t2 = perf_counter_ns()
-    graph = EvaluationGraph(leveled, spanner.tables.variables, len(s) + 1)
-    n = sum(1 for _ in graph_tuples(graph))
-    return t1 - t0, t2 - t1, perf_counter_ns() - t2, n
-
-
-def _state_set_stages(spanner: CompiledSpanner, s: str) -> tuple[int, int, int, int]:
-    """ns in forward, live and walk (plus the tuple count) on state sets."""
-    t0 = perf_counter_ns()
-    levels = StateSetLevels(spanner.tables, s)
-    t1 = perf_counter_ns()
     if not levels.is_empty:
         levels.live_pass()
-    t2 = perf_counter_ns()
+    t3 = perf_counter_ns()
     n = sum(1 for _ in walk_tuples(levels))
-    return t1 - t0, t2 - t1, perf_counter_ns() - t2, n
+    return [t1 - t0, t2 - t1, t3 - t2, perf_counter_ns() - t3, n]
 
 
-#: E1d's level source per path, for counting walk steps.
+def _cold_stages(spanner: CompiledSpanner, s: str) -> list[int]:
+    """ns in table build, forward, live and walk: what a cold
+    ``SpannerEvaluator(spanner.automaton, s)`` runs."""
+    t0 = perf_counter_ns()
+    return _stages(AutomatonTables(spanner.automaton), s, t0)
+
+
+def _compiled_stages(spanner: CompiledSpanner, s: str) -> list[int]:
+    """The same stages on the spanner's shared tables (no table build)."""
+    return _stages(spanner.tables, s, perf_counter_ns())
+
+
+#: E1d's and E1e's level source per path, for counting walk steps.
 STAGE_LEVELS = {
-    "graph": graph_levels,
-    "state sets": lambda spanner, s: StateSetLevels(spanner.tables, s),
+    "cold": lambda spanner, s: StateSetLevels(
+        AutomatonTables(spanner.automaton), s
+    ),
+    "compiled": lambda spanner, s: StateSetLevels(spanner.tables, s),
 }
 
 
-def stage_rows() -> list[tuple[str, str, float, float, float, float, float]]:
-    """``(shape, path, stage 1, stage 2, walk, total, walk steps)`` per
-    document, times in ms.
+def stage_rows() -> list[tuple]:
+    """``(shape, path, tables, forward, live, walk, total, walk steps)``
+    per document, times in ms.
 
     A document's time and steps are summed over the shape's spanners.
-    Every document runs once untimed first, so the state-set memos are
-    warm (the steady state of a stream); each path keeps its best of
-    :data:`STAGE_REPEATS` passes.  Steps come from a separate, untimed
-    walk through :class:`CountingLevels`.
+    Every document runs once untimed first, so the compiled path's
+    memos are warm (the steady state of a stream); each path keeps its
+    best of :data:`STAGE_REPEATS` passes.  Steps come from a separate,
+    untimed walk through :class:`CountingLevels`.
     """
     rows = []
     for shape, spanners, docs in stage_shapes():
@@ -306,7 +297,7 @@ def stage_rows() -> list[tuple[str, str, float, float, float, float, float]]:
                 list(spanner.stream(s))
         counts: dict[str, int] = {}
         for path, stages in (
-            ("graph", _graph_stages), ("state sets", _state_set_stages)
+            ("cold", _cold_stages), ("compiled", _compiled_stages)
         ):
             steps = sum(
                 walk_steps(STAGE_LEVELS[path](spanner, s))[0]
@@ -315,7 +306,7 @@ def stage_rows() -> list[tuple[str, str, float, float, float, float, float]]:
             )
             best = None
             for _ in range(STAGE_REPEATS):
-                totals = [0, 0, 0]
+                totals = [0, 0, 0, 0]
                 tuples = 0
                 for spanner in spanners:
                     for s in docs:
@@ -327,39 +318,36 @@ def stage_rows() -> list[tuple[str, str, float, float, float, float, float]]:
             counts[path] = tuples
             ms = [ns / 1e6 / len(docs) for ns in best]
             rows.append((shape, path, *ms, sum(ms), steps / len(docs)))
-        if counts["graph"] != counts["state sets"]:
+        if counts["cold"] != counts["compiled"]:
             raise AssertionError(f"E1d {shape}: the paths disagree on tuples")
     return rows
 
 
 def stage_table() -> Table:
     table = Table(
-        "E1d  per-document stage times: graph path vs state-set path",
-        ["shape", "path", "sweep|forward (ms)", "prune|live (ms)",
+        "E1d  per-document stage times: cold path vs compiled path",
+        ["shape", "path", "tables (ms)", "forward (ms)", "live (ms)",
          "walk (ms)", "total (ms)", "walk steps / doc"],
     )
     rows = stage_rows()
     for row in rows:
         table.add(*row)
-    for graph, state_sets in zip(rows[::2], rows[1::2]):
-        before = graph[2] + graph[3]
-        after = state_sets[2] + state_sets[3]
+    for cold, compiled in zip(rows[::2], rows[1::2]):
         table.note(
-            f"{graph[0]}: sweep + prune {before:.3f} ms -> forward + live "
-            f"{after:.3f} ms ({before / after:.1f}x); total "
-            f"{graph[5] / state_sets[5]:.1f}x"
+            f"{cold[0]}: total {cold[6]:.3f} ms cold -> {compiled[6]:.3f} "
+            f"ms compiled ({cold[6] / compiled[6]:.1f}x); the one-off "
+            f"tables are {cold[2]:.3f} ms of the cold total"
         )
     table.note(
-        "graph path: sweep, prune, walk of the pruned A_G (the cold "
-        "evaluator's and perfbench --trace 1's decomposition; its walk "
-        "includes filling the per-document children memo); state-set "
-        "path: forward, live, walk over the memos CompiledSpanner runs"
+        "both paths walk state sets: cold builds one-off AutomatonTables "
+        "per document (what SpannerEvaluator(automaton, s) runs, its "
+        "memos dying with it), compiled reads the memos CompiledSpanner "
+        "keeps across documents"
     )
     table.note(
         "walk steps: children lookups (memo reads or children() calls) "
-        "plus jumps, counted by CountingLevels in an untimed walk; the "
-        "state-set walk jumps the all-WAITING word's silent stretches, "
-        "the graph walk steps them"
+        "plus jumps, counted by CountingLevels in an untimed walk; a "
+        "memo miss counts twice (the read and the call)"
     )
     return table
 
@@ -390,7 +378,8 @@ def padding_rows() -> list[tuple[str, int, int, int, int]]:
     """``(path, factor, |s|, tuples, walk steps)`` per E1e document.
 
     One spanner serves every document, and each is walked once before
-    it is counted, so the state-set memos are warm.
+    it is counted, so the compiled path's memos are warm; the cold path
+    counts on one-off tables.
     """
     spanner = CompiledSpanner(DENSE_PATTERN)
     rows = []
@@ -420,8 +409,7 @@ def padding_table() -> Table:
     for path in STAGE_LEVELS:
         table.note(
             f"{path}: walk steps x{padding_growth(rows, path):.2f} from "
-            f"|s| x1 to x{PADDING_FACTORS[-1]} (gate on state sets: "
-            "< 1.10)"
+            f"|s| x1 to x{PADDING_FACTORS[-1]} (gate: < 1.10)"
         )
     return table
 
@@ -469,15 +457,19 @@ def test_e1c_dense_delay_flat():
 
 
 def test_e1e_walk_steps_track_tuples():
-    """E1e gate: padding |s| x2 and x4 grows compiled walk steps < 10%."""
-    rows = [row for row in padding_rows() if row[0] == "state sets"]
-    assert len({row[3] for row in rows}) == 1, "padding changed the tuples"
-    assert rows[-1][2] >= 3.5 * rows[0][2], "padding did not grow |s|"
-    for _path, factor, _length, _tuples, steps in rows[1:]:
-        growth = steps / rows[0][4]
-        assert growth < 1.10, (
-            f"walk steps x{growth:.2f} at |s| x{factor}: not tracking tuples"
-        )
+    """E1e gate: padding |s| x2 and x4 grows walk steps < 10%, on the
+    cold and the compiled path."""
+    all_rows = padding_rows()
+    for path in STAGE_LEVELS:
+        rows = [row for row in all_rows if row[0] == path]
+        assert len({row[3] for row in rows}) == 1, "padding changed the tuples"
+        assert rows[-1][2] >= 3.5 * rows[0][2], "padding did not grow |s|"
+        for _path, factor, _length, _tuples, steps in rows[1:]:
+            growth = steps / rows[0][4]
+            assert growth < 1.10, (
+                f"{path}: walk steps x{growth:.2f} at |s| x{factor}: "
+                "not tracking tuples"
+            )
 
 
 def test_e1c_compiled_dense_delay_flat():

@@ -21,8 +21,8 @@ instead runs :func:`repro.enumeration.enumerator.walk_tuples`, which
 yields the same radix order with an amortized delay that does not grow
 with ``L`` (worst-case delay still ``O(L * n^2)``);
 :class:`RadixEnumerator` is the reference it is tested against.  Only
-the cold evaluator (and the references) build a :class:`LeveledNFA` per
-document: compiled spanners walk memoized state sets
+the references build a :class:`LeveledNFA` per document: every regex
+evaluator, cold or compiled, walks memoized state sets
 (:mod:`repro.enumeration.statesets`), where a backward live pass plays
 the role of :meth:`LeveledNFA.prune` and a per-level DP over memoized
 children the role of :meth:`LeveledNFA.count_words`.

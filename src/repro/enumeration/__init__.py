@@ -7,22 +7,23 @@ changes (:func:`.enumerator.walk_tuples`).  A word ends at its
 all-``CLOSED`` letter, and on the state-set source the all-``WAITING``
 word jumps between the levels where a marker can fire, so there the
 walk no longer steps the stretches before a word's first marker or
-after its last.  The walk reads one of three level sources: the
-leveled graph ``G`` / pruned ``A_G`` itself (:mod:`.graph`; the cold
-``SpannerEvaluator``), memoized automaton-state sets that need no
-per-document graph (:mod:`.statesets`; evaluators over shared tables,
-i.e. ``CompiledSpanner`` and fused serving), or an equality query's
-fused product
-(:class:`repro.runtime.equality.EqualityLevels`).  The paper's
-state-stack algorithm (:class:`repro.automata.leveled.RadixEnumerator`) plus
-:func:`decode_configuration_word` is the reference that walk matches.
+after its last.  The walk reads one of two level sources: memoized
+automaton-state sets that need no per-document graph
+(:mod:`.statesets`; every regex evaluator, whether its tables are
+shared across documents, as in ``CompiledSpanner`` and fused serving,
+or built for one call, as in the cold ``SpannerEvaluator``), or an
+equality query's fused product
+(:class:`repro.runtime.equality.EqualityLevels`).  The leveled graph
+``G`` / pruned ``A_G`` itself (:mod:`.graph`) and the paper's
+state-stack algorithm (:class:`repro.automata.leveled.RadixEnumerator`)
+plus :func:`decode_configuration_word` are the reference that walk
+matches.
 """
 
 from .enumerator import (
     SpannerEvaluator,
     decode_configuration_word,
     enumerate_tuples,
-    graph_tuples,
 )
 from .graph import build_evaluation_graph
 from .instrumentation import DelayReport, measure_delays
@@ -31,7 +32,6 @@ __all__ = [
     "SpannerEvaluator",
     "enumerate_tuples",
     "decode_configuration_word",
-    "graph_tuples",
     "build_evaluation_graph",
     "DelayReport",
     "measure_delays",

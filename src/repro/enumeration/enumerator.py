@@ -6,29 +6,29 @@ constructor; iteration then yields each tuple of ``[[A]](s)`` exactly
 once, in the radix order of configuration sequences.
 
 Iteration runs :func:`walk_tuples`, an event-compressed walk of the
-determinized ``A_G`` over a *level source*.  The cold evaluator's
-source is the pruned ``A_G`` itself (:class:`GraphLevels`, also
-:func:`graph_tuples`); an evaluator over shared tables walks memoized
-automaton-state sets instead
-(:class:`~repro.enumeration.statesets.StateSetLevels`), and an
-equality query's evaluator walks the levels of its fused product
-(:class:`~repro.runtime.equality.EqualityLevels`); neither builds a
-graph.  :func:`count_tuples` counts over any source.  The walk's
-worst-case delay is the theorem's ``O(n^2 |s|)``.  A word is carried
-as the at most ``2|V| + 1`` slots where its letter changes, and it
-ends at its all-``CLOSED`` letter, since no letter can change after
-it.  On the state-set source the word whose letters are all
+determinized ``A_G`` over a *level source*.  Every regex evaluator
+walks memoized automaton-state sets
+(:class:`~repro.enumeration.statesets.StateSetLevels`), on tables its
+caller holds across documents or on one-off tables built for the
+call; an equality query's evaluator walks the levels of its fused
+product (:class:`~repro.runtime.equality.EqualityLevels`).  Neither
+builds a graph.  :func:`count_tuples` counts over either source.  The
+walk's worst-case delay is the theorem's ``O(n^2 |s|)``.  A word is
+carried as the at most ``2|V| + 1`` slots where its letter changes,
+and it ends at its all-``CLOSED`` letter, since no letter can change
+after it.  On the state-set source the word whose letters are all
 ``WAITING`` jumps from one level where a marker can fire to the next,
 using the live pass's record of those levels.  Past the forward and
 live passes, a document on that source then pays only for the levels
 where some variable is open on the word being walked, plus work
 proportional to its tuples times ``|V|``: with short captures,
-nothing grows with ``|s|`` (benchmark E1e).  The graph and equality
-sources step the all-``WAITING`` word level by level.  The paper's
-Algorithms 1–3
-(:class:`~repro.automata.leveled.RadixEnumerator` plus
-:func:`decode_configuration_word`) remain the reference the walk is
-tested against, and serve :meth:`SpannerEvaluator.configuration_words`.
+nothing grows with ``|s|`` (benchmark E1e).  The equality source
+steps the all-``WAITING`` word level by level.  The paper's pruned
+``A_G`` (:func:`~repro.enumeration.graph.build_evaluation_graph`) and
+its Algorithms 1–3 (:class:`~repro.automata.leveled.RadixEnumerator`
+plus :func:`decode_configuration_word`) remain the reference the walk
+is tested against, and serve :attr:`SpannerEvaluator.graph` and
+:meth:`SpannerEvaluator.configuration_words`.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, Sequence
 
 from ..spans import Span, SpanTuple, _span, _span_tuple
-from ..automata.leveled import LeveledNFA, RadixEnumerator
+from ..automata.leveled import RadixEnumerator
 from ..runtime.tables import AutomatonTables
 from ..vset.automaton import VSetAutomaton
 from ..vset.configurations import CLOSED, WAITING, VariableConfiguration
@@ -47,10 +47,8 @@ __all__ = [
     "SpannerEvaluator",
     "enumerate_tuples",
     "decode_configuration_word",
-    "graph_tuples",
     "walk_tuples",
     "count_tuples",
-    "GraphLevels",
 ]
 
 
@@ -97,8 +95,7 @@ def decode_configuration_word(
 # stretches of the all-``WAITING`` word as ``(level, set, end level, end
 # set)``: each level from ``level`` up to ``end level`` has one child,
 # with the all-``WAITING`` letter (none for a source that steps them).
-# Three sources exist: the pruned ``A_G``
-# (:class:`GraphLevels`, whose sets are sorted tuples of graph nodes),
+# Two sources exist:
 # :class:`~repro.enumeration.statesets.StateSetLevels` (whose sets are
 # interned automaton-state sets) and
 # :class:`~repro.runtime.equality.EqualityLevels` (whose sets are sorted
@@ -111,63 +108,6 @@ def decode_configuration_word(
 # slot before.  Every in-edge of node ``(i, q)`` carries ``~c_q`` and
 # configurations only advance ``w -> o -> c``, so a word has at most
 # ``2|V| + 1`` events, whatever ``|s|``.
-
-
-def _children(
-    out_edges: list[list[tuple[VariableConfiguration, int]]],
-    states: tuple[int, ...],
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """``(letter, successor set)`` pairs of ``states``, letters ascending."""
-    by_letter: dict[tuple[int, ...], list[int]] = {}
-    for q in states:
-        for label, dst in out_edges[q]:
-            dsts = by_letter.get(label.states)
-            if dsts is None:
-                by_letter[label.states] = [dst]
-            else:
-                dsts.append(dst)
-    return tuple(
-        (letter, (dsts[0],) if len(dsts) == 1 else tuple(sorted(set(dsts))))
-        for letter, dsts in sorted(by_letter.items())
-    )
-
-
-class GraphLevels:
-    """A pruned ``A_G`` as a level source for :func:`walk_tuples`.
-
-    A set is a sorted tuple of graph nodes; node ids are unique to their
-    level, so a set names its level too, and one per-document dict
-    memoizes the children of every level.  :meth:`children_memos` fills
-    it upfront for every single node with a single edge (most nodes), so
-    a forced step of the walk is a dict read, not a call.
-    """
-
-    __slots__ = ("out_edges", "n_slots", "variables", "is_empty", "_memo")
-
-    root = (LeveledNFA.ROOT,)
-
-    def __init__(self, graph: EvaluationGraph):
-        leveled = graph.leveled
-        self.out_edges = leveled.out_edges
-        self.n_slots = leveled.n_slots
-        self.variables = graph.variables
-        self.is_empty = leveled.is_empty
-        self._memo: dict = {}
-
-    def children_memos(self) -> list[dict]:
-        memo = self._memo
-        for node, edges in enumerate(self.out_edges):
-            if len(edges) == 1:
-                label, dst = edges[0]
-                memo[(node,)] = ((label.states, (dst,)),)
-        return [memo] * self.n_slots
-
-    def children(self, states: tuple[int, ...], level: int) -> tuple:
-        found = self._memo[states] = _children(self.out_edges, states)
-        return found
-
-    def jumps(self) -> tuple:
-        return ()
 
 
 def _walk(
@@ -284,7 +224,7 @@ def walk_tuples(source) -> Iterator[SpanTuple]:
     the source's :meth:`jumps` seed ``chains`` with the silent
     stretches of the all-``WAITING`` word, so the walk lands on the next
     level where a marker can fire in one step.  Only the state-set
-    source has jumps; the graph and equality sources return none.
+    source has jumps; the equality source returns none.
 
     A tuple therefore costs its branches, which all change a letter,
     plus its at most ``2|V| + 1`` events and their decode.  Collapsing
@@ -407,15 +347,6 @@ def count_tuples(source, cap: int | None = None) -> int:
     return done + sum(frontier.values())
 
 
-def graph_tuples(graph: EvaluationGraph) -> Iterator[SpanTuple]:
-    """Stream the tuples of a pruned ``A_G`` in radix order.
-
-    :func:`walk_tuples` over :class:`GraphLevels`: the reference-path
-    counterpart of the state-set source, same walk, same tuples.
-    """
-    return walk_tuples(GraphLevels(graph))
-
-
 class SpannerEvaluator:
     """Enumerate ``[[A]](s)`` with polynomial delay.
 
@@ -431,19 +362,18 @@ class SpannerEvaluator:
     :class:`~repro.errors.NotFunctionalError` on non-functional input.
 
     The string-independent half of that preprocessing is factored into
-    :class:`~repro.runtime.tables.AutomatonTables`.  Without ``tables``
-    a one-off set is built for this call and the constructor builds the
-    pruned ``A_G`` (:func:`build_evaluation_graph`) — the cold path.  A
-    caller that passes ``tables`` holds them across documents
-    (``CompiledSpanner`` does, to amortize them over a stream), so the
-    evaluator runs the state-set source instead
-    (:class:`~repro.enumeration.statesets.StateSetLevels`), whose memos
-    live on those tables and serve every later document; there the
-    ``A_G`` is built only if :attr:`graph` or
-    :meth:`configuration_words` is read.  Both paths yield the same
-    tuples in the same order.  :meth:`over_levels` wraps a level source
-    built elsewhere (an equality query's fused product), with the
-    automaton compiled only when read.
+    :class:`~repro.runtime.tables.AutomatonTables`.  A caller that
+    passes ``tables`` holds them across documents (``CompiledSpanner``
+    does, to amortize them over a stream); without ``tables`` a one-off
+    set is built for this call — the cold path.  Either way the
+    evaluator walks state sets
+    (:class:`~repro.enumeration.statesets.StateSetLevels`) over the
+    memos of its tables, which on shared tables serve every later
+    document and on one-off tables die with the evaluator.  The pruned
+    ``A_G`` is built on those same tables only if :attr:`graph` or
+    :meth:`configuration_words` is read.  :meth:`over_levels` wraps a
+    level source built elsewhere (an equality query's fused product),
+    with the automaton compiled only when read.
     """
 
     def __init__(
@@ -453,16 +383,14 @@ class SpannerEvaluator:
         *,
         tables: AutomatonTables | None = None,
     ):
+        if tables is None:
+            tables = AutomatonTables(automaton)
         self._automaton: VSetAutomaton | None = automaton
         self._build: Callable[[], VSetAutomaton] | None = None
         self.string = s
-        self._tables = tables
+        self._tables: AutomatonTables | None = tables
         self._graph: EvaluationGraph | None = None
-        self._levels = None
-        if tables is None:
-            self._graph = build_evaluation_graph(automaton, s)
-        else:
-            self._levels = StateSetLevels(tables, s)
+        self._levels = StateSetLevels(tables, s)
 
     @classmethod
     def over_levels(
@@ -472,8 +400,8 @@ class SpannerEvaluator:
 
         ``build()`` must return an automaton with the same tuples on
         ``s``; it runs only when :attr:`automaton`, :attr:`graph` or
-        :meth:`configuration_words` is read, and the graph is then the
-        cold one.
+        :meth:`configuration_words` is read, and the graph is then built
+        on one-off tables.
         """
         evaluator = cls.__new__(cls)
         evaluator._automaton = None
@@ -496,7 +424,7 @@ class SpannerEvaluator:
 
     @property
     def graph(self) -> EvaluationGraph:
-        """The pruned ``A_G`` (built on first read on the state-set path)."""
+        """The pruned ``A_G`` (built on first read)."""
         if self._graph is None:
             self._graph = build_evaluation_graph(
                 self.automaton, self.string, tables=self._tables
@@ -513,15 +441,11 @@ class SpannerEvaluator:
 
     def is_empty(self) -> bool:
         """True iff ``[[A]](s)`` is empty — O(1) after preprocessing."""
-        if self._levels is not None:
-            return self._levels.is_empty
-        return self.graph.leveled.is_empty
+        return self._levels.is_empty
 
     def count(self, cap: int | None = None) -> int:
         """Number of distinct tuples (without decoding them)."""
-        if self._levels is not None:
-            return count_tuples(self._levels, cap)
-        return self.graph.leveled.count_words(cap=cap)
+        return count_tuples(self._levels, cap)
 
     # -- Enumeration -----------------------------------------------------------
     def configuration_words(self) -> Iterator[tuple[VariableConfiguration, ...]]:
@@ -533,9 +457,7 @@ class SpannerEvaluator:
 
     def __iter__(self) -> Iterator[SpanTuple]:
         """The tuples, in the radix order of :meth:`configuration_words`."""
-        if self._levels is not None:
-            return walk_tuples(self._levels)
-        return graph_tuples(self.graph)
+        return walk_tuples(self._levels)
 
 
 def enumerate_tuples(automaton: VSetAutomaton, s: str) -> Iterator[SpanTuple]:

@@ -25,9 +25,10 @@ Sizes: ``G`` has at most ``N*n + 1`` nodes and ``N*n^2`` edges, and the
 construction runs in ``O(N n^2)`` after the ``O(mn)`` closure
 precomputation — the preprocessing bound of Theorem 3.3.
 
-This is the cold ``SpannerEvaluator``'s level source and the reference
-the production path is checked against.  Evaluators over shared tables
-(``CompiledSpanner``, fused serving) build no ``A_G``: they walk the
+This is the paper's construction and the reference the evaluators are
+checked against; it serves ``SpannerEvaluator.graph``,
+``configuration_words()`` and Figure 1.
+No evaluator walks it: regex evaluators, cold or compiled, walk the
 same determinized levels as memoized state sets
 (:mod:`repro.enumeration.statesets`), and equality queries walk the
 levels of their fused product (:mod:`repro.runtime.equality`).
@@ -39,7 +40,7 @@ from ..automata.leveled import LeveledNFA
 from ..runtime.tables import AutomatonTables
 from ..vset.automaton import VSetAutomaton
 
-__all__ = ["build_evaluation_graph", "sweep_evaluation_graph", "EvaluationGraph"]
+__all__ = ["build_evaluation_graph", "EvaluationGraph"]
 
 
 class EvaluationGraph:
@@ -71,9 +72,8 @@ def build_evaluation_graph(
     The string-independent half (trim, configuration sweep, VE closures,
     terminal-edge lists) lives in :class:`AutomatonTables`; pass
     precomputed ``tables`` to skip it entirely and pay only the
-    per-string sweep.  Without ``tables``
-    the artifacts are rebuilt for this call — the cold path of
-    ``SpannerEvaluator``.
+    per-string sweep.  Without ``tables`` the artifacts are rebuilt for
+    this call.
 
     Raises:
         NotFunctionalError: when the automaton is not functional (the
@@ -82,17 +82,17 @@ def build_evaluation_graph(
     """
     if tables is None:
         tables = AutomatonTables(automaton)
-    leveled = sweep_evaluation_graph(tables, s)
+    leveled = _sweep(tables, s)
     leveled.prune()
     return EvaluationGraph(leveled, tables.variables, len(s) + 1)
 
 
-def sweep_evaluation_graph(tables: AutomatonTables, s: str) -> LeveledNFA:
+def _sweep(tables: AutomatonTables, s: str) -> LeveledNFA:
     """The forward sweep of :func:`build_evaluation_graph`, unpruned.
 
     Builds ``A_G`` level by level through the burst-step table and marks
     ``(N, q_f)`` accepting; :meth:`LeveledNFA.prune` then finishes the
-    preprocessing.  Split out so benchmarks can time the two apart.
+    preprocessing.
     """
     leveled = LeveledNFA(len(s) + 1)
     if tables.is_empty:

@@ -20,12 +20,14 @@ evaluates one document against the document-independent memos of
 
 Per document this costs a few dict reads per level once the memos are
 warm, instead of building ``O(N n)`` nodes and ``O(N n^2)`` edges; the
-walk then skips the levels where no letter can change.  The
-memos only pay off when the tables serve many documents, so
-:class:`~repro.enumeration.enumerator.SpannerEvaluator` takes this path
-exactly when its caller passes tables it already holds (a
-``CompiledSpanner``, a fused serving task); one-off tables keep the
-``A_G`` source.
+walk then skips the levels where no letter can change.  Every
+:class:`~repro.enumeration.enumerator.SpannerEvaluator` over a regex
+automaton takes this path.  On tables its caller holds (a
+``CompiledSpanner``, a fused serving task) the memos serve every later
+document; on the one-off tables of a cold evaluator they serve that
+one document, where the walk still visits each determinized set once
+and steps no ``A_G`` edge, and the jumps still skip its silent
+stretches.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """The compiled-spanner runtime: compile once, evaluate many documents.
 
-``SpannerEvaluator`` realizes Theorem 3.3 for one ``(automaton, string)``
-pair; every construction re-derives the trim, the configuration sweep
-and the variable-epsilon closures even though none of them depend on the
-string.  :class:`CompiledSpanner` performs that work exactly once (via
+A cold ``SpannerEvaluator`` realizes Theorem 3.3 for one
+``(automaton, string)`` pair; every construction re-derives the trim,
+the configuration sweep and the variable-epsilon closures even though
+none of them depend on the string, and its state-set memos die with
+it.  :class:`CompiledSpanner` performs that work exactly once (via
 :class:`~repro.runtime.tables.AutomatonTables`) and then streams any
 number of documents through the cached tables:
 
@@ -18,10 +19,11 @@ automaton-state set per level, stepped through memos that live on the
 shared tables (:class:`~repro.runtime.tables.StateSetMemo`) and serve
 every later document — a forward pass (a dict read per character once
 warm), a backward live pass in place of pruning, and the walk's
-children in place of ``A_G`` out-edges.  The enumeration order is
-unchanged — a compiled spanner yields exactly the tuple sequence the
-cold evaluator yields (which still builds and walks the pruned
-``A_G``), in the same radix order of configuration words.  Enumeration
+children in place of ``A_G`` out-edges.  The cold evaluator runs the
+same passes on one-off tables, so a compiled spanner yields exactly
+the tuple sequence the cold evaluator yields, in the radix order of
+configuration words that the pruned ``A_G``'s radix enumeration
+produces.  Enumeration
 is the event-compressed walk of
 :func:`~repro.enumeration.enumerator.walk_tuples`: its amortized
 per-tuple delay does not grow with ``|s|`` (each determinized state set

@@ -22,9 +22,9 @@ engine groups its members into *fusion cohorts* (:func:`plan_cohorts`):
   runs the forward pass of its state-set evaluation
   (:class:`~repro.enumeration.statesets.StateSetLevels`, whose memos
   live on the member's tables and are shared with its solo engine)
-  before any member is enumerated.  :func:`fused_sweep` is the
-  reference decomposition of the same cohort — each member's pruned
-  ``A_G`` — that the traced benchmark replay times and compares;
+  before any member is enumerated.  :func:`fused_sweep` (each
+  member's pruned ``A_G``) stays only because the traced benchmark
+  replay times it; no evaluation path runs it;
 * ``equality`` — :class:`CompiledEqualityQuery` members, which share one
   per-document :class:`~repro.text.substrings.SubstringIndex` (the
   rolling-hash index dominates their per-document setup);
@@ -85,13 +85,14 @@ def fused_sweep(
 ) -> dict[int, EvaluationGraph]:
     """Every sweep member's pruned evaluation graph for ``s``.
 
-    The reference and trace decomposition of the sweep cohort:
-    ``entries`` pairs member indices with their compiled tables, and the
-    result maps each member index to its pruned ``A_G`` — one
+    Kept for the traced benchmark replay only (perfbench's ``graph``
+    layer): ``entries`` pairs member indices with their compiled
+    tables, and the result maps each member index to its pruned
+    ``A_G`` — one
     :func:`~repro.enumeration.graph.build_evaluation_graph` call per
-    member.  Walking a graph yields exactly the member's production
-    stream (:meth:`FusedEngine.streams`, which evaluates state sets and
-    builds no graph), tuple for tuple.
+    member.  The radix enumeration of a graph decodes to exactly the
+    member's production stream (:meth:`FusedEngine.streams`, which
+    evaluates state sets and builds no graph), tuple for tuple.
     """
     return {
         member: build_evaluation_graph(tables.automaton, s, tables)

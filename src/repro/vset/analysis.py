@@ -89,7 +89,11 @@ def contains_tuple(
 
 
 def is_empty_on(automaton: VSetAutomaton, s: str) -> bool:
-    """Decide whether ``[[A]](s)`` is empty (no enumeration needed)."""
-    from ..enumeration.graph import build_evaluation_graph
+    """Decide whether ``[[A]](s)`` is empty (no enumeration needed).
 
-    return build_evaluation_graph(automaton, s).leveled.is_empty
+    Reads the forward pass of state-set evaluation: ``[[A]](s)`` is
+    nonempty iff the final state is in the last forward set.
+    """
+    from ..enumeration.enumerator import SpannerEvaluator
+
+    return SpannerEvaluator(automaton, s).is_empty()

@@ -7,14 +7,14 @@ from repro.enumeration import (
     build_evaluation_graph,
     decode_configuration_word,
     enumerate_tuples,
-    graph_tuples,
     measure_delays,
 )
+from repro.enumeration.enumerator import walk_tuples
 from repro.enumeration.graph import EvaluationGraph
 from repro.errors import NotFunctionalError
 from repro.queries import CompiledEvaluator, RegexCQ
 from repro.runtime import CompiledSpanner
-from repro.runtime.fusion import fused_sweep
+from repro.runtime.fusion import FusedQuery, fused_sweep
 from repro.spans import Span, SpanTuple
 from repro.text import log_lines, repeats_text
 from repro.vset import VSetAutomaton, compile_regex
@@ -31,9 +31,11 @@ def radix_reference(graph: EvaluationGraph) -> list[SpanTuple]:
     return [decode_configuration_word(word, graph.variables) for word in words]
 
 
-def assert_walk_matches_reference(graph: EvaluationGraph) -> list[SpanTuple]:
-    got = list(graph_tuples(graph))
-    assert got == radix_reference(graph)
+def assert_walk_matches_reference(automaton: VSetAutomaton, s: str) -> list[SpanTuple]:
+    """The cold evaluator's walk against the radix reference on the
+    pruned ``A_G`` of ``(automaton, s)``."""
+    got = list(SpannerEvaluator(automaton, s))
+    assert got == radix_reference(build_evaluation_graph(automaton, s))
     return got
 
 
@@ -177,25 +179,24 @@ class TestDecoding:
 
 
 class TestEventWalkMatchesRadixReference:
-    """``graph_tuples`` yields the reference's tuples in the same order."""
+    """The cold evaluator's walk (state sets on one-off tables) yields
+    the reference's tuples in the same order."""
 
     @pytest.mark.parametrize("n_lines", [1, 4, 20])
     def test_dense_digit_spans(self, n_lines):
         s = "\n".join([log_lines(4, seed=2)] * 5).split("\n")[:n_lines]
-        graph = build_evaluation_graph(
+        got = assert_walk_matches_reference(
             compile_regex(".*x{[0-9]+}.*"), "\n".join(s)
         )
-        got = assert_walk_matches_reference(graph)
         # Every code=NNN and HH/MM/SS field: a tuple per digit sub-run.
         assert len(got) >= 6 * n_lines
 
     @pytest.mark.parametrize("n_lines", [1, 2])
     def test_dense_two_variables(self, n_lines):
         doc = "\n".join([log_lines(1, seed=5)] * n_lines)
-        graph = build_evaluation_graph(
+        got = assert_walk_matches_reference(
             compile_regex(".*x{[0-9]+}.*y{[a-z]+}.*"), doc
         )
-        got = assert_walk_matches_reference(graph)
         assert len(got) > 100
 
     @pytest.mark.parametrize(
@@ -210,24 +211,24 @@ class TestEventWalkMatchesRadixReference:
         ],
     )
     def test_small_shapes(self, formula, s):
-        assert_walk_matches_reference(build_evaluation_graph(compile_regex(formula), s))
+        assert_walk_matches_reference(compile_regex(formula), s)
 
     def test_empty_string(self):
-        graph = build_evaluation_graph(compile_regex("x{}"), "")
-        assert assert_walk_matches_reference(graph) == [SpanTuple({"x": Span(1, 1)})]
+        got = assert_walk_matches_reference(compile_regex("x{}"), "")
+        assert got == [SpanTuple({"x": Span(1, 1)})]
 
     def test_boolean_spanner(self):
-        graph = build_evaluation_graph(compile_regex(".*ab.*"), "zabzab")
-        assert assert_walk_matches_reference(graph) == [SpanTuple({})]
+        got = assert_walk_matches_reference(compile_regex(".*ab.*"), "zabzab")
+        assert got == [SpanTuple({})]
 
     def test_empty_language(self):
         automaton = compile_regex("∅", require_functional=False)
-        graph = build_evaluation_graph(VSetAutomaton(automaton.nfa, set()), "abc")
-        assert assert_walk_matches_reference(graph) == []
+        empty = VSetAutomaton(automaton.nfa, set())
+        assert assert_walk_matches_reference(empty, "abc") == []
 
     def test_no_match_document(self):
-        graph = build_evaluation_graph(compile_regex(".*x{[0-9]+}.*"), "no digits")
-        assert assert_walk_matches_reference(graph) == []
+        automaton = compile_regex(".*x{[0-9]+}.*")
+        assert assert_walk_matches_reference(automaton, "no digits") == []
 
     def test_never_closed_variable_raises(self):
         leveled = LeveledNFA(2)
@@ -239,8 +240,23 @@ class TestEventWalkMatchesRadixReference:
         graph = EvaluationGraph(leveled, frozenset({"x"}), 2)
         with pytest.raises(ValueError, match="never closes"):
             radix_reference(graph)
+
+        class NeverClosed:
+            """The same one-word language as a walk level source."""
+
+            root, n_slots, variables, is_empty = 0, 2, frozenset({"x"}), False
+
+            def children_memos(self):
+                return [{}, {}]
+
+            def children(self, states, level):
+                return ((opened.states, states + 1),)
+
+            def jumps(self):
+                return ()
+
         with pytest.raises(ValueError, match="never closes"):
-            list(graph_tuples(graph))
+            list(walk_tuples(NeverClosed()))
 
     def test_fused_sweep_graphs(self):
         formulas = [".*x{[0-9]+}.*", ".*x{[a-z]+}=.*", "x{.*}y{[0-9]+}", ".*ab.*"]
@@ -248,10 +264,15 @@ class TestEventWalkMatchesRadixReference:
         doc = log_lines(3, seed=7)
         graphs = fused_sweep(list(enumerate(tables)), doc)
         assert sorted(graphs) == list(range(len(formulas)))
+        engine = FusedQuery(
+            [(f"q{i}", member) for i, member in enumerate(tables)]
+        ).materialize()
+        streams = engine.streams(doc)
         for member, graph in graphs.items():
-            got = assert_walk_matches_reference(graph)
+            want = radix_reference(graph)
+            assert list(streams[member]) == want
             solo = CompiledSpanner(formulas[member])
-            assert got == list(solo.stream(doc))
+            assert want == list(solo.stream(doc))
 
     def test_equality_stream(self):
         query = RegexCQ(
@@ -264,9 +285,10 @@ class TestEventWalkMatchesRadixReference:
             assert list(engine.stream(doc)) == radix_reference(graph)
 
     def test_generator_is_lazy_and_resumable(self):
-        graph = build_evaluation_graph(compile_regex("a*x{a*}a*"), "a" * 30)
-        stream = graph_tuples(graph)
+        automaton = compile_regex("a*x{a*}a*")
+        stream = iter(SpannerEvaluator(automaton, "a" * 30))
         head = [next(stream) for _ in range(5)]
+        graph = build_evaluation_graph(automaton, "a" * 30)
         assert head + list(stream) == radix_reference(graph)
 
 
@@ -278,6 +300,32 @@ class TestDelayInstrumentation:
         assert report.preprocessing_seconds >= 0
         assert report.max_delay >= report.mean_delay >= 0
         assert not report.truncated
+
+    def test_live_pass_runs_inside_preprocessing(self, monkeypatch):
+        """The live pass stands in for pruning ``A_G``: it belongs to the
+        preprocessing window, not to the first delay."""
+        from repro.enumeration import instrumentation, statesets
+
+        events = []
+        live_pass = statesets.StateSetLevels.live_pass
+        delay_report = instrumentation.DelayReport
+
+        def recording_live_pass(levels):
+            if levels._contexts is None:
+                events.append("live pass")
+            return live_pass(levels)
+
+        def recording_report(**kwargs):
+            events.append("preprocessing recorded")
+            return delay_report(**kwargs)
+
+        monkeypatch.setattr(
+            statesets.StateSetLevels, "live_pass", recording_live_pass
+        )
+        monkeypatch.setattr(instrumentation, "DelayReport", recording_report)
+        report = measure_delays(compile_regex("a*x{a*}a*"), "aaa")
+        assert report.count == 10
+        assert events == ["live pass", "preprocessing recorded"]
 
     def test_measure_delays_limit(self):
         automaton = compile_regex("a*x{a*}a*")

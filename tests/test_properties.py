@@ -5,8 +5,9 @@ The heavyweight invariant: on *random functional regex formulas* and
 leveled graph → radix enumeration) agrees with the brute-force ref-word
 oracle, which implements the paper's definitions literally.  The
 compiled path's state-set evaluation, whose memos outlive a document,
-is checked on document streams against the cold ``A_G`` and the
-paper's radix enumerator.  Around it,
+is checked on document streams against the pruned ``A_G`` and the
+paper's radix enumerator, and so is the cold evaluator, which walks
+state sets on one-off tables.  Around it,
 algebraic laws (join/projection/union against their relational
 counterparts), encode/decode round trips, and ordering contracts.
 """
@@ -15,7 +16,8 @@ from __future__ import annotations
 
 from itertools import islice, product as cartesian_product
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.automata.leveled import RadixEnumerator
 from repro.enumeration import (
@@ -23,9 +25,10 @@ from repro.enumeration import (
     build_evaluation_graph,
     decode_configuration_word,
     enumerate_tuples,
-    graph_tuples,
 )
-from repro.enumeration.enumerator import GraphLevels, count_tuples
+from repro.enumeration.enumerator import walk_tuples
+from repro.enumeration.statesets import StateSetLevels
+from repro.errors import NotFunctionalError
 from repro.oracle import oracle_evaluate
 from repro.queries import CompiledEvaluator, RegexCQ, RegexUCQ
 from repro.refwords import refword_from_tuple, tuple_from_refword, clr
@@ -44,11 +47,19 @@ from repro.relational.hypergraph import Hypergraph
 from repro.relational.relation import Relation
 from repro.relational.yannakakis import evaluate_acyclic
 from repro.relational.generic import evaluate_generic
-from repro.runtime import CompiledSpanner
+from repro.runtime import AutomatonTables, CompiledSpanner
 from repro.runtime.cache import LRUCache
 from repro.runtime.fusion import FusedQuery, fused_sweep
 from repro.spans import Span, SpanTuple
-from repro.vset import compile_regex, equality_automaton, join, project, union
+from repro.vset import (
+    VSetAutomaton,
+    compile_regex,
+    equality_automaton,
+    join,
+    project,
+    union,
+)
+from repro.vset.analysis import is_empty_on
 from repro.vset.functionality import is_vset_functional
 
 ALPHABET = "ab"
@@ -215,15 +226,18 @@ def _radix_prefix(graph):
 @settings(max_examples=80, deadline=None)
 @given(functional_formulas(), long_strings)
 def test_event_walk_matches_radix_reference(formula, s):
-    """The production walk yields the paper's radix order, tuple for tuple."""
-    graph = build_evaluation_graph(compile_regex(formula), s)
-    got = list(islice(graph_tuples(graph), WALK_PREFIX))
+    """The walk over state sets on one-off tables yields the paper's
+    radix order, tuple for tuple."""
+    automaton = compile_regex(formula)
+    graph = build_evaluation_graph(automaton, s)
+    levels = StateSetLevels(AutomatonTables(automaton), s)
+    got = list(islice(walk_tuples(levels), WALK_PREFIX))
     assert got == _radix_prefix(graph)
     assert len(got) == graph.leveled.count_words(cap=WALK_PREFIX)
 
 
 #: Padding no capture reads, so no marker fires inside a run of it: the
-#: state-set walk jumps it, the graph and equality walks step it.
+#: state-set walk jumps it, the equality walk steps it.
 PAD = "-"
 _ANYTHING = Star(CharClass(ANY))
 
@@ -292,23 +306,98 @@ def test_padded_walk_matches_radix_reference(formula, docs):
         got = list(islice(spanner.stream(s), WALK_PREFIX))
         assert got == want
         _assert_counts(lambda cap: spanner.count(s, cap=cap), got)
-        assert list(islice(graph_tuples(graph), WALK_PREFIX)) == want
-        levels = GraphLevels(graph)
-        _assert_counts(lambda cap: count_tuples(levels, cap), got)
         assert spanner.is_empty(s) == (not want)
 
 
 @settings(max_examples=30, deadline=None)
 @given(functional_formulas(), functional_formulas(), long_strings)
 def test_fused_sweep_walk_matches_radix_reference(f1, f2, s):
+    """Each fused sweep member's stream is the radix order of its
+    ``fused_sweep`` graph."""
     entries = [(0, CompiledSpanner(f1).tables), (1, CompiledSpanner(f2).tables)]
-    for graph in fused_sweep(entries, s).values():
-        got = list(islice(graph_tuples(graph), WALK_PREFIX))
+    engine = FusedQuery([(f"q{i}", tables) for i, tables in entries])
+    streams = engine.materialize().streams(s)
+    for member, graph in fused_sweep(entries, s).items():
+        got = list(islice(streams[member], WALK_PREFIX))
         assert got == _radix_prefix(graph)
 
 
 # ---------------------------------------------------------------------------
-# State-set evaluation across documents vs the cold A_G reference
+# The tables-less evaluator vs the pruned A_G reference
+# ---------------------------------------------------------------------------
+
+_EMPTY_NFA = compile_regex("∅", require_functional=False).nfa
+
+
+@st.composite
+def trimmed_only_automata(draw) -> VSetAutomaton:
+    """Automata a cold evaluator trims but never compacts: compiled
+    formulas with their epsilon chains, unions of identical copies (the
+    E1b ``grown_automaton`` shape), Boolean automata and the empty
+    language.  A formula is often read anywhere (``.*F.*``), so the
+    longer strings still have many tuples."""
+    kind = draw(st.sampled_from(("compiled", "grown", "boolean", "empty")))
+    if kind == "empty":
+        return VSetAutomaton(_EMPTY_NFA, draw(st.sampled_from((set(), {"v0"}))))
+    max_variables = 0 if kind == "boolean" else 2
+    formula = draw(functional_formulas(max_variables))
+    if draw(st.booleans()):
+        formula = Concat(Concat(_ANYTHING, formula), _ANYTHING)
+    automaton = compile_regex(formula)
+    if kind == "grown":
+        automaton = union([automaton] * draw(st.integers(2, 3)))
+    return automaton
+
+
+@settings(max_examples=80, deadline=None)
+@given(trimmed_only_automata(), st.one_of(st.just(""), long_strings))
+# Paths that merge into one state set before they close (the drawn
+# formulas rarely nest a star in a capture).
+@example(compile_regex("a*x{a*}a*"), "aaaa")
+@example(union([compile_regex(".*x{a*}y{b*}.*")] * 2), "aabbab")
+@example(compile_regex("x{(a|aa)*}"), "")
+def test_cold_evaluator_matches_graph_reference(automaton, s):
+    """``SpannerEvaluator(automaton, s)`` walks state sets on one-off
+    tables; its tuples, counts and emptiness are the pruned ``A_G``'s."""
+    evaluator = SpannerEvaluator(automaton, s)
+    graph = evaluator.graph
+    words = islice(evaluator.configuration_words(), WALK_PREFIX)
+    want = [decode_configuration_word(w, graph.variables) for w in words]
+    assert list(islice(evaluator, WALK_PREFIX)) == want
+    for cap in (0, 1, 2, None):
+        assert evaluator.count(cap) == graph.leveled.count_words(cap=cap)
+    assert evaluator.is_empty() == graph.leveled.is_empty
+    assert is_empty_on(automaton, s) == graph.leveled.is_empty
+
+
+@st.composite
+def non_functional_automata(draw) -> VSetAutomaton:
+    """``v0`` bound on one union branch only, bound twice, or declared
+    but never bound."""
+    kind = draw(st.sampled_from(("one branch", "twice", "unbound")))
+    bound = draw(_formula_over(("v0",), depth=1))
+    free = draw(_formula_over((), depth=1))
+    if kind == "one branch":
+        return compile_regex(Union(bound, free), require_functional=False)
+    if kind == "twice":
+        return compile_regex(Concat(bound, bound), require_functional=False)
+    return VSetAutomaton(compile_regex(free).nfa, {"v0"})
+
+
+@settings(max_examples=40, deadline=None)
+@given(non_functional_automata(), st.one_of(st.just(""), short_strings))
+def test_cold_evaluator_raises_the_reference_error(automaton, s):
+    """A non-functional automaton fails at construction, with the error
+    the ``A_G`` construction raises."""
+    with pytest.raises(NotFunctionalError) as reference:
+        build_evaluation_graph(automaton, s)
+    with pytest.raises(NotFunctionalError) as cold:
+        SpannerEvaluator(automaton, s)
+    assert str(cold.value) == str(reference.value)
+
+
+# ---------------------------------------------------------------------------
+# State-set evaluation across documents vs the A_G reference
 # ---------------------------------------------------------------------------
 
 #: A document stream: one spanner serves every string of it, so the
@@ -317,7 +406,8 @@ document_streams = st.lists(long_strings, min_size=1, max_size=8)
 
 
 def _cold_reference(automaton, s):
-    """Radix-order prefix, capped counts and emptiness of the cold path."""
+    """Radix-order prefix, capped counts and emptiness of the pruned
+    ``A_G``."""
     graph = build_evaluation_graph(automaton, s)
     counts = {
         cap: graph.leveled.count_words(cap=cap) for cap in (0, 1, 2, None)

@@ -16,8 +16,12 @@ import threading
 
 import pytest
 
-from repro.enumeration import SpannerEvaluator, build_evaluation_graph
-from repro.enumeration.enumerator import graph_tuples
+from repro.automata.leveled import RadixEnumerator
+from repro.enumeration import (
+    SpannerEvaluator,
+    build_evaluation_graph,
+    decode_configuration_word,
+)
 from repro.runtime import AutomatonTables, CompiledSpanner
 from repro.runtime import tables as tables_module
 from repro.text import log_lines
@@ -185,13 +189,19 @@ class TestPicklingContract:
     @pytest.mark.parametrize("formula", FORMULAS)
     def test_pickled_bytes_match_the_graph_path(self, formula):
         # Store blobs and shipped artifacts are the pickled tables: the
-        # state-set path leaves exactly the bytes the graph path leaves.
+        # state-set path leaves exactly the bytes the graph path (the
+        # pruned A_G and its radix enumeration) leaves.
         automaton = compile_regex(formula)
         docs = _documents(9, seed=13) + ["ünïcödé 12 ab@ba"]
         on_state_sets = AutomatonTables(automaton, compact=True)
         on_graph = AutomatonTables(automaton, compact=True)
         for s in docs:
-            list(SpannerEvaluator(automaton, s, tables=on_state_sets))
-            list(graph_tuples(build_evaluation_graph(automaton, s, on_graph)))
+            got = list(SpannerEvaluator(automaton, s, tables=on_state_sets))
+            graph = build_evaluation_graph(automaton, s, on_graph)
+            words = RadixEnumerator(graph.leveled, lambda k: k.sort_key())
+            assert got == [
+                decode_configuration_word(word, graph.variables)
+                for word in words
+            ]
         assert on_state_sets.state_memo_entries > 0
         assert pickle.dumps(on_state_sets) == pickle.dumps(on_graph)
