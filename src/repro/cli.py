@@ -801,8 +801,9 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             metavar="BYTES",
             help=(
-                "per-document result cap in encoded bytes for "
-                "--workers fleets (default: uncapped)"
+                "per-document result cap in bytes of span positions "
+                "on the result wire for --workers fleets (default: "
+                "uncapped)"
             ),
         )
         p.add_argument(

@@ -48,6 +48,7 @@ __all__ = [
     "enumerate_tuples",
     "decode_configuration_word",
     "walk_tuples",
+    "event_offsets",
     "count_tuples",
 ]
 
@@ -203,7 +204,37 @@ def _decode_events(
     return _span_tuple(tuple(spans))
 
 
-def walk_tuples(source) -> Iterator[SpanTuple]:
+def event_offsets(
+    events: list[tuple[int, tuple[int, ...]]], names: tuple[str, ...]
+) -> list[int]:
+    """:func:`_decode_events` as bare ints: ``start, end`` per name.
+
+    The ``2|V|`` span positions in ``names`` order, read off the event
+    list as :func:`_decode_events` reads them, with no :class:`Span` or
+    :class:`SpanTuple` built.  A Boolean head gives ``[]``.  This is
+    the form the serving fleet ships; the driver rebuilds the tuples
+    (and checks the spans) on its side.
+    """
+    offsets: list[int] = []
+    for j, name in enumerate(names):
+        start = 0
+        for slot, letter in events:
+            state = letter[j]
+            if state != WAITING:
+                if not start:
+                    start = slot + 1
+                if state == CLOSED:
+                    offsets.append(start)
+                    offsets.append(slot + 1)
+                    break
+        else:
+            raise ValueError(
+                f"configuration word never closes variable {name!r}"
+            )
+    return offsets
+
+
+def walk_tuples(source, decode: Callable = _decode_events) -> Iterator:
     """Stream the tuples of a level source in radix order.
 
     A depth-first walk of the determinized ``A_G`` in ascending letter
@@ -225,6 +256,11 @@ def walk_tuples(source) -> Iterator[SpanTuple]:
     stretches of the all-``WAITING`` word, so the walk lands on the next
     level where a marker can fire in one step.  Only the state-set
     source has jumps; the equality source returns none.
+
+    Each word is yielded as ``decode(events, names)``: ``names`` are
+    the source's variables in ascending order, and the default decoder
+    builds the :class:`SpanTuple`; :func:`event_offsets` gives the
+    word's span positions as ints instead.
 
     A tuple therefore costs its branches, which all change a letter,
     plus its at most ``2|V| + 1`` events and their decode.  Collapsing
@@ -292,7 +328,7 @@ def walk_tuples(source) -> Iterator[SpanTuple]:
             if index < len(run):
                 events.extend(run[index:])
             states, level = stretch[1], stretch[2]
-        yield _decode_events(events, names)
+        yield decode(events, names)
         # Backtrack to the deepest branch with an untried child.
         while frames:
             frame = frames[-1]

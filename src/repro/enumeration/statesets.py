@@ -56,6 +56,7 @@ class StateSetLevels:
     """
 
     __slots__ = (
+        "tables",
         "memo",
         "text",
         "n_slots",
@@ -68,6 +69,7 @@ class StateSetLevels:
     )
 
     def __init__(self, tables: AutomatonTables, s: str):
+        self.tables = tables
         self.text = s
         self.n_slots = len(s) + 1
         self.variables = tables.variables
@@ -89,7 +91,7 @@ class StateSetLevels:
         for ch in s:
             nxt = forward_of[reached].get(ch)
             if nxt is None:
-                nxt = memo.step(reached, ch)
+                nxt = memo.step(tables, reached, ch)
             if nxt == empty:
                 # No state survives: every later set is empty too.
                 break
@@ -134,7 +136,7 @@ class StateSetLevels:
             states = forward[level]
             found = ctx.live.get(states)
             if found is None:
-                found = memo.live(ctx, states)
+                found = memo.live(self.tables, ctx, states)
             live, part, fires = found
             if fires:
                 if fire_level > level + 1:
@@ -177,5 +179,5 @@ class StateSetLevels:
         ctx = (self._contexts or self.live_pass())[level]
         found = ctx.children.get(states)
         if found is None:
-            found = self.memo.children(ctx, states)
+            found = self.memo.children(self.tables, ctx, states)
         return found

@@ -103,7 +103,8 @@ class ResultLimitError(EvaluationError):
         kind: which cap tripped — ``"tuples"`` or ``"bytes"``.
         limit: the configured cap.
         produced: how much the document had produced when the cap
-            tripped (tuples or encoded bytes, matching ``kind``).
+            tripped (tuples, or the bytes of their span positions on
+            the result wire, matching ``kind``).
     """
 
     def __init__(self, kind: str, limit: int, produced: int):

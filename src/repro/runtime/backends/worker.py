@@ -18,6 +18,19 @@ one resolved cap per member.  Results are ``("done"|"fail", worker_id,
 task_id, payload, truncated)``; a ``done`` payload holds one slot per
 member (see :func:`run_members`), a ``fail`` payload the exception that
 failed the whole task.
+
+A member's tuples travel as ints, never as :class:`SpanTuple` objects.
+An ``evaluate``/``files`` ``ok`` slot carries :func:`pack_tuples`'
+``(names, offsets, counts)``: the head's variable names in ascending
+order, one flat ``array`` of span positions (``start, end`` per name
+per tuple, in the serial order, typecode ``"I"`` unless a position
+needs ``"Q"``) and one ``array`` of per-document tuple counts; a
+Boolean head's names are ``()`` and its positions empty, so it ships
+counts only.  The driver rebuilds the per-document ``SpanTuple`` lists
+once (:func:`unpack_tuples`).  A ``count`` slot carries the plain
+per-document counts.  Sweep and equality members decode their walks
+straight to positions; nothing on the wire refers to a class of
+:mod:`repro.spans`.
 """
 
 from __future__ import annotations
@@ -25,9 +38,11 @@ from __future__ import annotations
 import os
 import pickle
 import time
+from array import array
 from itertools import islice
 
 from ...errors import ResultLimitError, TransientTaskError
+from ...spans import SpanTuple, _span, _span_tuple
 from ..compiled import CompiledSpanner
 from ..fusion import FusedEngine
 from ..tables import AutomatonTables
@@ -38,9 +53,13 @@ __all__ = [
     "enumerate_capped",
     "materialize",
     "materialize_payload",
+    "offset_itemsize",
+    "pack_tuples",
     "run_members",
     "run_task",
+    "unpack_tuples",
     "CAP_PROBE_BATCH",
+    "OFFSET_ITEMSIZE",
 ]
 
 try:  # POSIX only; the RSS probe degrades to 0.0 (never sampled) without it
@@ -74,6 +93,70 @@ def current_rss() -> float:
     return 0.0
 
 
+#: Span positions ship as C unsigned ints, or as 64-bit ints when a
+#: chunk holds a position too large for them.
+OFFSET_ITEMSIZE = array("I").itemsize
+_NARROW_MAX = (1 << (8 * OFFSET_ITEMSIZE)) - 1
+
+
+def _typecode(largest: int) -> str:
+    """The array typecode holding every int up to ``largest``."""
+    return "I" if largest <= _NARROW_MAX else "Q"
+
+
+def offset_itemsize(doc: str) -> int:
+    """Bytes one span position of ``doc`` takes on the wire (positions
+    run up to ``len(doc) + 1``)."""
+    return OFFSET_ITEMSIZE if len(doc) < _NARROW_MAX else 8
+
+
+def pack_tuples(
+    names: tuple[str, ...], offsets: list[int], counts: list[int]
+) -> tuple[tuple[str, ...], array, array]:
+    """One member's tuples for a chunk, in their wire form.
+
+    ``offsets`` concatenates every tuple's span positions, each tuple
+    ``start, end`` per name of ``names`` (ascending), and ``counts``
+    holds each document's tuple count; both become flat int arrays.
+    """
+    return (
+        names,
+        array(_typecode(max(offsets, default=0)), offsets),
+        array(_typecode(max(counts, default=0)), counts),
+    )
+
+
+def unpack_tuples(
+    names: tuple[str, ...], offsets: array, counts: array
+) -> list[list[SpanTuple]]:
+    """The per-document :class:`SpanTuple` lists :func:`pack_tuples`
+    packed: one fresh tuple and fresh spans per packed tuple, as the
+    serial stream yields them.
+
+    Every span goes through the ``1 <= start <= end`` check
+    (:class:`~repro.errors.InvalidSpanError`).
+    """
+    if names:
+        k = len(names)
+        spans = list(map(_span, offsets[::2], offsets[1::2]))
+        if k == 1:
+            name = names[0]
+            tuples = [_span_tuple(((name, span),)) for span in spans]
+        else:
+            tuples = [
+                _span_tuple(tuple(zip(names, spans[i : i + k])))
+                for i in range(0, len(spans), k)
+            ]
+    else:
+        tuples = [_span_tuple(()) for _ in range(sum(counts))]
+    out = []
+    start = 0
+    for n in counts:
+        out.append(tuples[start : start + n])
+        start += n
+    return out
+
+
 #: Tuples consumed per accounting probe in :func:`enumerate_capped`.
 #: Large enough that the capped path stays within ~1% of the uncapped
 #: ``list(stream)`` (the E13h target), small enough that a flood costs
@@ -85,17 +168,24 @@ def enumerate_capped(
     stream,
     extra: int | None,
     caps: "tuple[int | None, int | None, str] | None",
+    itemsize: int,
 ) -> tuple[list, bool]:
     """One document's tuples under the result cap; (tuples, truncated).
+
+    ``stream`` yields each tuple as its span positions (a list of
+    ints, :meth:`FusedEngine.offset_streams`), and ``itemsize`` is the
+    bytes one position of this document takes on the wire
+    (:func:`offset_itemsize`).
 
     Accounting is incremental over the polynomial-delay stream, so a
     combinatorially large result (Theorem 5.4) costs at most one probe
     batch past the cap before the verdict — never a materialization.
     Tuples are consumed in :data:`CAP_PROBE_BATCH` slices so the
     healthy path runs at ``list()`` speed rather than a per-tuple
-    Python loop, and byte accounting pickles each batch *once* (what
-    the result pipe would actually carry) instead of every tuple
-    individually; a byte-cap truncation therefore cuts at a probe
+    Python loop.  Byte accounting counts the bytes the result pipe
+    carries for the batch — its positions, ``len(batch) × 2|V| ×
+    itemsize``, by arithmetic — so a Boolean head's tuples, which ship
+    as a count, cost none; a byte-cap truncation cuts at a probe
     boundary — still an exact serial-order prefix.  The caps and the
     probe grid are per *document*, not per chunk, so verdicts are
     byte-identical whatever the worker count or chunking.
@@ -122,9 +212,7 @@ def enumerate_capped(
                 "tuples", max_tuples, len(out) + len(batch)
             )
         if max_bytes is not None and batch:
-            used += len(
-                pickle.dumps(batch, protocol=pickle.HIGHEST_PROTOCOL)
-            )
+            used += sum(map(len, batch)) * itemsize
             if used > max_bytes:
                 if policy == "truncate":
                     return out, True
@@ -203,7 +291,9 @@ def run_members(
     each member engine's own ``count(doc, cap=extra)``, never capped.
 
     Returns ``(slots, truncated_docs)``, one slot per member:
-    ``("ok", per_doc_results, truncated_docs)``, or ``("err", exc)``
+    ``("ok", value, truncated_docs)`` — ``value`` the packed tuples of
+    :func:`pack_tuples` (the per-document counts for ``count``) —,
+    or ``("err", exc)``
     when the member's evaluation raised (a crossed ``error``-policy
     cap included) — that fails exactly the member's future and never
     charges a breaker.  Failures outside the member phases (shm
@@ -223,7 +313,10 @@ def run_members(
     fused = None if op == "count" else FusedEngine(members)
     member_caps = caps if caps is not None else (None,) * m_count
     stamp = heartbeat if m_count > 1 else None
+    # Per member: each document's count (op "count") or tuple count,
+    # and every tuple's span positions, concatenated.
     results: list[list] = [[] for _ in range(m_count)]
+    offsets: list[list[int]] = [[] for _ in range(m_count)]
     errs: list = [None] * m_count
     truncated = [0] * m_count
     live = m_count
@@ -236,7 +329,11 @@ def run_members(
                 doc = read_document(item, encoding=encoding, errors=errors)
             else:
                 doc = item
-            streams = None if fused is None else fused.streams(doc)
+            if fused is None:
+                streams = None
+            else:
+                streams = fused.offset_streams(doc)
+                itemsize = offset_itemsize(doc)
             for m, (_qid, engine) in enumerate(members):
                 if errs[m] is not None:
                     continue
@@ -249,9 +346,13 @@ def run_members(
                         # whichever bound bites first instead of
                         # materializing combinatorially many tuples
                         # only to discard them.
-                        value, cut = enumerate_capped(
-                            streams[m], extra, member_caps[m]
+                        tuples, cut = enumerate_capped(
+                            streams[m], extra, member_caps[m], itemsize
                         )
+                        flat = offsets[m]
+                        for positions in tuples:
+                            flat += positions
+                        value = len(tuples)
                 except TransientTaskError:
                     raise  # "try again" concerns the whole task
                 except Exception as err:
@@ -264,7 +365,13 @@ def run_members(
         slots = [
             ("err", errs[m])
             if errs[m] is not None
-            else ("ok", results[m], truncated[m])
+            else (
+                "ok",
+                results[m]
+                if fused is None
+                else pack_tuples(fused.heads[m] or (), offsets[m], results[m]),
+                truncated[m],
+            )
             for m in range(m_count)
         ]
         total_truncated = sum(

@@ -166,7 +166,11 @@ class ServiceConfig:
             with incremental accounting over the polynomial-delay
             stream; override per query (``register``) or per call
             (``submit*``), most specific wins, explicit ``None``
-            disables an inherited cap.
+            disables an inherited cap.  ``max_result_bytes`` counts the
+            bytes a document's tuples take on the result wire: ``2|V|``
+            span positions per tuple, 4 bytes each (8 past a 4 GiB
+            document), so a Boolean head's tuples, which ship as a
+            count, count 0 bytes.
         on_result_limit: ``"error"`` (default) fails a capped task with
             :class:`~repro.errors.ResultLimitError` — which indicts the
             input, so it never charges the query's breaker; or

@@ -33,11 +33,12 @@ engine groups its members into *fusion cohorts* (:func:`plan_cohorts`):
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from ..enumeration.enumerator import walk_tuples
+from ..enumeration.enumerator import _decode_events, event_offsets, walk_tuples
 from ..enumeration.graph import EvaluationGraph, build_evaluation_graph
 from ..enumeration.statesets import StateSetLevels
+from ..errors import SchemaError
 from ..spans import SpanTuple
 from ..text.substrings import SubstringIndex
 from .compiled import CompiledSpanner
@@ -101,15 +102,18 @@ def fused_sweep(
 
 
 def _equality_stream(
-    engine: CompiledEqualityQuery, s: str, index: SubstringIndex
-) -> Iterator[SpanTuple]:
+    engine: CompiledEqualityQuery,
+    s: str,
+    index: SubstringIndex,
+    decode: Callable,
+) -> Iterator:
     """A lazy per-member equality stream sharing the document's index.
 
     Lazy on purpose: the per-document product BFS and level build run on
     first ``next()``, inside the consumer's per-member accounting
     window, so fleet-side fault attribution indicts the right member.
     """
-    yield from engine.evaluator(s, index=index)
+    yield from walk_tuples(engine.levels(s, index=index), decode)
 
 
 class FusedQuery:
@@ -148,10 +152,11 @@ class FusedEngine:
 
     Cohorts are planned once at construction; :meth:`streams` then
     yields one lazy tuple iterator per member (member order) per
-    document.
+    document, and :meth:`offset_streams` the same tuples as their span
+    positions, the form the serving fleet ships.
     """
 
-    __slots__ = ("member_ids", "_sweep", "_equality", "_solo")
+    __slots__ = ("member_ids", "heads", "_sweep", "_equality", "_solo")
 
     def __init__(self, members: Sequence[tuple[str, object]]):
         self.member_ids = tuple(qid for qid, _ in members)
@@ -159,6 +164,12 @@ class FusedEngine:
         self._sweep = cohorts.get("sweep", [])
         self._equality = cohorts.get("equality", [])
         self._solo = cohorts.get("solo", [])
+        #: Per member, its head's variable names in ascending order —
+        #: the order of :meth:`offset_streams`' positions.  A solo
+        #: member's head is read off its first tuple (``None`` before).
+        self.heads: list[tuple[str, ...] | None] = [None] * len(members)
+        for member, engine in self._sweep + self._equality:
+            self.heads[member] = tuple(sorted(engine.variables))
 
     def streams(self, s: str) -> list[Iterator[SpanTuple]]:
         """One tuple iterator per member (member order) for document ``s``.
@@ -167,16 +178,50 @@ class FusedEngine:
         enumerated; their walks — and the equality members' per-document
         compilation — stay lazy in the returned iterators.
         """
-        out: list[Iterator[SpanTuple]] = [iter(())] * len(self.member_ids)
+        return self._streams(s, _decode_events)
+
+    def offset_streams(self, s: str) -> list[Iterator[list[int]]]:
+        """:meth:`streams` with each tuple as its ``2|V|`` span positions.
+
+        A tuple is ``[start, end, ...]``, one pair per name of the
+        member's :attr:`heads` entry (``[]`` for a Boolean head).  Sweep
+        and equality members decode their walks straight to ints
+        (:func:`~repro.enumeration.enumerator.event_offsets`); a solo
+        member's tuples are read back out of its :class:`SpanTuple`
+        objects.
+        """
+        return self._streams(s, event_offsets, self._solo_offsets)
+
+    def _streams(
+        self, s: str, decode: Callable, solo: Callable | None = None
+    ) -> list:
+        out: list[Iterator] = [iter(())] * len(self.member_ids)
         for member, tables in self._sweep:
-            out[member] = walk_tuples(StateSetLevels(tables, s))
+            out[member] = walk_tuples(StateSetLevels(tables, s), decode)
         if self._equality:
             index = SubstringIndex(s)
             for member, engine in self._equality:
-                out[member] = _equality_stream(engine, s, index)
+                out[member] = _equality_stream(engine, s, index, decode)
         for member, engine in self._solo:
-            out[member] = engine.stream(s)  # type: ignore[attr-defined]
+            stream = engine.stream(s)  # type: ignore[attr-defined]
+            out[member] = stream if solo is None else solo(member, stream)
         return out
+
+    def _solo_offsets(
+        self, member: int, stream: Iterator[SpanTuple]
+    ) -> Iterator[list[int]]:
+        heads = self.heads
+        for mu in stream:
+            items = mu._items
+            names = tuple(name for name, _ in items)
+            if names != heads[member]:
+                if heads[member] is not None:
+                    raise SchemaError(
+                        f"member {self.member_ids[member]!r} yielded tuples "
+                        f"over {list(heads[member])} and {list(names)}"
+                    )
+                heads[member] = names
+            yield [x for _, span in items for x in (span.start, span.end)]
 
     def __repr__(self) -> str:
         return (

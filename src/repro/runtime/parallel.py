@@ -49,7 +49,7 @@ register each query; ``ParallelSpanner`` remains the right interface
 for one query over one corpus.
 
 When sharding pays off: the per-document win is (evaluation time) vs
-(IPC: one document in, its pickled tuples out), and the fixed cost is
+(IPC: one document in, its tuples' span positions out), and the fixed cost is
 fleet startup plus one tables shipment per worker.  Corpora of
 hundreds of non-trivial documents amortize this easily; a handful of
 tiny documents will not — stay serial (``workers=1``) there.  How the

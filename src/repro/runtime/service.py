@@ -63,7 +63,8 @@ fleet:
   A ``shm_budget`` bounds the transport's segment bytes — a chunk the
   budget (or ``/dev/shm`` itself) cannot fit degrades to the task pipe
   for that chunk, counted, never fatal.  Per-document result caps
-  (``max_tuples`` / ``max_result_bytes``, service/query/call scoped)
+  (``max_tuples`` / ``max_result_bytes``, service/query/call scoped;
+  the byte cap counts the span positions the result wire carries)
   stop the combinatorially large outputs Theorem 5.4 allows at the
   enumeration boundary: ``on_result_limit="error"`` fails exactly that
   task with :class:`~repro.errors.ResultLimitError` (never charging
@@ -109,7 +110,10 @@ Results are **byte-identical and in-order** versus the serial runtime:
 chunks are submitted in document order and concatenated in submission
 order, and each worker runs the exact serial per-document evaluation,
 so a batch's answer is the same list-of-``SpanTuple``-lists whatever
-the worker count, chunking, recycling or crash history.
+the worker count, chunking, recycling or crash history.  Workers ship
+each member's tuples as flat int arrays of span positions
+(:mod:`repro.runtime.backends.worker`, "Wire format"), and the driver
+builds every ``SpanTuple`` once, when the task's result arrives.
 
 ::
 
@@ -139,6 +143,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Awaitable, Iterable, Sequence
 
 from ..errors import (
+    InvalidSpanError,
     OverloadedError,
     QueryQuarantinedError,
     ResultLimitError,
@@ -148,6 +153,7 @@ from ..errors import (
 )
 from ..spans import SpanTuple
 from .backends.base import WorkerHandle, resolve_backend
+from .backends.worker import unpack_tuples
 from .config import UNSET as _UNSET
 from .config import ConfigAttributes, ServiceConfig, check_limits
 from .registry import (
@@ -1593,8 +1599,9 @@ class SpannerService(ConfigAttributes):
         if self._inflight_slots is not None:
             self._inflight_slots.release()
         # A task-level outcome (exc) resolves every member's future; a
-        # result resolves each from its own slot: ("ok", per_doc, _) or
-        # ("err", member_exc).
+        # result resolves each from its own slot: ("ok", packed, _) or
+        # ("err", member_exc).  Packed tuples become the per-document
+        # SpanTuple lists here, once, before the future resolves.
         for m, future in enumerate(task.futures):
             if future.cancelled():
                 continue
@@ -1605,8 +1612,15 @@ class SpannerService(ConfigAttributes):
                     future.set_exception(exc)
                 elif value[m][0] == "err":
                     future.set_exception(value[m][1])
-                else:
+                elif task.op == "count":
                     future.set_result(value[m][1])
+                else:
+                    try:
+                        result = unpack_tuples(*value[m][1])
+                    except InvalidSpanError as err:
+                        future.set_exception(err)
+                    else:
+                        future.set_result(result)
             except InvalidStateError:  # cancelled concurrently by a caller
                 pass
 

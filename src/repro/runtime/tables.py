@@ -427,7 +427,6 @@ class StateSetMemo:
     """
 
     __slots__ = (
-        "tables",
         "sets",
         "ids",
         "forward",
@@ -444,7 +443,6 @@ class StateSetMemo:
     )
 
     def __init__(self, tables: AutomatonTables):
-        self.tables = tables
         self.sets: list[tuple[int, ...]] = []
         self.ids: dict[tuple[int, ...], int] = {}
         self.forward: list[dict[str, int]] = []
@@ -485,15 +483,19 @@ class StateSetMemo:
                 self.size += 1
         return found
 
-    def _row(self, ch: str) -> BurstRow:
+    def _row(self, tables: AutomatonTables, ch: str) -> BurstRow:
         if ch == ROOT_STEP:
             return self._root_row
-        return self.tables.burst_step(ch)
+        return tables.burst_step(ch)
 
     # -- Miss paths (hits are plain dict reads at the call sites) ----------
-    def step(self, states: int, ch: str) -> int:
+    #
+    # ``tables`` are the memo's own tables (the caller holds them).  The
+    # memo keeps no reference to them: the tables own the memo, and a
+    # reference back would leave both to the cyclic garbage collector.
+    def step(self, tables: AutomatonTables, states: int, ch: str) -> int:
         """``forward[states][ch]``: the set ``states`` reaches on ``ch``."""
-        row = self.tables.burst_step(ch)
+        row = tables.burst_step(ch)
         reached: set[int] = set()
         for p in self.sets[states]:
             reached.update(row[p])
@@ -506,7 +508,9 @@ class StateSetMemo:
         ctx = StepContext(ch, frozenset(self.sets[target]))
         return self._insert(self.contexts[target], ch, ctx)
 
-    def live(self, ctx: StepContext, states: int) -> tuple[int, int, bool]:
+    def live(
+        self, tables: AutomatonTables, ctx: StepContext, states: int
+    ) -> tuple[int, int, bool]:
         """``ctx.live[states]``: the members with a successor in the target,
         their all-``WAITING`` part, and whether that part fires.
 
@@ -517,7 +521,7 @@ class StateSetMemo:
         letter (letters ascend from all-``WAITING``, so the last one
         decides).  The root is its own part.
         """
-        row = self._row(ctx.ch)
+        row = self._row(tables, ctx.ch)
         target = ctx.target
         live = self.intern(tuple(
             p for p in self.sets[states] if not target.isdisjoint(row[p])
@@ -534,12 +538,12 @@ class StateSetMemo:
         if part != self.empty:
             kids = ctx.children.get(part)
             if kids is None:
-                kids = self.children(ctx, part)
+                kids = self.children(tables, ctx, part)
             fires = kids[-1][0] != waiting
         return self._insert(ctx.live, states, (live, part, fires))
 
     def children(
-        self, ctx: StepContext, states: int
+        self, tables: AutomatonTables, ctx: StepContext, states: int
     ) -> tuple[tuple[tuple[int, ...], int], ...]:
         """``ctx.children[states]``: successors in the target by letter.
 
@@ -547,7 +551,7 @@ class StateSetMemo:
         edge into ``q`` carries ``~c_q``), so grouping the successors by
         it and sorting gives the radix order ``<_K``.
         """
-        row = self._row(ctx.ch)
+        row = self._row(tables, ctx.ch)
         target = ctx.target
         letters = self._letters
         groups: dict[tuple[int, ...], set[int]] = {}

@@ -26,7 +26,7 @@ from repro.enumeration import (
     decode_configuration_word,
     enumerate_tuples,
 )
-from repro.enumeration.enumerator import walk_tuples
+from repro.enumeration.enumerator import event_offsets, walk_tuples
 from repro.enumeration.statesets import StateSetLevels
 from repro.errors import NotFunctionalError
 from repro.oracle import oracle_evaluate
@@ -162,6 +162,28 @@ def functional_formulas(draw, max_variables: int = 2) -> RegexFormula:
     return formula
 
 
+_ANYTHING = Star(CharClass(ANY))
+
+
+@st.composite
+def anywhere_formulas(draw, max_variables: int = 2) -> RegexFormula:
+    """:func:`functional_formulas`, read anywhere (``.*F.*``) half the
+    time, so a document has many tuples, not at most one."""
+    formula = draw(functional_formulas(max_variables))
+    if draw(st.booleans()):
+        formula = Concat(Concat(_ANYTHING, formula), _ANYTHING)
+    return formula
+
+
+#: Formulas whose walk paths merge into one state set before they
+#: close, with a document where they do, for ``@example``.
+MERGING = (
+    ("a*x{a*}a*", "aaaa"),
+    (".*v0{a*}v1{b*}.*", "aabbab"),
+    (".*v0{(a|aa)*}.*", "aaaa"),
+)
+
+
 short_strings = st.text(alphabet=ALPHABET, max_size=4)
 tiny_strings = st.text(alphabet=ALPHABET, max_size=3)
 #: Up to 40 characters; the digit alphabet adds documents whose sweep
@@ -209,7 +231,10 @@ def test_enumeration_order_and_uniqueness(formula, s):
 
 
 @settings(max_examples=40, deadline=None)
-@given(functional_formulas(), short_strings)
+@given(anywhere_formulas(), short_strings)
+@example(*MERGING[0])
+@example(*MERGING[1])
+@example(*MERGING[2])
 def test_count_matches_enumeration(formula, s):
     evaluator = SpannerEvaluator(compile_regex(formula), s)
     assert evaluator.count() == len(list(evaluator))
@@ -224,22 +249,30 @@ def _radix_prefix(graph):
 
 
 @settings(max_examples=80, deadline=None)
-@given(functional_formulas(), long_strings)
+@given(anywhere_formulas(), long_strings)
+@example(*MERGING[0])
+@example(*MERGING[1])
+@example(*MERGING[2])
 def test_event_walk_matches_radix_reference(formula, s):
     """The walk over state sets on one-off tables yields the paper's
-    radix order, tuple for tuple."""
+    radix order, tuple for tuple, and the offsets decoder yields each
+    tuple's span positions."""
     automaton = compile_regex(formula)
     graph = build_evaluation_graph(automaton, s)
     levels = StateSetLevels(AutomatonTables(automaton), s)
     got = list(islice(walk_tuples(levels), WALK_PREFIX))
     assert got == _radix_prefix(graph)
     assert len(got) == graph.leveled.count_words(cap=WALK_PREFIX)
+    offsets = islice(walk_tuples(levels, event_offsets), WALK_PREFIX)
+    assert list(offsets) == [
+        [x for _, span in sorted(mu.items()) for x in (span.start, span.end)]
+        for mu in got
+    ]
 
 
 #: Padding no capture reads, so no marker fires inside a run of it: the
 #: state-set walk jumps it, the equality walk steps it.
 PAD = "-"
-_ANYTHING = Star(CharClass(ANY))
 
 
 @st.composite
@@ -416,7 +449,9 @@ def _cold_reference(automaton, s):
 
 
 @settings(max_examples=60, deadline=None)
-@given(functional_formulas(), functional_formulas(), document_streams)
+@given(anywhere_formulas(), anywhere_formulas(), document_streams)
+@example(MERGING[0][0], MERGING[1][0], [s for _, s in MERGING])
+@example(MERGING[2][0], MERGING[1][0], [s for _, s in MERGING] * 2)
 def test_state_sets_match_cold_reference_across_documents(f1, f2, docs):
     spanners = [CompiledSpanner(f1), CompiledSpanner(f2)]
     engine = FusedQuery(

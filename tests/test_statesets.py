@@ -9,10 +9,12 @@ mid-stream, and the pickled artifact the fleet ships and stores.
 
 from __future__ import annotations
 
+import gc
 import pickle
 import random
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -164,6 +166,23 @@ class TestSharedMemos:
         rest = [list(spanner.stream(s)) for s in docs[1:]]
         assert head + list(first) == want[0]
         assert rest == want[1:]
+
+    def test_cold_tables_die_without_the_cycle_collector(self):
+        # The memo keeps no reference back to its tables, so a cold
+        # evaluator's one-off tables and memo go with their last
+        # reference, not at the next cyclic collection.
+        gc.disable()
+        try:
+            evaluator = SpannerEvaluator(
+                compile_regex(FORMULAS[0]), "a1 b22 c333"
+            )
+            assert len(list(evaluator)) == 10
+            assert evaluator._tables.state_memo_entries > 0
+            tables = weakref.ref(evaluator._tables)
+            del evaluator
+            assert tables() is None
+        finally:
+            gc.enable()
 
 
 class TestPicklingContract:
