@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..regex.ast import RegexFormula
 from ..regex.parser import parse
+from ..runtime.cache import LRUCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.compiled import CompiledSpanner
@@ -155,8 +156,7 @@ def word_spanner(variable: str = "x") -> RegexFormula:
 #: full, the least-recently-used entry is evicted, so data-derived
 #: formulas (e.g. per-document dictionaries) cannot pin compilations
 #: for the process lifetime.
-_COMPILED: "dict[RegexFormula, CompiledSpanner]" = {}
-_COMPILED_MAX_ENTRIES = 64
+_COMPILED = LRUCache(64, name="extractors")
 
 
 def compile_extractor(formula: RegexFormula | str) -> "CompiledSpanner":
@@ -173,13 +173,7 @@ def compile_extractor(formula: RegexFormula | str) -> "CompiledSpanner":
 
     if isinstance(formula, str):
         formula = parse(formula)
-    spanner = _COMPILED.pop(formula, None)
-    if spanner is None:
-        spanner = CompiledSpanner(formula)
-        while len(_COMPILED) >= _COMPILED_MAX_ENTRIES:
-            _COMPILED.pop(next(iter(_COMPILED)))
-    _COMPILED[formula] = spanner  # (re)insert as most recently used
-    return spanner
+    return _COMPILED.get_or_create(formula, lambda: CompiledSpanner(formula))
 
 
 def all_builtin_names() -> Iterable[str]:

@@ -3,12 +3,13 @@
 One address space changes the economics the process backend pays for:
 the compile-once artifact is materialized *once per query per service*
 and every worker reads the same engine object (safe because a
-materialized automaton is immutable except for the ``_burst`` memo — a
-benign-race dict of immutable tuples), documents need no shared-memory
-transport, and results cross a plain in-process queue.  On free-threaded
-builds (PEP 703) this buys process-level parallelism without spawn or
-IPC cost; on GIL builds it still wins for debugging and small-document
-latency, just not for CPU-bound throughput.
+materialized automaton is immutable except for its per-process caches:
+the ``_burst`` rows, a benign-race dict of immutable tuples, and the
+state-set memo, whose insertions take its own lock), documents need no
+shared-memory transport, and results cross a plain in-process queue.
+On free-threaded builds (PEP 703) this buys process-level parallelism
+without spawn or IPC cost; on GIL builds it still wins for debugging
+and small-document latency, just not for CPU-bound throughput.
 
 What a thread cannot do is die on command: ``kill_worker`` *abandons*
 the thread — the handle is marked killed, the worker notices after its

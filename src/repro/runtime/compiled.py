@@ -120,11 +120,6 @@ class CompiledSpanner:
         self.tables: AutomatonTables = tables_for(automaton)
         if not self.tables.is_empty:
             self.tables.require_all_closed_final()
-        # Chars-only automata have a statically known alphabet: index
-        # every character row now so no document ever runs the
-        # predicate fallback (no-op beyond the thresholds / for
-        # wildcard predicates — those stay lazily indexed).
-        self.tables.prebuild_burst()
 
     @classmethod
     def from_tables(cls, tables: AutomatonTables) -> "CompiledSpanner":

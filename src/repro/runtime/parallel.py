@@ -20,7 +20,7 @@ API and guarantees it has had since PR 2:
   :class:`~repro.runtime.equality.CompiledEqualityQuery` (per-disjunct
   static tables + groups + head), and each worker runs the **fused
   equality join** locally per document — workers never recompile, and
-  the interned closure tuples / prebuilt burst rows arrive intact;
+  the interned closure tuples arrive intact;
 * documents are dispatched in order as chunks of ``chunk_size``; at
   most ``max_pending`` chunks are in flight, which bounds both worker
   memory and how far ahead of the consumer the input iterable is read

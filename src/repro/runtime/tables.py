@@ -19,15 +19,8 @@ distinct character ``σ``, a row mapping
 so the evaluation-graph construction's inner ``pred.matches(ch)`` loop
 collapses into a single indexed lookup per frontier state.  Rows are
 compact state-indexed tuples (one ``tuple[int, ...]`` per state, ``()``
-when the character is not readable there).  By default rows are built
-lazily on first sight of a character; for automata whose terminal
-predicates are all finite :class:`~repro.alphabet.Chars` sets the full
-alphabet is statically known and :meth:`AutomatonTables.prebuild_burst`
-(called by ``CompiledSpanner``) builds every row eagerly — afterwards
-*unseen* characters resolve to a shared all-empty row with no predicate
-sweep at all.  Wildcard automata (``NotChars``/``AnyChar``) have no
-complete build, so the same method prebuilds a *probe* alphabet (ASCII
-letters/digits) and leaves the long tail to the lazy fallback.
+when the character is not readable there), built lazily on first sight
+of a character and bounded by :data:`BURST_TABLE_MAX_ROWS`.
 
 On top of the burst rows sits the **state-set memo**
 (:class:`StateSetMemo`): automaton-state sets interned to ints, and the
@@ -37,15 +30,16 @@ per-document ``A_G``.  It fills lazily, is bounded by
 :data:`STATE_MEMO_MAX_ENTRIES`, and is safe to share across threads.
 
 **Pickling.**  ``AutomatonTables`` is an explicit serialization
-contract (``__getstate__``/``__setstate__``) so that
-:class:`~repro.runtime.parallel.ParallelSpanner` can ship one compiled
-artifact to every worker process: the prepared automaton,
-configurations, closures, terminal edges and every burst row built so
-far survive the round trip; pickle's memo preserves the interning of
-shared closure tuples and configurations; the ``views`` scratch dict
-(in-memory derived caches, e.g. the join's operand buckets) and the
-state-set memo are deliberately dropped and rebuilt lazily on the
-other side.
+contract (``__getstate__``/``__setstate__``) so that one compiled
+artifact can be shipped to every worker process and stored by content
+fingerprint: the prepared automaton, configurations, closures and
+terminal edges survive the round trip, and pickle's memo preserves the
+interning of shared closure tuples and configurations.  Everything a
+document fills in — the burst rows, the state-set memo and the
+``views`` scratch dict (in-memory derived caches, e.g. the join's
+operand buckets) — is a per-process cache: it is never pickled and
+rebuilds lazily on the other side, so an artifact's bytes depend on
+the automaton alone, not on which documents were evaluated before.
 
 :func:`tables_for` memoizes tables per automaton *object* (weakly, so
 dropping the automaton frees its tables); it is shared by
@@ -58,7 +52,7 @@ from __future__ import annotations
 
 import threading
 
-from ..alphabet import Chars, is_epsilon, is_marker, is_marker_set, is_symbol
+from ..alphabet import is_epsilon, is_marker, is_marker_set, is_symbol
 from ..automata.ops import closure
 from ..errors import NotFunctionalError
 from ..vset.automaton import VSetAutomaton
@@ -86,24 +80,6 @@ BURST_TABLE_MAX_ROWS = 512
 #: the next document starts on a fresh memo and the old one dies with
 #: the last evaluation still reading it.
 STATE_MEMO_MAX_ENTRIES = 1 << 15
-
-#: :meth:`AutomatonTables.prebuild_burst` thresholds: skip the eager
-#: build when the static alphabet exceeds this many characters ...
-EAGER_BURST_MAX_CHARS = 96
-
-#: ... or when ``|alphabet| * n_states`` exceeds this many row cells
-#: (equality automata are Chars-only but have O(N^4) states — eagerly
-#: sweeping their edges per character would dwarf the join that
-#: consumes them).
-EAGER_BURST_MAX_CELLS = 1 << 18
-
-#: The probe alphabet for wildcard automata (``NotChars``/``AnyChar``
-#: predicates make the readable set infinite, so no eager build can be
-#: complete): ASCII letters and digits cover the bulk of realistic
-#: document characters, and the lazy fallback still serves the tail.
-PROBE_ALPHABET = (
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
-)
 
 #: One burst row: successor tuples indexed by state (``()`` = none).
 BurstRow = "tuple[tuple[int, ...], ...]"
@@ -140,7 +116,8 @@ class AutomatonTables:
             per-shared-variable-set operand buckets) to cache derived
             data alongside the tables.  Not pickled.
 
-    The state-set memo (:meth:`state_memo`) is not pickled either.
+    The burst rows (:meth:`burst_step`) and the state-set memo
+    (:meth:`state_memo`) are not pickled either.
     """
 
     __slots__ = (
@@ -154,8 +131,6 @@ class AutomatonTables:
         "terminal_edges",
         "views",
         "_burst",
-        "_burst_complete",
-        "_empty_row",
         "_memo",
         "__weakref__",
     )
@@ -169,8 +144,6 @@ class AutomatonTables:
         self.is_empty = prepared.is_empty_language()
         self.views: dict[object, object] = {}
         self._burst: dict[str, BurstRow] = {}
-        self._burst_complete = False
-        self._empty_row: BurstRow = ()
         self._memo: StateSetMemo | None = None
         if self.is_empty:
             self.configs: tuple[VariableConfiguration | None, ...] = ()
@@ -196,7 +169,6 @@ class AutomatonTables:
             )
             for q in range(nfa.n_states)
         )
-        self._empty_row = ((),) * nfa.n_states
 
     # -- Functionality gate -------------------------------------------------
     def require_all_closed_final(self) -> None:
@@ -213,20 +185,13 @@ class AutomatonTables:
         Built on first sight of ``ch`` by the predicate-match fallback
         (one ``pred.matches`` sweep over the terminal edges), then
         served from the cache for every later occurrence — in this
-        document or any other.  After a successful
-        :meth:`prebuild_burst`, every readable character already has a
-        row and unseen characters short-circuit to a shared all-empty
-        row.  The lazy cache is bounded by
+        document or any other.  The cache is bounded by
         :data:`BURST_TABLE_MAX_ROWS` so character-diverse streams
         cannot grow it without limit; overflow rows are recomputed per
         call.
         """
         row = self._burst.get(ch)
         if row is None:
-            if self._burst_complete:
-                # Static alphabet fully indexed: a missing row means no
-                # terminal predicate can read ``ch`` anywhere.
-                return self._empty_row
             row = self._build_burst(ch)
             if len(self._burst) < BURST_TABLE_MAX_ROWS:
                 self._burst[ch] = row
@@ -244,73 +209,6 @@ class AutomatonTables:
                         succs.update(self.ve[r])
             rows.append(tuple(sorted(succs)) if succs else ())
         return tuple(rows)
-
-    def static_alphabet(self) -> frozenset[str] | None:
-        """The full readable alphabet, when statically known.
-
-        For automata whose terminal predicates are all finite
-        :class:`~repro.alphabet.Chars` sets this is their union; any
-        :class:`~repro.alphabet.AnyChar`/:class:`~repro.alphabet.NotChars`
-        predicate makes the readable set infinite — returns ``None``.
-        """
-        chars: set[str] = set()
-        for edges in self.terminal_edges:
-            for pred, _dst in edges:
-                if not isinstance(pred, Chars):
-                    return None
-                chars.update(pred.chars)
-        return frozenset(chars)
-
-    def prebuild_burst(
-        self,
-        *,
-        max_chars: int = EAGER_BURST_MAX_CHARS,
-        max_cells: int = EAGER_BURST_MAX_CELLS,
-        probe: str = PROBE_ALPHABET,
-    ) -> bool:
-        """Eagerly build burst rows ahead of the first document.
-
-        For a statically-known (all-``Chars``) alphabet, builds every
-        row and returns True: no evaluation ever runs the predicate
-        fallback — known characters hit their prebuilt row, unknown
-        characters hit the shared empty row.
-
-        For wildcard automata (``NotChars``/``AnyChar`` predicates,
-        where no build can be complete) it prebuilds rows for the
-        ``probe`` alphabet — ASCII letters/digits by default — and
-        returns False: the common characters are indexed before the
-        first document arrives, and genuinely unseen ones keep the lazy
-        fallback.  Either mode is skipped (returning False) when the
-        row budget ``|chars| * n_states`` exceeds ``max_cells``.
-        Idempotent; called by ``CompiledSpanner`` at construction.
-        """
-        if self._burst_complete:
-            return True
-        if self.is_empty:
-            self._burst_complete = True
-            return True
-        alphabet = self.static_alphabet()
-        if alphabet is None:
-            # Wildcard automaton: probe prebuild, lazy tail.
-            if probe and len(probe) * len(self.terminal_edges) <= max_cells:
-                for ch in probe:
-                    if ch not in self._burst:
-                        self._burst[ch] = self._build_burst(ch)
-            return False
-        if len(alphabet) > max_chars:
-            return False
-        if len(alphabet) * len(self.terminal_edges) > max_cells:
-            return False
-        for ch in alphabet:
-            if ch not in self._burst:
-                self._burst[ch] = self._build_burst(ch)
-        self._burst_complete = True
-        return True
-
-    @property
-    def burst_complete(self) -> bool:
-        """True when every readable character has a prebuilt row."""
-        return self._burst_complete
 
     @property
     def distinct_characters_seen(self) -> int:
@@ -340,7 +238,7 @@ class AutomatonTables:
         """Entries in the current state-set memo (0 before first use)."""
         return 0 if self._memo is None else self._memo.size
 
-    # -- Serialization (the ParallelSpanner shipping contract) --------------
+    # -- Serialization (the fleet shipping and store contract) -------------
     def __getstate__(self) -> dict:
         return {
             "automaton": self.automaton,
@@ -351,8 +249,6 @@ class AutomatonTables:
             "ve": self.ve,
             "initial_ve": self.initial_ve,
             "terminal_edges": self.terminal_edges,
-            "burst": self._burst,
-            "burst_complete": self._burst_complete,
         }
 
     def __setstate__(self, state: dict) -> None:
@@ -364,10 +260,10 @@ class AutomatonTables:
         self.ve = state["ve"]
         self.initial_ve = state["initial_ve"]
         self.terminal_edges = state["terminal_edges"]
-        self._burst = state["burst"]
-        self._burst_complete = state["burst_complete"]
-        self._empty_row = ((),) * len(self.terminal_edges)
-        # Derived per-process caches rebuild lazily on first use.
+        # Per-process caches rebuild lazily on first use.  Entries
+        # pickled by older releases also carry their burst rows; they
+        # are ignored.
+        self._burst = {}
         self.views = {}
         self._memo = None
 
@@ -451,9 +347,10 @@ class StateSetMemo:
         self._lock = threading.Lock()
         self._letters = tuple(config.states for config in tables.configs)
         self._waiting = (WAITING,) * len(tables.variables)
-        self._root_row = tables._empty_row + (tables.initial_ve,)
+        n_states = len(tables.terminal_edges)
+        self._root_row = ((),) * n_states + (tables.initial_ve,)
         self.empty = self.intern(())
-        self.root = self.intern((len(tables.terminal_edges),))
+        self.root = self.intern((n_states,))
         self.initial = self.intern(tables.initial_ve)
         self.accept = self.intern((tables.automaton.final,))
 

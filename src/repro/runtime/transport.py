@@ -307,7 +307,7 @@ def _finalize_session(segments: dict, pool: dict, pidfile: str) -> None:
     for segment in leftovers:
         try:
             segment.close()
-            segment.unlink()
+            _unlink_untracked(segment)
         except Exception:
             pass
     _remove_pidfile(pidfile)
@@ -408,6 +408,23 @@ def _create_untracked(name: str, size: int):
         except Exception:  # pragma: no cover - tracker already gone
             pass
     return segment
+
+
+def _unlink_untracked(segment) -> None:
+    """Remove the POSIX name of a segment :func:`_create_untracked` made.
+
+    ``SharedMemory.unlink`` before Python 3.13 also unregisters the
+    name from the resource tracker, which never held it: the tracker
+    process then prints a ``KeyError`` traceback per segment.  There,
+    unlink the name directly; with ``track=False`` (3.13+) ``unlink``
+    skips the tracker itself, and off POSIX it involves no tracker.
+    """
+    if getattr(segment, "_track", True) and os.name == "posix":
+        import _posixshmem
+
+        _posixshmem.shm_unlink(segment._name)
+    else:
+        segment.unlink()
 
 
 #: The *wire* codec for shared-memory chunks.  Deliberately fixed and
@@ -814,7 +831,7 @@ class SharedMemoryTransport:
             segment.close()
         finally:
             try:
-                segment.unlink()
+                _unlink_untracked(segment)
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
 

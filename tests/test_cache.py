@@ -120,6 +120,17 @@ class TestProcessWideSharing:
         assert "automaton-tables" in metrics
         assert metrics["compilation"].hits + metrics["compilation"].misses > 0
 
+    def test_compile_extractor_shares_the_lru(self):
+        from repro.extractors import compile_extractor
+
+        before = cache_metrics()["extractors"]
+        first = compile_extractor(".*n{[0-9]+}x.*")
+        second = compile_extractor(".*n{[0-9]+}x.*")  # equal formula
+        after = cache_metrics()["extractors"]
+        assert second is first
+        assert after.hits - before.hits == 1
+        assert after.maxsize == 64
+
 
 class TestNoStaleCompilations:
     """Eviction + recycling must never resurrect a wrong artifact."""

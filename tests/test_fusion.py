@@ -54,8 +54,7 @@ from test_service import (
 DEADLINE = 0.5
 
 #: A third regex query with a different shape (wildcard-heavy), so the
-#: mixed-cohort tests cover a member whose burst rows stay lazily grown
-#: (wildcard alphabet) beside statically indexed ones.
+#: mixed-cohort tests cover members of more than one shape.
 UPPER_FORMULA = ".*u{[A-Z]+}.*"
 
 #: One tuple per span of the document: the member that makes a

@@ -14,6 +14,7 @@ counterparts), encode/decode round trips, and ordering contracts.
 
 from __future__ import annotations
 
+import pickle
 from itertools import islice, product as cartesian_product
 
 import pytest
@@ -487,6 +488,28 @@ def test_alternately_advanced_streams_match_cold_reference(formula, s1, s2):
             else:
                 live[i] = False
     assert got == want
+
+
+#: Documents with characters no formula leaf reads and that are neither
+#: ASCII letters nor digits, so evaluating them fills burst rows that
+#: no compile-time build could have made.
+diverse_strings = st.text(alphabet=ALPHABET + "0" + PAD + " ü€", max_size=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(functional_formulas(), anywhere_formulas(), padded_formulas()),
+    st.lists(diverse_strings, min_size=1, max_size=4),
+)
+def test_artifact_bytes_do_not_depend_on_evaluated_documents(formula, docs):
+    """The shipped, stored and fingerprinted artifact is the tables'
+    pickle: evaluating documents fills only per-process caches."""
+    spanner = CompiledSpanner(formula)
+    before = pickle.dumps(spanner.tables, protocol=pickle.HIGHEST_PROTOCOL)
+    for s in docs:
+        list(islice(spanner.stream(s), WALK_PREFIX))
+    after = pickle.dumps(spanner.tables, protocol=pickle.HIGHEST_PROTOCOL)
+    assert after == before
 
 
 # ---------------------------------------------------------------------------

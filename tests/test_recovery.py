@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import shutil
 import signal
 import subprocess
@@ -49,6 +50,11 @@ from test_service import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+#: The query of ``fixtures/legacy_store`` and the id its build gave it.
+LEGACY_FORMULA = ".*x{[0-9]+}.*"
+LEGACY_ID = "q041c7d744e390260"
+LEGACY_DOCS = ["id 42 at 17:05 ok", "no digits", "", "x9ü€ 0 — 123"]
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(TESTS, os.pardir, "src")
@@ -131,6 +137,43 @@ class TestWarmStart:
             stats = store.stats()
             assert stats["hits"] == 1 and stats["puts"] == 0
             assert warm.submit(DOCS, queries=q_warm).result() == word_serial
+
+    def test_entry_from_an_earlier_build_revives(self, tmp_path, monkeypatch):
+        """``fixtures/legacy_store`` holds the ``FileStore`` entry the build
+        before burst rows left the artifact wrote for
+        :data:`LEGACY_FORMULA`: its tables pickle still carries 62
+        prebuilt rows.  A warm ``register()`` revives it without a
+        compile and under that build's id; the revived tables start
+        with no rows, and serve what a fresh compile serves."""
+        from repro.runtime.registry import QueryRegistry
+
+        def no_compile(self, query):
+            raise AssertionError("a warm register must not compile")
+
+        root = tmp_path / "arts"
+        shutil.copytree(FIXTURES / "legacy_store", root)
+        store = FileStore(root)
+        monkeypatch.setattr(QueryRegistry, "_compile", no_compile)
+        with SpannerService(
+            workers=1, backend="serial", artifact_store=store
+        ) as warm:
+            qid = warm.register(LEGACY_FORMULA)
+            assert qid == LEGACY_ID
+            stats = store.stats()
+            assert stats["hits"] == 1 and stats["puts"] == 0
+            served = warm.submit(LEGACY_DOCS, queries=qid).result()
+        (key,) = store.keys()
+        tables = pickle.loads(store.get(key))
+        assert tables.distinct_characters_seen == 0
+        revived = CompiledSpanner.from_tables(tables)
+        fresh = CompiledSpanner(LEGACY_FORMULA)
+        for doc in LEGACY_DOCS:
+            assert pickle.dumps(list(revived.stream(doc))) == pickle.dumps(
+                list(fresh.stream(doc))
+            )
+        assert pickle.dumps(served) == pickle.dumps(
+            list(fresh.evaluate_many(LEGACY_DOCS))
+        )
 
     def test_store_surfaces_in_health(self, tmp_path):
         with SpannerService(

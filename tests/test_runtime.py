@@ -23,7 +23,6 @@ from repro.oracle import oracle_evaluate
 from repro.queries import CompiledEvaluator, RegexCQ
 from repro.queries.compiled import query_fingerprint
 from repro.runtime import AutomatonTables, CompiledSpanner, tables_for
-from repro.runtime.tables import PROBE_ALPHABET
 from repro.runtime.cache import LRUCache
 from repro.runtime.tables import _CACHE
 from repro.spans import Span, SpanTuple
@@ -152,19 +151,16 @@ class TestBatchAPIs:
 
 class TestBurstTable:
     def test_rows_grow_per_distinct_character(self):
-        # Wildcard automata prebuild the ASCII letter/digit *probe*
-        # rows at construction; characters beyond the probe still grow
-        # the table lazily, one row per distinct character.
+        # No row is built before the first document; afterwards the
+        # table grows lazily, one row per distinct character.
         spanner = CompiledSpanner(".*x{[ab]+}.*")
-        base = spanner.tables.distinct_characters_seen
-        assert base == len(PROBE_ALPHABET)
-        assert not spanner.tables.burst_complete
-        list(spanner.stream("abab"))  # probe characters: no new rows
-        assert spanner.tables.distinct_characters_seen == base
-        list(spanner.stream("ab!?"))  # beyond the probe: lazy rows
-        assert spanner.tables.distinct_characters_seen == base + 2
+        assert spanner.tables.distinct_characters_seen == 0
+        list(spanner.stream("abab"))
+        assert spanner.tables.distinct_characters_seen == 2
+        list(spanner.stream("ab!?"))
+        assert spanner.tables.distinct_characters_seen == 4
         list(spanner.stream("a!b?"))  # no new characters
-        assert spanner.tables.distinct_characters_seen == base + 2
+        assert spanner.tables.distinct_characters_seen == 4
 
     def test_unseen_character_still_correct(self):
         automaton = compile_regex(".*x{[^ ]+} .*")

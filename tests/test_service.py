@@ -201,6 +201,19 @@ class TestRegistration:
             assert first == second
             assert len(service.queries) == 1
 
+    def test_id_does_not_drift_with_evaluated_documents(self):
+        # The artifact is string-independent state only: streaming a
+        # document (here with characters beyond ASCII letters and
+        # digits) through the spanner between two registrations must
+        # not change its bytes, its id, or the registered query set.
+        spanner = CompiledSpanner(WORD_FORMULA)
+        with SpannerService(workers=1, backend="serial") as service:
+            first = service.register(spanner)
+            list(spanner.stream("hello wörld ÿ€ x !?"))
+            second = service.register(spanner)
+            assert first == second
+            assert service.queries == (first,)
+
     def test_explicit_id_conflict_raises(self):
         with SpannerService(workers=1) as service:
             service.register(CompiledSpanner(WORD_FORMULA), query_id="logs")

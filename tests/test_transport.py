@@ -191,6 +191,37 @@ class TestSegmentLifetime:
         assert ref.segment not in dev_shm_segments()
 
 
+    def test_process_fleet_leaves_the_resource_tracker_quiet(self):
+        import subprocess
+        import sys
+
+        # The driver creates its segments untracked, so unlinking them
+        # must not unregister them either: the tracker process would
+        # print a KeyError traceback per segment to the fleet's stderr.
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        script = (
+            "import sys; sys.path.insert(0, %r)\n"
+            "from repro.runtime import SpannerService\n"
+            "docs = ['say hi ho %%d ' %% i + 'x' * 64 for i in range(8)]\n"
+            "with SpannerService(workers=2, chunk_size=2, transport='shm',\n"
+            "                    backend='process') as service:\n"
+            "    qid = service.register('.*x{[a-z]+}.*')\n"
+            "    out = service.submit(docs, queries=qid).result(timeout=120)\n"
+            "print(sum(map(len, out)), flush=True)\n"
+        ) % os.path.abspath(src)
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=180,
+        )
+        assert out.returncode == 0, out.stderr
+        assert int(out.stdout) > 0
+        assert "resource_tracker" not in out.stderr
+        assert "KeyError" not in out.stderr
+        assert not dev_shm_segments()
+
+
 class TestBudgetGovernance:
     """The shm capacity budget: overruns degrade to the pipe, the pool
     yields its reservation to live traffic, and degraded episodes never
