@@ -245,6 +245,23 @@ def _reference_stages(
     return [t1 - t0, t2 - t1, t3 - t2, t4 - t3, perf_counter_ns() - t4], n
 
 
+def stage_counts() -> tuple[float, float]:
+    """Product pairs and implicit equality states per E10f document.
+
+    Read off the :class:`EqualityProduct` record after the BFS, so the
+    BFS loop itself carries no counter.  Both paths run this BFS.
+    """
+    engine = CompiledEvaluator(LRUCache(8)).equality_runtime(_wide_dedup_query())
+    ((tables, (group,)),) = engine.disjuncts
+    docs = stage_documents()
+    pairs = states = 0
+    for s in docs:
+        product = EqualityProduct(tables, group, s, SubstringIndex(s))
+        pairs += len(product.pairs)
+        states += len(product.eq.states)
+    return pairs / len(docs), states / len(docs)
+
+
 def stage_rows() -> list[tuple[str, str, float]]:
     """``(path, stage, ms per document)``, each path closed by its total.
 
@@ -282,11 +299,15 @@ def stage_table() -> Table:
     table = Table(
         "E10f  per-document stage times on equality-cq documents: "
         "level source vs reference pipeline",
-        ["path", "stage", "ms/doc"],
+        ["path", "stage", "ms/doc", "pairs/doc", "eq states/doc"],
     )
     rows = stage_rows()
-    for row in rows:
-        table.add(*row)
+    pairs, states = stage_counts()
+    for path, stage, ms in rows:
+        if stage in ("product BFS", "compile_for"):
+            table.add(path, stage, ms, pairs, states)
+        else:
+            table.add(path, stage, ms, "", "")
     totals = {path: ms for path, stage, ms in rows if stage == "total"}
     table.note(
         f"total {totals['reference']:.2f} -> {totals['levels']:.2f} ms/doc "
@@ -300,6 +321,11 @@ def stage_table() -> Table:
         "automaton, trim and projection), then what a cold "
         "SpannerEvaluator runs on it: one-off AutomatonTables and the "
         "forward, live and walk passes over their state sets"
+    )
+    table.note(
+        "pairs/doc, eq states/doc: product pairs and implicit A_eq "
+        "states of the one product BFS both paths run (on the "
+        "product BFS and compile_for rows)"
     )
     return table
 
@@ -386,6 +412,20 @@ def test_e10f_stage_paths_agree():
         level_n = _level_stages(engine, s)[1]
         reference_n = _reference_stages(engine, s)[1]
         assert level_n == reference_n == len(list(engine.stream(s))) > 0
+
+
+#: E10f product pairs per document before all-open groups forgot
+#: their start (one pair per (start, gap) on the ``x = y`` diagonal).
+UNMERGED_PAIRS_PER_DOC = 1519
+
+
+def test_e10f_pairs_per_document():
+    """CI: the E10f product BFS stays at most 3/4 of its unmerged size.
+
+    A state count, not a timing, so it is exact on any runner.
+    """
+    pairs, _states = stage_counts()
+    assert pairs <= 0.75 * UNMERGED_PAIRS_PER_DOC, pairs
 
 
 def test_e10_fused_speedup():

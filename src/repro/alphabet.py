@@ -39,6 +39,7 @@ __all__ = [
     "is_marker_set",
     "is_symbol",
     "marker_sort_key",
+    "SortedPickle",
 ]
 
 
@@ -108,6 +109,25 @@ def marker_sort_key(marker: VariableMarker) -> tuple[str, bool]:
     return (marker.variable, not marker.is_open)
 
 
+class SortedPickle(frozenset):
+    """A frozenset that pickles its elements in sorted order.
+
+    A frozenset pickles its elements in iteration order, which for
+    strings (and markers) follows the process's hash salt
+    (``PYTHONHASHSEED``), so one artifact would pickle to different
+    bytes, fingerprints and store keys in different processes.  Pickle
+    ``SortedPickle(fs)`` in place of ``fs``: its elements go out sorted
+    by ``repr`` (deterministic for strings and markers) and it
+    unpickles to a plain frozenset, so pickles that hold the plain
+    frozenset still load the same.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return (frozenset, (tuple(sorted(self, key=repr)),))
+
+
 # ---------------------------------------------------------------------------
 # Symbol predicates
 # ---------------------------------------------------------------------------
@@ -150,6 +170,12 @@ class Chars(SymbolPredicate):
     def sort_key(self) -> tuple:
         return (0, tuple(sorted(self.chars)))
 
+    def __reduce__(self):
+        # Sorted, so the bytes do not follow the hash salt (see
+        # :class:`SortedPickle`); pickles of older builds restore
+        # through the dataclass ``__setstate__``.
+        return (Chars, (tuple(sorted(self.chars)),))
+
     def __str__(self) -> str:
         inner = "".join(sorted(self.chars))
         return inner if len(inner) == 1 else f"[{inner}]"
@@ -171,6 +197,12 @@ class NotChars(SymbolPredicate):
 
     def sort_key(self) -> tuple:
         return (1, tuple(sorted(self.chars)))
+
+    def __reduce__(self):
+        # Sorted, so the bytes do not follow the hash salt (see
+        # :class:`SortedPickle`); pickles of older builds restore
+        # through the dataclass ``__setstate__``.
+        return (NotChars, (tuple(sorted(self.chars)),))
 
     def __str__(self) -> str:
         return f"[^{''.join(sorted(self.chars))}]"

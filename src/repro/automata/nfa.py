@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable, Iterator
 
+from ..alphabet import SortedPickle
+
 __all__ = ["NFA"]
 
 Label = Hashable
@@ -38,6 +40,33 @@ class NFA:
         self.transitions: list[list[tuple[Label, int]]] = []
         self.initial: int | None = None
         self.finals: set[int] = set()
+
+    def __getstate__(self) -> tuple:
+        # frozenset labels pickle sorted (see
+        # :class:`~repro.alphabet.SortedPickle`), one wrapper per
+        # distinct label so shared labels stay shared.
+        wrapped: dict = {}
+
+        def label_of(label: Label) -> object:
+            if not isinstance(label, frozenset):
+                return label
+            found = wrapped.get(label)
+            if found is None:
+                found = wrapped[label] = SortedPickle(label)
+            return found
+
+        transitions = [
+            [(label_of(label), dst) for label, dst in edges]
+            for edges in self.transitions
+        ]
+        return (
+            None,
+            {
+                "transitions": transitions,
+                "initial": self.initial,
+                "finals": self.finals,
+            },
+        )
 
     # -- Construction -------------------------------------------------------
     def add_state(self) -> int:

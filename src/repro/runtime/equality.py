@@ -26,12 +26,17 @@ described by
 Crucially this representation **merges** the explicit construction's
 paths: all choices that agree on the fired prefix share one implicit
 state, and once a group is fully closed every choice collapses into a
-single per-gap state.  Validity is enforced on the fly — a burst is
-only emitted when the partial assignment still extends to a full
-equal-span choice (substring class equality, occurrence queries for
-still-unopened variables, longest-common-extension feasibility for
-partially-opened groups) — so the product construction below never
-explores a choice the string cannot complete.  The bursts a state can
+single per-gap state.  Likewise, while every variable of the group is
+open at one common start (none closed or waiting), the state forgets
+that start: its only future is closing them all together, which
+succeeds from any start, so the ``x = y`` diagonal is one state per
+gap rather than one per (start, gap).  Validity is enforced on the
+fly — a burst is only emitted when the partial assignment still
+extends to a full equal-span choice (substring class equality,
+occurrence queries for still-unopened variables, longest-common-
+extension feasibility for partially-opened groups) — so the product
+construction below never explores a choice the string cannot
+complete.  The bursts a state can
 try depend only on which variables are open and closed, so their
 shapes are memoized across documents (:func:`_skeleton`).
 
@@ -201,6 +206,17 @@ class _ImplicitEqualityOperand:
       close (``None`` before; reset to ``None`` once *all* vars are
       closed, so completed states merge across every choice).
 
+    A state in which every variable of a group of ``k >= 2`` is open at
+    one common start, none closed or waiting, forgets that start: its
+    ``opens`` are :attr:`merged_opens`, every start written as ``0``
+    (no real gap is ``0``), so it is one state per gap and fired flag.
+    Nothing in its future reads the start: closing all variables at a
+    later gap always succeeds (identical non-empty spans), closing a
+    strict subset never can (the rest would need the same length from
+    the same start), and it never dies.  Its only burst is therefore
+    the all-closed state at its gap, which :meth:`_fire_targets`
+    returns without running the skeleton.
+
     Every state is interned to a dense id on first sight; id
     :data:`FINAL` is the unique final state (all markers fired, the
     whole string read), which has no tuple.  Per id the operand keeps
@@ -224,6 +240,7 @@ class _ImplicitEqualityOperand:
         "n",
         "index",
         "full_mask",
+        "merged_opens",
         "initial",
         "shared_idx",
         "states",
@@ -246,6 +263,9 @@ class _ImplicitEqualityOperand:
         self.n = len(s)
         self.index = index
         self.full_mask = (1 << k) - 1
+        self.merged_opens = (
+            tuple((j, 0) for j in range(k)) if k >= 2 else None
+        )
         self.shared_idx = shared_idx
         self.states: list[tuple | None] = []
         self.var_states: list[tuple[int, ...]] = []
@@ -364,12 +384,18 @@ class _ImplicitEqualityOperand:
         when the new partial assignment still extends to a full
         equal-span choice of ``s``: closed spans agree on length and
         value, open variables can still close on that value, and
-        still-unopened variables find an occurrence later.
+        still-unopened variables find an occurrence later.  A state
+        whose variables are all open at one forgotten start has one
+        burst: closing them all.
         """
         g, _fired, opens, closed_mask, length, ref = u
+        full_mask = self.full_mask
+        merged = self.merged_opens
+        if opens == merged:
+            done = (g, True, (), full_mask, None, None)
+            return [self.intern(done, (CLOSED,) * self.k)]
         n1 = self.n + 1
         classes = self.index.classes
-        full_mask = self.full_mask
         open_start = [0] * self.k
         open_mask = 0
         for j, p in opens:
@@ -448,6 +474,12 @@ class _ImplicitEqualityOperand:
             if new_closed == full_mask:
                 # Completed groups merge across all choices.
                 target = (g, True, (), full_mask, None, None)
+            elif (
+                merged is not None
+                and not (opens or new_closed or unopened)
+            ):
+                # Every variable opens here: the start is forgotten.
+                target = (g, True, merged, 0, None, None)
             else:
                 new_opens = tuple(
                     (j, p) for (j, _here), p in zip(layout, open_starts)

@@ -572,11 +572,12 @@ class SpannerService(ConfigAttributes):
 
         The id is a fingerprint of the pickled compiled artifact, so
         registering the same compiled query twice dedupes to one entry
-        (and one shipment per worker).  Pass ``query_id`` (a non-empty
-        string, else ``ValueError``) to pick a stable name; re-using a
-        name for a *different* artifact raises.  Registration is
-        allowed at any time — workers receive the artifact lazily, with
-        the first task that needs it.
+        (and one shipment per worker); artifacts pickle their sets
+        sorted, so the id is the same in every driver process.  Pass
+        ``query_id`` (a non-empty string, else ``ValueError``) to pick
+        a stable name; re-using a name for a *different* artifact
+        raises.  Registration is allowed at any time — workers receive
+        the artifact lazily, with the first task that needs it.
 
         ``timeout`` sets this query's per-task deadline, overriding the
         service's ``task_timeout`` (``None`` disables the deadline for

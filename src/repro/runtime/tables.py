@@ -52,7 +52,13 @@ from __future__ import annotations
 
 import threading
 
-from ..alphabet import is_epsilon, is_marker, is_marker_set, is_symbol
+from ..alphabet import (
+    SortedPickle,
+    is_epsilon,
+    is_marker,
+    is_marker_set,
+    is_symbol,
+)
 from ..automata.ops import closure
 from ..errors import NotFunctionalError
 from ..vset.automaton import VSetAutomaton
@@ -242,7 +248,7 @@ class AutomatonTables:
     def __getstate__(self) -> dict:
         return {
             "automaton": self.automaton,
-            "variables": self.variables,
+            "variables": SortedPickle(self.variables),
             "is_empty": self.is_empty,
             "configs": self.configs,
             "final_config": self.final_config,

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..alphabet import (
+    SortedPickle,
     VariableMarker,
     is_epsilon,
     is_marker,
@@ -58,6 +59,14 @@ class VSetAutomaton:
         self.nfa = nfa
         self.variables = frozenset(variables)
         self._validate_labels()
+
+    def __getstate__(self) -> tuple:
+        # The variable set pickles sorted (see
+        # :class:`~repro.alphabet.SortedPickle`).
+        return (
+            None,
+            {"nfa": self.nfa, "variables": SortedPickle(self.variables)},
+        )
 
     def _validate_labels(self) -> None:
         for _src, label, _dst in self.nfa.iter_edges():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pickle
 import sys
 import threading
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -23,9 +24,12 @@ from repro.queries import CanonicalEvaluator, CompiledEvaluator, RegexCQ, RegexU
 from repro.runtime import CompiledEqualityQuery, ParallelSpanner, equality_join
 from repro.runtime import equality as equality_module
 from repro.runtime.cache import LRUCache
-from repro.text import repeats_text
+from repro.runtime.equality import EqualityProduct
+from repro.runtime.tables import tables_for
+from repro.text import SubstringIndex, repeats_text
 from repro.vset import compile_regex, equality_automaton, join
 from repro.vset.join import join_many
+from repro.vset.operations import project
 
 STRINGS = [
     "",
@@ -110,6 +114,63 @@ class TestFusedJoinUnit:
             equality_join(static, ("x",), "aa")
         with pytest.raises(SchemaError):
             equality_join(static, ("x", "x"), "aa")
+
+
+class TestAllOpenMerge:
+    """A group whose variables are all open at one start forgets it.
+
+    The merged state's only future is closing every variable at once,
+    so merging leaves the relation — and with it the radix order —
+    unchanged; repeat-heavy strings put the most starts on one gap.
+    """
+
+    HEADS = {
+        "full": lambda group: group,
+        "projected": lambda group: group[::2],
+        "boolean": lambda group: (),
+    }
+
+    @pytest.mark.parametrize("s", ["aaaaaa", "abab", "aabaab"])
+    @pytest.mark.parametrize("group", [("x", "y"), ("x", "y", "z")])
+    @pytest.mark.parametrize("head", sorted(HEADS))
+    def test_matches_the_explicit_join(self, s, group, head):
+        static = join_many(
+            [compile_regex(f".*{v}{{[ab]+}}.*") for v in group]
+        )
+        head_vars = self.HEADS[head](group)
+        explicit = list(SpannerEvaluator(
+            project(join(static, equality_automaton(s, group)), head_vars), s
+        ))
+        fused = list(SpannerEvaluator(
+            project(equality_join(static, group, s), head_vars), s
+        ))
+        levels = list(
+            CompiledEqualityQuery([static], [[group]], head_vars).stream(s)
+        )
+        assert explicit  # every string has a repeat
+        assert fused == levels == explicit
+
+    def test_one_all_open_state_per_gap(self):
+        """On an equality-cq document, the operand holds at most one
+        all-open same-start state per gap and fired flag (one per
+        start and gap without the merge)."""
+        s = repeats_text(32, seed=200, alphabet="abcdefgh", plant="abc")
+        static = join(
+            compile_regex(".*x{[a-h]+}.*"), compile_regex(".*y{[a-h]+}.*")
+        )
+        product = EqualityProduct(
+            tables_for(static), ("x", "y"), s, SubstringIndex(s)
+        )
+        per_gap: Counter = Counter()
+        for state in product.eq.states:
+            if state is None:
+                continue
+            gap, fired, opens, closed_mask, _length, _ref = state
+            starts = {p for _j, p in opens}
+            if not closed_mask and len(opens) == 2 and len(starts) == 1:
+                per_gap[gap, fired] += 1
+        assert len(per_gap) > len(s)  # the diagonal is explored
+        assert max(per_gap.values()) == 1
 
 
 class TestCompiledEvaluatorParity:

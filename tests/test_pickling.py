@@ -12,15 +12,22 @@ every input.
 
 from __future__ import annotations
 
+import copyreg
+import io
+import json
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
-from repro.alphabet import EPSILON, VariableMarker
+from repro.alphabet import EPSILON, Chars, NotChars, VariableMarker
+from repro.automata.nfa import NFA
 from repro.enumeration import SpannerEvaluator
 from repro.runtime import AutomatonTables, CompiledSpanner
 from repro.spans import Span, SpanTuple
-from repro.vset import compile_regex, equality_automaton, join
+from repro.vset import VSetAutomaton, compile_regex, equality_automaton, join
 from repro.vset.configurations import OPEN, WAITING, VariableConfiguration
 
 
@@ -133,6 +140,95 @@ class TestAutomatonTablesRoundTrip:
         tables = tables_for(a1)
         assert tables.views  # scratch state exists...
         assert roundtrip(tables).views == {}  # ...and is not shipped
+
+
+#: Formulas whose artifacts pickle frozensets of several strings:
+#: character classes, a negated class, and two variables.
+DIGEST_FORMULAS = (
+    ".*x{[0-9]+}.*",
+    "(ε|.*[^a-z])x{[a-z]+}([^a-z].*|ε)",
+    ".*x{[a-z]+} y{[^ ]+}.*",
+)
+
+_DIGEST_CHILD = """
+import hashlib, json, pickle, sys
+from repro.runtime import CompiledSpanner, SpannerService
+
+out = {}
+with SpannerService(workers=1, backend="serial") as service:
+    for formula in json.loads(sys.argv[1]):
+        tables = CompiledSpanner(formula).tables
+        out[formula] = [
+            hashlib.sha256(pickle.dumps(tables)).hexdigest(),
+            str(service.register(formula)),
+        ]
+print(json.dumps(out))
+"""
+
+
+class TestDeterministicBytes:
+    """One query pickles to one byte string in every process.
+
+    Frozensets pickle in iteration order, which follows the string-hash
+    salt; artifacts pickle theirs sorted, so fingerprints, default
+    ``q<sha>`` ids and ``a<sha>`` store keys agree across driver
+    processes.
+    """
+
+    def test_digest_and_default_id_agree_across_hash_seeds(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        results = []
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", _DIGEST_CHILD,
+                 json.dumps(DIGEST_FORMULAS)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            results.append(json.loads(done.stdout))
+        assert results[0] == results[1] == results[2]
+        assert sorted(results[0]) == sorted(DIGEST_FORMULAS)
+
+    def test_pickles_of_plain_frozensets_still_load(self):
+        """Pickles written before the sorted encoding hold plain
+        frozensets and the default slot state; they load unchanged."""
+
+        class OldPickler(pickle.Pickler):
+            def reducer_override(self, obj):
+                if isinstance(obj, (Chars, NotChars)):
+                    return copyreg.__newobj__, (type(obj),), [obj.chars]
+                if isinstance(obj, (NFA, VSetAutomaton)):
+                    state = {
+                        name: getattr(obj, name)
+                        for name in type(obj).__slots__
+                        if name != "__weakref__"
+                    }
+                    return copyreg.__newobj__, (type(obj),), (None, state)
+                return NotImplemented
+
+        def old_pickle(obj) -> bytes:
+            buffer = io.BytesIO()
+            OldPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+            return buffer.getvalue()
+
+        joined = join(
+            compile_regex("(ε|.*[^a-z])x{a+}.*"), compile_regex(".*y{b+}.*")
+        )
+        tables = AutomatonTables(joined, compact=True)
+        old = old_pickle(tables)
+        assert old != pickle.dumps(tables, protocol=pickle.HIGHEST_PROTOCOL)
+        restored = pickle.loads(old)
+        assert restored.variables == tables.variables == {"x", "y"}
+        assert restored.automaton.nfa.transitions == (
+            tables.automaton.nfa.transitions
+        )
+        for s in ("abab", "1aab", "ba", "aaa"):
+            assert tuple_sequence(restored, s) == tuple_sequence(tables, s)
+        # Re-pickled, the old entry takes the sorted encoding.
+        assert pickle.dumps(
+            restored, protocol=pickle.HIGHEST_PROTOCOL
+        ) == pickle.dumps(tables, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 class TestCompiledSpannerRoundTrip:

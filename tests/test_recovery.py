@@ -545,8 +545,10 @@ class TestRestore:
 
 
 def _journal_snapshot(manifest: Path) -> dict:
-    """The manifest minus what varies between runs: artifact digests
-    (a compiled artifact's pickle bytes differ per process) and paths."""
+    """The manifest minus its paths and artifact digests.  A digest is
+    the same in every process, but it follows the pickle encoding of
+    the Python release and of the artifact classes, which the journal's
+    keys and values do not depend on."""
     doc = json.loads(manifest.read_text())
     doc["store"].pop("root", None)
     for entry in doc["queries"]:
