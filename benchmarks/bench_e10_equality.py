@@ -245,21 +245,27 @@ def _reference_stages(
     return [t1 - t0, t2 - t1, t3 - t2, t4 - t3, perf_counter_ns() - t4], n
 
 
-def stage_counts() -> tuple[float, float]:
-    """Product pairs and implicit equality states per E10f document.
+def stage_counts(
+    docs: list[str] | None = None,
+) -> tuple[float, float, float]:
+    """Product pairs, implicit equality states and silent stretches per
+    document (the E10f documents by default).
 
     Read off the :class:`EqualityProduct` record after the BFS, so the
     BFS loop itself carries no counter.  Both paths run this BFS.
     """
     engine = CompiledEvaluator(LRUCache(8)).equality_runtime(_wide_dedup_query())
     ((tables, (group,)),) = engine.disjuncts
-    docs = stage_documents()
-    pairs = states = 0
+    if docs is None:
+        docs = stage_documents()
+    pairs = states = stretches = 0
     for s in docs:
         product = EqualityProduct(tables, group, s, SubstringIndex(s))
         pairs += len(product.pairs)
         states += len(product.eq.states)
-    return pairs / len(docs), states / len(docs)
+        stretches += len(product.stretches)
+    n = len(docs)
+    return pairs / n, states / n, stretches / n
 
 
 def stage_rows() -> list[tuple[str, str, float]]:
@@ -299,15 +305,18 @@ def stage_table() -> Table:
     table = Table(
         "E10f  per-document stage times on equality-cq documents: "
         "level source vs reference pipeline",
-        ["path", "stage", "ms/doc", "pairs/doc", "eq states/doc"],
+        [
+            "path", "stage", "ms/doc", "pairs/doc", "eq states/doc",
+            "stretches/doc",
+        ],
     )
     rows = stage_rows()
-    pairs, states = stage_counts()
+    pairs, states, stretches = stage_counts()
     for path, stage, ms in rows:
         if stage in ("product BFS", "compile_for"):
-            table.add(path, stage, ms, pairs, states)
+            table.add(path, stage, ms, pairs, states, stretches)
         else:
-            table.add(path, stage, ms, "", "")
+            table.add(path, stage, ms, "", "", "")
     totals = {path: ms for path, stage, ms in rows if stage == "total"}
     table.note(
         f"total {totals['reference']:.2f} -> {totals['levels']:.2f} ms/doc "
@@ -323,11 +332,28 @@ def stage_table() -> Table:
         "forward, live and walk passes over their state sets"
     )
     table.note(
-        "pairs/doc, eq states/doc: product pairs and implicit A_eq "
-        "states of the one product BFS both paths run (on the "
-        "product BFS and compile_for rows)"
+        "pairs/doc, eq states/doc, stretches/doc: product pairs, implicit "
+        "A_eq states and silent stretches (pairs that stand for one "
+        "product state per gap of a stretch) of the one product BFS both "
+        "paths run (on the product BFS and compile_for rows)"
     )
     return table
+
+
+#: Corollary 5.5 as a count: document lengths for the pair-growth gate,
+#: and documents per length.
+GROWTH_LENGTHS = (16, 32, 64, 128)
+GROWTH_DOCS = 4
+
+
+def growth_rows() -> list[tuple[int, float]]:
+    """``(N, mean product pairs)`` on E10-shaped documents per length."""
+    return [
+        (n, stage_counts(
+            [_wide_text(n, seed=300 + i) for i in range(GROWTH_DOCS)]
+        )[0])
+        for n in GROWTH_LENGTHS
+    ]
 
 
 def test_e10_equality_automaton_build(benchmark):
@@ -414,18 +440,28 @@ def test_e10f_stage_paths_agree():
         assert level_n == reference_n == len(list(engine.stream(s))) > 0
 
 
-#: E10f product pairs per document before all-open groups forgot
-#: their start (one pair per (start, gap) on the ``x = y`` diagonal).
-UNMERGED_PAIRS_PER_DOC = 1519
+#: E10f product pairs per document before silent stretches became one
+#: pair each (one pair per gap while a variable waits on a closed one,
+#: or the group is closed, on an idle static state).
+UNSTRETCHED_PAIRS_PER_DOC = 1023
 
 
 def test_e10f_pairs_per_document():
-    """CI: the E10f product BFS stays at most 3/4 of its unmerged size.
+    """CI: the E10f product BFS stays at most 3/4 of its unstretched size.
 
     A state count, not a timing, so it is exact on any runner.
     """
-    pairs, _states = stage_counts()
-    assert pairs <= 0.75 * UNMERGED_PAIRS_PER_DOC, pairs
+    pairs, _states, stretches = stage_counts()
+    assert stretches > 0
+    assert pairs <= 0.75 * UNSTRETCHED_PAIRS_PER_DOC, pairs
+
+
+def test_e10_pairs_grow_at_most_quadratically():
+    """CI: Corollary 5.5's BFS as a count — the fitted log-log exponent
+    of product pairs against N (16 to 128) stays at most 2."""
+    rows = growth_rows()
+    slope = fit_loglog_slope([n for n, _ in rows], [p for _, p in rows])
+    assert slope <= 2.0, (slope, rows)
 
 
 def test_e10_fused_speedup():

@@ -4,11 +4,13 @@ The pipeline walks the determinized evaluation NFA ``A_G`` over the
 variable-configuration alphabet in radix order, forced stretches
 collapsed, decoding each word from the slots where its configuration
 changes (:func:`.enumerator.walk_tuples`).  A word ends at its
-all-``CLOSED`` letter, and on the state-set source the all-``WAITING``
-word jumps between the levels where a marker can fire, so there the
-walk no longer steps the stretches before a word's first marker or
-after its last.  The walk reads one of two level sources: memoized
-automaton-state sets that need no per-document graph
+all-``CLOSED`` letter, and the walk jumps the silent stretches its
+source lists: on the state-set source the all-``WAITING`` word jumps
+between the levels where a marker can fire, so the walk no longer
+steps the stretches before a word's first marker or after its last;
+on the equality source a stretch where nothing can fire is one
+product id, crossed in one step.  The walk reads one of two level
+sources: memoized automaton-state sets that need no per-document graph
 (:mod:`.statesets`; every regex evaluator, whether its tables are
 shared across documents, as in ``CompiledSpanner`` and fused serving,
 or built for one call, as in the cold ``SpannerEvaluator``), or an

@@ -16,14 +16,18 @@ builds a graph.  :func:`count_tuples` counts over either source.  The
 walk's worst-case delay is the theorem's ``O(n^2 |s|)``.  A word is
 carried as the at most ``2|V| + 1`` slots where its letter changes,
 and it ends at its all-``CLOSED`` letter, since no letter can change
-after it.  On the state-set source the word whose letters are all
+after it.  Both sources list *jumps*, stretches of levels where a set
+has one child that keeps the letter, and the walk crosses each in one
+step.  On the state-set source the word whose letters are all
 ``WAITING`` jumps from one level where a marker can fire to the next,
 using the live pass's record of those levels.  Past the forward and
 live passes, a document on that source then pays only for the levels
 where some variable is open on the word being walked, plus work
 proportional to its tuples times ``|V|``: with short captures,
-nothing grows with ``|s|`` (benchmark E1e).  The equality source
-steps the all-``WAITING`` word level by level.  The paper's pruned
+nothing grows with ``|s|`` (benchmark E1e).  On the equality source a
+silent stretch of the product (a variable waiting on a closed one's
+next occurrence, say) is one product id, and the walk jumps it.  The
+paper's pruned
 ``A_G`` (:func:`~repro.enumeration.graph.build_evaluation_graph`) and
 its Algorithms 1–3 (:class:`~repro.automata.leveled.RadixEnumerator`
 plus :func:`decode_configuration_word`) remain the reference the walk
@@ -92,10 +96,10 @@ def decode_configuration_word(
 # pairs in ascending letter order; ``children_memos()`` returns one dict
 # per level holding the children known so far, which the walk reads
 # inline, and ``children(states, level)`` computes, memoizes and returns
-# the children of a set missing there.  ``jumps()`` lists the silent
-# stretches of the all-``WAITING`` word as ``(level, set, end level, end
-# set)``: each level from ``level`` up to ``end level`` has one child,
-# with the all-``WAITING`` letter (none for a source that steps them).
+# the children of a set missing there.  ``jumps()`` lists silent
+# stretches as ``(level, set, end level, end set, letter)``: each level
+# from ``level`` up to ``end level`` has one child, with ``letter``, so
+# the walk lands on ``end set`` at ``end level`` in one step.
 # Two sources exist:
 # :class:`~repro.enumeration.statesets.StateSetLevels` (whose sets are
 # interned automaton-state sets) and
@@ -252,10 +256,11 @@ def walk_tuples(source, decode: Callable = _decode_events) -> Iterator:
     so once a word's latest letter is all-``CLOSED`` the word is
     complete: the walk yields it without stepping the remaining levels
     (a Boolean head's ``()`` letter yields after its first event).  And
-    the source's :meth:`jumps` seed ``chains`` with the silent
-    stretches of the all-``WAITING`` word, so the walk lands on the next
-    level where a marker can fire in one step.  Only the state-set
-    source has jumps; the equality source returns none.
+    the source's :meth:`jumps` seed ``chains`` with its silent
+    stretches, each a one-event run of its letter: the state-set
+    source's all-``WAITING`` word lands on the next level where a
+    marker can fire, and the equality source's stretch ids on the level
+    before their own, in one step.
 
     Each word is yielded as ``decode(events, names)``: ``names`` are
     the source's variables in ascending order, and the default decoder
@@ -283,11 +288,10 @@ def walk_tuples(source, decode: Callable = _decode_events) -> Iterator:
     names = tuple(sorted(source.variables))
     closed = (CLOSED,) * len(names)
     chains: list[dict] = [{} for _ in range(last_level)]
-    # A jump is a one-event stretch: the all-WAITING letter, unchanged
-    # from ``level`` up to ``end_level``.
-    waiting = (WAITING,) * len(names)
-    for level, start, end_level, end in source.jumps():
-        chains[level][start] = ([[(level, waiting)], end, end_level], 1)
+    # A jump is a one-event stretch: its letter, unchanged from
+    # ``level`` up to ``end_level``.
+    for level, start, end_level, end, letter in source.jumps():
+        chains[level][start] = ([[(level, letter)], end, end_level], 1)
     events: list[tuple[int, tuple[int, ...]]] = []
     # Frames of the branches on the current path:
     # [children, next child to try, len(events) at the branch, level].
@@ -354,19 +358,40 @@ def count_tuples(source, cap: int | None = None) -> int:
     Words, not paths, as :meth:`LeveledNFA.count_words` counts them,
     with the same ``cap`` contract: the result is ``min(count, cap)``.
     A path whose letter turns all-``CLOSED`` continues as exactly one
-    word, so it joins a running total and leaves the frontier.
+    word, so it joins a running total and leaves the frontier.  A
+    frontier set that starts one of the source's jumps moves straight
+    to the jump's end level and set: every level in between has one
+    child, so no word splits or ends there.
     """
     if source.is_empty:
         return 0
     children = source.children
     memos = source.children_memos()
     closed = (CLOSED,) * len(source.variables)
+    jumps: dict[int, dict] = {}
+    for level, start, end_level, end, _letter in source.jumps():
+        jumps.setdefault(level, {})[start] = (end_level, end)
+    # Per level ahead, the sets words reach there and how many words each.
+    frontiers: dict[int, dict] = {0: {source.root: 1}}
     done = 0
-    frontier = {source.root: 1}
+    pending = 1  # words on the frontiers ahead
     for level in range(source.n_slots):
+        frontier = frontiers.pop(level, None)
+        if not frontier:
+            continue
         memo = memos[level]
-        nxt: dict = {}
+        jump = jumps.get(level)
+        nxt = frontiers.setdefault(level + 1, {})
         for states, paths in frontier.items():
+            pending -= paths
+            if jump is not None:
+                landing = jump.get(states)
+                if landing is not None:
+                    end_level, end = landing
+                    ahead = frontiers.setdefault(end_level, {})
+                    ahead[end] = ahead.get(end, 0) + paths
+                    pending += paths
+                    continue
             kids = memo.get(states)
             if kids is None:
                 kids = children(states, level)
@@ -375,12 +400,12 @@ def count_tuples(source, cap: int | None = None) -> int:
                     done += paths
                 else:
                     nxt[successor] = nxt.get(successor, 0) + paths
-        frontier = nxt
-        if cap is not None and done + sum(frontier.values()) >= cap:
+                    pending += paths
+        if cap is not None and done + pending >= cap:
             return cap
-        if not frontier:
+        if not pending:
             break
-    return done + sum(frontier.values())
+    return done + pending
 
 
 class SpannerEvaluator:

@@ -35,6 +35,7 @@ from __future__ import annotations
 from itertools import chain
 
 from ..runtime.tables import ROOT_STEP, AutomatonTables, StepContext
+from ..vset.configurations import WAITING
 
 __all__ = ["StateSetLevels"]
 
@@ -74,7 +75,7 @@ class StateSetLevels:
         self.n_slots = len(s) + 1
         self.variables = tables.variables
         self._contexts: list[StepContext] | None = None
-        self._jumps: list[tuple[int, int, int, int]] = []
+        self._jumps: list[tuple[int, int, int, int, tuple[int, ...]]] = []
         if tables.is_empty:
             self.memo = None
             self.root = 0
@@ -119,7 +120,8 @@ class StateSetLevels:
         forward = self.forward
         text = self.text
         contexts: list[StepContext] = [None] * self.n_slots  # type: ignore[list-item]
-        jumps: list[tuple[int, int, int, int]] = []
+        jumps: list[tuple[int, int, int, int, tuple[int, ...]]] = []
+        waiting = (WAITING,) * len(self.variables)
         # The nearest firing level above (0: none yet), its part, and
         # the part one level up.
         fire_level = 0
@@ -140,19 +142,21 @@ class StateSetLevels:
             live, part, fires = found
             if fires:
                 if fire_level > level + 1:
-                    jumps.append((level + 1, above, fire_level, fire_part))
+                    jumps.append(
+                        (level + 1, above, fire_level, fire_part, waiting)
+                    )
                 fire_level = level
                 fire_part = part
             above = part
             target = live
         if fire_level > 0:
             # The root is silent: the all-WAITING word starts with a jump.
-            jumps.append((0, above, fire_level, fire_part))
+            jumps.append((0, above, fire_level, fire_part, waiting))
         self._jumps = jumps
         self._contexts = contexts
         return contexts
 
-    def jumps(self) -> list[tuple[int, int, int, int]]:
+    def jumps(self) -> list[tuple[int, int, int, int, tuple[int, ...]]]:
         """The silent stretches of the all-``WAITING`` word, as jumps.
 
         The word whose letters are all ``WAITING`` holds, at each level,
@@ -160,10 +164,11 @@ class StateSetLevels:
         that part has a child with another letter (a marker opens into
         the next live set); between two firing levels the part has one
         child, the next level's part.  Each stretch of such silent
-        levels is one ``(level, part, end level, end part)``: the walk
-        lands on ``end part`` at ``end level`` in one step, appending no
-        event.  The ``live`` memos hold what decides it, so recording
-        the jumps costs the live pass a few local operations per level.
+        levels is one ``(level, part, end level, end part, letter)``,
+        ``letter`` being all-``WAITING``: the walk lands on ``end part``
+        at ``end level`` in one step, appending no event.  The ``live``
+        memos hold what decides it, so recording the jumps costs the
+        live pass a few local operations per level.
         """
         self.live_pass()
         return self._jumps

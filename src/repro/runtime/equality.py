@@ -53,23 +53,43 @@ lean:
 * a backward sweep precomputes, per gap, the static states that can
   still reach the final state on the rest of ``s``; pairs outside it —
   e.g. marker bursts the static operand can never complete — are
-  dropped immediately instead of waiting for the final trim.
+  dropped immediately instead of waiting for the final trim.  Each
+  gap of the sweep depends only on the next gap's result and the
+  character, so it is a lazy DFA on the static tables' state-set memo
+  (:meth:`~repro.runtime.tables.StateSetMemo.backward`): bounded by
+  :data:`~repro.runtime.tables.STATE_MEMO_MAX_ENTRIES`, never pickled,
+  safe to share across threads, and on a warm stream a few dict reads
+  per gap.
 
 One BFS (:class:`EqualityProduct`) records the product: per product
 state its gap, its burst successors within the gap and its terminal
-successors at the next gap.  Two consumers read that record:
+successors at the next gap.  A *silent* pair is recorded once for a
+whole stretch of gaps.  Its implicit state is unfired with no open
+variable, and its group is either fully closed or has its length and
+value fixed with the rest waiting; its static state's closure holds no
+other state of its shared key, and at each gap of the stretch it reads
+the character into itself alone.  Such a pair has no burst and one
+terminal successor, itself one gap on, until the first of: the
+waiting variables' next occurrence of the value
+(:meth:`~repro.text.substrings.SubstringIndex.first_occurrence_at_or_after`),
+the first gap where the static state does anything else, and
+``N + 1``.  The BFS keys it by its pair at that last gap (its *stretch
+id*), whose moves it records as any pair's, plus the gaps where other
+pairs enter the stretch.  Two consumers read that record:
 
 * production evaluation (:class:`CompiledEqualityQuery`'s ``evaluator``,
   ``stream``, ``count``, ``is_empty``) turns it straight into the
-  levels of Theorem 3.3's walk (:class:`EqualityLevels`): every product
-  state sits at one gap, so a burst closure and a backward live pass
-  give each level's states, and a state's letter is its merged
-  configuration projected onto the head.  No product automaton, trim,
-  projection, tables or ``A_G`` is built per document;
+  levels of Theorem 3.3's walk (:class:`EqualityLevels`): a burst
+  closure and a backward live pass give each level's states, a stretch
+  id stands for itself at every gap of its stretch (and the walk jumps
+  it), and a state's letter is its merged configuration projected onto
+  the head.  No product automaton, trim, projection, tables or ``A_G``
+  is built per document;
 * :func:`equality_join` and :meth:`CompiledEqualityQuery.compile_for`,
   the reference and trace path, turn it into a
   :class:`~repro.vset.automaton.VSetAutomaton` with exactly the
-  relation of ``join(static, equality_automaton(s, group))`` on ``s``.
+  relation of ``join(static, equality_automaton(s, group))`` on ``s``,
+  a stretch id expanded back to one state per gap.
 
 Both give the same tuples in the same order, because the radix order of
 configuration words depends only on the answer set.
@@ -96,7 +116,7 @@ from ..vset.automaton import VSetAutomaton
 from ..vset.configurations import CLOSED, OPEN, WAITING, VariableConfiguration
 from ..vset.join import _empty_result, operand_view
 from ..vset.operations import project, union
-from .tables import AutomatonTables, tables_for
+from .tables import ROOT_STEP, AutomatonTables, tables_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..enumeration.enumerator import SpannerEvaluator
@@ -249,6 +269,7 @@ class _ImplicitEqualityOperand:
         "_keys",
         "closures",
         "advances",
+        "quiet",
         "_ids",
     )
 
@@ -274,6 +295,7 @@ class _ImplicitEqualityOperand:
         self._ids: dict[tuple | None, int] = {}
         self.closures: list[tuple | None] = []
         self.advances: list[int | None] = []
+        self.quiet: list[int | None] = []
         self.intern(None, (CLOSED,) * k)  # FINAL
         self.initial = self.intern(
             (1, False, (), 0, None, None), (WAITING,) * k
@@ -294,6 +316,44 @@ class _ImplicitEqualityOperand:
             self.keys.append(key)
             self.closures.append(None)
             self.advances.append(None)
+            self.quiet.append(None)
+        return found
+
+    def at_gap(self, uid: int, gap: int) -> int:
+        """The id of the unfired state ``uid`` moved on to ``gap``."""
+        state: tuple = self.states[uid]  # type: ignore[assignment]
+        _g, _fired, opens, closed_mask, length, ref = state
+        return self.intern(
+            (gap, False, opens, closed_mask, length, ref), self.var_states[uid]
+        )
+
+    # -- Silent stretches ----------------------------------------------------
+    def quiet_until(self, uid: int) -> int:
+        """The first gap from which ``uid`` may fire a marker, or ``0``.
+
+        Only an unfired state with no open variable whose group is
+        either fully closed or has its ``(length, ref)`` fixed with the
+        rest waiting is *quiet*; any other state gives ``0``.  A quiet
+        state has no burst before the waiting variables' next
+        occurrence of the shared value (``N + 1`` once all are closed,
+        where the final state joins its closure), and reading on until
+        then never kills it: no variable is open, and that occurrence
+        is still ahead.  So each gap before it only reads a character.
+        """
+        found = self.quiet[uid]
+        if found is None:
+            state = self.states[uid]
+            found = 0
+            if state is not None:
+                g, fired, opens, closed_mask, length, ref = state
+                if not fired and not opens:
+                    if closed_mask == self.full_mask:
+                        found = self.n + 1
+                    elif length is not None:
+                        found = self.index.first_occurrence_at_or_after(
+                            ref, length, g
+                        ) or 0
+            self.quiet[uid] = found
         return found
 
     # -- The variable-epsilon closure ---------------------------------------
@@ -490,8 +550,8 @@ class _ImplicitEqualityOperand:
 
 
 def _backward_reachable(
-    op, s: str, ve_sets: list[frozenset[int]]
-) -> tuple[list[frozenset[int]], list[list[tuple[int, ...]]]]:
+    tables: AutomatonTables, s: str
+) -> tuple[list[frozenset[int]], list[tuple]]:
     """Per-gap static states that can still finish on the rest of ``s``.
 
     Returns ``(reach, reads)``.  ``reach[g]`` (1-based, ``1 .. N+1``)
@@ -500,33 +560,41 @@ def _backward_reachable(
     the product uses to cut branches the static operand can never
     complete.  ``reads[g][q]`` lists, in edge order, the targets of
     ``q``'s terminal edges that read ``s[g-1]`` into ``reach[g+1]``.
+
+    Each gap is one step of a lazy DFA on the tables' shared
+    :class:`~repro.runtime.tables.StateSetMemo`: the states that read
+    on at gap ``g + 1`` and the character ``s[g-1]`` decide the gap's
+    row and the states that read on at ``g``
+    (:meth:`~repro.runtime.tables.StateSetMemo.backward`).  Across a
+    stream these sets come from a tiny pool, so a warm document pays a
+    few dict reads per gap.
     """
     n = len(s)
-    n_states = len(ve_sets)
-    final = op.automaton.final
+    memo = tables.state_memo()
+    contexts = memo.contexts
     reach: list[frozenset[int]] = [frozenset()] * (n + 2)
-    reads: list[list[tuple[int, ...]]] = [[]] * (n + 1)
-    reach[n + 1] = frozenset(
-        q for q in range(n_states) if final in ve_sets[q]
-    )
-    for g in range(n, 0, -1):
-        sigma = s[g - 1]
-        nxt = reach[g + 1]
-        row = [
-            tuple(
-                dst
-                for pred, dst in op.terminal_edges[q]
-                if dst in nxt and pred.matches(sigma)
-            )
-            for q in range(n_states)
-        ]
-        reads[g] = row
-        reach[g] = frozenset(
-            q
-            for q in range(n_states)
-            if any(row[r] for r in ve_sets[q])
-        )
+    reads: list[tuple] = [()] * (n + 1)
+    target = memo.accept
+    for g in range(n, -1, -1):
+        ch = s[g - 1] if g else ROOT_STEP
+        ctx = contexts[target].get(ch)
+        if ctx is None:
+            ctx = memo.context(target, ch)
+        step = ctx.backward
+        if step is None:
+            step = memo.backward(tables, ctx)
+        target, reach[g + 1], reads[g] = step
     return reach, reads
+
+
+def _busy_gaps(q: int, reads: list[tuple], n: int) -> list[int]:
+    """Per gap ``g``, the first gap ``>= g`` where static state ``q`` does
+    more than read its character into itself (``N + 1`` at the latest)."""
+    alone = (q,)
+    until = [n + 1] * (n + 2)
+    for g in range(n, 0, -1):
+        until[g] = until[g + 1] if reads[g][q] == alone else g
+    return until
 
 
 def _check_group(group: Sequence[str]) -> tuple[str, ...]:
@@ -545,8 +613,12 @@ class EqualityProduct:
     dense ids in discovery order; id 0 is the initial pair.  Per id the
     BFS records the pair, its burst successors (same gap, in edge
     order) and its terminal successors (next gap), and groups the ids by
-    gap.  :meth:`automaton` turns the record into the product
-    automaton; :meth:`levels` into the per-gap levels of the walk.
+    gap.  A silent pair (see the module docstring) takes the id of its
+    pair at the last gap of its stretch; :attr:`stretches` maps each
+    such stretch id to the gaps where other pairs lead into it, the
+    earliest being the first gap it stands for.  :meth:`automaton`
+    turns the record into the product automaton; :meth:`levels` into
+    the per-gap levels of the walk.
     """
 
     __slots__ = (
@@ -560,6 +632,7 @@ class EqualityProduct:
         "by_gap",
         "bursts",
         "terminals",
+        "stretches",
         "final",
     )
 
@@ -574,6 +647,7 @@ class EqualityProduct:
         self.variables = variables = tables.variables | set(group)
         self.final: int | None = None
         self.pairs: list[tuple] = []
+        self.stretches: dict[int, list[int]] = {}
         if tables.is_empty:
             return
         shared = tuple(v for v in group if v in tables.variables)
@@ -584,8 +658,7 @@ class EqualityProduct:
         )
         n = len(s)
 
-        ve_sets = [frozenset(states) for states in op.ve]
-        reach, reads = _backward_reachable(op, s, ve_sets)
+        reach, reads = _backward_reachable(tables, s)
         initial1 = op.automaton.initial
         final1 = op.automaton.final
         if initial1 not in reach[1]:
@@ -605,15 +678,64 @@ class EqualityProduct:
         n_static = len(op.ve)
         FINAL = eq.FINAL
         eq_states = eq.states
-        ids: dict[int, int] = {eq.initial * n_static + initial1: 0}
-        pairs = self.pairs = [(initial1, eq.initial)]
+        ids: dict[int, int] = {}
+        pairs = self.pairs
         by_gap: list[list[int]] = [[] for _ in range(n + 2)]
-        by_gap[1].append(0)
         bursts: list[tuple[int, ...]] = []
         terminals: list[tuple[int, ...]] = []
+        stretches = self.stretches
         ve_by_key = op.ve_by_key
         closures = eq.closures
         advances = eq.advances
+        quiet = eq.quiet
+        # Static states whose closure holds no other state of their own
+        # shared key: paired with a quiet implicit state they have no
+        # burst, and at a gap where they read into themselves alone they
+        # only read on.  ``busy[q][g]`` is the first gap ``>= g`` where
+        # ``q`` does anything else (``N + 1`` at the latest).
+        solo = [
+            buckets.get(key) == (q,)
+            for q, (buckets, key) in enumerate(zip(ve_by_key, op.shared_key))
+        ]
+        busy: dict[int, list[int]] = {}
+
+        def add(q1: int, vid: int, g: int, key: int) -> int:
+            """The id of the new pair ``(q1, vid)`` at gap ``g``.
+
+            A silent pair joins the stretch of the pair it reads on to,
+            unchanged, at the first gap where it is not silent.
+            """
+            end = quiet[vid]
+            if end is None:
+                end = eq.quiet_until(vid)
+            if end > g and solo[q1]:
+                until = busy.get(q1)
+                if until is None:
+                    until = busy[q1] = _busy_gaps(q1, reads, n)
+                if until[g] < end:
+                    end = until[g]
+                if end > g:
+                    end_uid = eq.at_gap(vid, end)
+                    end_key = end_uid * n_static + q1
+                    dst = ids.get(end_key)
+                    if dst is None:
+                        dst = ids[end_key] = len(pairs)
+                        pairs.append((q1, end_uid))
+                        by_gap[end].append(dst)
+                    # Each key is added once, so each gap enters once.
+                    entries = stretches.get(dst)
+                    if entries is None:
+                        stretches[dst] = [g]
+                    else:
+                        entries.append(g)
+                    ids[key] = dst
+                    return dst
+            dst = ids[key] = len(pairs)
+            pairs.append((q1, vid))
+            by_gap[g].append(dst)
+            return dst
+
+        add(initial1, eq.initial, 1, eq.initial * n_static + initial1)
         empty: tuple[int, ...] = ()
         i = 0
         while i < len(pairs):
@@ -627,7 +749,6 @@ class EqualityProduct:
                 continue
             g = eq_states[uid][0]  # type: ignore[index]
             reach_g = reach[g]
-            level = by_gap[g]
 
             # Rule (a): burst transitions — every consistent pair of the
             # static VE closure with the implicit operand's closure, found
@@ -652,9 +773,7 @@ class EqualityProduct:
                         continue
                     dst = ids.get(base + q1)
                     if dst is None:
-                        dst = ids[base + q1] = len(pairs)
-                        pairs.append((q1, vid))
-                        level.append(dst)
+                        dst = add(q1, vid, g, base + q1)
                     out.append(dst)
             bursts.append(tuple(out) if out else empty)
 
@@ -668,15 +787,12 @@ class EqualityProduct:
                     if next_uid is None:
                         next_uid = eq.advance(uid)
                     if next_uid >= 0:
-                        next_level = by_gap[g + 1]
                         base = next_uid * n_static
                         found: list[int] = []
                         for r1 in targets:
                             dst = ids.get(base + r1)
                             if dst is None:
-                                dst = ids[base + r1] = len(pairs)
-                                pairs.append((r1, next_uid))
-                                next_level.append(dst)
+                                dst = add(r1, next_uid, g + 1, base + r1)
                             found.append(dst)
                         succ = tuple(found)
             terminals.append(succ)
@@ -685,13 +801,22 @@ class EqualityProduct:
         self.terminals = terminals
         self.final = ids.get(FINAL * n_static + final1)
 
+    def end_gap(self, i: int) -> int:
+        """The gap of id ``i``'s pair: the last gap of its stretch."""
+        state = self.eq.states[self.pairs[i][1]]
+        return len(self.s) + 1 if state is None else state[0]
+
     # -- The reference product automaton ------------------------------------
     def automaton(self) -> VSetAutomaton:
-        """The product as a trimmed vset-automaton (state ``i`` = id ``i``).
+        """The product as a trimmed vset-automaton.
 
-        Burst edges carry the marker set between the merged
-        configurations of their ends (epsilon when it is empty);
-        terminal edges read the gap's character.
+        State ``i`` is id ``i`` at its own gap; a stretch id gets one
+        more state per earlier gap of its stretch, each reading its
+        gap's character into the next, so every product state the
+        stretch stands for is a state again.  Burst edges carry the
+        marker set between the merged configurations of their ends
+        (epsilon when it is empty); terminal edges read the gap's
+        character.
         """
         if self.final is None:
             return _empty_result(self.variables)
@@ -718,13 +843,27 @@ class EqualityProduct:
                     ),
                 )
             merged.append(config)
+        end_gap = self.end_gap
+        # The state of stretch id ``q`` at an earlier gap ``g`` of its
+        # stretch is ``inner[q] + g``.
+        inner: dict[int, int] = {}
+        n_states = len(pairs)
+        starts = {q: min(entries) for q, entries in self.stretches.items()}
+        for q, start in starts.items():
+            inner[q] = n_states - start
+            n_states += end_gap(q) - start
+
+        def state_at(q: int, g: int) -> int:
+            base = inner.get(q)
+            return q if base is None or g == end_gap(q) else base + g
+
         ops_cache: dict[tuple, frozenset] = {}
         reads = [char_pred(ch) for ch in self.s]
         nfa = NFA()
-        nfa.add_states(len(pairs))
-        nfa.set_initial(0)
-        eq_states = self.eq.states
-        for src, (_p1, uid) in enumerate(pairs):
+        nfa.add_states(n_states)
+        nfa.set_initial(state_at(0, 1))
+        for src in range(len(pairs)):
+            g = end_gap(src)
             src_merged = merged[src]
             for dst in self.bursts[src]:
                 ops_key = (src_merged, merged[dst])
@@ -733,35 +872,51 @@ class EqualityProduct:
                     ops = ops_cache[ops_key] = src_merged.markers_to(
                         merged[dst]
                     )
-                nfa.add_transition(src, ops if ops else EPSILON, dst)
-            if self.terminals[src]:
-                label = reads[eq_states[uid][0] - 1]  # type: ignore[index]
-                for dst in self.terminals[src]:
-                    nfa.add_transition(src, label, dst)
+                nfa.add_transition(
+                    src, ops if ops else EPSILON, state_at(dst, g)
+                )
+            for dst in self.terminals[src]:
+                nfa.add_transition(src, reads[g - 1], state_at(dst, g + 1))
+        for q, start in starts.items():
+            for g in range(start, end_gap(q)):
+                nfa.add_transition(
+                    inner[q] + g, reads[g - 1], state_at(q, g + 1)
+                )
         nfa.add_final(self.final)
         return VSetAutomaton(nfa, self.variables).trimmed()
 
     # -- The walk's levels ---------------------------------------------------
     def levels(
         self, head: tuple[str, ...], offset: int
-    ) -> tuple[list, list, tuple[int, ...]]:
+    ) -> tuple[list, list, list, tuple[int, ...], dict]:
         """The product's levels: a backward live pass over the record.
 
-        Returns ``(letters, steps, initial)``, with successor ids
+        Returns ``(letters, steps, gaps, initial, stretches)``, with ids
         shifted by ``offset``.  For a live id (one that can still reach
         the final pair), ``letters[i]`` is its merged configuration
-        projected onto ``head`` (sorted) as a ``states`` tuple and
-        ``steps[i]`` its live successors one gap on, ascending — the
-        closure of its terminal successors under burst moves, as an
-        ``A_G`` node's out-edges are; both are ``None`` for dead ids.
-        ``initial`` is the live part of the initial pair's closure.
+        projected onto ``head`` (sorted) as a ``states`` tuple,
+        ``gaps[i]`` its own gap and ``steps[i]`` its live successors
+        one gap on, ascending — the closure of its terminal successors
+        under burst moves, as an ``A_G`` node's out-edges are; all three
+        are ``None`` for dead ids.  ``initial`` is the live part of the
+        initial pair's closure.
+
+        ``stretches`` maps each live stretch id to ``(entries, end,
+        closure)``: ``entries`` are the gaps where other ids lead into
+        the stretch; at every gap from the first of them up to
+        ``end - 2`` its successor is itself, at ``end - 1`` it is
+        ``closure`` (the live closure of the id at its own gap ``end``,
+        not empty), and at ``end`` it is ``steps[i]``.  A stretch id
+        that can only burst at its own gap is live before it and dead
+        at it (``steps[i]`` is then ``None``).
         """
         pairs = self.pairs
         n_ids = len(pairs)
         letters: list = [None] * n_ids
         steps: list = [None] * n_ids
+        gaps: list = [None] * n_ids
         if self.final is None:
-            return letters, steps, ()
+            return letters, steps, gaps, (), {}
         configs = self.op.configs
         var_states = self.eq.var_states
         position = {v: i for i, v in enumerate(self.union_vars)}
@@ -782,22 +937,38 @@ class EqualityProduct:
             return found
 
         bursts = self.bursts
+        stretches = self.stretches
+        end_gap = self.end_gap
         live = bytearray(n_ids)
         live[self.final] = 1
         letters[self.final] = letter(self.final)
         closures: dict[int, tuple[int, ...]] = {}
 
         def live_closure(r: int) -> tuple[int, ...]:
-            # A state's burst successors are closed under bursts: the
-            # static VE closures are transitive, and a fired implicit
-            # state only reaches the final state, which its source's
-            # closure holds too.
+            # ``r``'s live closure at its own gap.  A state's burst
+            # successors are closed under bursts: the static VE closures
+            # are transitive, and a fired implicit state only reaches the
+            # final state, which its source's closure holds too.  A
+            # stretch id before its own gap is silent, and as live as
+            # its closure there.
             found = closures.get(r)
             if found is None:
+                g = end_gap(r) if stretches else 0
                 found = closures[r] = tuple(sorted(
-                    q + offset for q in (r, *bursts[r]) if live[q]
+                    q + offset for q in (r, *bursts[r])
+                    if (
+                        bool(live_closure(q))
+                        if q in stretches and end_gap(q) > g
+                        else live[q]
+                    )
                 ))
             return found
+
+        def closure_at(r: int, g: int) -> tuple[int, ...]:
+            # ``r``'s live closure at gap ``g`` of its stretch.
+            if r in stretches and g < end_gap(r):
+                return (r + offset,) if live_closure(r) else ()
+            return live_closure(r)
 
         terminals = self.terminals
         by_gap = self.by_gap
@@ -807,16 +978,23 @@ class EqualityProduct:
                 if not targets:
                     continue
                 if len(targets) == 1:
-                    succ = live_closure(targets[0])
+                    succ = closure_at(targets[0], g + 1)
                 else:
                     succ = tuple(sorted(set().union(
-                        *(live_closure(r) for r in targets)
+                        *(closure_at(r, g + 1) for r in targets)
                     )))
                 if succ:
                     live[p] = 1
                     steps[p] = succ
+                    gaps[p] = g
                     letters[p] = letter(p)
-        return letters, steps, live_closure(0)
+        live_stretches = {}
+        for q, entries in stretches.items():
+            closure = live_closure(q)
+            if closure:
+                letters[q] = letter(q)
+                live_stretches[q + offset] = (entries, end_gap(q), closure)
+        return letters, steps, gaps, closure_at(0, 1), live_stretches
 
 
 def equality_join(
@@ -859,20 +1037,30 @@ class EqualityLevels:
     A level source for :func:`~repro.enumeration.enumerator.walk_tuples`
     built straight from the product BFS records
     (:class:`EqualityProduct`) of the query's disjuncts: no product
-    automaton, trim, projection, tables or ``A_G``.  Product ids are
-    unique to their gap (level), so a set is a sorted tuple of ids and
-    names its level, and a union of disjuncts is the union of their
-    levels over disjoint id ranges.  The children of every single live
-    id are filled at construction, so a forced step of the walk is a
-    dict read; children of larger sets are grouped on demand.  Grouping
-    successors by letter (the head-projected configuration) and uniting
-    their sets removes duplicates exactly as projection plus
-    determinization do, so the walk yields the tuples of the compiled
-    automaton in its radix order.
+    automaton, trim, projection, tables or ``A_G``.  A set is a sorted
+    tuple of product ids, and a union of disjuncts is the union of
+    their levels over disjoint id ranges.  Most ids sit at one gap
+    (level); a stretch id stands for its pair at every gap of its
+    silent stretch, where its only successor is itself, so the
+    children of a set depend on its level and are memoized per level.
+    The children of every single live id at its own gap, and of a
+    stretch id at the gap before its own, are filled at construction,
+    so a forced step of the walk is a dict read; children of other
+    sets are grouped on demand.  Grouping successors by letter (the
+    head-projected configuration) and uniting their sets removes
+    duplicates exactly as projection plus determinization do, so the
+    walk yields the tuples of the compiled automaton in its radix
+    order.
     """
 
     __slots__ = (
-        "n_slots", "variables", "is_empty", "_letters", "_steps", "_memo"
+        "n_slots",
+        "variables",
+        "is_empty",
+        "_letters",
+        "_steps",
+        "_stretches",
+        "_memos",
     )
 
     #: The virtual root at level 0 (no product id is negative).
@@ -889,23 +1077,32 @@ class EqualityLevels:
         ordered = tuple(sorted(self.variables))
         letters: list = []
         steps: list = []
+        gaps: list = []
         initial: list[int] = []
+        stretches: dict[int, tuple[list[int], int, tuple[int, ...]]] = {}
         for product in products:
-            part_letters, part_steps, part_initial = product.levels(
-                ordered, len(letters)
-            )
+            (
+                part_letters, part_steps, part_gaps, part_initial,
+                part_stretches,
+            ) = product.levels(ordered, len(letters))
             letters.extend(part_letters)
             steps.extend(part_steps)
+            gaps.extend(part_gaps)
             initial.extend(part_initial)
+            stretches.update(part_stretches)
         self._letters = letters
         self._steps = steps
+        self._stretches = stretches
         self.is_empty = not initial
         group = self._group
-        memo = {self.root: group(tuple(initial))}
+        memos: list[dict] = [{} for _ in range(n_slots)]
+        memos[0][self.root] = group(tuple(initial))
         for i, succ in enumerate(steps):
             if succ is not None:
-                memo[(i,)] = group(succ)
-        self._memo = memo
+                memos[gaps[i]][(i,)] = group(succ)
+        for i, (_entries, end, closure) in stretches.items():
+            memos[end - 1][(i,)] = group(closure)
+        self._memos = memos
 
     def _group(self, succ: tuple[int, ...]) -> tuple:
         """``(letter, successor set)`` pairs of ``succ``, letters ascending."""
@@ -924,18 +1121,45 @@ class EqualityLevels:
         )
 
     def children_memos(self) -> list[dict]:
-        return [self._memo] * self.n_slots
+        return self._memos
 
     def children(self, states: tuple[int, ...], level: int) -> tuple:
         steps = self._steps
+        stretches = self._stretches
         reached: set[int] = set()
         for p in states:
-            reached.update(steps[p])
-        found = self._memo[states] = self._group(tuple(sorted(reached)))
+            stretch = stretches.get(p) if stretches else None
+            if stretch is not None and level < stretch[1]:
+                # Inside its stretch: silent up to the gap before its own.
+                if level + 1 < stretch[1]:
+                    reached.add(p)
+                else:
+                    reached.update(stretch[2])
+            else:
+                reached.update(steps[p])
+        found = self._group(tuple(sorted(reached)))
+        self._memos[level][states] = found
         return found
 
-    def jumps(self) -> tuple:
-        return ()
+    def jumps(self) -> list[tuple]:
+        """Each live stretch id, as one jump per gap that enters it.
+
+        Up to the gap before its own, the set holding the stretch id
+        alone has one child, with the id's letter, and that child is
+        the same set one level on: from a gap where the walk enters the
+        stretch it lands on the gap before the id's own in one step.
+        A stretch whose letter is all-``CLOSED`` is left out, since the
+        walk ends a word there.
+        """
+        closed = (CLOSED,) * len(self.variables)
+        letters = self._letters
+        return [
+            (start, (i,), end - 1, (i,), letters[i])
+            for i, (entries, end, _closure) in self._stretches.items()
+            if letters[i] != closed
+            for start in entries
+            if start < end - 1
+        ]
 
 
 class CompiledEqualityQuery:

@@ -26,7 +26,9 @@ On top of the burst rows sits the **state-set memo**
 (:class:`StateSetMemo`): automaton-state sets interned to ints, and the
 forward, live and children steps between them that compiled evaluation
 (:mod:`repro.enumeration.statesets`) reads instead of building a
-per-document ``A_G``.  It fills lazily, is bounded by
+per-document ``A_G``, plus the backward steps the fused equality
+product (:mod:`repro.runtime.equality`) reads instead of re-sweeping
+each document.  It fills lazily, is bounded by
 :data:`STATE_MEMO_MAX_ENTRIES`, and is safe to share across threads.
 
 **Pickling.**  ``AutomatonTables`` is an explicit serialization
@@ -289,18 +291,22 @@ class StepContext:
       marker fires on the all-``WAITING`` word;
     * ``children`` maps a live set to its ``(letter, successor set)``
       pairs, letters ascending — the walk step that replaces the scan of
-      ``A_G`` out-edges.
+      ``A_G`` out-edges;
+    * ``backward`` is the equality product's backward step over the
+      whole automaton (:meth:`StateSetMemo.backward`), ``None`` until
+      first use.
 
     Keys and sets are :class:`StateSetMemo` ids.
     """
 
-    __slots__ = ("ch", "target", "live", "children")
+    __slots__ = ("ch", "target", "live", "children", "backward")
 
     def __init__(self, ch: str, target: frozenset[int]):
         self.ch = ch
         self.target = target
         self.live: dict[int, tuple[int, int, bool]] = {}
         self.children: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
+        self.backward: tuple[int, frozenset[int], tuple] | None = None
 
 
 class StateSetMemo:
@@ -315,7 +321,8 @@ class StateSetMemo:
     * ``forward[S]`` maps a character to the set ``S`` reaches by one
       burst step (built from :meth:`AutomatonTables.burst_step` rows);
     * ``contexts[T]`` maps a character to the :class:`StepContext`
-      whose live target is ``T``.
+      whose live target is ``T``; the equality product's backward pass
+      (:meth:`backward`) reads the same contexts.
 
     Ids index ``sets`` (the sorted state tuples).  The virtual root of
     ``A_G`` is the pseudo-state ``n`` (one past the last state), whose
@@ -470,6 +477,53 @@ class StateSetMemo:
             (letter, self.intern(tuple(sorted(group))))
             for letter, group in sorted(groups.items())
         ))
+
+    def backward(
+        self, tables: AutomatonTables, ctx: StepContext
+    ) -> tuple[int, frozenset[int], tuple]:
+        """``ctx.backward``: one step of the equality product's backward pass.
+
+        The fused equality runtime (:mod:`repro.runtime.equality`) asks,
+        per gap of a document, which static states can still finish on
+        the rest of it.  With the target ``T`` the states that read the
+        next character on such a path, that depends only on ``T`` and
+        the character, so the pass is a lazy DFA over these contexts:
+
+        * ``reach``: the states whose variable-epsilon closure meets
+          ``T`` — those that can still finish from the gap after the
+          character;
+        * ``row``: per state, in edge order, the targets of its terminal
+          edges that read the character into ``reach``;
+        * ``before``: the id of the states with a nonempty ``row`` (the
+          target one gap earlier).
+
+        Returns ``(before, reach, row)``.  The root context reads no
+        character: its ``row`` is empty and ``before`` the empty set.
+        """
+        target = ctx.target
+        reach = frozenset(
+            q for q, closure in enumerate(tables.ve)
+            if not target.isdisjoint(closure)
+        )
+        if ctx.ch == ROOT_STEP:
+            row: tuple = ()
+            before = self.empty
+        else:
+            ch = ctx.ch
+            row = tuple(
+                tuple(
+                    dst for pred, dst in edges
+                    if dst in reach and pred.matches(ch)
+                )
+                for edges in tables.terminal_edges
+            )
+            before = self.intern(tuple(q for q, out in enumerate(row) if out))
+        with self._lock:
+            found = ctx.backward
+            if found is None:
+                ctx.backward = found = (before, reach, row)
+                self.size += 1
+        return found
 
 
 _CACHE: WeakCache = WeakCache(name="automaton-tables")

@@ -13,6 +13,7 @@ import pickle
 import sys
 import threading
 from collections import Counter
+from functools import lru_cache
 from itertools import islice
 
 import pytest
@@ -24,12 +25,13 @@ from repro.queries import CanonicalEvaluator, CompiledEvaluator, RegexCQ, RegexU
 from repro.runtime import CompiledEqualityQuery, ParallelSpanner, equality_join
 from repro.runtime import equality as equality_module
 from repro.runtime.cache import LRUCache
+from repro.runtime import tables as tables_module
 from repro.runtime.equality import EqualityProduct
-from repro.runtime.tables import tables_for
+from repro.runtime.tables import AutomatonTables, tables_for
 from repro.text import SubstringIndex, repeats_text
-from repro.vset import compile_regex, equality_automaton, join
+from repro.vset import VSetAutomaton, compile_regex, equality_automaton, join
 from repro.vset.join import join_many
-from repro.vset.operations import project
+from repro.vset.operations import project, union
 
 STRINGS = [
     "",
@@ -171,6 +173,188 @@ class TestAllOpenMerge:
                 per_gap[gap, fired] += 1
         assert len(per_gap) > len(s)  # the diagonal is explored
         assert max(per_gap.values()) == 1
+
+
+def _static(spec: str, group: tuple[str, ...]) -> VSetAutomaton:
+    """A whole formula, or an atom body: ``.*v{body}.*`` per variable."""
+    if "{" in spec:
+        return compile_regex(spec)
+    return join_many([compile_regex(f".*{v}{{{spec}}}.*") for v in group])
+
+
+@lru_cache(maxsize=None)
+def _explicit_join(spec: str, s: str, group: tuple[str, ...]) -> VSetAutomaton:
+    """``join(static, equality_automaton(s, group))``: the slow explicit
+    reference, built once per case and projected per head."""
+    return join(_static(spec, group), equality_automaton(s, group))
+
+
+class TestSilentStretches:
+    """A silent pair is one product id for its whole stretch.
+
+    A pair whose implicit state is unfired, has no open variable, and
+    has its group either fully closed or closed with the rest waiting,
+    on a static state that only reads into itself, can do nothing but
+    read on until the waiting variables' next occurrence, the static
+    side's next other move, or the end.  The BFS records it once; the
+    levels step (and the walk jumps) it per gap, and ``automaton()``
+    expands it back to one state per gap, so every path agrees in
+    order with the explicit ``A_eq``.
+    """
+
+    LONG = "abc" + "defgh" * 5 + "abc"
+    SHORT = "abc" + "defgh" * 2 + "abc"
+    HEADS = TestAllOpenMerge.HEADS
+    #: The static operand stops idling at every ``d``: the state before
+    #: the mandatory ``d`` reads it into two states.
+    CLIPPED = ".*x{[a-c]+}[a-h]*d[a-h]*y{[a-c]+}.*"
+
+    @pytest.fixture(autouse=True, scope="class")
+    def _drop_explicit_joins(self):
+        yield
+        _explicit_join.cache_clear()
+
+    @staticmethod
+    def check(engine: CompiledEqualityQuery, s: str, explicit, fused) -> None:
+        """The level path, ``compile_for`` and the fused automaton
+        against the (projected) explicit join, in order; ``count``."""
+        want = list(SpannerEvaluator(explicit, s))
+        compiled = list(SpannerEvaluator(engine.compile_for(s), s))
+        assert want  # the planted repeat always answers
+        assert list(SpannerEvaluator(fused, s)) == want
+        assert compiled == list(engine.stream(s)) == want
+        for cap in (0, 1, 2, len(want), len(want) + 1, None):
+            expected = len(want) if cap is None else min(len(want), cap)
+            assert engine.count(s, cap=cap) == expected
+        assert not engine.is_empty(s)
+
+    @pytest.mark.parametrize("k, s", [(2, LONG), (3, SHORT)])
+    @pytest.mark.parametrize("head", sorted(HEADS))
+    def test_matches_every_reference(self, k, s, head):
+        group = ("x", "y", "z")[:k]
+        head_vars = self.HEADS[head](group)
+        static = _static("[a-c]+", group)
+        self.check(
+            CompiledEqualityQuery([static], [[group]], head_vars),
+            s,
+            project(_explicit_join("[a-c]+", s, group), head_vars),
+            project(equality_join(static, group, s), head_vars),
+        )
+
+    @pytest.mark.parametrize("head", sorted(HEADS))
+    def test_static_side_that_stops_idling_clips_the_stretch(self, head):
+        s = self.SHORT
+        group = ("x", "y")
+        static = compile_regex(self.CLIPPED)
+        head_vars = self.HEADS[head](group)
+        self.check(
+            CompiledEqualityQuery([static], [[group]], head_vars),
+            s,
+            project(_explicit_join(self.CLIPPED, s, group), head_vars),
+            project(equality_join(static, group, s), head_vars),
+        )
+        product = EqualityProduct(
+            tables_for(static), group, s, SubstringIndex(s)
+        )
+        clipped = [
+            i for i in product.stretches
+            if s[product.end_gap(i) - 1] == "d"
+            and product.eq.quiet_until(product.pairs[i][1])
+            > product.end_gap(i)
+        ]
+        assert clipped  # some stretch ends at a d, before its occurrence
+
+    @pytest.mark.parametrize("head", sorted(HEADS))
+    def test_two_disjuncts_offset_their_ids(self, head):
+        s = self.SHORT
+        group = ("x", "y")
+        head_vars = self.HEADS[head](group)
+        bodies = ("[a-c]+", "[d-h]+")
+        statics = [_static(body, group) for body in bodies]
+        self.check(
+            CompiledEqualityQuery(statics, [[group], [group]], head_vars),
+            s,
+            union([
+                project(_explicit_join(body, s, group), head_vars)
+                for body in bodies
+            ]),
+            union([
+                project(equality_join(static, group, s), head_vars)
+                for static in statics
+            ]),
+        )
+
+    def test_a_silent_stretch_is_one_product_id(self):
+        """After ``x = abc`` closes at gap 4, ``y`` waits for the next
+        ``abc`` at gap 29: every gap from 5 to 29 is one id."""
+        s = self.LONG
+        static = _static("[a-h]+", ("x", "y"))
+        product = EqualityProduct(
+            tables_for(static), ("x", "y"), s, SubstringIndex(s)
+        )
+        waiting: Counter = Counter()
+        for i, (p1, uid) in enumerate(product.pairs):
+            state = product.eq.states[uid]
+            if state is None:
+                continue
+            _gap, fired, opens, closed_mask, length, ref = state
+            if not fired and not opens and closed_mask == 1 and (
+                length, ref
+            ) == (3, 1):
+                waiting[p1] += 1
+                stretch = i
+        assert list(waiting.values()) == [1]
+        assert product.end_gap(stretch) == 29
+        assert min(product.stretches[stretch]) == 5
+
+
+class TestBackwardMemo:
+    """The backward pass steps the static tables' state-set memo."""
+
+    GROUP = ("x", "y")
+
+    def engine(self, tables: AutomatonTables) -> CompiledEqualityQuery:
+        return CompiledEqualityQuery([tables], [[self.GROUP]], self.GROUP)
+
+    def fresh_tables(self) -> AutomatonTables:
+        return AutomatonTables(_static("[a-h]+", self.GROUP), compact=True)
+
+    def test_streaming_leaves_the_pickled_tables_unchanged(self):
+        tables = self.fresh_tables()
+        before = pickle.dumps(tables, protocol=pickle.HIGHEST_PROTOCOL)
+        engine = self.engine(tables)
+        docs = [
+            repeats_text(32, seed=200 + i, alphabet="abcdefgh", plant="abc")
+            for i in range(4)
+        ] + ["ünï ab €ab"]
+        for s in docs:
+            assert list(engine.stream(s))
+        assert tables.state_memo_entries > 0
+        assert pickle.dumps(tables, protocol=pickle.HIGHEST_PROTOCOL) == before
+
+    def test_many_characters_restart_on_fresh_memos(self, monkeypatch):
+        # Every document brings characters no earlier one had, so each
+        # adds backward steps; a small cap makes the memo start over.
+        docs = [
+            "ab" + "".join(chr(0x100 + 8 * i + j) for j in range(8)) + "ab"
+            for i in range(24)
+        ]
+        want = []
+        bounds = []  # what one document adds to any memo
+        for s in docs:
+            tables = self.fresh_tables()
+            want.append(list(self.engine(tables).stream(s)))
+            bounds.append(tables.state_memo_entries)
+        cap = 40
+        monkeypatch.setattr(tables_module, "STATE_MEMO_MAX_ENTRIES", cap)
+        tables = self.fresh_tables()
+        engine = self.engine(tables)
+        memos = set()
+        for s, expected, bound in zip(docs, want, bounds):
+            assert list(engine.stream(s)) == expected
+            memos.add(id(tables._memo))
+            assert tables.state_memo_entries <= cap + bound
+        assert len(memos) > 1
 
 
 class TestCompiledEvaluatorParity:

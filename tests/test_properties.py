@@ -272,7 +272,8 @@ def test_event_walk_matches_radix_reference(formula, s):
 
 
 #: Padding no capture reads, so no marker fires inside a run of it: the
-#: state-set walk jumps it, the equality walk steps it.
+#: state-set walk jumps it, and an equality product records each pair
+#: that only reads it as one stretch id, which the walk jumps too.
 PAD = "-"
 
 
@@ -649,8 +650,10 @@ def test_equality_levels_match_references(shaped, s):
 @settings(max_examples=30, deadline=None)
 @given(equality_queries(), padded_strings(max_size=24))
 def test_padded_equality_walk_matches_radix_reference(shaped, s):
-    """The equality levels step the padding plainly; a word still ends
-    at its all-closed letter, in the compiled automaton's radix order."""
+    """The equality levels jump the padding's silent stretches; a word
+    still ends at its all-closed letter, in the compiled automaton's
+    radix order (``compile_for`` expands each stretch again), and the
+    answers are the oracle's."""
     _shape, query = shaped
     engine = CompiledEvaluator(LRUCache(8)).equality_runtime(query)
     want = _radix_prefix(build_evaluation_graph(engine.compile_for(s), s))
@@ -658,6 +661,7 @@ def test_padded_equality_walk_matches_radix_reference(shaped, s):
     assert got == want
     _assert_counts(lambda cap: engine.count(s, cap=cap), got)
     assert engine.is_empty(s) == (not want)
+    assert set(engine.stream(s)) == _oracle_query(query, s)
 
 
 @settings(max_examples=20, deadline=None)

@@ -24,6 +24,7 @@ from repro.enumeration import (
     build_evaluation_graph,
     decode_configuration_word,
 )
+from repro.enumeration.enumerator import count_tuples
 from repro.runtime import AutomatonTables, CompiledSpanner
 from repro.runtime import tables as tables_module
 from repro.text import log_lines
@@ -224,3 +225,75 @@ class TestPicklingContract:
             ]
         assert on_state_sets.state_memo_entries > 0
         assert pickle.dumps(on_state_sets) == pickle.dumps(on_graph)
+
+
+class _CountingSource:
+    """A level source counting every children read and ``children()``
+    call made on the one it wraps."""
+
+    def __init__(self, source):
+        self.source = source
+        self.steps = 0
+        self.root = source.root
+        self.n_slots = source.n_slots
+        self.variables = source.variables
+        self.is_empty = source.is_empty
+
+    def children_memos(self) -> list:
+        return [
+            _CountingMemo(self, memo) for memo in self.source.children_memos()
+        ]
+
+    def children(self, states, level: int):
+        self.steps += 1
+        return self.source.children(states, level)
+
+    def jumps(self):
+        return self.source.jumps()
+
+
+class _CountingMemo:
+    def __init__(self, source: _CountingSource, memo: dict):
+        self.source = source
+        self.memo = memo
+
+    def get(self, states):
+        self.source.steps += 1
+        return self.memo.get(states)
+
+
+class TestCountJumps:
+    """``count_tuples`` lands on a jump's end in one step, as the walk does."""
+
+    #: Digit-free padding: ``.*x{[0-9]+}.*`` fires no marker on it.
+    PAD = "idle ok; "
+
+    def padded(self, factor: int) -> str:
+        runs = ("12", "345", "6")  # 3 + 6 + 1 = 10 tuples
+        pad = self.PAD * (2 * factor)
+        return pad + pad.join(runs) + pad
+
+    def test_count_steps_track_tuples_not_padding(self):
+        spanner = CompiledSpanner(FORMULAS[0])
+        rows = []
+        for factor in (1, 2, 4):
+            s = self.padded(factor)
+            assert spanner.count(s) == 10  # the memos are warm from here on
+            evaluator = spanner.evaluator(s)
+            counting = _CountingSource(evaluator._levels)
+            assert count_tuples(counting) == 10
+            rows.append((len(s), counting.steps))
+        (first_len, first_steps), (last_len, last_steps) = rows[0], rows[-1]
+        assert last_len >= 3.5 * first_len
+        for _length, steps in rows[1:]:
+            assert steps < 1.10 * first_steps, rows
+
+    @pytest.mark.parametrize("formula", FORMULAS)
+    def test_capped_counts_match_the_walk_on_padded_documents(self, formula):
+        spanner = CompiledSpanner(formula)
+        for factor in (1, 3):
+            s = self.padded(factor) + " ab@ba aab " + self.PAD * factor
+            want = len(list(spanner.stream(s)))
+            for cap in (None, 0, 1, 2, 5, want, want + 1):
+                expected = want if cap is None else min(want, cap)
+                assert spanner.count(s, cap=cap) == expected
