@@ -6,36 +6,13 @@ Subcommands:
   documents and print the extracted span tuples (streaming, polynomial
   delay); each formula is compiled **once** (the compiled-spanner
   runtime), so repeating ``--file`` streams a whole collection through
-  the same precomputed tables; ``--workers N`` shards the work across
-  N worker processes — with several formulas all of them are
-  registered on **one** serving fleet (``SpannerService``) and
-  dispatched concurrently, each worker holding every query's compiled
-  artifact at most once; output order and content are identical to the
-  serial run, and with ``--file`` inputs only the *paths* are shipped
-  (each worker reads its own documents, so document bytes never ride
-  the task pipe); ``--transport {auto,shm,pipe}`` picks how in-memory
-  documents reach workers (shared-memory segments vs the task pipe),
-  and ``--encoding``/``--errors`` decode legacy corpora without
-  crashing mid-stream; ``--task-timeout`` bounds every dispatched
-  chunk (a hung worker is killed and replaced instead of stalling the
-  run) and ``--on-overload`` picks the load-shedding policy; the
-  resource-governance knobs (``--shm-budget``, ``--max-tuples`` /
-  ``--max-result-bytes`` / ``--on-result-limit``,
-  ``--worker-memory-limit``, ``--max-compile-states`` /
-  ``--compile-timeout``) bound shared memory, per-document output
-  volume, worker RSS and compile time, degrading or rejecting
-  gracefully instead of dying;
+  the same precomputed tables;
 * ``query`` — evaluate a regex CQ given repeated ``--atom`` formulas,
-  an optional ``--head`` and optional ``--equal`` groups; with several
-  ``--file`` arguments the per-query compilation is shared across the
-  documents, and ``--workers N`` shards them — string-equality
-  queries included: workers run the fused per-document equality join
-  against the one shipped static artifact; ``--next-query`` separates
-  several CQs in one invocation (each group of ``--atom``/``--head``/
-  ``--equal`` before the next separator is one query), served like
-  ``extract``'s multi-formula path: with ``--workers N`` all of them
-  register on one fleet and output is grouped per query (q0, q1, ...)
-  with bytes identical to running each query serially;
+  an optional ``--head`` and optional ``--equal`` groups; the
+  per-query compilation is shared across the documents, and
+  ``--next-query`` separates several CQs in one invocation (each group
+  of ``--atom``/``--head``/``--equal`` before the next separator is
+  one query), printed query-major with ``q0``, ``q1``, ... prefixes;
 * ``info`` — parse a formula and report variables, functionality and
   compiled-automaton size;
 * ``cache`` — inspect and maintain the durable runtime state:
@@ -44,15 +21,29 @@ Subcommands:
   checks every entry without modifying anything (exit 1 when corrupt
   entries exist), and ``cache gc [--dir DIR]`` sweeps shared-memory
   segments orphaned by dead drivers plus (with ``--dir``) the cache's
-  quarantined files.  ``extract``/``query`` grow ``--artifact-cache
-  DIR``: fleet runs consult the cache before compiling each formula
-  (warm start across CLI invocations) and persist what they compile.
+  quarantined files.
 
-Multi-query fleet runs (``extract`` with several formulas, ``query``
-with ``--next-query``) default to **fused serving**: one task per chunk
-answers every query, demultiplexed per query with output bytes
-identical to the sequential scans; ``--no-fuse`` forces one task per
-chunk and query (same bytes, more tasks).
+``--workers`` alone picks the route of ``extract`` and ``query``: ``1``
+(the default) evaluates in this process; any ``N > 1`` registers every
+formula — or every CQ's compiled engine, string-equality queries
+included — on **one** ``SpannerService`` fleet of ``N`` workers,
+whatever the number of formulas, CQs or documents.  Output bytes are
+identical to the ``--workers 1`` run.  ``--file`` inputs ship only
+their *paths* (each worker reads its own documents); ``--text`` and
+stdin ship the text, by ``--transport {auto,shm,pipe}``.  Every fleet
+flag applies to every such run: ``--task-timeout`` bounds each
+dispatched chunk (a hung worker is killed and replaced instead of
+stalling the run), the resource-governance knobs (``--shm-budget``,
+``--max-tuples`` / ``--max-result-bytes`` / ``--on-result-limit``,
+``--worker-memory-limit``) bound shared memory, per-document output
+volume and worker RSS, admission control (``--max-compile-states`` /
+``--compile-timeout``) refuses a formula or CQ before any worker time,
+and ``--artifact-cache DIR`` warm-starts registration across
+invocations.  Several queries default to **fused serving**: one task
+per chunk answers every query; ``--no-fuse`` forces one task per chunk
+and query (same bytes, more tasks).  ``--encoding``/``--errors``
+decode legacy corpora without crashing mid-stream, serial and
+worker-side alike.
 
 Examples::
 
@@ -75,8 +66,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import deque
 from dataclasses import asdict
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import SpannerError
 from .queries import QueryEvaluator, RegexCQ
@@ -204,45 +196,46 @@ def _extract_prefix(
     return " ".join(parts) if parts else None
 
 
-def _fleet_opts(
-    args: argparse.Namespace, *, admission: bool = False
-) -> dict:
-    """The fleet settings and artifact store every fleet site shares.
+def _fleet_wanted(args: argparse.Namespace) -> bool:
+    """Whether ``--workers`` asks for a fleet (``N > 1``); ``N < 1`` is
+    an error, not a silent serial run."""
+    if args.workers < 1:
+        raise SpannerError(f"--workers must be >= 1, got {args.workers}")
+    return args.workers > 1
+
+
+def _fleet_opts(args: argparse.Namespace) -> dict:
+    """The fleet settings and artifact store of a ``--workers`` run.
 
     :class:`~repro.runtime.config.ServiceConfig` validates the settings;
     its ``ValueError`` becomes a ``SpannerError`` so a bad value prints
     ``error: ...`` (exit 2) like every other CLI mistake instead of a
     constructor traceback.  A task that then exceeds the deadline
-    surfaces as :class:`~repro.errors.TaskTimeoutError`, and one that
-    exceeds a result cap as :class:`~repro.errors.ResultLimitError` —
-    both ``SpannerError``s, so ``main()`` renders them the same way.
-
-    ``admission`` adds the register-time admission knobs, which only a
-    ``SpannerService`` site enforces: ``ParallelSpanner`` compiles its
-    one query eagerly at construction, so there is no admission
-    decision left to make there.
+    surfaces as :class:`~repro.errors.TaskTimeoutError`, one that
+    exceeds a result cap as :class:`~repro.errors.ResultLimitError`,
+    and a query refused at registration as
+    :class:`~repro.errors.QueryRejectedError` — all ``SpannerError``\\ s,
+    so ``main()`` renders them the same way.
     """
     from .runtime.config import ServiceConfig
 
-    settings = {
-        "workers": args.workers,
-        "backend": args.backend,
-        "transport": args.transport,
-        "encoding": args.encoding,
-        "errors": args.errors,
-        "task_timeout": args.task_timeout,
-        "on_overload": args.on_overload,
-        "shm_budget": args.shm_budget,
-        "max_tuples": args.max_tuples,
-        "max_result_bytes": args.max_result_bytes,
-        "on_result_limit": args.on_result_limit,
-        "worker_memory_limit": args.worker_memory_limit,
-    }
-    if admission:
-        settings["max_compile_states"] = args.max_compile_states
-        settings["compile_timeout"] = args.compile_timeout
     try:
-        config = ServiceConfig(**settings)
+        config = ServiceConfig(
+            workers=args.workers,
+            backend=args.backend,
+            transport=args.transport,
+            encoding=args.encoding,
+            errors=args.errors,
+            task_timeout=args.task_timeout,
+            on_overload=args.on_overload,
+            shm_budget=args.shm_budget,
+            max_tuples=args.max_tuples,
+            max_result_bytes=args.max_result_bytes,
+            on_result_limit=args.on_result_limit,
+            worker_memory_limit=args.worker_memory_limit,
+            max_compile_states=args.max_compile_states,
+            compile_timeout=args.compile_timeout,
+        )
     except ValueError as err:
         raise SpannerError(str(err)) from err
     return {**asdict(config), "artifact_store": _artifact_store(args)}
@@ -263,40 +256,92 @@ def _artifact_store(args: argparse.Namespace):
         ) from err
 
 
-def _extract_fleet(args: argparse.Namespace, formulas: list[str]) -> int:
-    """Serve several formulas over one worker fleet (``--workers N``).
+def _fleet_inputs(
+    args: argparse.Namespace,
+) -> tuple[list[str], list[str], str]:
+    """``(names, work, kind)`` for :func:`_serve`.
 
-    Every formula is registered on one :class:`SpannerService`, so the
-    workers hold each compiled artifact at most once, and the whole
-    batch goes through one :meth:`submit_all` — with ``--fuse`` (the
-    default) each chunk is one fused task answering every formula at
-    once; ``--no-fuse`` dispatches one task per chunk and formula.
-    Output is grouped query-major then file-major, exactly as the
-    serial loop prints it, fused or not.
+    ``--file`` ships the paths (``kind="files"``: each worker reads its
+    own documents, so document bytes never ride the task pipe);
+    ``--text`` — which takes precedence over ``--file`` — and stdin
+    ship the text (``kind="docs"``).
+    """
+    if args.text is None and args.file:
+        _stat_inputs(args.file)
+        return list(args.file), list(args.file), "files"
+    [(name, text)] = _read_documents(args)
+    return [name], [text], "docs"
+
+
+def _fleet_text(args: argparse.Namespace, kind: str, item: str) -> str:
+    """The text a fleet answer renders against.
+
+    The positional ``spans`` format needs none, so a file is re-read
+    only for the other formats (which assumes it did not change
+    between the worker's read and this one — the usual cost of
+    rendering against file-backed corpora).
+    """
+    if kind == "docs":
+        return item
+    if args.format == "spans":
+        return ""
+    return _read_file_text(item, args.encoding, args.errors)
+
+
+def _serve(
+    args: argparse.Namespace,
+    queries: list,
+    work: list[str],
+    kind: str,
+    limit: int | None,
+) -> Iterator[tuple[int, int, list[SpanTuple]]]:
+    """Serve ``queries`` over ``work`` on one fleet (``--workers N > 1``).
+
+    Every query — formula syntax or a compiled CQ engine — registers on
+    one :class:`SpannerService`, so admission control sees it before
+    any worker time and the workers hold each artifact at most once.
+    ``work`` goes out through :meth:`submit_all` in windows of
+    ``workers`` chunks, the next window submitted before the current
+    one renders: workers stay busy while the driver prints, and no
+    more than ``2 * workers`` chunks are ever in flight (the bound a
+    streaming session keeps on memory and read-ahead).
+
+    Yields ``(query index, document index, answers)`` query-major,
+    document-major: the first query's answers as each window resolves,
+    the later queries' from a buffer once the first is done.  An
+    unreadable or undecodable file read worker-side becomes a
+    :class:`SpannerError`.
     """
     from .runtime.service import SpannerService
 
-    _stat_inputs(args.file)
-    label_docs = len(args.file) > 1
-    total = 0
-    with SpannerService(**_fleet_opts(args, admission=True)) as service:
-        # Register the raw formulas so admission control sees them
-        # *before* compilation (the artifact — the compiled tables —
-        # is identical either way).  A rejection surfaces as
-        # ``error: query rejected: ...`` before any worker time.
-        query_ids = [service.register(formula) for formula in formulas]
-        # One submit_all for the whole batch (deduplicated: repeating a
-        # formula repeats its rendering below, not its evaluation).
-        futures = service.submit_all(
-            args.file,
-            queries=list(dict.fromkeys(query_ids)),
-            kind="files",
-            limit=args.limit,
-            fuse=args.fuse,
-        )
-        for i, qid in enumerate(query_ids):
+    service = SpannerService(**_fleet_opts(args))
+    try:
+        ids = [service.register(query) for query in queries]
+        # Repeating a query repeats its rendering, not its evaluation.
+        members = list(dict.fromkeys(ids))
+        later: list[list[list[SpanTuple]]] = [[] for _ in ids[1:]]
+        window = service.config.workers * service.config.chunk_size
+
+        def windows() -> Iterator[tuple[int, dict]]:
+            """``(first document index, futures)`` per window, in order,
+            with the next window already submitted."""
+            pending: deque = deque()
+            for start in range(0, len(work), window):
+                futures = service.submit_all(
+                    work[start : start + window],
+                    queries=members,
+                    kind=kind,
+                    limit=limit,
+                    fuse=args.fuse,
+                )
+                pending.append((start, futures))
+                if len(pending) == 2:
+                    yield pending.popleft()
+            yield from pending
+
+        for start, futures in windows():
             try:
-                per_file = futures[qid].result()
+                results = {qid: futures[qid].result() for qid in members}
             except OSError as err:
                 failed = getattr(err, "filename", None)
                 raise SpannerError(
@@ -309,86 +354,34 @@ def _extract_fleet(args: argparse.Namespace, formulas: list[str]) -> int:
                     "(pick a codec with --encoding, or soften with "
                     "--errors replace)"
                 ) from err
-            for name, answers in zip(args.file, per_file):
-                # The driver only needs the text to render span
-                # *contents*; the positional format skips the re-read.
-                # (The re-read assumes the file is stable between the
-                # worker's read and this one — the usual cost of
-                # rendering against file-backed corpora.)
-                text = (
-                    ""
-                    if args.format == "spans"
-                    else _read_file_text(name, args.encoding, args.errors)
-                )
-                total += _print_tuples(
-                    answers, text, args.format, args.limit,
-                    prefix=_extract_prefix(i, name, len(formulas) > 1,
-                                           label_docs),
-                )
-    return total
+            for j, answers in enumerate(results[ids[0]], start):
+                yield 0, j, answers
+            for buffer, qid in zip(later, ids[1:]):
+                buffer.extend(results[qid])
+        for i, buffer in enumerate(later, 1):
+            for j, answers in enumerate(buffer):
+                yield i, j, answers
+    finally:
+        service.close(drain=False)
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
     formulas = args.formula
     label_queries = len(formulas) > 1
     total = 0
-    # --text takes precedence over --file (as _read_documents does), so
-    # the fleet branch must not trigger when --text is present.
-    if (
-        args.workers > 1
-        and args.text is None
-        and args.file
-        and (len(args.file) > 1 or label_queries)
-    ):
-        if (
-            label_queries
-            or args.max_compile_states is not None
-            or args.compile_timeout is not None
-        ):
-            # Several formulas — or an admission knob, which only
-            # register() on a SpannerService enforces (ParallelSpanner
-            # compiles eagerly, before any admission decision exists).
-            total = _extract_fleet(args, formulas)
-        else:
-            # One query: keep the streaming single-query session (the
-            # fleet-backed ParallelSpanner) — results render as each
-            # file's chunk completes instead of after the whole batch.
-            from .runtime.parallel import ParallelSpanner
-
-            _stat_inputs(args.file)
-            # Hand over the syntax, not a pre-wrapped CompiledSpanner:
-            # the session keys its --artifact-cache entry by the source
-            # fingerprint, so warm runs (and the multi-file fleet path,
-            # which registers the same syntax) share one cache entry.
-            engine = ParallelSpanner(formulas[0], **_fleet_opts(args))
-            # Push --limit into the workers: a capped extraction must
-            # stop enumerating at the cap there, as the serial path
-            # does here.
-            try:
-                answer_streams = engine.evaluate_files(
-                    args.file, limit=args.limit
-                )
-                for name, answers in zip(args.file, answer_streams):
-                    text = (
-                        ""
-                        if args.format == "spans"
-                        else _read_file_text(name, args.encoding, args.errors)
-                    )
-                    total += _print_tuples(
-                        answers, text, args.format, args.limit, prefix=name
-                    )
-            except OSError as err:
-                failed = getattr(err, "filename", None)
-                raise SpannerError(
-                    f"worker cannot read {failed or 'input'}: "
-                    f"{err.strerror or err}"
-                ) from err
-            except UnicodeDecodeError as err:
-                raise SpannerError(
-                    f"worker cannot decode input as {args.encoding}: {err} "
-                    "(pick a codec with --encoding, or soften with "
-                    "--errors replace)"
-                ) from err
+    if _fleet_wanted(args):
+        names, work, kind = _fleet_inputs(args)
+        label_docs = len(names) > 1
+        # --limit is pushed into the workers: a capped extraction stops
+        # enumerating at the cap there, as the serial path does here.
+        for i, j, answers in _serve(args, formulas, work, kind, args.limit):
+            total += _print_tuples(
+                answers,
+                _fleet_text(args, kind, work[j]),
+                args.format,
+                args.limit,
+                prefix=_extract_prefix(i, names[j], label_queries, label_docs),
+            )
     else:
         docs = _read_documents(args)
         label_docs = len(docs) > 1
@@ -404,65 +397,6 @@ def _cmd_extract(args: argparse.Namespace) -> int:
                 )
     if args.count:
         print(f"# {total} tuples", file=sys.stderr)
-    return 0
-
-
-def _query_parallel(
-    args: argparse.Namespace, query: RegexCQ, docs: list[tuple[str, str]]
-) -> int:
-    """Shard a query corpus across workers (compiled strategy).
-
-    Equality queries ship their fused :class:`CompiledEqualityQuery`
-    artifact; equality-free ones their compiled spanner.  Output
-    matches the serial compiled run: per-document sorted tuples.
-    """
-    if args.strategy == "canonical":
-        raise SpannerError(
-            "--workers shards the compiled strategy; drop "
-            "--strategy canonical or run with --workers 1"
-        )
-    from .queries.compiled import CompiledEvaluator
-    from .runtime.parallel import ParallelSpanner
-
-    evaluator = CompiledEvaluator()
-    engine = evaluator.equality_runtime(query) or evaluator.runtime(query)
-    assert engine is not None
-    label_docs = len(docs) > 1
-    # The serial path sorts the *full* relation before applying --limit,
-    # so workers must not cap enumeration early (the first tuples in
-    # radix order are not the first tuples in sorted order).  Boolean
-    # queries only need non-emptiness: one tuple decides the verdict.
-    limit = 1 if query.is_boolean else None
-    with ParallelSpanner(engine, **_fleet_opts(args)) as pool:
-        streams = pool.evaluate_many(
-            (text for _name, text in docs), limit=limit
-        )
-        for (name, text), answers in zip(docs, streams):
-            if args.explain:
-                # Mirror the serial per-document plan line; sharding
-                # fixes the strategy statically.
-                print(
-                    f"# strategy: compiled — sharded across "
-                    f"{args.workers} workers"
-                    + (
-                        " (fused equality runtime)"
-                        if query.equality_atoms
-                        else ""
-                    ),
-                    file=sys.stderr,
-                )
-            if query.is_boolean:
-                verdict = "true" if answers else "false"
-                print(f"{name}: {verdict}" if label_docs else verdict)
-                continue
-            relation = SpanRelation(query.head, answers)
-            _print_tuples(
-                relation.sorted(),
-                text,
-                args.format,
-                args.limit,
-                prefix=name if label_docs else None,
-            )
     return 0
 
 
@@ -499,6 +433,23 @@ def _grouped_queries(args: argparse.Namespace) -> list[RegexCQ]:
     return queries
 
 
+def _print_relation(
+    args: argparse.Namespace,
+    query: RegexCQ,
+    relation: SpanRelation,
+    text: str,
+    prefix: str | None,
+) -> None:
+    """One document's answer to ``query``: a verdict, or sorted rows."""
+    if query.is_boolean:
+        verdict = "true" if relation else "false"
+        print(f"{prefix}: {verdict}" if prefix else verdict)
+    else:
+        _print_tuples(
+            relation.sorted(), text, args.format, args.limit, prefix=prefix
+        )
+
+
 def _query_serial(
     args: argparse.Namespace,
     queries: list[RegexCQ],
@@ -519,100 +470,55 @@ def _query_serial(
                     f"# strategy: {decision.strategy} — {decision.reason}",
                     file=sys.stderr,
                 )
-            prefix = _extract_prefix(i, name, label_queries, label_docs)
-            if query.is_boolean:
-                verdict = "true" if relation else "false"
-                print(f"{prefix}: {verdict}" if prefix else verdict)
-                continue
-            _print_tuples(
-                relation.sorted(),
+            _print_relation(
+                args,
+                query,
+                relation,
                 text,
-                args.format,
-                args.limit,
-                prefix=prefix,
+                _extract_prefix(i, name, label_queries, label_docs),
             )
-    return 0
-
-
-def _query_fleet(
-    args: argparse.Namespace,
-    queries: list[RegexCQ],
-    docs: list[tuple[str, str]],
-) -> int:
-    """Serve several CQs over one worker fleet (``--workers N``).
-
-    The ``query`` twin of :func:`_extract_fleet`: every CQ's compiled
-    engine (fused equality artifact or plain spanner) registers on one
-    :class:`SpannerService`, the document batch goes through one
-    :meth:`submit_all` — one fused task per chunk with ``--fuse``
-    (default), one per chunk and query with ``--no-fuse`` — and output
-    is grouped query-major (q0, q1, ...) then document-major,
-    byte-identical to running each query serially.
-    """
-    if args.strategy == "canonical":
-        raise SpannerError(
-            "--workers shards the compiled strategy; drop "
-            "--strategy canonical or run with --workers 1"
-        )
-    from .queries.compiled import CompiledEvaluator
-    from .runtime.service import SpannerService
-
-    evaluator = CompiledEvaluator()
-    engines = [
-        evaluator.equality_runtime(q) or evaluator.runtime(q)
-        for q in queries
-    ]
-    label_docs = len(docs) > 1
-    # The serial path sorts the *full* relation before applying
-    # --limit, so workers must not cap enumeration early; only an
-    # all-Boolean batch can stop at the one tuple that decides it.
-    limit = 1 if all(q.is_boolean for q in queries) else None
-    with SpannerService(**_fleet_opts(args, admission=True)) as service:
-        query_ids = [service.register(engine) for engine in engines]
-        futures = service.submit_all(
-            [text for _name, text in docs],
-            queries=list(dict.fromkeys(query_ids)),
-            limit=limit,
-            fuse=args.fuse,
-        )
-        for i, (query, qid) in enumerate(zip(queries, query_ids)):
-            per_doc = futures[qid].result()
-            if args.explain:
-                print(
-                    f"# strategy: compiled — q{i} served on a "
-                    f"{args.workers}-worker fleet"
-                    + (
-                        " (fused equality runtime)"
-                        if query.equality_atoms
-                        else ""
-                    ),
-                    file=sys.stderr,
-                )
-            for (name, text), answers in zip(docs, per_doc):
-                prefix = _extract_prefix(i, name, True, label_docs)
-                if query.is_boolean:
-                    verdict = "true" if answers else "false"
-                    print(f"{prefix}: {verdict}")
-                    continue
-                relation = SpanRelation(query.head, answers)
-                _print_tuples(
-                    relation.sorted(),
-                    text,
-                    args.format,
-                    args.limit,
-                    prefix=prefix,
-                )
     return 0
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
     queries = _grouped_queries(args)
-    docs = _read_documents(args)
-    if len(queries) > 1 and args.workers > 1:
-        return _query_fleet(args, queries, docs)
-    if len(queries) == 1 and args.workers > 1 and len(docs) > 1:
-        return _query_parallel(args, queries[0], docs)
-    return _query_serial(args, queries, docs)
+    if not _fleet_wanted(args):
+        return _query_serial(args, queries, _read_documents(args))
+    if args.strategy == "canonical":
+        raise SpannerError(
+            "--workers serves the compiled strategy; drop "
+            "--strategy canonical or run with --workers 1"
+        )
+    from .queries.compiled import CompiledEvaluator
+
+    evaluator = CompiledEvaluator()
+    engines = [
+        evaluator.equality_runtime(q) or evaluator.runtime(q) for q in queries
+    ]
+    names, work, kind = _fleet_inputs(args)
+    label_queries = len(queries) > 1
+    label_docs = len(names) > 1
+    # The serial path sorts the *full* relation before applying
+    # --limit, so workers must not cap enumeration early; only an
+    # all-Boolean batch can stop at the one tuple that decides it.
+    limit = 1 if all(q.is_boolean for q in queries) else None
+    for i, j, answers in _serve(args, engines, work, kind, limit):
+        query = queries[i]
+        if args.explain and j == 0:
+            print(
+                f"# strategy: compiled — q{i} served on a "
+                f"{args.workers}-worker fleet"
+                + (" (fused equality runtime)" if query.equality_atoms else ""),
+                file=sys.stderr,
+            )
+        _print_relation(
+            args,
+            query,
+            SpanRelation(query.head, answers),
+            "" if query.is_boolean else _fleet_text(args, kind, work[j]),
+            _extract_prefix(i, names[j], label_queries, label_docs),
+        )
+    return 0
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -831,9 +737,9 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             metavar="N",
             help=(
-                "reject formulas whose estimated automaton size "
-                "exceeds N before compiling them (fleet extract; "
-                "default: admit everything)"
+                "reject formulas or CQs whose estimated automaton "
+                "size exceeds N before compiling them (any --workers "
+                "N > 1 run; default: admit everything)"
             ),
         )
         p.add_argument(
@@ -841,9 +747,9 @@ def build_parser() -> argparse.ArgumentParser:
             type=float,
             metavar="SECONDS",
             help=(
-                "deadline for compiling each registered formula "
-                "(fleet extract; a compile past it is killed and the "
-                "formula rejected; default: unbounded)"
+                "deadline for compiling each registered formula or "
+                "CQ (any --workers N > 1 run; a compile past it is "
+                "killed and the query rejected; default: unbounded)"
             ),
         )
         p.add_argument(
@@ -851,10 +757,10 @@ def build_parser() -> argparse.ArgumentParser:
             action=argparse.BooleanOptionalAction,
             default=True,
             help=(
-                "serve multi-query --workers batches with one fused task "
-                "per chunk answering every query at once (default); "
-                "--no-fuse forces one task per chunk and query — output "
-                "bytes are identical either way"
+                "serve several formulas or CQs on a --workers fleet "
+                "with one fused task per chunk answering every query at "
+                "once (default); --no-fuse forces one task per chunk "
+                "and query — output bytes are identical either way"
             ),
         )
         p.add_argument(
@@ -875,9 +781,8 @@ def build_parser() -> argparse.ArgumentParser:
         "formula",
         nargs="+",
         help=(
-            "regex formula (concrete syntax); repeatable — several "
-            "formulas are served over one worker fleet with --workers, "
-            "output grouped per formula (q0, q1, ...)"
+            "regex formula (concrete syntax); repeatable — output is "
+            "grouped per formula (q0, q1, ...)"
         ),
     )
     add_io(p_extract)
@@ -889,10 +794,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help=(
-            "shard documents across N worker processes (default: 1 = "
-            "serial; pays off on many/large documents); with several "
-            "formulas, all of them are served concurrently by one "
-            "SpannerService fleet"
+            "serve the run on a fleet of N workers (default: 1 = "
+            "in this process; pays off on many/large documents): "
+            "every formula registers on one SpannerService and every "
+            "fleet flag applies, same output bytes"
         ),
     )
     p_extract.set_defaults(func=_cmd_extract)
@@ -925,8 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "start another CQ: the --atom/--head/--equal before each "
             "--next-query form one query; several queries print q0-, "
-            "q1-, ... prefixed rows and share one fleet with --workers "
-            "(one fused task per chunk unless --no-fuse)"
+            "q1-, ... prefixed rows"
         ),
     )
     p_query.add_argument(
@@ -942,11 +846,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help=(
-            "shard documents across N worker processes (compiled "
-            "strategy; equality queries run the fused per-document "
-            "join worker-side against one shipped static artifact); "
-            "with several --next-query CQs all of them are served "
-            "concurrently by one SpannerService fleet"
+            "serve the run on a fleet of N workers (default: 1 = "
+            "in this process): every CQ's compiled engine registers "
+            "on one SpannerService (equality queries run the fused "
+            "join worker-side) and every fleet flag applies, same "
+            "output bytes; needs the compiled strategy"
         ),
     )
     add_io(p_query)

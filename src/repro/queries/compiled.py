@@ -36,9 +36,8 @@ from typing import Iterator
 from ..enumeration.enumerator import SpannerEvaluator
 from ..runtime.cache import LRUCache, compilation_cache
 from ..runtime.compiled import CompiledSpanner
-from ..runtime.equality import CompiledEqualityQuery, equality_join
+from ..runtime.equality import CompiledEqualityQuery
 from ..spans import SpanRelation, SpanTuple
-from ..text.substrings import SubstringIndex
 from ..vset.automaton import VSetAutomaton
 from ..vset.equality import equality_automaton
 from ..vset.join import join, join_many
@@ -134,24 +133,23 @@ class CompiledEvaluator:
         """The full compilation for input ``s`` (one automaton).
 
         For queries without equalities the result is independent of
-        ``s`` apart from the cache; with equalities, the per-group
-        ``A_eq`` automata are built against ``s`` and joined in.
+        ``s`` apart from the cache.  With equalities, the fused engine
+        of :meth:`equality_runtime` folds them against ``s``
+        (:meth:`CompiledEqualityQuery.compile_for`); with
+        ``materialize_equalities`` the per-group ``A_eq`` automata are
+        built against ``s`` and joined in.
         """
         if isinstance(query, RegexCQ):
             query = RegexUCQ([query])
+        if query.has_equalities and not self.materialize_equalities:
+            return self.equality_runtime(query).compile_for(s)
         per_disjunct: list[VSetAutomaton] = []
         statics = self.compile_static(query)
         head = query.head
-        index: SubstringIndex | None = None
         for cq, automaton in zip(query, statics):
             for eq in cq.merged_equalities():
                 group = tuple(sorted(eq.variable_set))
-                if self.materialize_equalities:
-                    automaton = join(automaton, equality_automaton(s, group))
-                else:
-                    if index is None:
-                        index = SubstringIndex(s)
-                    automaton = equality_join(automaton, group, s, index=index)
+                automaton = join(automaton, equality_automaton(s, group))
             per_disjunct.append(project(automaton, head))
         if len(per_disjunct) == 1:
             return per_disjunct[0]

@@ -132,10 +132,10 @@ class ParallelSpanner(ConfigAttributes):
             config = replace(config, backend="serial")
         self.config = config
         if not isinstance(spanner, (CompiledSpanner, CompiledEqualityQuery)):
-            # Remember the compilable origin: the compiled artifact's
-            # pickle bytes aren't stable across processes, so the store
-            # can only warm-hit a cache written by an earlier driver
-            # when the registration is keyed by the source fingerprint.
+            # Remember the compilable origin: registering with it keys
+            # the store entry by the source fingerprint — the entry a
+            # plain register(source) shares — and journals a
+            # recompilable source in the manifest.
             self._source = spanner
             spanner = CompiledSpanner(spanner)
         else:

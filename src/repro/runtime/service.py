@@ -604,14 +604,13 @@ class SpannerService(ConfigAttributes):
         recompiled — counted, never fatal.
 
         ``source`` names the compilable origin of an *already compiled*
-        ``query``.  Precompiled artifacts have no stable fingerprint —
-        their pickle bytes differ across processes — so without it a
-        pre-wrapped query is keyed by its own bytes and never warm-hits
-        a cache written by another driver.  Passing the original
-        syntax/formula/automaton keys the store entry (and the manifest
-        journal) by the source fingerprint instead, at no extra compile:
-        on a hit the stored bytes replace the local artifact, on a miss
-        the local artifact is stored under the source key.  The caller
+        ``query``.  Without it a pre-wrapped query is keyed by its own
+        artifact bytes.  With it, the store entry is keyed by the
+        source fingerprint — the one entry ``register(source)`` writes
+        and reads, so both spellings share it — and the manifest
+        journals a recompilable source, at no extra compile: on a hit
+        the stored bytes replace the local artifact, on a miss the
+        local artifact is stored under the source key.  The caller
         asserts that ``source`` compiles to ``query`` — the pairing is
         not checked.  Ignored when ``query`` is itself compilable.
         """

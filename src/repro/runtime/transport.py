@@ -295,10 +295,12 @@ def sweep_orphaned_segments() -> list[str]:
 
 
 def _finalize_session(segments: dict, pool: dict, pidfile: str) -> None:
-    """Unlink whatever the transport still owns; runs via
-    ``weakref.finalize`` on GC *and* at normal interpreter exit, so a
-    driver that forgets ``close()`` still leaves ``/dev/shm`` clean.
-    ``close()`` empties the dicts, making a later call a no-op."""
+    """Unlink whatever the transport still owns and drop its pidfile.
+
+    The one sweep: ``close()`` runs it, and ``weakref.finalize`` runs it
+    again on GC *and* at normal interpreter exit, so a driver that
+    forgets ``close()`` still leaves ``/dev/shm`` clean.  It empties
+    the dicts, so a second run unlinks only what was packed since."""
     leftovers = [entry[0] for entry in segments.values()]
     segments.clear()
     for bucket in pool.values():
@@ -811,19 +813,14 @@ class SharedMemoryTransport:
 
     def close(self) -> None:
         """Unlink everything still owned — in flight and pooled alike
-        (fleet shutdown sweep; ``/dev/shm`` ends clean)."""
+        (fleet shutdown sweep; ``/dev/shm`` ends clean).  The GC/exit
+        finalizer stays armed, so a segment packed after ``close()``
+        is still unlinked."""
         with self._lock:
-            leftovers = [entry[0] for entry in self._segments.values()]
-            self._segments.clear()
-            for bucket in self._pool.values():
-                leftovers.extend(bucket)
-            self._pool.clear()
             self._pooled = 0
             self._classes.clear()
             self._allocated = 0
-        for segment in leftovers:
-            self._destroy(segment)
-        _remove_pidfile(self._pidfile)
+            _finalize_session(self._segments, self._pool, self._pidfile)
 
     @staticmethod
     def _destroy(segment) -> None:

@@ -383,3 +383,134 @@ class TestEncodingFlags:
              "--errors", "replace"]
         ) == 0
         assert "3" in capsys.readouterr().out
+
+
+class TestOneFleetRoute:
+    """Every ``--workers N > 1`` run goes through one fleet route.
+
+    Whatever the command, input kind and number of formulas, CQs or
+    documents: stdout is the ``--workers 1`` run's, and the fleet's
+    result cap and admission control both apply.
+    """
+
+    DOCS = ["xaab", "baxa"]
+    QUERIES = {
+        "extract": [
+            [".*x{a+}.*"],
+            [".*x{a+}.*", ".*y{[ab]+}.*"],
+        ],
+        "query": [
+            ["--atom", ".*x{a+}.*", "--head", "x"],
+            ["--atom", ".*x{a+}.*", "--head", "x", "--next-query",
+             "--atom", ".*x{a+}.*", "--atom", ".*y{a+}.*",
+             "--equal", "x,y", "--head", "x", "y"],
+        ],
+    }
+
+    @pytest.fixture
+    def run(self, tmp_path, capsys, monkeypatch):
+        paths = []
+        for i, text in enumerate(self.DOCS):
+            path = tmp_path / f"d{i}.txt"
+            path.write_text(text, encoding="utf-8")
+            paths.append(str(path))
+        inputs = {
+            "text": ["--text", self.DOCS[0]],
+            "stdin": [],
+            "one-file": ["--file", paths[0]],
+            "two-files": ["--file", paths[0], "--file", paths[1]],
+        }
+
+        def run(command, n_queries, source, *extra):
+            import io
+
+            monkeypatch.setattr("sys.stdin", io.StringIO(self.DOCS[1]))
+            head = [command] + self.QUERIES[command][n_queries - 1]
+            code = main(head + inputs[source] + list(extra))
+            out, err = capsys.readouterr()
+            return code, out, err
+
+        return run
+
+    @pytest.mark.parametrize("source", ["text", "stdin", "one-file", "two-files"])
+    @pytest.mark.parametrize("n_queries", [1, 2])
+    @pytest.mark.parametrize("command", ["extract", "query"])
+    def test_every_shape_is_one_fleet(self, run, command, n_queries, source):
+        code, serial, _err = run(command, n_queries, source)
+        assert code == 0 and serial
+        fleet = ["--workers", "2", "--backend", "serial"]
+        code, out, _err = run(command, n_queries, source, *fleet)
+        assert (code, out) == (0, serial)
+        code, _out, err = run(
+            command, n_queries, source, *fleet, "--max-tuples", "1"
+        )
+        assert code == 2 and err.startswith("error:"), err
+        code, _out, err = run(
+            command, n_queries, source, *fleet, "--max-compile-states", "1"
+        )
+        assert code == 2 and "query rejected" in err, err
+
+    def test_process_fleet_matches_serial(self, run):
+        code, serial, _err = run("query", 2, "two-files")
+        assert code == 0
+        code, out, _err = run(
+            "query", 2, "two-files", "--workers", "2", "--backend", "process"
+        )
+        assert (code, out) == (0, serial)
+
+    @pytest.mark.parametrize("command", ["extract", "query"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_an_error(self, run, command, workers):
+        code, out, err = run(command, 1, "text", "--workers", workers)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--workers" in err
+        assert "Traceback" not in err
+
+    def test_explain_has_one_fleet_line_per_query(self, run):
+        code, _out, err = run(
+            "query", 2, "two-files", "--workers", "2", "--backend", "serial",
+            "--explain",
+        )
+        assert code == 0
+        assert err.splitlines() == [
+            "# strategy: compiled — q0 served on a 2-worker fleet",
+            "# strategy: compiled — q1 served on a 2-worker fleet "
+            "(fused equality runtime)",
+        ]
+
+    def test_one_query_streams_window_by_window(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Windows of `workers` chunks, at most two in flight: a window
+        # is submitted only after the one two back has printed its rows.
+        from repro.runtime.config import DEFAULT_CHUNK_SIZE
+        from repro.runtime.service import SpannerService
+
+        window = 2 * DEFAULT_CHUNK_SIZE
+        n_docs = 3 * window + 6
+        files = []
+        for i in range(n_docs):
+            path = tmp_path / f"doc{i:03d}.txt"
+            path.write_text("a", encoding="utf-8")
+            files += ["--file", str(path)]
+        submit_all = SpannerService.submit_all
+
+        def marked(service, work, **kwargs):
+            print(f"# window of {len(work)}")
+            return submit_all(service, work, **kwargs)
+
+        monkeypatch.setattr(SpannerService, "submit_all", marked)
+        code = main(
+            ["extract", ".*x{a}.*", "--workers", "2", "--backend", "serial"]
+            + files
+        )
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        marks = [n for n, line in enumerate(lines) if line.startswith("#")]
+        assert [lines[n] for n in marks] == [f"# window of {window}"] * 3 + [
+            "# window of 6"
+        ]
+        for k, n in enumerate(marks):
+            printed = n - k  # rows before the k-th submission
+            assert printed == max(0, k - 1) * window
+        assert len(lines) - len(marks) == n_docs

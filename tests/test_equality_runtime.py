@@ -397,6 +397,18 @@ class TestCompiledEvaluatorParity:
         assert fused == materialized
         assert rendered(fused) == rendered(materialized)
 
+    @pytest.mark.parametrize("name", sorted(QUERIES))
+    @pytest.mark.parametrize("s", STRINGS[:6])
+    def test_compiled_automaton_is_the_engines(self, name, s):
+        # Without materialize_equalities, compile() is the fused
+        # engine's compile_for: one equality fold, same enumeration.
+        query = self.QUERIES[name]
+        fused = fused_evaluator().compile(query, s)
+        materialized = materializing_evaluator().compile(query, s)
+        assert list(SpannerEvaluator(fused, s)) == list(
+            SpannerEvaluator(materialized, s)
+        )
+
     @pytest.mark.parametrize("name", ["binary", "merged-ternary", "two-groups"])
     @pytest.mark.parametrize("s", STRINGS[:6])
     def test_canonical_agreement(self, name, s):

@@ -97,10 +97,10 @@ class TestWarmStart:
     def test_session_generations_share_one_store_entry(
         self, tmp_path, word_serial
     ):
-        # ParallelSpanner registers a *precompiled* artifact whose
-        # pickle bytes differ per process; the session must key the
-        # store by its remembered source so a second driver generation
-        # warm-hits instead of re-putting under a fresh key.
+        # ParallelSpanner registers a *precompiled* artifact with its
+        # remembered source; the store entry is keyed by that source
+        # (the one entry register(source) shares), so a second driver
+        # generation warm-hits instead of re-putting under a new key.
         from repro.runtime.parallel import ParallelSpanner
 
         root = tmp_path / "arts"
