@@ -21,9 +21,10 @@ Series reproduced:
   (state sets on one-off tables) and ``CompiledSpanner.stream`` (state
   sets on tables whose memos serve every document);
 * E1d: where a document's time goes on each path, per stage — the
-  table build, forward, live and walk passes — on the dense-logs shape
-  and on the serve-logs shape (three extractors over ~44-char log
-  lines), with the walk's steps per document beside them;
+  table build, forward, live and walk passes, and the decode of the
+  walk's words into tuples — on the dense-logs shape and on the
+  serve-logs shape (three extractors over ~44-char log lines), with the
+  walk's steps per document beside them;
 * E1e: walk steps track tuples, not ``|s|``: a dense document's tuple
   count stays fixed while digit-free padding doubles, then quadruples,
   ``|s|``.  Gated on both paths, whose walk jumps the silent stretches
@@ -41,7 +42,7 @@ import statistics
 from time import perf_counter_ns
 
 from repro.enumeration import SpannerEvaluator, measure_delays
-from repro.enumeration.enumerator import walk_tuples
+from repro.enumeration.enumerator import event_tuples, walk_tuples
 from repro.enumeration.instrumentation import measure_generator_delays
 from repro.enumeration.statesets import StateSetLevels
 from repro.extractors import capitalized_spanner, dictionary_spanner
@@ -246,21 +247,52 @@ def stage_shapes() -> list[tuple[str, list[CompiledSpanner], list[str]]]:
     ]
 
 
+def _walk_only(names):
+    """A decoder factory for timing the walk alone: its decoder builds
+    nothing."""
+    return lambda events: None
+
+
+def _keep_events(names):
+    """A decoder factory whose decoder copies each word's event list
+    (the walk reuses the list it passes)."""
+    return lambda events: list(events)
+
+
+def walked_words(levels) -> tuple[tuple[str, ...], list[list]]:
+    """``(head, event lists)``: every word of one walk over ``levels``,
+    with the ascending variable names the walk decodes them over."""
+    names = tuple(sorted(levels.variables))
+    return names, list(walk_tuples(levels, _keep_events))
+
+
 def _stages(tables: AutomatonTables, s: str, t0: int) -> list[int]:
-    """ns since ``t0`` in forward, live and walk on ``tables``, plus the
-    tuple count."""
+    """ns since ``t0`` in forward, live, walk and decode on ``tables``,
+    plus the tuple count.
+
+    The walk is timed with a decoder that builds nothing; decode is
+    timed over the same words, captured in an untimed second walk, with
+    the decoder a production walk builds for the head.
+    """
     t1 = perf_counter_ns()
     levels = StateSetLevels(tables, s)
     t2 = perf_counter_ns()
     if not levels.is_empty:
         levels.live_pass()
     t3 = perf_counter_ns()
-    n = sum(1 for _ in walk_tuples(levels))
-    return [t1 - t0, t2 - t1, t3 - t2, perf_counter_ns() - t3, n]
+    n = sum(1 for _ in walk_tuples(levels, _walk_only))
+    t4 = perf_counter_ns()
+    names, words = walked_words(levels)
+    t5 = perf_counter_ns()
+    decode = event_tuples(names)
+    for events in words:
+        decode(events)
+    t6 = perf_counter_ns()
+    return [t1 - t0, t2 - t1, t3 - t2, t4 - t3, t6 - t5, n]
 
 
 def _cold_stages(spanner: CompiledSpanner, s: str) -> list[int]:
-    """ns in table build, forward, live and walk: what a cold
+    """ns in table build, forward, live, walk and decode: what a cold
     ``SpannerEvaluator(spanner.automaton, s)`` runs."""
     t0 = perf_counter_ns()
     return _stages(AutomatonTables(spanner.automaton), s, t0)
@@ -281,8 +313,8 @@ STAGE_LEVELS = {
 
 
 def stage_rows() -> list[tuple]:
-    """``(shape, path, tables, forward, live, walk, total, walk steps)``
-    per document, times in ms.
+    """``(shape, path, tables, forward, live, walk, decode, total, walk
+    steps)`` per document, times in ms.
 
     A document's time and steps are summed over the shape's spanners.
     Every document runs once untimed first, so the compiled path's
@@ -306,7 +338,7 @@ def stage_rows() -> list[tuple]:
             )
             best = None
             for _ in range(STAGE_REPEATS):
-                totals = [0, 0, 0, 0]
+                totals = [0, 0, 0, 0, 0]
                 tuples = 0
                 for spanner in spanners:
                     for s in docs:
@@ -327,15 +359,15 @@ def stage_table() -> Table:
     table = Table(
         "E1d  per-document stage times: cold path vs compiled path",
         ["shape", "path", "tables (ms)", "forward (ms)", "live (ms)",
-         "walk (ms)", "total (ms)", "walk steps / doc"],
+         "walk (ms)", "decode (ms)", "total (ms)", "walk steps / doc"],
     )
     rows = stage_rows()
     for row in rows:
         table.add(*row)
     for cold, compiled in zip(rows[::2], rows[1::2]):
         table.note(
-            f"{cold[0]}: total {cold[6]:.3f} ms cold -> {compiled[6]:.3f} "
-            f"ms compiled ({cold[6] / compiled[6]:.1f}x); the one-off "
+            f"{cold[0]}: total {cold[7]:.3f} ms cold -> {compiled[7]:.3f} "
+            f"ms compiled ({cold[7] / compiled[7]:.1f}x); the one-off "
             f"tables are {cold[2]:.3f} ms of the cold total"
         )
     table.note(
@@ -343,6 +375,11 @@ def stage_table() -> Table:
         "per document (what SpannerEvaluator(automaton, s) runs, its "
         "memos dying with it), compiled reads the memos CompiledSpanner "
         "keeps across documents"
+    )
+    table.note(
+        "walk: the walk with a decoder that builds nothing; decode: the "
+        "head's tuple decoder over the same words, captured in an untimed "
+        "walk"
     )
     table.note(
         "walk steps: children lookups (memo reads or children() calls) "
@@ -454,6 +491,26 @@ def test_e1c_dense_delay_flat():
     assert all(answers > 1 for _length, answers, _p50, _mean in rows)
     slope = fit_loglog_slope([row[0] for row in rows], [row[2] for row in rows])
     assert slope < 0.5, f"p50 delay slope {slope:.2f} vs |s| is not flat"
+
+
+def test_e1d_decode_stage():
+    """E1d's decode stage decodes exactly the stream's tuples, and every
+    row reports a walk and a decode time."""
+    spanner = CompiledSpanner(DENSE_PATTERN)
+    for s in (log_lines(20, seed=0), "no digits"):
+        names, words = walked_words(StateSetLevels(spanner.tables, s))
+        decode = event_tuples(names)
+        assert [decode(events) for events in words] == list(spanner.stream(s))
+    rows = stage_rows()
+    assert [row[:2] for row in rows] == [
+        (shape, path)
+        for shape in ("dense-logs", "serve-logs")
+        for path in ("cold", "compiled")
+    ]
+    for row in rows:
+        walk, decode, total = row[5], row[6], row[7]
+        assert walk > 0 and decode > 0
+        assert abs(sum(row[2:7]) - total) < 1e-9
 
 
 def test_e1e_walk_steps_track_tuples():

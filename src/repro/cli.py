@@ -227,7 +227,6 @@ def _fleet_opts(args: argparse.Namespace) -> dict:
             encoding=args.encoding,
             errors=args.errors,
             task_timeout=args.task_timeout,
-            on_overload=args.on_overload,
             shm_budget=args.shm_budget,
             max_tuples=args.max_tuples,
             max_result_bytes=args.max_result_bytes,
@@ -669,16 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "running longer has its worker killed and replaced and "
                 "the run fails with a timeout error instead of hanging "
                 "forever (default: no deadline)"
-            ),
-        )
-        p.add_argument(
-            "--on-overload",
-            choices=("block", "shed_oldest", "reject"),
-            default="block",
-            help=(
-                "what a --workers fleet does when its in-flight bound "
-                "is hit: block submission (default), shed the oldest "
-                "queued chunk, or reject the new one"
             ),
         )
         p.add_argument(

@@ -3,7 +3,8 @@
 The pipeline walks the determinized evaluation NFA ``A_G`` over the
 variable-configuration alphabet in radix order, forced stretches
 collapsed, decoding each word from the slots where its configuration
-changes (:func:`.enumerator.walk_tuples`).  A word ends at its
+changes (:func:`.enumerator.walk_tuples`), with one decoder per walk,
+specialised to the head's size.  A word ends at its
 all-``CLOSED`` letter, and the walk jumps the silent stretches its
 source lists: on the state-set source the all-``WAITING`` word jumps
 between the levels where a marker can fire, so the walk no longer

@@ -26,8 +26,12 @@ where some variable is open on the word being walked, plus work
 proportional to its tuples times ``|V|``: with short captures,
 nothing grows with ``|s|`` (benchmark E1e).  On the equality source a
 silent stretch of the product (a variable waiting on a closed one's
-next occurrence, say) is one product id, and the walk jumps it.  The
-paper's pruned
+next occurrence, say) is one product id, and the walk jumps it.  A
+word reaches its caller through a decoder built once per walk for the
+walk's head and specialised to ``|V|`` (:func:`event_tuples`, or
+:func:`event_offsets` for the span positions the serving fleet ships):
+it reads the word's events and builds the spans and the tuple inline.
+The paper's pruned
 ``A_G`` (:func:`~repro.enumeration.graph.build_evaluation_graph`) and
 its Algorithms 1–3 (:class:`~repro.automata.leveled.RadixEnumerator`
 plus :func:`decode_configuration_word`) remain the reference the walk
@@ -39,7 +43,16 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Sequence
 
-from ..spans import Span, SpanTuple, _span, _span_tuple
+from ..spans import (
+    Span,
+    SpanTuple,
+    _invalid_span,
+    _new,
+    _set_end,
+    _set_items,
+    _set_start,
+    _tuple_of_positions,
+)
 from ..automata.leveled import RadixEnumerator
 from ..runtime.tables import AutomatonTables
 from ..vset.automaton import VSetAutomaton
@@ -52,6 +65,7 @@ __all__ = [
     "enumerate_tuples",
     "decode_configuration_word",
     "walk_tuples",
+    "event_tuples",
     "event_offsets",
     "count_tuples",
 ]
@@ -80,9 +94,7 @@ def decode_configuration_word(
             if start is not None and end is not None:
                 break
         if start is None or end is None:
-            raise ValueError(
-                f"configuration word never closes variable {var!r}"
-            )
+            raise _never_closes(var)
         assignment[var] = Span(start, end)
     return SpanTuple(assignment)
 
@@ -180,65 +192,179 @@ def _walk(
     stretch[2] = level
 
 
-def _decode_events(
-    events: list[tuple[int, tuple[int, ...]]], names: tuple[str, ...]
-) -> SpanTuple:
-    """:func:`decode_configuration_word` on an event list.
+def _never_closes(name: str) -> ValueError:
+    return ValueError(f"configuration word never closes variable {name!r}")
 
-    A variable's span starts and ends at slots where its state changes,
-    and every such slot is an event, so scanning the events suffices.
-    ``names`` ascend, so the pairs go straight into a
-    :class:`SpanTuple`, with no re-sort.
+
+def event_tuples(names: tuple[str, ...]) -> Callable[[list], SpanTuple]:
+    """The decoder of event lists into :class:`SpanTuple` s over ``names``.
+
+    :func:`decode_configuration_word` on an event list: a variable's
+    span starts and ends at slots where its state changes, and every
+    such slot is an event, so scanning the events suffices.  ``names``
+    ascend, so the pairs go straight into the tuple, with no re-sort.
+    :func:`walk_tuples` builds one decoder per walk, specialised to
+    ``|V|``: a Boolean head's gives a fresh empty tuple, a one-variable
+    head's scans the events for one start and one end, and a
+    two-variable head's reads both spans in one pass over the events.
+    Larger heads take :func:`event_offsets`' positions, which scan the
+    events once per variable.  Every decoder builds its spans and tuple
+    inline, with the private constructors of :mod:`repro.spans` and no
+    call per span, keeps the ``1 <= start <= end`` check
+    (:class:`~repro.errors.InvalidSpanError`) and raises
+    :class:`ValueError` for a variable that never closes.
     """
-    spans = []
-    for j, name in enumerate(names):
-        start = 0
-        for slot, letter in events:
-            state = letter[j]
-            if state != WAITING:
-                if not start:
-                    start = slot + 1
-                if state == CLOSED:
-                    spans.append((name, _span(start, slot + 1)))
-                    break
-        else:
-            raise ValueError(
-                f"configuration word never closes variable {name!r}"
-            )
-    return _span_tuple(tuple(spans))
+    new, set_start, set_end, set_items = _new, _set_start, _set_end, _set_items
+    closed = CLOSED
+    if not names:
+
+        def decode(events):
+            mu = new(SpanTuple)
+            set_items(mu, ())
+            return mu
+
+    elif len(names) == 1:
+        (name,) = names
+
+        def decode(events):
+            start = 0
+            for slot, (state,) in events:
+                if state:
+                    if not start:
+                        start = slot + 1
+                    if state == closed:
+                        break
+            else:
+                raise _never_closes(name)
+            end = slot + 1
+            if start < 1 or end < start:
+                raise _invalid_span(start, end)
+            span = new(Span)
+            set_start(span, start)
+            set_end(span, end)
+            mu = new(SpanTuple)
+            set_items(mu, ((name, span),))
+            return mu
+
+    elif len(names) == 2:
+        first, second = names
+
+        def decode(events):
+            start0 = start1 = 0
+            end0 = end1 = None
+            for slot, (state0, state1) in events:
+                if state0 and end0 is None:
+                    if not start0:
+                        start0 = slot + 1
+                    if state0 == closed:
+                        end0 = slot + 1
+                if state1 and end1 is None:
+                    if not start1:
+                        start1 = slot + 1
+                    if state1 == closed:
+                        end1 = slot + 1
+            if end0 is None:
+                raise _never_closes(first)
+            if start0 < 1 or end0 < start0:
+                raise _invalid_span(start0, end0)
+            if end1 is None:
+                raise _never_closes(second)
+            if start1 < 1 or end1 < start1:
+                raise _invalid_span(start1, end1)
+            span0 = new(Span)
+            set_start(span0, start0)
+            set_end(span0, end0)
+            span1 = new(Span)
+            set_start(span1, start1)
+            set_end(span1, end1)
+            mu = new(SpanTuple)
+            set_items(mu, ((first, span0), (second, span1)))
+            return mu
+
+    else:
+        offsets = event_offsets(names)
+
+        def decode(events):
+            return _tuple_of_positions(names, offsets(events))
+
+    return decode
 
 
-def event_offsets(
-    events: list[tuple[int, tuple[int, ...]]], names: tuple[str, ...]
-) -> list[int]:
-    """:func:`_decode_events` as bare ints: ``start, end`` per name.
+def event_offsets(names: tuple[str, ...]) -> Callable[[list], list[int]]:
+    """:func:`event_tuples` as bare ints: ``start, end`` per name.
 
-    The ``2|V|`` span positions in ``names`` order, read off the event
-    list as :func:`_decode_events` reads them, with no :class:`Span` or
-    :class:`SpanTuple` built.  A Boolean head gives ``[]``.  This is
-    the form the serving fleet ships; the driver rebuilds the tuples
-    (and checks the spans) on its side.
+    The decoder gives the ``2|V|`` span positions in ``names`` order,
+    read off the event list as :func:`event_tuples`' decoder reads
+    them, with no :class:`Span` or :class:`SpanTuple` built, and it is
+    specialised to ``|V|`` the same way.  A Boolean head gives ``[]``.
+    This is the form the serving fleet ships; the driver rebuilds the
+    tuples (and checks the spans) on its side.
     """
-    offsets: list[int] = []
-    for j, name in enumerate(names):
-        start = 0
-        for slot, letter in events:
-            state = letter[j]
-            if state != WAITING:
-                if not start:
-                    start = slot + 1
-                if state == CLOSED:
-                    offsets.append(start)
-                    offsets.append(slot + 1)
-                    break
-        else:
-            raise ValueError(
-                f"configuration word never closes variable {name!r}"
-            )
-    return offsets
+    closed = CLOSED
+    if not names:
+
+        def decode(events):
+            return []
+
+    elif len(names) == 1:
+        (name,) = names
+
+        def decode(events):
+            start = 0
+            for slot, (state,) in events:
+                if state:
+                    if not start:
+                        start = slot + 1
+                    if state == closed:
+                        return [start, slot + 1]
+            raise _never_closes(name)
+
+    elif len(names) == 2:
+        first, second = names
+
+        def decode(events):
+            start0 = start1 = 0
+            end0 = end1 = None
+            for slot, (state0, state1) in events:
+                if state0 and end0 is None:
+                    if not start0:
+                        start0 = slot + 1
+                    if state0 == closed:
+                        end0 = slot + 1
+                if state1 and end1 is None:
+                    if not start1:
+                        start1 = slot + 1
+                    if state1 == closed:
+                        end1 = slot + 1
+            if end0 is None:
+                raise _never_closes(first)
+            if end1 is None:
+                raise _never_closes(second)
+            return [start0, end0, start1, end1]
+
+    else:
+
+        def decode(events):
+            offsets = []
+            for j, name in enumerate(names):
+                start = 0
+                for slot, letter in events:
+                    state = letter[j]
+                    if state:
+                        if not start:
+                            start = slot + 1
+                        if state == closed:
+                            offsets.append(start)
+                            offsets.append(slot + 1)
+                            break
+                else:
+                    raise _never_closes(name)
+            return offsets
+
+    return decode
 
 
-def walk_tuples(source, decode: Callable = _decode_events) -> Iterator:
+def walk_tuples(source, decoder: Callable = event_tuples) -> Iterator:
     """Stream the tuples of a level source in radix order.
 
     A depth-first walk of the determinized ``A_G`` in ascending letter
@@ -262,15 +388,22 @@ def walk_tuples(source, decode: Callable = _decode_events) -> Iterator:
     marker can fire, and the equality source's stretch ids on the level
     before their own, in one step.
 
-    Each word is yielded as ``decode(events, names)``: ``names`` are
-    the source's variables in ascending order, and the default decoder
-    builds the :class:`SpanTuple`; :func:`event_offsets` gives the
-    word's span positions as ints instead.
+    ``decoder(names)`` builds the walk's decoder once, for ``names``,
+    the source's variables in ascending order, and each word is yielded
+    as ``decode(events)``.  The default, :func:`event_tuples`, builds
+    the :class:`SpanTuple`; :func:`event_offsets` gives the word's span
+    positions as ints instead.  Both specialise their decoder to
+    ``|V|``.
 
-    A tuple therefore costs its branches, which all change a letter,
-    plus its at most ``2|V| + 1`` events and their decode.  Collapsing
-    forced stretches leaves a tree whose inner nodes all branch, so it
-    has fewer inner nodes than leaves.  On the state-set source the
+    The walk keeps a stack of the untried children of the branches on
+    its path.  A branch pushes its children after the first, in
+    descending letter order, when the walk enters it, and a backtrack
+    pops the deepest one, so a branch is off the stack as soon as its
+    last child is taken, and a backtrack is one pop.  A tuple therefore
+    costs its branches, which all change a letter, plus its at most
+    ``2|V| + 1`` events and their decode.  Collapsing forced stretches
+    leaves a tree whose inner nodes all branch, so it has fewer inner
+    nodes than leaves.  On the state-set source the
     only stretches still stepped level by level are those where some
     variable is open, each ``(level, S)`` once per document; with short
     captures a document costs its forward and live passes plus work
@@ -286,6 +419,7 @@ def walk_tuples(source, decode: Callable = _decode_events) -> Iterator:
     children = source.children
     memos = source.children_memos()
     names = tuple(sorted(source.variables))
+    decode = decoder(names)
     closed = (CLOSED,) * len(names)
     chains: list[dict] = [{} for _ in range(last_level)]
     # A jump is a one-event stretch: its letter, unchanged from
@@ -293,11 +427,12 @@ def walk_tuples(source, decode: Callable = _decode_events) -> Iterator:
     for level, start, end_level, end, letter in source.jumps():
         chains[level][start] = ([[(level, letter)], end, end_level], 1)
     events: list[tuple[int, tuple[int, ...]]] = []
-    # Frames of the branches on the current path:
-    # [children, next child to try, len(events) at the branch, level].
-    frames: list[list] = []
+    # The untried children of the branches on the path, deepest last:
+    # (child, len(events) at the branch, its level, its last letter).
+    pending: list[tuple] = []
     states = source.root
     level = 0
+    previous = None  # the letter of the last event
     while True:
         # Descend along first children to the leftmost leaf below.
         while level < last_level:
@@ -306,50 +441,52 @@ def walk_tuples(source, decode: Callable = _decode_events) -> Iterator:
                 kids = memos[level].get(states)
                 if kids is None:
                     kids = children(states, level)
-                if len(kids) == 1:
+                width = len(kids)
+                if width == 2:
+                    pending.append((kids[1], len(events), level, previous))
+                elif width == 1:
                     _walk(
                         children, memos, chains, states, level, last_level,
                         kids, closed,
                     )
                     continue
-                if not kids:
+                elif width:
+                    n_events = len(events)
+                    for kid in kids[:0:-1]:
+                        pending.append((kid, n_events, level, previous))
+                else:
                     raise AssertionError(
                         "pruned leveled NFA must complete every prefix"
                     )
-                frames.append([kids, 1, len(events), level])
                 letter, states = kids[0]
                 level += 1
-                if not events or events[-1][1] != letter:
+                if letter != previous:
                     events.append((level - 1, letter))
+                    previous = letter
                     if letter == closed:
                         break
                 continue
             stretch, index = entry
             run = stretch[0]
             letter = run[index - 1][1]
-            if not events or events[-1][1] != letter:
+            if letter != previous:
                 events.append((level, letter))
             if index < len(run):
                 events.extend(run[index:])
+            previous = run[-1][1]
             states, level = stretch[1], stretch[2]
-        yield decode(events, names)
-        # Backtrack to the deepest branch with an untried child.
-        while frames:
-            frame = frames[-1]
-            kids, i, n_events, level = frame
-            if i < len(kids):
-                frame[1] = i + 1
-                del events[n_events:]
-                letter, states = kids[i]
-                level += 1
-                if not events or events[-1][1] != letter:
-                    events.append((level - 1, letter))
-                    if letter == closed:
-                        level = last_level
-                break
-            frames.pop()
-        else:
+        yield decode(events)
+        # Backtrack: take the deepest branch's next child.
+        if not pending:
             return
+        (letter, states), n_events, level, previous = pending.pop()
+        del events[n_events:]
+        level += 1
+        if letter != previous:
+            events.append((level - 1, letter))
+            previous = letter
+            if letter == closed:
+                level = last_level
 
 
 def count_tuples(source, cap: int | None = None) -> int:

@@ -79,8 +79,9 @@ class LocalHeartbeat:
     task id, monotonic stamp, rss bytes, fused member ordinal)`` — the
     process backend publishes through shared memory, so the driver's
     deadline scan, memory watchdog and fused-member attribution read
-    every substrate identically.  Mirrors the two operations the worker
-    core and the driver use: ``get_lock()`` and indexing.
+    every substrate identically.  Mirrors the operations the worker
+    core and the driver use: ``get_lock()``, ``get_obj()`` (the slots
+    themselves, written under the lock) and indexing.
     """
 
     __slots__ = ("_values", "_lock")
@@ -91,6 +92,9 @@ class LocalHeartbeat:
 
     def get_lock(self) -> threading.Lock:
         return self._lock
+
+    def get_obj(self) -> list[float]:
+        return self._values
 
     def __getitem__(self, index: int) -> float:
         return self._values[index]

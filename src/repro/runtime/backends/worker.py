@@ -42,7 +42,16 @@ from array import array
 from itertools import islice
 
 from ...errors import ResultLimitError, TransientTaskError
-from ...spans import SpanTuple, _span, _span_tuple
+from ...spans import (
+    Span,
+    SpanTuple,
+    _invalid_span,
+    _new,
+    _set_end,
+    _set_items,
+    _set_start,
+    _tuple_of_positions,
+)
 from ..compiled import CompiledSpanner
 from ..fusion import FusedEngine
 from ..tables import AutomatonTables
@@ -133,22 +142,35 @@ def unpack_tuples(
     packed: one fresh tuple and fresh spans per packed tuple, as the
     serial stream yields them.
 
-    Every span goes through the ``1 <= start <= end`` check
-    (:class:`~repro.errors.InvalidSpanError`).
+    Spans and tuples are built with :mod:`repro.spans`' private
+    constructors, as the enumerator's decoders build them (inline for a
+    one-variable head, the common case), and every span keeps the
+    ``1 <= start <= end`` check (:class:`~repro.errors.InvalidSpanError`).
     """
-    if names:
-        k = len(names)
-        spans = list(map(_span, offsets[::2], offsets[1::2]))
-        if k == 1:
-            name = names[0]
-            tuples = [_span_tuple(((name, span),)) for span in spans]
-        else:
-            tuples = [
-                _span_tuple(tuple(zip(names, spans[i : i + k])))
-                for i in range(0, len(spans), k)
-            ]
+    if not names:
+        tuples = [_tuple_of_positions(names, ()) for _ in range(sum(counts))]
+    elif len(names) == 1:
+        new, set_start, set_end, set_items = (
+            _new, _set_start, _set_end, _set_items
+        )
+        (name,) = names
+        tuples = []
+        append = tuples.append
+        for start, end in zip(offsets[::2], offsets[1::2]):
+            if start < 1 or end < start:
+                raise _invalid_span(start, end)
+            span = new(Span)
+            set_start(span, start)
+            set_end(span, end)
+            mu = new(SpanTuple)
+            set_items(mu, ((name, span),))
+            append(mu)
     else:
-        tuples = [_span_tuple(()) for _ in range(sum(counts))]
+        k = 2 * len(names)
+        tuples = [
+            _tuple_of_positions(names, offsets[i : i + k])
+            for i in range(0, len(offsets), k)
+        ]
     out = []
     start = 0
     for n in counts:
@@ -264,7 +286,24 @@ def _stamp_member(heartbeat, ordinal: float) -> None:
     """Publish which member this worker is serving (-1 = shared)."""
     if heartbeat is not None:
         with heartbeat.get_lock():
-            heartbeat[3] = ordinal
+            heartbeat.get_obj()[3] = ordinal
+
+
+def _stamp_task(heartbeat, task_id: float) -> None:
+    """Publish the running task (-1 = idle), the time and the RSS.
+
+    The heartbeat's lock is taken once per stamp: the slots are written
+    through its unsynchronized view (``get_obj()``), since a
+    synchronized array's own ``__setitem__`` would take the lock again
+    for every slot.
+    """
+    rss = current_rss()
+    with heartbeat.get_lock():
+        slots = heartbeat.get_obj()
+        slots[0] = task_id
+        slots[1] = time.monotonic()
+        slots[2] = rss
+        slots[3] = -1.0
 
 
 def run_members(
@@ -419,12 +458,7 @@ def run_task(
         caps,
     ) = msg
     if heartbeat is not None:
-        rss = current_rss()
-        with heartbeat.get_lock():
-            heartbeat[0] = float(task_id)
-            heartbeat[1] = time.monotonic()
-            heartbeat[2] = rss
-            heartbeat[3] = -1.0
+        _stamp_task(heartbeat, float(task_id))
     try:
         members = [
             (qid, _engine_for(engines, qid, shipment, worker_id))
@@ -438,10 +472,5 @@ def run_task(
     else:
         result = ("done", worker_id, task_id, out, truncated)
     if heartbeat is not None:
-        rss = current_rss()
-        with heartbeat.get_lock():
-            heartbeat[0] = -1.0
-            heartbeat[1] = time.monotonic()
-            heartbeat[2] = rss
-            heartbeat[3] = -1.0
+        _stamp_task(heartbeat, -1.0)
     return result

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Sequence
 
-from ..enumeration.enumerator import _decode_events, event_offsets, walk_tuples
+from ..enumeration.enumerator import event_offsets, event_tuples, walk_tuples
 from ..enumeration.graph import EvaluationGraph, build_evaluation_graph
 from ..enumeration.statesets import StateSetLevels
 from ..errors import SchemaError
@@ -105,7 +105,7 @@ def _equality_stream(
     engine: CompiledEqualityQuery,
     s: str,
     index: SubstringIndex,
-    decode: Callable,
+    decoder: Callable,
 ) -> Iterator:
     """A lazy per-member equality stream sharing the document's index.
 
@@ -113,7 +113,7 @@ def _equality_stream(
     first ``next()``, inside the consumer's per-member accounting
     window, so fleet-side fault attribution indicts the right member.
     """
-    yield from walk_tuples(engine.levels(s, index=index), decode)
+    yield from walk_tuples(engine.levels(s, index=index), decoder)
 
 
 class FusedQuery:
@@ -178,7 +178,7 @@ class FusedEngine:
         enumerated; their walks — and the equality members' per-document
         compilation — stay lazy in the returned iterators.
         """
-        return self._streams(s, _decode_events)
+        return self._streams(s, event_tuples)
 
     def offset_streams(self, s: str) -> list[Iterator[list[int]]]:
         """:meth:`streams` with each tuple as its ``2|V|`` span positions.
@@ -193,15 +193,15 @@ class FusedEngine:
         return self._streams(s, event_offsets, self._solo_offsets)
 
     def _streams(
-        self, s: str, decode: Callable, solo: Callable | None = None
+        self, s: str, decoder: Callable, solo: Callable | None = None
     ) -> list:
         out: list[Iterator] = [iter(())] * len(self.member_ids)
         for member, tables in self._sweep:
-            out[member] = walk_tuples(StateSetLevels(tables, s), decode)
+            out[member] = walk_tuples(StateSetLevels(tables, s), decoder)
         if self._equality:
             index = SubstringIndex(s)
             for member, engine in self._equality:
-                out[member] = _equality_stream(engine, s, index, decode)
+                out[member] = _equality_stream(engine, s, index, decoder)
         for member, engine in self._solo:
             stream = engine.stream(s)  # type: ignore[attr-defined]
             out[member] = stream if solo is None else solo(member, stream)

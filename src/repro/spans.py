@@ -133,24 +133,19 @@ def _invalid_span(start: int, end: int) -> InvalidSpanError:
     )
 
 
+# Private constructors for the code that builds a span per variable
+# per tuple: the enumerator's decoders and the fleet's result unpacking.
+# ``span = _new(Span); _set_start(span, start); _set_end(span, end)`` is
+# ``Span(start, end)`` without the dataclass ``__init__``; the caller
+# runs the same ``1 <= start <= end`` check first and raises
+# ``_invalid_span(start, end)``, so a bad span fails as the public
+# constructor fails.  ``mu = _new(SpanTuple); _set_items(mu, items)`` is
+# ``SpanTuple(items)`` without the ``dict``, the ``isinstance`` checks
+# and the sort: the caller guarantees distinct names in ascending order,
+# each paired with a :class:`Span`.
 _new = object.__new__
 _set_start = Span.start.__set__  # type: ignore[attr-defined]
 _set_end = Span.end.__set__  # type: ignore[attr-defined]
-
-
-def _span(start: int, end: int) -> Span:
-    """``Span(start, end)`` without the dataclass ``__init__``.
-
-    The same ``1 <= start <= end`` check runs and raises the same
-    :class:`InvalidSpanError`; the enumerator's decoder builds a span
-    per variable per tuple, so it skips only the generic machinery.
-    """
-    if start < 1 or end < start:
-        raise _invalid_span(start, end)
-    span = _new(Span)
-    _set_start(span, start)
-    _set_end(span, end)
-    return span
 
 
 class SpanTuple(Mapping[str, Span]):
@@ -239,16 +234,20 @@ class SpanTuple(Mapping[str, Span]):
 _set_items = SpanTuple._items.__set__  # type: ignore[attr-defined]
 
 
-def _span_tuple(items: tuple[tuple[str, Span], ...]) -> SpanTuple:
-    """A :class:`SpanTuple` over ``items``, taken as they are.
-
-    The caller guarantees what the public constructor establishes:
-    distinct names in ascending order, each paired with a
-    :class:`Span`.  The enumerator's decoder emits exactly that, so it
-    skips the ``dict``, the ``isinstance`` checks and the sort.
-    """
+def _tuple_of_positions(names: tuple[str, ...], positions) -> SpanTuple:
+    """The :class:`SpanTuple` whose spans are ``positions``, ``start, end``
+    per name of ``names`` (distinct, ascending), built with the private
+    constructors above, each span checked."""
+    pairs = []
+    for name, start, end in zip(names, positions[::2], positions[1::2]):
+        if start < 1 or end < start:
+            raise _invalid_span(start, end)
+        span = _new(Span)
+        _set_start(span, start)
+        _set_end(span, end)
+        pairs.append((name, span))
     mu = _new(SpanTuple)
-    _set_items(mu, items)
+    _set_items(mu, tuple(pairs))
     return mu
 
 

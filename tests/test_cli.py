@@ -314,6 +314,22 @@ class TestWorkerSharding:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["extract", ".*x{[0-9]+}.*"], ["query", "--atom", ".*x{[0-9]+}.*"]],
+    )
+    def test_on_overload_flag_is_gone(self, tmp_path, capsys, command):
+        """The CLI's window keeps at most ``2 x workers`` chunks in
+        flight and sets no ``max_in_flight``, so an overload policy
+        could never engage: the flag is not accepted (argparse, exit 2)."""
+        files = self._write_corpus(tmp_path, ["code=1", "code=2"])
+        with pytest.raises(SystemExit) as exited:
+            main(
+                command + ["--workers", "2", "--on-overload", "reject"] + files
+            )
+        assert exited.value.code == 2
+        assert "--on-overload" in capsys.readouterr().err
+
     def test_query_workers_reject_canonical_strategy(self, tmp_path, capsys):
         files = self._write_corpus(tmp_path, ["ab", "ba"])
         code = main(

@@ -1,5 +1,8 @@
 """Tests for the Theorem 3.3 enumerator, including the paper's examples."""
 
+import pickle
+from itertools import product
+
 import pytest
 
 from repro.enumeration import (
@@ -9,11 +12,16 @@ from repro.enumeration import (
     enumerate_tuples,
     measure_delays,
 )
-from repro.enumeration.enumerator import walk_tuples
+from repro.enumeration.enumerator import (
+    event_offsets,
+    event_tuples,
+    walk_tuples,
+)
 from repro.enumeration.graph import EvaluationGraph
-from repro.errors import NotFunctionalError
+from repro.enumeration.statesets import StateSetLevels
+from repro.errors import InvalidSpanError, NotFunctionalError
 from repro.queries import CompiledEvaluator, RegexCQ
-from repro.runtime import CompiledSpanner
+from repro.runtime import AutomatonTables, CompiledSpanner
 from repro.runtime.fusion import FusedQuery, fused_sweep
 from repro.spans import Span, SpanTuple
 from repro.text import log_lines, repeats_text
@@ -178,6 +186,148 @@ class TestDecoding:
             decode_configuration_word([w({"x": OPEN})], frozenset({"x"}))
 
 
+#: Per head size, a formula whose walks yield words over that many
+#: variables, and a document with several tuples for it.
+DECODER_CASES = {
+    0: (".*ab.*", "aab-ab"),
+    1: (".*x{a+}.*", "aab-aab"),
+    2: (".*x{a+}.*y{b*}.*", "aab-ab"),
+    3: (".*x{a+}.*y{b*}z{a*}.*", "aab-aba"),
+}
+
+
+def _capture(names):
+    """A decoder factory that keeps a copy of each walked event list."""
+    return lambda events: list(events)
+
+
+def _word(events, names, length):
+    """The configuration word an event list stands for: slot ``i``
+    carries the letter of the last event at or before ``i``."""
+    letters = dict(events)
+    word = []
+    letter = None
+    for i in range(length):
+        letter = letters.get(i, letter)
+        word.append(VariableConfiguration(names, letter))
+    return word
+
+
+def _events(bounds, names):
+    """The event list of the word where variable ``j`` opens at slot
+    ``bounds[j][0]`` and closes at slot ``bounds[j][1]``, and the
+    word's length (its last slot is all-closed)."""
+    length = max((close for _open, close in bounds), default=0) + 1
+    events = []
+    for i in range(length):
+        letter = tuple(
+            WAITING if i < start else OPEN if i < end else CLOSED
+            for start, end in bounds
+        )
+        if not events or events[-1][1] != letter:
+            events.append((i, letter))
+    return events, length
+
+
+def _positions(mu):
+    return [x for _, sp in sorted(mu.items()) for x in (sp.start, sp.end)]
+
+
+class TestHeadDecoders:
+    """The per-head decoders :func:`walk_tuples` builds once per walk
+    (|V| = 0, 1 and 2 specialised, a general fallback for more) against
+    :func:`decode_configuration_word`, tuple form and offsets form."""
+
+    @staticmethod
+    def _assert_decodes_like_reference(events, names, length):
+        want = decode_configuration_word(
+            _word(events, names, length), frozenset(names)
+        )
+        got = event_tuples(names)(events)
+        assert type(got) is SpanTuple
+        assert got == want and list(got.items()) == list(want.items())
+        assert pickle.dumps(got) == pickle.dumps(want)
+        assert event_offsets(names)(events) == _positions(want)
+
+    @pytest.mark.parametrize("k", sorted(DECODER_CASES))
+    def test_walked_words(self, k):
+        formula, s = DECODER_CASES[k]
+        levels = StateSetLevels(AutomatonTables(compile_regex(formula)), s)
+        names = tuple(sorted(levels.variables))
+        assert len(names) == k
+        words = list(walk_tuples(levels, _capture))
+        assert len(words) > (k > 0)
+        for events in words:
+            self._assert_decodes_like_reference(events, names, levels.n_slots)
+        tuples = list(walk_tuples(levels))
+        assert tuples == [event_tuples(names)(events) for events in words]
+        assert list(walk_tuples(levels, event_offsets)) == [
+            _positions(mu) for mu in tuples
+        ]
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_hand_made_event_lists(self, k):
+        """Every way ``k`` variables can open and close within 4 slots,
+        empty spans and simultaneous changes included."""
+        names = ("x", "y", "z")[:k]
+        bounds = [(a, b) for a in range(4) for b in range(a, 4)]
+        for choice in product(bounds, repeat=k):
+            events, length = _events(choice, names)
+            self._assert_decodes_like_reference(events, names, length)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_never_closed_variable_raises(self, k):
+        names = ("x", "y", "z")[:k]
+        for stuck in range(k):
+            # Every variable but ``stuck`` closes; ``stuck`` opens and
+            # never closes within the word's 3 slots.
+            bounds = [(0, 1)] * k
+            bounds[stuck] = (1, 9)
+            events, _length = _events(bounds, names)
+            events = [(slot, letter) for slot, letter in events if slot < 3]
+            word = _word(events, names, 3)
+            message = f"never closes variable {names[stuck]!r}"
+            with pytest.raises(ValueError, match=message):
+                decode_configuration_word(word, frozenset(names))
+            with pytest.raises(ValueError, match=message):
+                event_tuples(names)(events)
+            with pytest.raises(ValueError, match=message):
+                event_offsets(names)(events)
+        # With several unclosed, the first in head order is named.
+        events = [(0, (WAITING,) * k), (1, (OPEN,) * k)]
+        for decoder in (event_tuples, event_offsets):
+            with pytest.raises(ValueError, match="variable 'x'"):
+                decoder(names)(events)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_invalid_span_raises(self, k):
+        """Slots out of order give ``end < start``: the tuple decoders
+        keep :class:`Span`'s check and message.  The offsets form ships
+        the positions unchecked; the driver's unpack checks them
+        (``tests/test_spans.py``)."""
+        names = ("x", "y", "z")[:k]
+        events = [(5, (OPEN,) * k), (2, (CLOSED,) * k)]
+        with pytest.raises(InvalidSpanError) as public:
+            Span(6, 3)
+        with pytest.raises(InvalidSpanError) as private:
+            event_tuples(names)(events)
+        assert str(private.value) == str(public.value)
+        assert event_offsets(names)(events) == [6, 3] * k
+
+    def test_one_decoder_per_walk(self):
+        levels = StateSetLevels(
+            AutomatonTables(compile_regex(".*x{a+}.*")), "aab-aab"
+        )
+        built = []
+
+        def decoder(names):
+            built.append(names)
+            return event_tuples(names)
+
+        assert len(list(walk_tuples(levels, decoder))) > 1
+        assert built == [("x",)]
+
+
 class TestEventWalkMatchesRadixReference:
     """The cold evaluator's walk (state sets on one-off tables) yields
     the reference's tuples in the same order."""
@@ -229,6 +379,27 @@ class TestEventWalkMatchesRadixReference:
     def test_no_match_document(self):
         automaton = compile_regex(".*x{[0-9]+}.*")
         assert assert_walk_matches_reference(automaton, "no digits") == []
+
+    @pytest.mark.parametrize(
+        "formula, s",
+        [
+            ("a*x{a*}a*", "aaaa"),
+            (".*x{a*}.*y{a*}.*", "aaa"),
+            (".*x{a*}y{b*}.*", "abab"),
+        ],
+    )
+    def test_wide_branches(self, formula, s):
+        """Branches with three or more children: each leaves the walk's
+        stack as its last child is taken, and the order still matches."""
+        automaton = compile_regex(formula)
+        levels = StateSetLevels(AutomatonTables(automaton), s)
+        got = list(walk_tuples(levels))
+        widest = max(
+            len(kids) for memo in levels.children_memos()
+            for kids in memo.values()
+        )
+        assert widest >= 3
+        assert got == radix_reference(build_evaluation_graph(automaton, s))
 
     def test_never_closed_variable_raises(self):
         leveled = LeveledNFA(2)

@@ -1,18 +1,15 @@
 """Unit tests for spans, span tuples and span relations (§2.1)."""
 
 import pickle
+from array import array
 
 import pytest
 
+from repro.enumeration.enumerator import event_tuples
 from repro.errors import InvalidSpanError, SchemaError
-from repro.spans import (
-    EMPTY_TUPLE,
-    Span,
-    SpanRelation,
-    SpanTuple,
-    _span,
-    _span_tuple,
-)
+from repro.runtime.backends.worker import unpack_tuples
+from repro.spans import EMPTY_TUPLE, Span, SpanRelation, SpanTuple
+from repro.vset.configurations import CLOSED, OPEN, WAITING
 
 
 class TestSpan:
@@ -149,54 +146,85 @@ class TestSpanTuple:
         assert EMPTY_TUPLE.variables == frozenset()
 
 
+def _decoded(pairs) -> SpanTuple:
+    """The tuple the enumerator's decoder for ``pairs``' names builds
+    from the event list of the word that selects ``pairs``' spans."""
+    names = tuple(name for name, _ in pairs)
+    events = []
+    for slot in range(max((sp.end for _, sp in pairs), default=1)):
+        letter = tuple(
+            WAITING if slot + 1 < sp.start else OPEN if slot + 1 < sp.end
+            else CLOSED
+            for _, sp in pairs
+        )
+        if not events or events[-1][1] != letter:
+            events.append((slot, letter))
+    return event_tuples(names)(events)
+
+
+def _unpacked(pairs) -> SpanTuple:
+    """The tuple the driver rebuilds from ``pairs``' shipped offsets."""
+    names = tuple(name for name, _ in pairs)
+    offsets = [x for _, sp in pairs for x in (sp.start, sp.end)]
+    (doc,) = unpack_tuples(names, array("q", offsets), array("q", [1]))
+    (mu,) = doc
+    return mu
+
+
 class TestDecoderConstructors:
-    """The enumerator's decoder builds spans and tuples through private
-    constructors; what they build must be indistinguishable from the
-    public constructors' output, and a bad span must still raise."""
+    """The enumerator's decoders and the driver's unpacking build spans
+    and tuples inline, through private constructors; what they build
+    must be indistinguishable from the public constructors' output, and
+    a bad span must still raise."""
 
     def _pairs(self):
         return (("x", Span(1, 4)), ("y", Span(2, 2)), ("z", Span(5, 9)))
 
     def test_span_matches_public_constructor(self):
         for start, end in ((1, 1), (1, 4), (7, 9)):
-            private, public = _span(start, end), Span(start, end)
-            assert type(private) is Span
-            assert private == public
-            assert hash(private) == hash(public)
-            assert not private < public and not public < private
-            assert pickle.dumps(private) == pickle.dumps(public)
-            assert pickle.loads(pickle.dumps(private)) == public
+            public = Span(start, end)
+            for build in (_decoded, _unpacked):
+                private = build((("x", public),))["x"]
+                assert type(private) is Span
+                assert private == public
+                assert hash(private) == hash(public)
+                assert not private < public and not public < private
+                assert pickle.dumps(private) == pickle.dumps(public)
+                assert pickle.loads(pickle.dumps(private)) == public
 
     @pytest.mark.parametrize(
         "start, end", [(0, 1), (0, 0), (3, 2), (-1, 4)]
     )
     def test_span_keeps_its_check(self, start, end):
-        with pytest.raises(InvalidSpanError) as private:
-            _span(start, end)
         with pytest.raises(InvalidSpanError) as public:
             Span(start, end)
-        assert str(private.value) == str(public.value)
+        for names, offsets in (
+            (("x",), [start, end]), (("x", "y"), [1, 2, start, end])
+        ):
+            with pytest.raises(InvalidSpanError) as private:
+                unpack_tuples(names, array("q", offsets), array("q", [1]))
+            assert str(private.value) == str(public.value)
 
     def test_span_stays_frozen(self):
-        span = _span(1, 2)
-        with pytest.raises(AttributeError):
-            span.start = 5  # type: ignore[misc]
+        for build in (_decoded, _unpacked):
+            span = build((("x", Span(1, 2)),))["x"]
+            with pytest.raises(AttributeError):
+                span.start = 5  # type: ignore[misc]
 
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_span_tuple_matches_public_constructor(self, n):
         pairs = self._pairs()[:n]
-        private = _span_tuple(
-            tuple((name, _span(sp.start, sp.end)) for name, sp in pairs)
-        )
         public = SpanTuple(dict(reversed(pairs)))
-        assert type(private) is SpanTuple
-        assert private == public and public == private
-        assert hash(private) == hash(public)
-        assert list(private.items()) == list(public.items())
-        assert repr(private) == repr(public)
-        assert pickle.dumps(private) == pickle.dumps(public)
-        assert pickle.loads(pickle.dumps(private)) == public
-        assert {private, public} == {public}
+        for build in (_decoded, _unpacked):
+            private = build(pairs)
+            assert type(private) is SpanTuple
+            assert private == public and public == private
+            assert hash(private) == hash(public)
+            assert list(private.items()) == list(public.items())
+            assert repr(private) == repr(public)
+            assert pickle.dumps(private) == pickle.dumps(public)
+            assert pickle.loads(pickle.dumps(private)) == public
+            assert {private, public} == {public}
 
     def test_decoded_tuples_match_public_constructor(self):
         from repro.runtime import CompiledSpanner
