@@ -21,10 +21,10 @@ Engineering claims on top (the fused equality runtime):
   reproducing the serial output exactly (E10e);
 * where a document's time goes (E10f): the production path walks the
   levels of the fused product straight from its BFS record (product
-  BFS, level build, walk), against the reference path that compiles
-  the product to an automaton and runs the cold Theorem 3.3 evaluator
-  on it (``compile_for``, ``AutomatonTables``, forward, live, walk) —
-  what ``SpannerEvaluator(engine.compile_for(s), s)`` runs.
+  BFS, level build, walk, decode), against the reference path that
+  compiles the product to an automaton and runs the cold Theorem 3.3
+  evaluator on it (``compile_for``, ``AutomatonTables``, forward, live,
+  walk) — what ``SpannerEvaluator(engine.compile_for(s), s)`` runs.
 """
 
 from __future__ import annotations
@@ -32,7 +32,11 @@ from __future__ import annotations
 import time
 from time import perf_counter_ns
 
-from repro.enumeration.enumerator import SpannerEvaluator, walk_tuples
+from repro.enumeration.enumerator import (
+    SpannerEvaluator,
+    event_tuples,
+    walk_tuples,
+)
 from repro.enumeration.instrumentation import measure_generator_delays
 from repro.enumeration.statesets import StateSetLevels
 from repro.queries import CanonicalEvaluator, CompiledEvaluator, RegexCQ
@@ -46,6 +50,7 @@ from repro.runtime.equality import (
 from repro.text import SubstringIndex, repeats_text
 from repro.vset import equality_automaton
 
+from .bench_e1_delay import _walk_only, walked_words
 from .common import Table, available_cpus, fit_loglog_slope, time_call
 
 
@@ -211,20 +216,32 @@ def stage_documents() -> list[str]:
 
 
 #: Stage names per path, in the order the stage functions time them.
-LEVEL_STAGES = ("product BFS", "level build", "walk")
+LEVEL_STAGES = ("product BFS", "level build", "walk", "decode")
 REFERENCE_STAGES = ("compile_for", "AutomatonTables", "forward", "live", "walk")
 
 
 def _level_stages(engine: CompiledEqualityQuery, s: str) -> tuple[list[int], int]:
-    """ns per :data:`LEVEL_STAGES` stage, and the tuple count."""
+    """ns per :data:`LEVEL_STAGES` stage, and the tuple count.
+
+    As in E1d, the walk is timed with a decoder that builds nothing;
+    decode is timed over the same words, captured in an untimed second
+    walk, with the decoder a production walk builds for the head.
+    """
     ((tables, (group,)),) = engine.disjuncts
     t0 = perf_counter_ns()
     product = EqualityProduct(tables, group, s, SubstringIndex(s))
     t1 = perf_counter_ns()
     levels = EqualityLevels([product], engine.head, len(s) + 1)
     t2 = perf_counter_ns()
-    n = sum(1 for _ in walk_tuples(levels))
-    return [t1 - t0, t2 - t1, perf_counter_ns() - t2], n
+    n = sum(1 for _ in walk_tuples(levels, _walk_only))
+    t3 = perf_counter_ns()
+    names, words = walked_words(levels)
+    t4 = perf_counter_ns()
+    decode = event_tuples(names)
+    for events in words:
+        decode(events)
+    t5 = perf_counter_ns()
+    return [t1 - t0, t2 - t1, t3 - t2, t5 - t4], n
 
 
 def _reference_stages(
@@ -326,6 +343,9 @@ def stage_table() -> Table:
     table.note(
         "levels: the production path (CompiledEqualityQuery.stream) — "
         "the product BFS record turned straight into the walk's levels; "
+        "its walk is timed with a decoder that builds nothing, and decode "
+        "is the head's tuple decoder over the same words, captured in an "
+        "untimed walk; "
         "reference: compile_for (the same BFS, then the product "
         "automaton, trim and projection), then what a cold "
         "SpannerEvaluator runs on it: one-off AutomatonTables and the "
@@ -438,6 +458,15 @@ def test_e10f_stage_paths_agree():
         level_n = _level_stages(engine, s)[1]
         reference_n = _reference_stages(engine, s)[1]
         assert level_n == reference_n == len(list(engine.stream(s))) > 0
+
+
+def test_e10f_decode_stage():
+    """E10f's decode stage decodes exactly the stream's tuples."""
+    engine = CompiledEvaluator(LRUCache(8)).equality_runtime(_wide_dedup_query())
+    for s in stage_documents()[:4] + ["hgfedcba"]:
+        names, words = walked_words(engine.levels(s))
+        decode = event_tuples(names)
+        assert [decode(events) for events in words] == list(engine.stream(s))
 
 
 #: E10f product pairs per document before silent stretches became one

@@ -79,10 +79,12 @@ def decode_configuration_word(
     ``κ_i`` is the configuration immediately before reading ``σ_{i+1}``;
     for each variable the span starts at the first index where it is no
     longer waiting and ends at the first index where it is closed
-    (1-based: index ``i`` maps to position ``i + 1``).
+    (1-based: index ``i`` maps to position ``i + 1``).  Variables are
+    decoded in ascending order, so when several never close the error
+    names the first, as the walk's decoders do.
     """
     assignment: dict[str, Span] = {}
-    for var in variables:
+    for var in sorted(variables):
         start = None
         end = None
         for i, kappa in enumerate(word):

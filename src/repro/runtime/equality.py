@@ -30,15 +30,27 @@ single per-gap state.  Likewise, while every variable of the group is
 open at one common start (none closed or waiting), the state forgets
 that start: its only future is closing them all together, which
 succeeds from any start, so the ``x = y`` diagonal is one state per
-gap rather than one per (start, gap).  Validity is enforced on the
-fly — a burst is only emitted when the partial assignment still
-extends to a full equal-span choice (substring class equality,
-occurrence queries for still-unopened variables, longest-common-
-extension feasibility for partially-opened groups) — so the product
-construction below never explores a choice the string cannot
-complete.  The bursts a state can
-try depend only on which variables are open and closed, so their
-shapes are memoized across documents (:func:`_skeleton`).
+gap rather than one per (start, gap).
+
+Validity is enforced on the fly: a burst is only emitted, and a state
+only read on, when the partial assignment still extends to a full
+equal-span choice, so the product construction below never explores a
+choice the string cannot complete.  Every check is an index into the
+per-length class tables of the document's
+:class:`~repro.text.substrings.SubstringIndex`
+(:attr:`~repro.text.substrings.SubstringIndex.class_tables`, one dict
+read per length): closed spans share a class, an open variable's
+substring up to its close boundary is in the value's class, a
+still-unopened variable needs the value's class (or, before any close,
+the class of the shortest possible value) to occur again ahead, and
+variables open at different starts need their substrings to agree up
+to the earliest legal close boundary.  The bursts a state can try
+depend only on which variables are open and closed, so their shapes,
+with what each check reads, are memoized across documents
+(:func:`_skeleton`); bursts that can never be valid (an empty span
+beside a variable it closes or leaves open) have no shape.  A fired
+state has no further burst at its gap, so its closure is fixed when it
+is interned.
 
 The product itself is Lemma 3.10's construction, driven directly off
 the static operand's cached :class:`~repro.runtime.tables.AutomatonTables`
@@ -132,6 +144,10 @@ __all__ = [
 #: Fire options per variable inside one burst.
 _KEEP, _OPEN, _CLOSE, _OPEN_CLOSE = 0, 1, 2, 3
 
+#: What a burst's target is: the completed group, the all-open state with
+#: its start forgotten, or a state that keeps its opens, length and value.
+_COMPLETE, _MERGED, _PARTIAL = 0, 1, 2
+
 #: Burst skeletons by ``(k, closed_mask, open_mask)``; see :func:`_skeleton`.
 _SKELETONS: dict[tuple[int, int, int], tuple] = {}
 
@@ -152,21 +168,31 @@ def _skeleton(k: int, closed_mask: int, open_mask: int) -> tuple:
     A burst picks, per variable, one of: keep, open here, close here
     (if open), or open-and-close here (an empty span), and must change
     something.  Each entry, in the order of the per-variable choices'
-    cartesian product, is ``(closes, empty, opens, new_closed,
-    unopened, states)``:
+    cartesian product, is ``(first, others, empty, picks, layout, kind,
+    new_closed, unopened, states)``:
 
-    * ``closes``: the open variables the burst closes;
+    * ``first``: the first open variable the burst closes, or ``-1``;
+    * ``others``: the other open variables it closes;
     * ``empty``: whether it closes some variable on an empty span;
-    * ``opens``: ``(var, opened_here)`` for every variable open after
-      it, ascending;
+    * ``picks``: per variable open after it, ascending, where its start
+      is read: its own index for a variable kept open, ``k`` for one
+      opened here (the caller's start array holds the gap there);
+    * ``layout``: the variables open after it, ascending;
+    * ``kind``: :data:`_COMPLETE` when every variable is closed after
+      it, :data:`_MERGED` when every variable opens here from a state
+      with none open or closed (the all-open state, ``k >= 2``), else
+      :data:`_PARTIAL`;
     * ``new_closed``: the closed mask after it;
     * ``unopened``: whether a variable is still waiting after it;
     * ``states``: the per-variable configuration states after it.
 
-    A burst that closes an open variable (a span of at least one
-    character) and an empty span at once can never agree on the length,
-    so it has no entry.  Memoized at module level; an entry is built in
-    full before it is published, so threads may share the memo.
+    A burst that closes a variable on an empty span fixes the group's
+    length at ``0``, so it has no entry when it also closes an open
+    variable (a span of at least one character) or leaves one open: an
+    open variable started at or before this gap, and a span of length
+    ``0`` from there closes no later than this gap.  Memoized at module
+    level; an entry is built in full before it is published, so threads
+    may share the memo.
     """
     key = (k, closed_mask, open_mask)
     found = _SKELETONS.get(key)
@@ -185,28 +211,37 @@ def _skeleton(k: int, closed_mask: int, open_mask: int) -> tuple:
     for combo in cartesian_product(*options):
         closes = tuple(j for j, action in enumerate(combo) if action == _CLOSE)
         empty = _OPEN_CLOSE in combo
-        if closes and empty:
-            continue
         if not closes and not empty and _OPEN not in combo:
             continue  # all keep: not a burst
-        opens = tuple(
-            (j, action == _OPEN)
-            for j, action in enumerate(combo)
+        layout = tuple(
+            j for j, action in enumerate(combo)
             if action == _OPEN or (action == _KEEP and open_mask >> j & 1)
         )
+        if empty and (closes or layout):
+            continue  # an empty span fixes length 0: nothing else fits
         new_closed = closed_mask
         for j, action in enumerate(combo):
             if action == _CLOSE or action == _OPEN_CLOSE:
                 new_closed |= 1 << j
         new_open_mask = 0
-        for j, _here in opens:
+        for j in layout:
             new_open_mask |= 1 << j
+        unopened = bool(full_mask & ~new_closed & ~new_open_mask)
+        if new_closed == full_mask:
+            kind = _COMPLETE
+        elif k >= 2 and not (open_mask or new_closed or unopened):
+            kind = _MERGED
+        else:
+            kind = _PARTIAL
         entries.append((
-            closes,
+            closes[0] if closes else -1,
+            closes[1:],
             empty,
-            opens,
+            tuple(k if combo[j] == _OPEN else j for j in layout),
+            layout,
+            kind,
             new_closed,
-            bool(full_mask & ~new_closed & ~new_open_mask),
+            unopened,
             _var_states(k, new_closed, new_open_mask),
         ))
     return _SKELETONS.setdefault(key, tuple(entries))
@@ -240,13 +275,17 @@ class _ImplicitEqualityOperand:
     Every state is interned to a dense id on first sight; id
     :data:`FINAL` is the unique final state (all markers fired, the
     whole string read), which has no tuple.  Per id the operand keeps
-    the state, its per-variable configuration states and its shared
-    key (those states on the variables the static operand shares).
+    the state and its per-variable configuration states; per
+    configuration, its shared key (those states on the variables the
+    static operand shares).
 
     ``ve_closure`` plays the role of the explicit operand's
     variable-epsilon closures: the state itself, every valid one-burst
     successor at the current gap, and the final state once the string
-    is consumed and the group fully closed.
+    is consumed and the group fully closed.  A fired state's closure is
+    known when it is interned (itself, and the final state when it is
+    complete at ``N + 1``), as is ``quiet`` of every state that cannot
+    be quiet (``0``).
 
     A group of no variables is allowed: its only states are the
     complete ones, so the product with it just reads ``s`` alongside
@@ -259,14 +298,15 @@ class _ImplicitEqualityOperand:
         "k",
         "n",
         "index",
+        "class_tables",
         "full_mask",
         "merged_opens",
         "initial",
         "shared_idx",
         "states",
         "var_states",
-        "keys",
         "_keys",
+        "_final_entry",
         "closures",
         "advances",
         "quiet",
@@ -283,6 +323,7 @@ class _ImplicitEqualityOperand:
         self.k = k
         self.n = len(s)
         self.index = index
+        self.class_tables = index.class_tables
         self.full_mask = (1 << k) - 1
         self.merged_opens = (
             tuple((j, 0) for j in range(k)) if k >= 2 else None
@@ -290,13 +331,13 @@ class _ImplicitEqualityOperand:
         self.shared_idx = shared_idx
         self.states: list[tuple | None] = []
         self.var_states: list[tuple[int, ...]] = []
-        self.keys: list[tuple[int, ...]] = []
         self._keys: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._ids: dict[tuple | None, int] = {}
         self.closures: list[tuple | None] = []
         self.advances: list[int | None] = []
         self.quiet: list[int | None] = []
         self.intern(None, (CLOSED,) * k)  # FINAL
+        self._final_entry = (self.FINAL, self._keys[(CLOSED,) * k])
         self.initial = self.intern(
             (1, False, (), 0, None, None), (WAITING,) * k
         )
@@ -304,19 +345,38 @@ class _ImplicitEqualityOperand:
     def intern(self, state: tuple | None, var_states: tuple[int, ...]) -> int:
         """The id of ``state`` (whose configuration is ``var_states``)."""
         found = self._ids.get(state)
-        if found is None:
-            found = self._ids[state] = len(self.states)
-            self.states.append(state)
-            self.var_states.append(var_states)
-            key = self._keys.get(var_states)
-            if key is None:
-                key = self._keys[var_states] = tuple(
-                    var_states[i] for i in self.shared_idx
-                )
-            self.keys.append(key)
-            self.closures.append(None)
-            self.advances.append(None)
-            self.quiet.append(None)
+        return self._add(state, var_states) if found is None else found
+
+    def _add(self, state: tuple | None, var_states: tuple[int, ...]) -> int:
+        """A fresh id for ``state``, which has none yet.
+
+        A fired state gets its closure here, and a state that cannot be
+        quiet its ``quiet`` of ``0``.
+        """
+        states = self.states
+        found = self._ids[state] = len(states)
+        states.append(state)
+        self.var_states.append(var_states)
+        key = self._keys.get(var_states)
+        if key is None:
+            key = self._keys[var_states] = tuple(
+                var_states[i] for i in self.shared_idx
+            )
+        self.advances.append(None)
+        closure = None
+        quiet = 0
+        if state is not None:
+            if state[1]:
+                # No further burst at this gap.
+                closure = ((found, key),)
+                if state[0] == self.n + 1 and state[3] == self.full_mask:
+                    closure += (self._final_entry,)
+            elif not state[2] and (
+                state[3] == self.full_mask or state[4] is not None
+            ):
+                quiet = None  # maybe quiet: :meth:`quiet_until` decides
+        self.closures.append(closure)
+        self.quiet.append(quiet)
         return found
 
     def at_gap(self, uid: int, gap: int) -> int:
@@ -342,17 +402,16 @@ class _ImplicitEqualityOperand:
         """
         found = self.quiet[uid]
         if found is None:
-            state = self.states[uid]
-            found = 0
-            if state is not None:
-                g, fired, opens, closed_mask, length, ref = state
-                if not fired and not opens:
-                    if closed_mask == self.full_mask:
-                        found = self.n + 1
-                    elif length is not None:
-                        found = self.index.first_occurrence_at_or_after(
-                            ref, length, g
-                        ) or 0
+            # Unfired, nothing open, and closed or with its length fixed
+            # (:meth:`_add` stores ``0`` for every other state).
+            state: tuple = self.states[uid]  # type: ignore[assignment]
+            g, _fired, _opens, closed_mask, length, ref = state
+            if closed_mask == self.full_mask:
+                found = self.n + 1
+            else:
+                found = self.index.first_occurrence_at_or_after(
+                    ref, length, g
+                ) or 0
             self.quiet[uid] = found
         return found
 
@@ -363,78 +422,75 @@ class _ImplicitEqualityOperand:
         Mirrors the explicit ``A_eq``'s VE closures: paths fire all of
         a gap's markers on one edge, so the closure is the state, its
         burst successors, and the final state for fully-closed states
-        at gap ``N+1``.
+        at gap ``N+1``.  A fired state's closure was stored when it was
+        interned.  An unfired state's is its own entry (with the final
+        state when it is complete at ``N + 1``, and then it has no
+        burst), followed by the stored closure of each burst successor:
+        at most one of those is complete, so the final state appears at
+        most once.
         """
         cached = self.closures[uid]
         if cached is None:
-            states: list = self.states
-            u = states[uid]
-            targets = [uid]
-            if not u[1]:
-                targets.extend(self._fire_targets(u))
-            closure: dict[int, None] = {}
-            end_gap = self.n + 1
-            for t in targets:
-                closure[t] = None
-                if states[t][0] == end_gap and states[t][3] == self.full_mask:
-                    closure[self.FINAL] = None
-            keys = self.keys
-            cached = self.closures[uid] = tuple((t, keys[t]) for t in closure)
+            u: tuple = self.states[uid]  # type: ignore[assignment]
+            closure = [(uid, self._keys[self.var_states[uid]])]
+            closures = self.closures
+            if u[3] == self.full_mask:
+                if u[0] == self.n + 1:
+                    closure.append(self._final_entry)
+            else:
+                for t in self._fire_targets(u):
+                    closure += closures[t]  # type: ignore[arg-type]
+            cached = closures[uid] = tuple(closure)
         return cached
 
     def advance(self, uid: int) -> int:
         """The state after reading the character at the current gap.
 
-        ``-1`` when the state is provably dead at the next gap — a
-        fixed-length group variable whose mandatory close boundary was
-        just passed, or a required future occurrence that no longer
-        exists — so the product skips the whole doomed branch.
+        ``-1`` when the state is provably dead at the next gap, so the
+        product skips the whole doomed branch.  With a length fixed, a
+        state dies once an open variable passes its close boundary, or
+        when a still-unopened variable has no occurrence of the value
+        left from the next gap on.  With none fixed, every span reaches
+        past this gap, so a still-unopened variable must find the first
+        ``g + 1 - lo`` characters from the earliest open start ``lo``
+        again from the next gap on.  Each check is an index into the
+        substring index's class tables.
         """
         cached = self.advances[uid]
         if cached is not None:
             return cached
         state: tuple = self.states[uid]  # type: ignore[assignment]
-        if self._dies(state):
+        g, _fired, opens, closed_mask, length, ref = state
+        dead = False
+        if length is None:
+            if opens and len(opens) < self.k:
+                lo = opens[0][1]
+                for _j, p in opens:
+                    if p < lo:
+                        lo = p
+                table = self.class_tables.get(g + 1 - lo)
+                if table is None:
+                    table = self.index.classes(g + 1 - lo)
+                reps, starts = table
+                dead = starts[reps[lo]][-1] <= g
+        else:
+            open_mask = 0
+            for j, p in opens:
+                if p + length <= g:  # close boundary missed
+                    dead = True
+                    break
+                open_mask |= 1 << j
+            if not dead and self.full_mask & ~closed_mask & ~open_mask:
+                dead = self.class_tables[length][1][ref][-1] <= g
+        if dead:
             nxt = -1
         else:
-            g, _fired, opens, closed_mask, length, ref = state
-            nxt = self.intern(
-                (g + 1, False, opens, closed_mask, length, ref),
-                self.var_states[uid],
-            )
+            nxt_state = (g + 1, False, opens, closed_mask, length, ref)
+            nxt = self._ids.get(nxt_state)  # type: ignore[assignment]
+            if nxt is None:
+                nxt = self._add(nxt_state, self.var_states[uid])
         self.advances[uid] = nxt
         return nxt
-
-    def _dies(self, state: tuple) -> bool:
-        """Whether ``state`` is dead once it reads on to the next gap."""
-        g, _fired, opens, closed_mask, length, ref = state
-        if length is None:
-            # Nothing closed yet: a still-unopened variable must find,
-            # from the next gap on, the value's first g + 1 - lo
-            # characters (every span is at least that long).
-            if opens and len(opens) < self.k:
-                return not self._recurs(min(p for _j, p in opens), g + 1)
-            return False
-        for _j, p in opens:
-            if p + length <= g:  # close boundary missed: dead branch
-                return True
-        if closed_mask != self.full_mask:
-            open_mask = 0
-            for j, _p in opens:
-                open_mask |= 1 << j
-            if self.full_mask & ~closed_mask & ~open_mask:
-                # A still-unopened variable needs a fresh occurrence
-                # of the shared substring value from the next gap on.
-                return (
-                    self.index.first_occurrence_at_or_after(ref, length, g + 1)
-                    is None
-                )
-        return False
-
-    def _recurs(self, lo: int, gap: int) -> bool:
-        """Whether ``s[lo-1 : gap-1]`` occurs again at a start ``>= gap``."""
-        reps, starts = self.index.classes(gap - lo)
-        return starts[reps[lo]][-1] >= gap  # type: ignore[index]
 
     # -- Burst enumeration ---------------------------------------------------
     def _fire_targets(self, u: tuple) -> list[int]:
@@ -444,72 +500,85 @@ class _ImplicitEqualityOperand:
         when the new partial assignment still extends to a full
         equal-span choice of ``s``: closed spans agree on length and
         value, open variables can still close on that value, and
-        still-unopened variables find an occurrence later.  A state
-        whose variables are all open at one forgotten start has one
-        burst: closing them all.
+        still-unopened variables find an occurrence later.  Every check
+        is an index into the substring index's class tables, one dict
+        read per length.  A state whose variables are all open at one
+        forgotten start has one burst: closing them all.
         """
         g, _fired, opens, closed_mask, length, ref = u
+        ids = self._ids
+        k = self.k
         full_mask = self.full_mask
-        merged = self.merged_opens
-        if opens == merged:
+        if opens == self.merged_opens:
             done = (g, True, (), full_mask, None, None)
-            return [self.intern(done, (CLOSED,) * self.k)]
+            found = ids.get(done)
+            if found is None:
+                found = self._add(done, (CLOSED,) * k)
+            return [found]
         n1 = self.n + 1
+        tables = self.class_tables
         classes = self.index.classes
-        open_start = [0] * self.k
+        # Start per open variable, and this gap at index ``k``.
+        at = [0] * (k + 1)
+        at[k] = g
         open_mask = 0
         for j, p in opens:
-            open_start[j] = p
+            at[j] = p
             open_mask |= 1 << j
+        start_of = at.__getitem__
         at_end = g == n1
         reps: list[int] = []
         starts: list = []
-        value = 0
         if length is not None:
-            reps, starts = classes(length)
-            value = reps[ref]
-        out: dict[int, None] = {}
-        for closes, empty, layout, new_closed, unopened, states in _skeleton(
-            self.k, closed_mask, open_mask
-        ):
-            if at_end and (layout or unopened):
+            reps, starts = tables[length]
+        skeleton = _SKELETONS.get((k, closed_mask, open_mask))
+        if skeleton is None:
+            skeleton = _skeleton(k, closed_mask, open_mask)
+        out: list[int] = []
+        for (
+            first, others, empty, picks, layout, kind, new_closed, unopened,
+            states,
+        ) in skeleton:
+            if at_end and (picks or unopened):
                 continue  # nothing can open, close or occur after N+1
-            new_len, new_ref = length, ref
-            new_reps, new_starts, new_value = reps, starts, value
-            if closes or empty:
+            new_len, new_ref, new_reps, new_starts = length, ref, reps, starts
+            if first >= 0 or empty:
                 # Fix (or check against) the group's common length/value.
-                if closes:
-                    start = open_start[closes[0]]
-                    if len(closes) > 1 and any(
-                        open_start[j] != start for j in closes[1:]
-                    ):
+                start = g
+                if first >= 0:
+                    start = at[first]
+                    unequal = False
+                    for j in others:
+                        if at[j] != start:
+                            unequal = True
+                            break
+                    if unequal:
                         continue  # unequal span lengths
-                else:
-                    start = g
                 span_len = g - start
                 if length is None:
                     new_len = span_len
-                    new_reps, new_starts = classes(span_len)
-                    new_ref = new_value = new_reps[start]
-                elif span_len != length or reps[start] != value:
+                    table = tables.get(span_len)
+                    if table is None:
+                        table = classes(span_len)
+                    new_reps, new_starts = table
+                    new_ref = new_reps[start]
+                elif span_len != length or reps[start] != ref:
                     continue
-            open_starts = [g if here else open_start[j] for j, here in layout]
-            # Still-open variables must be closable later.
+            open_starts = tuple(map(start_of, picks)) if picks else ()
             if new_len is not None:
+                # Still-open variables must be closable later, and
+                # still-unopened ones must find an occurrence later.
                 dead = False
                 for p in open_starts:
                     close_gap = p + new_len
                     if (
                         close_gap <= g
                         or close_gap > n1
-                        or new_reps[p] != new_value
+                        or new_reps[p] != new_ref
                     ):
                         dead = True
                         break
-                if dead:
-                    continue
-                # Still-unopened variables must find an occurrence later.
-                if unopened and new_starts[new_value][-1] <= g:
+                if dead or (unopened and new_starts[new_ref][-1] <= g):
                     continue
             elif open_starts:
                 # No length fixed yet.  Every span reaches past this
@@ -521,32 +590,41 @@ class _ImplicitEqualityOperand:
                 # common extension is at least ``needed``, i.e. the
                 # substrings of that length agree.
                 lo = min(open_starts)
-                if unopened and not self._recurs(lo, g + 1):
+                needed = g + 1 - lo
+                if len(open_starts) > 1 and needed > n1 - max(open_starts):
+                    continue
+                table = tables.get(needed)
+                if table is None:
+                    table = classes(needed)
+                extension = table[0]
+                if unopened and table[1][extension[lo]][-1] <= g:
                     continue
                 if len(open_starts) > 1:
-                    needed = g + 1 - lo
-                    if needed > n1 - max(open_starts):
+                    value = extension[open_starts[0]]
+                    unequal = False
+                    for p in open_starts:
+                        if extension[p] != value:
+                            unequal = True
+                            break
+                    if unequal:
                         continue
-                    extension = classes(needed)[0]
-                    first = extension[open_starts[0]]
-                    if any(extension[p] != first for p in open_starts[1:]):
-                        continue
-            if new_closed == full_mask:
+            if kind == _PARTIAL:
+                target = (
+                    g, True, tuple(zip(layout, open_starts)), new_closed,
+                    new_len, new_ref,
+                )
+            elif kind == _COMPLETE:
                 # Completed groups merge across all choices.
                 target = (g, True, (), full_mask, None, None)
-            elif (
-                merged is not None
-                and not (opens or new_closed or unopened)
-            ):
-                # Every variable opens here: the start is forgotten.
-                target = (g, True, merged, 0, None, None)
             else:
-                new_opens = tuple(
-                    (j, p) for (j, _here), p in zip(layout, open_starts)
-                )
-                target = (g, True, new_opens, new_closed, new_len, new_ref)
-            out[self.intern(target, states)] = None
-        return list(out)
+                # Every variable opens here: the start is forgotten.
+                target = (g, True, self.merged_opens, 0, None, None)
+            found = ids.get(target)
+            if found is None:
+                found = self._add(target, states)
+            if found not in out:
+                out.append(found)
+        return out
 
 
 def _backward_reachable(
@@ -737,10 +815,10 @@ class EqualityProduct:
 
         add(initial1, eq.initial, 1, eq.initial * n_static + initial1)
         empty: tuple[int, ...] = ()
-        i = 0
-        while i < len(pairs):
-            p1, uid = pairs[i]
-            i += 1
+        # ``pairs`` grows as the loop runs; a list iterator reads the
+        # length at every step, so the loop visits each pair once, in
+        # discovery order.
+        for p1, uid in pairs:
             if uid == FINAL:
                 # Only the true final pair is ever built, and it has no
                 # outgoing moves.
@@ -748,34 +826,41 @@ class EqualityProduct:
                 terminals.append(empty)
                 continue
             g = eq_states[uid][0]  # type: ignore[index]
-            reach_g = reach[g]
 
             # Rule (a): burst transitions — every consistent pair of the
             # static VE closure with the implicit operand's closure, found
-            # bucket-by-bucket on the shared-variable configuration.
-            buckets1 = ve_by_key[p1]
-            out: list[int] = []
+            # bucket-by-bucket on the shared-variable configuration.  A
+            # pair's two sides always share their key, so when the
+            # implicit closure is the state alone and the static one
+            # holds no other state of that key, the pair has none.
             closure = closures[uid]
             if closure is None:
                 closure = eq.ve_closure(uid)
-            for vid, key in closure:
-                qs = buckets1.get(key)
-                if qs is None:
-                    continue
-                base = vid * n_static
-                for q1 in qs:
-                    if vid == FINAL:
-                        # Only the true final pair survives: FINAL has no
-                        # outgoing moves, so anything else is dead weight.
-                        if q1 != final1:
-                            continue
-                    elif q1 not in reach_g or (q1 == p1 and vid == uid):
+            if len(closure) == 1 and solo[p1]:
+                bursts.append(empty)
+            else:
+                reach_g = reach[g]
+                buckets1 = ve_by_key[p1]
+                out: list[int] = []
+                for vid, key in closure:
+                    qs = buckets1.get(key)
+                    if qs is None:
                         continue
-                    dst = ids.get(base + q1)
-                    if dst is None:
-                        dst = add(q1, vid, g, base + q1)
-                    out.append(dst)
-            bursts.append(tuple(out) if out else empty)
+                    base = vid * n_static
+                    for q1 in qs:
+                        if vid == FINAL:
+                            # Only the true final pair survives: FINAL has
+                            # no outgoing moves, so anything else is dead
+                            # weight.
+                            if q1 != final1:
+                                continue
+                        elif q1 not in reach_g or (q1 == p1 and vid == uid):
+                            continue
+                        dst = ids.get(base + q1)
+                        if dst is None:
+                            dst = add(q1, vid, g, base + q1)
+                        out.append(dst)
+                bursts.append(tuple(out) if out else empty)
 
             # Rule (b): terminal transitions — the implicit operand reads
             # s verbatim, so the product reads exactly s[g-1] here.

@@ -156,6 +156,17 @@ class SubstringIndex:
             found = self._classes.setdefault(length, (reps, starts))
         return found
 
+    @property
+    def class_tables(self) -> dict[int, tuple]:
+        """Every length's :meth:`classes` arrays built so far, by length.
+
+        The live cache itself, for callers that read many lengths in a
+        hot loop: one dict read per length, with :meth:`classes` as the
+        fallback for a length not built yet.  Read only; entries are
+        published whole, so threads may share it.
+        """
+        return self._classes
+
     def class_rep(self, start: int, length: int) -> int:
         """The first occurrence of the substring value at ``start``.
 

@@ -293,11 +293,23 @@ class TestHeadDecoders:
                 event_tuples(names)(events)
             with pytest.raises(ValueError, match=message):
                 event_offsets(names)(events)
-        # With several unclosed, the first in head order is named.
-        events = [(0, (WAITING,) * k), (1, (OPEN,) * k)]
-        for decoder in (event_tuples, event_offsets):
-            with pytest.raises(ValueError, match="variable 'x'"):
-                decoder(names)(events)
+        # With several unclosed, the first in head order is named: the
+        # set the reference decodes over iterates in string-hash order,
+        # so several six-name heads make a hash-ordered pick fail.
+        heads = [names] + [
+            tuple(f"{stem}{i}" for i in range(6))
+            for stem in ("v", "w", "span", "q", "tag", "m", "z", "key")
+        ]
+        for head in heads:
+            width = len(head)
+            events = [(0, (WAITING,) * width), (1, (OPEN,) * width)]
+            word = _word(events, head, 3)
+            message = f"variable {head[0]!r}"
+            with pytest.raises(ValueError, match=message):
+                decode_configuration_word(word, frozenset(head))
+            for decoder in (event_tuples, event_offsets):
+                with pytest.raises(ValueError, match=message):
+                    decoder(head)(events)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_invalid_span_raises(self, k):

@@ -9,6 +9,7 @@ enumeration caps, serially and at any worker count.
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 import sys
 import threading
@@ -306,6 +307,57 @@ class TestSilentStretches:
         assert list(waiting.values()) == [1]
         assert product.end_gap(stretch) == 29
         assert min(product.stretches[stretch]) == 5
+
+
+class TestPinnedRecord:
+    """The product BFS record, pinned entry for entry.
+
+    Levels, ``automaton()`` and every tuple are read off the record, so
+    a rework of the BFS or the implicit operand that leaves it unchanged
+    changes no output.  The digest covers the pairs, their burst and
+    terminal successors, the stretches, the final id and the implicit
+    states in intern order.  A change that alters the record on purpose
+    must update :attr:`DIGEST` with it.
+    """
+
+    #: ``(static spec, group, [(N, seed), ...])`` on E10-shaped
+    #: documents (over a-h, with a planted ``abc``): the equality-cq
+    #: shape at N = 32, other lengths from 8 to 64, a ternary group,
+    #: and a static side that stops idling (stretches clipped at ``d``).
+    CASES = (
+        (
+            "[a-h]+",
+            ("x", "y"),
+            tuple((32, seed) for seed in range(12))
+            + tuple((n, 100 + n) for n in (8, 16, 48, 64)),
+        ),
+        ("[a-c]+", ("x", "y", "z"), tuple((n, 50 + n) for n in (8, 12, 16))),
+        (TestSilentStretches.CLIPPED, ("x", "y"), ((24, 7), (40, 8))),
+    )
+    DIGEST = "0912a28aa66b5fd101bff3c53588273fbd9cca5a0a5459b1ca7b3164f1e267e2"
+
+    @classmethod
+    def digest(cls) -> str:
+        h = hashlib.sha256()
+        for spec, group, docs in cls.CASES:
+            tables = tables_for(_static(spec, group))
+            for n, seed in docs:
+                s = repeats_text(
+                    n, seed=seed, alphabet="abcdefgh", plant="abc"
+                )
+                product = EqualityProduct(tables, group, s, SubstringIndex(s))
+                h.update(repr((
+                    product.pairs,
+                    product.bursts,
+                    product.terminals,
+                    sorted(product.stretches.items()),
+                    product.final,
+                    product.eq.states,
+                )).encode())
+        return h.hexdigest()
+
+    def test_record_digest(self):
+        assert self.digest() == self.DIGEST
 
 
 class TestBackwardMemo:
