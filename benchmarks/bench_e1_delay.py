@@ -24,7 +24,9 @@ Series reproduced:
   table build, forward, live and walk passes, and the decode of the
   walk's words into tuples — on the dense-logs shape and on the
   serve-logs shape (three extractors over ~44-char log lines), with the
-  walk's steps per document beside them;
+  walk's steps per document and the forced stretches it memoizes
+  beside them (stretches gated on dense-logs: the walk steps one-level
+  forced sets inline);
 * E1e: walk steps track tuples, not ``|s|``: a dense document's tuple
   count stays fixed while digit-free padding doubles, then quadruples,
   ``|s|``.  Gated on both paths, whose walk jumps the silent stretches
@@ -41,7 +43,7 @@ from __future__ import annotations
 import statistics
 from time import perf_counter_ns
 
-from repro.enumeration import SpannerEvaluator, measure_delays
+from repro.enumeration import SpannerEvaluator, enumerator, measure_delays
 from repro.enumeration.enumerator import event_tuples, walk_tuples
 from repro.enumeration.instrumentation import measure_generator_delays
 from repro.enumeration.statesets import StateSetLevels
@@ -147,6 +149,32 @@ def walk_steps(levels) -> tuple[int, int]:
     counting = CountingLevels(levels)
     tuples = sum(1 for _ in walk_tuples(counting))
     return counting.steps, tuples
+
+
+def walk_stretches(levels) -> int:
+    """Forced stretches one full walk over ``levels`` memoizes.
+
+    The walk steps a set with one child inline when that child ends the
+    word, sits at the last level, joins a memoized stretch or branches;
+    only a forced stretch of two or more levels goes through
+    ``enumerator._walk`` and its memo.  This counts those calls, by
+    wrapping ``_walk`` for the duration of the walk.
+    """
+    calls = 0
+    walk = enumerator._walk
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return walk(*args)
+
+    enumerator._walk = counting
+    try:
+        for _ in walk_tuples(levels):
+            pass
+    finally:
+        enumerator._walk = walk
+    return calls
 
 
 def run() -> list[Table]:
@@ -303,6 +331,11 @@ def _compiled_stages(spanner: CompiledSpanner, s: str) -> list[int]:
     return _stages(spanner.tables, s, perf_counter_ns())
 
 
+#: Memoized forced stretches allowed per dense-logs document (E1d): a
+#: one-level forced set is stepped inline, so a dense document's
+#: stretches do not grow with its lines.
+MAX_DENSE_STRETCHES = 5
+
 #: E1d's and E1e's level source per path, for counting walk steps.
 STAGE_LEVELS = {
     "cold": lambda spanner, s: StateSetLevels(
@@ -314,13 +347,14 @@ STAGE_LEVELS = {
 
 def stage_rows() -> list[tuple]:
     """``(shape, path, tables, forward, live, walk, decode, total, walk
-    steps)`` per document, times in ms.
+    steps, walk stretches)`` per document, times in ms.
 
-    A document's time and steps are summed over the shape's spanners.
-    Every document runs once untimed first, so the compiled path's
-    memos are warm (the steady state of a stream); each path keeps its
-    best of :data:`STAGE_REPEATS` passes.  Steps come from a separate,
-    untimed walk through :class:`CountingLevels`.
+    A document's time, steps and stretches are summed over the shape's
+    spanners.  Every document runs once untimed first, so the compiled
+    path's memos are warm (the steady state of a stream); each path
+    keeps its best of :data:`STAGE_REPEATS` passes.  Steps come from a
+    separate, untimed walk through :class:`CountingLevels`, stretches
+    from another (:func:`walk_stretches`).
     """
     rows = []
     for shape, spanners, docs in stage_shapes():
@@ -333,6 +367,11 @@ def stage_rows() -> list[tuple]:
         ):
             steps = sum(
                 walk_steps(STAGE_LEVELS[path](spanner, s))[0]
+                for spanner in spanners
+                for s in docs
+            )
+            stretches = sum(
+                walk_stretches(STAGE_LEVELS[path](spanner, s))
                 for spanner in spanners
                 for s in docs
             )
@@ -349,7 +388,10 @@ def stage_rows() -> list[tuple]:
                     best = totals
             counts[path] = tuples
             ms = [ns / 1e6 / len(docs) for ns in best]
-            rows.append((shape, path, *ms, sum(ms), steps / len(docs)))
+            rows.append((
+                shape, path, *ms, sum(ms), steps / len(docs),
+                stretches / len(docs),
+            ))
         if counts["cold"] != counts["compiled"]:
             raise AssertionError(f"E1d {shape}: the paths disagree on tuples")
     return rows
@@ -359,7 +401,8 @@ def stage_table() -> Table:
     table = Table(
         "E1d  per-document stage times: cold path vs compiled path",
         ["shape", "path", "tables (ms)", "forward (ms)", "live (ms)",
-         "walk (ms)", "decode (ms)", "total (ms)", "walk steps / doc"],
+         "walk (ms)", "decode (ms)", "total (ms)", "walk steps / doc",
+         "walk stretches / doc"],
     )
     rows = stage_rows()
     for row in rows:
@@ -385,6 +428,11 @@ def stage_table() -> Table:
         "walk steps: children lookups (memo reads or children() calls) "
         "plus jumps, counted by CountingLevels in an untimed walk; a "
         "memo miss counts twice (the read and the call)"
+    )
+    table.note(
+        "walk stretches: forced stretches of two or more levels the walk "
+        "memoizes (enumerator._walk calls), counted in an untimed walk; "
+        f"gate on dense-logs: <= {MAX_DENSE_STRETCHES} per document"
     )
     return table
 
@@ -511,6 +559,24 @@ def test_e1d_decode_stage():
         walk, decode, total = row[5], row[6], row[7]
         assert walk > 0 and decode > 0
         assert abs(sum(row[2:7]) - total) < 1e-9
+
+
+def test_walk_stretches_per_dense_document():
+    """Count gate: a dense-logs document memoizes at most
+    :data:`MAX_DENSE_STRETCHES` forced stretches on either path (one-level
+    forced sets are stepped inline, not memoized), and its tuples do not
+    change."""
+    ((shape, (spanner,), docs), _) = stage_shapes()
+    assert shape == "dense-logs"
+    for s in docs:
+        list(spanner.stream(s))
+    for path, levels in STAGE_LEVELS.items():
+        stretches = [walk_stretches(levels(spanner, s)) for s in docs]
+        assert max(stretches) <= MAX_DENSE_STRETCHES, (path, stretches)
+    for s in docs[:4]:
+        assert list(walk_tuples(StateSetLevels(spanner.tables, s))) == list(
+            SpannerEvaluator(spanner.automaton, s)
+        )
 
 
 def test_e1e_walk_steps_track_tuples():

@@ -30,8 +30,10 @@ next occurrence, say) is one product id, and the walk jumps it.  A
 word reaches its caller through a decoder built once per walk for the
 walk's head and specialised to ``|V|`` (:func:`event_tuples`, or
 :func:`event_offsets` for the span positions the serving fleet ships):
-it reads the word's events and builds the spans and the tuple inline.
-The paper's pruned
+it reads the word's events and builds the tuple inline, holding the
+span positions (a :class:`~repro.spans.Span` is built when read).  A
+set with one child is stepped inline unless a forced stretch of two or
+more levels starts there, which the walk memoizes.  The paper's pruned
 ``A_G`` (:func:`~repro.enumeration.graph.build_evaluation_graph`) and
 its Algorithms 1–3 (:class:`~repro.automata.leveled.RadixEnumerator`
 plus :func:`decode_configuration_word`) remain the reference the walk
@@ -48,9 +50,6 @@ from ..spans import (
     SpanTuple,
     _invalid_span,
     _new,
-    _set_end,
-    _set_items,
-    _set_start,
     _tuple_of_positions,
 )
 from ..automata.leveled import RadixEnumerator
@@ -141,7 +140,9 @@ def _walk(
 ) -> None:
     """Memoize the forced stretch that starts at ``(level, states)``.
 
-    ``kids`` are the children of ``states``, which the caller has read.
+    ``kids`` are the children of ``states``, which the caller has read;
+    :func:`walk_tuples` calls this only when the one child is itself
+    forced, so the stretch spans at least two levels.
 
     A set with one outgoing letter is *forced*; one with several is a
     *branch*.  The walk follows forced sets until it reaches a branch,
@@ -204,25 +205,27 @@ def event_tuples(names: tuple[str, ...]) -> Callable[[list], SpanTuple]:
     :func:`decode_configuration_word` on an event list: a variable's
     span starts and ends at slots where its state changes, and every
     such slot is an event, so scanning the events suffices.  ``names``
-    ascend, so the pairs go straight into the tuple, with no re-sort.
+    ascend, so they go straight into the tuple, with no re-sort.
     :func:`walk_tuples` builds one decoder per walk, specialised to
     ``|V|``: a Boolean head's gives a fresh empty tuple, a one-variable
     head's scans the events for one start and one end, and a
     two-variable head's reads both spans in one pass over the events.
     Larger heads take :func:`event_offsets`' positions, which scan the
-    events once per variable.  Every decoder builds its spans and tuple
-    inline, with the private constructors of :mod:`repro.spans` and no
-    call per span, keeps the ``1 <= start <= end`` check
+    events once per variable.  Every decoder builds its tuple inline,
+    sharing ``names`` and holding the span positions
+    (:class:`SpanTuple` builds a :class:`Span` only when one is read),
+    keeps the ``1 <= start <= end`` check
     (:class:`~repro.errors.InvalidSpanError`) and raises
     :class:`ValueError` for a variable that never closes.
     """
-    new, set_start, set_end, set_items = _new, _set_start, _set_end, _set_items
+    new = _new
     closed = CLOSED
     if not names:
 
         def decode(events):
             mu = new(SpanTuple)
-            set_items(mu, ())
+            mu._names = names
+            mu._positions = ()
             return mu
 
     elif len(names) == 1:
@@ -241,11 +244,9 @@ def event_tuples(names: tuple[str, ...]) -> Callable[[list], SpanTuple]:
             end = slot + 1
             if start < 1 or end < start:
                 raise _invalid_span(start, end)
-            span = new(Span)
-            set_start(span, start)
-            set_end(span, end)
             mu = new(SpanTuple)
-            set_items(mu, ((name, span),))
+            mu._names = names
+            mu._positions = (start, end)
             return mu
 
     elif len(names) == 2:
@@ -273,14 +274,9 @@ def event_tuples(names: tuple[str, ...]) -> Callable[[list], SpanTuple]:
                 raise _never_closes(second)
             if start1 < 1 or end1 < start1:
                 raise _invalid_span(start1, end1)
-            span0 = new(Span)
-            set_start(span0, start0)
-            set_end(span0, end0)
-            span1 = new(Span)
-            set_start(span1, start1)
-            set_end(span1, end1)
             mu = new(SpanTuple)
-            set_items(mu, ((first, span0), (second, span1)))
+            mu._names = names
+            mu._positions = (start0, end0, start1, end1)
             return mu
 
     else:
@@ -372,12 +368,18 @@ def walk_tuples(source, decoder: Callable = event_tuples) -> Iterator:
     A depth-first walk of the determinized ``A_G`` in ascending letter
     order.  All words have ``N + 1`` letters, so depth-first order is
     exactly the radix order :class:`RadixEnumerator` produces, tuple
-    for tuple.  The per-level ``chains`` memo (filled by :func:`_walk`,
-    dying with the generator) jumps a forced stretch in one step, and
-    the source's per-level children memos hold each set's children, so
-    each determinized ``(level, S)`` costs its ``O(n^2)`` step at most
-    once per document — and on the state-set source, at most once per
-    memo across documents.
+    for tuple.  A set with one child is *forced*.  The per-level
+    ``chains`` memo (filled by :func:`_walk`, dying with the generator)
+    jumps a forced stretch of two or more levels in one step.  A forced
+    set whose child closes the word, sits at the last level, joins a
+    memoized stretch or branches is stepped inline instead, as a branch
+    with nothing to push: on tuple-dense documents most forced sets are
+    of this kind, and a revisit steps one again for a few dict reads,
+    about what joining a memoized stretch costs.  The source's
+    per-level children memos hold each set's children, so each
+    determinized ``(level, S)`` costs its ``O(n^2)`` step at most once
+    per document — and on the state-set source, at most once per memo
+    across documents.
 
     Two rules skip levels where no letter can change.  Configurations
     only advance ``w -> o -> c`` and every set the walk visits is live,
@@ -393,9 +395,9 @@ def walk_tuples(source, decoder: Callable = event_tuples) -> Iterator:
     ``decoder(names)`` builds the walk's decoder once, for ``names``,
     the source's variables in ascending order, and each word is yielded
     as ``decode(events)``.  The default, :func:`event_tuples`, builds
-    the :class:`SpanTuple`; :func:`event_offsets` gives the word's span
-    positions as ints instead.  Both specialise their decoder to
-    ``|V|``.
+    the :class:`SpanTuple` (sharing ``names``, holding the span
+    positions); :func:`event_offsets` gives the positions as a list of
+    ints instead.  Both specialise their decoder to ``|V|``.
 
     The walk keeps a stack of the untried children of the branches on
     its path.  A branch pushes its children after the first, in
@@ -435,48 +437,69 @@ def walk_tuples(source, decoder: Callable = event_tuples) -> Iterator:
     states = source.root
     level = 0
     previous = None  # the letter of the last event
+    ahead = None  # the children of ``states``, when the last step read them
     while True:
         # Descend along first children to the leftmost leaf below.
         while level < last_level:
-            entry = chains[level].get(states)
-            if entry is None:
+            kids = ahead
+            if kids is None:
+                entry = chains[level].get(states)
+                if entry is not None:
+                    stretch, index = entry
+                    run = stretch[0]
+                    letter = run[index - 1][1]
+                    if letter != previous:
+                        events.append((level, letter))
+                    if index < len(run):
+                        events.extend(run[index:])
+                    previous = run[-1][1]
+                    states, level = stretch[1], stretch[2]
+                    continue
                 kids = memos[level].get(states)
                 if kids is None:
                     kids = children(states, level)
-                width = len(kids)
-                if width == 2:
-                    pending.append((kids[1], len(events), level, previous))
-                elif width == 1:
-                    _walk(
-                        children, memos, chains, states, level, last_level,
-                        kids, closed,
-                    )
-                    continue
-                elif width:
-                    n_events = len(events)
-                    for kid in kids[:0:-1]:
-                        pending.append((kid, n_events, level, previous))
-                else:
-                    raise AssertionError(
-                        "pruned leveled NFA must complete every prefix"
-                    )
-                letter, states = kids[0]
-                level += 1
-                if letter != previous:
-                    events.append((level - 1, letter))
-                    previous = letter
-                    if letter == closed:
-                        break
-                continue
-            stretch, index = entry
-            run = stretch[0]
-            letter = run[index - 1][1]
+            else:
+                ahead = None
+            width = len(kids)
+            if width == 2:
+                pending.append((kids[1], len(events), level, previous))
+            elif width == 1:
+                # A forced set is stepped here, as a branch with nothing
+                # to push, when its child closes the word, sits at the
+                # last level, joins a memoized stretch or branches (whose
+                # children the next level then reuses).  Only a forced
+                # stretch of two or more levels is memoized.
+                letter, successor = kids[0]
+                if (
+                    letter != closed
+                    and level + 1 < last_level
+                    and successor not in chains[level + 1]
+                ):
+                    ahead = memos[level + 1].get(successor)
+                    if ahead is None:
+                        ahead = children(successor, level + 1)
+                    if len(ahead) == 1:
+                        ahead = None
+                        _walk(
+                            children, memos, chains, states, level,
+                            last_level, kids, closed,
+                        )
+                        continue
+            elif width:
+                n_events = len(events)
+                for kid in kids[:0:-1]:
+                    pending.append((kid, n_events, level, previous))
+            else:
+                raise AssertionError(
+                    "pruned leveled NFA must complete every prefix"
+                )
+            letter, states = kids[0]
+            level += 1
             if letter != previous:
-                events.append((level, letter))
-            if index < len(run):
-                events.extend(run[index:])
-            previous = run[-1][1]
-            states, level = stretch[1], stretch[2]
+                events.append((level - 1, letter))
+                previous = letter
+                if letter == closed:
+                    break
         yield decode(events)
         # Backtrack: take the deepest branch's next child.
         if not pending:

@@ -42,16 +42,7 @@ from array import array
 from itertools import islice
 
 from ...errors import ResultLimitError, TransientTaskError
-from ...spans import (
-    Span,
-    SpanTuple,
-    _invalid_span,
-    _new,
-    _set_end,
-    _set_items,
-    _set_start,
-    _tuple_of_positions,
-)
+from ...spans import SpanTuple, _invalid_span, _new, _tuple_of_positions
 from ..compiled import CompiledSpanner
 from ..fusion import FusedEngine
 from ..tables import AutomatonTables
@@ -139,31 +130,27 @@ def unpack_tuples(
     names: tuple[str, ...], offsets: array, counts: array
 ) -> list[list[SpanTuple]]:
     """The per-document :class:`SpanTuple` lists :func:`pack_tuples`
-    packed: one fresh tuple and fresh spans per packed tuple, as the
-    serial stream yields them.
+    packed: one fresh tuple per packed tuple, as the serial stream
+    yields them.
 
-    Spans and tuples are built with :mod:`repro.spans`' private
-    constructors, as the enumerator's decoders build them (inline for a
-    one-variable head, the common case), and every span keeps the
-    ``1 <= start <= end`` check (:class:`~repro.errors.InvalidSpanError`).
+    Tuples are built as the enumerator's decoders build them (inline
+    for a one-variable head, the common case): each holds the chunk's
+    one ``names`` tuple and its span positions, and every span keeps
+    the ``1 <= start <= end`` check
+    (:class:`~repro.errors.InvalidSpanError`).
     """
     if not names:
         tuples = [_tuple_of_positions(names, ()) for _ in range(sum(counts))]
     elif len(names) == 1:
-        new, set_start, set_end, set_items = (
-            _new, _set_start, _set_end, _set_items
-        )
-        (name,) = names
+        new = _new
         tuples = []
         append = tuples.append
         for start, end in zip(offsets[::2], offsets[1::2]):
             if start < 1 or end < start:
                 raise _invalid_span(start, end)
-            span = new(Span)
-            set_start(span, start)
-            set_end(span, end)
             mu = new(SpanTuple)
-            set_items(mu, ((name, span),))
+            mu._names = names
+            mu._positions = (start, end)
             append(mu)
     else:
         k = 2 * len(names)

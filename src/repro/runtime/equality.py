@@ -1079,7 +1079,12 @@ class EqualityProduct:
             if closure:
                 letters[q] = letter(q)
                 live_stretches[q + offset] = (entries, end_gap(q), closure)
-        return letters, steps, gaps, closure_at(0, 1), live_stretches
+        initial = closure_at(0, 1)
+        # ``live_closure`` calls itself through its cell: emptying the
+        # cell lets reference counting free it and its memo, with no
+        # cycle left for the cyclic collector.
+        del live_closure
+        return letters, steps, gaps, initial, live_stretches
 
 
 def equality_join(

@@ -212,8 +212,7 @@ class FusedEngine:
     ) -> Iterator[list[int]]:
         heads = self.heads
         for mu in stream:
-            items = mu._items
-            names = tuple(name for name, _ in items)
+            names = mu._names
             if names != heads[member]:
                 if heads[member] is not None:
                     raise SchemaError(
@@ -221,7 +220,7 @@ class FusedEngine:
                         f"over {list(heads[member])} and {list(names)}"
                     )
                 heads[member] = names
-            yield [x for _, span in items for x in (span.start, span.end)]
+            yield list(mu._positions)
 
     def __repr__(self) -> str:
         return (

@@ -82,12 +82,7 @@ class Span:
         Raises:
             InvalidSpanError: if the span does not fit ``s``.
         """
-        if self.end > len(s) + 1:
-            raise InvalidSpanError(
-                f"span [{self.start}, {self.end}> does not fit a string "
-                f"of length {len(s)}"
-            )
-        return s[self.start - 1 : self.end - 1]
+        return _extract(s, self.start, self.end)
 
     def fits(self, s: str) -> bool:
         """True when this span is a span *of* ``s``."""
@@ -133,19 +128,25 @@ def _invalid_span(start: int, end: int) -> InvalidSpanError:
     )
 
 
-# Private constructors for the code that builds a span per variable
-# per tuple: the enumerator's decoders and the fleet's result unpacking.
-# ``span = _new(Span); _set_start(span, start); _set_end(span, end)`` is
-# ``Span(start, end)`` without the dataclass ``__init__``; the caller
-# runs the same ``1 <= start <= end`` check first and raises
-# ``_invalid_span(start, end)``, so a bad span fails as the public
-# constructor fails.  ``mu = _new(SpanTuple); _set_items(mu, items)`` is
-# ``SpanTuple(items)`` without the ``dict``, the ``isinstance`` checks
-# and the sort: the caller guarantees distinct names in ascending order,
-# each paired with a :class:`Span`.
+# The private constructor of a span whose bounds are already checked:
+# ``_span(start, end)`` is ``Span(start, end)`` without the dataclass
+# ``__init__`` and its check.  A :class:`SpanTuple` keeps positions, not
+# spans, and builds its spans with it when they are read.  The code that
+# builds a tuple per output tuple (the enumerator's decoders, the fleet's
+# result unpacking) builds it as ``mu = _new(SpanTuple)`` and sets
+# ``mu._names`` and ``mu._positions`` directly, after the ``1 <= start
+# <= end`` check of every span (raising ``_invalid_span(start, end)``):
+# the names distinct and ascending, the positions a tuple of ints.
 _new = object.__new__
 _set_start = Span.start.__set__  # type: ignore[attr-defined]
 _set_end = Span.end.__set__  # type: ignore[attr-defined]
+
+
+def _span(start: int, end: int) -> Span:
+    span = _new(Span)
+    _set_start(span, start)
+    _set_end(span, end)
+    return span
 
 
 class SpanTuple(Mapping[str, Span]):
@@ -153,62 +154,129 @@ class SpanTuple(Mapping[str, Span]):
 
     Instances are hashable and compare by their variable/span content, so
     they can live in sets — a :class:`SpanRelation` is exactly such a set.
+
+    A tuple holds its variable names in ascending order and one flat
+    tuple of span positions, ``start, end`` per name; the enumerator's
+    decoders and the fleet's result unpacking share one names tuple
+    over every tuple of a walk or a chunk.  A :class:`Span` is built
+    when it is read (``mu[v]``, :meth:`items`, :meth:`values`), so a
+    span read twice is equal to, but not the same object as, the first.
+    Equality, hashing, order and the spanner-algebra helpers below read
+    the positions and build no span.  Pickles keep the format of the
+    earlier span-holding tuples, ``(name, Span)`` pairs, so their bytes
+    do not depend on which tuples share a names tuple.
     """
 
-    __slots__ = ("_items",)
+    __slots__ = ("_names", "_positions")
 
     def __init__(self, assignment: Mapping[str, Span] | Iterable[tuple[str, Span]]):
         items = dict(assignment)
         for var, span in items.items():
             if not isinstance(span, Span):
                 raise TypeError(f"value for {var!r} is not a Span: {span!r}")
-        self._items: tuple[tuple[str, Span], ...] = tuple(sorted(items.items()))
+        names = tuple(sorted(items))
+        self._names: tuple[str, ...] = names
+        self._positions: tuple[int, ...] = tuple(
+            x for name in names for x in (items[name].start, items[name].end)
+        )
 
     # -- Mapping protocol ------------------------------------------------
     def __getitem__(self, var: str) -> Span:
-        for name, span in self._items:
-            if name == var:
-                return span
-        raise KeyError(var)
+        try:
+            i = 2 * self._names.index(var)
+        except ValueError:
+            raise KeyError(var) from None
+        positions = self._positions
+        return _span(positions[i], positions[i + 1])
+
+    def __contains__(self, var: object) -> bool:
+        return var in self._names
 
     def __iter__(self) -> Iterator[str]:
-        return (name for name, _ in self._items)
+        return iter(self._names)
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._names)
 
     # -- Value semantics ---------------------------------------------------
     def __hash__(self) -> int:
-        return hash(self._items)
+        return hash((self._names, self._positions))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SpanTuple):
-            return self._items == other._items
+            return (
+                self._positions == other._positions
+                and self._names == other._names
+            )
         if isinstance(other, Mapping):
-            return dict(self._items) == dict(other)
+            return dict(self.items()) == dict(other)
         return NotImplemented
 
     def __lt__(self, other: "SpanTuple") -> bool:
         """Lexicographic order over the sorted (variable, span) pairs."""
-        return self._items < other._items
+        if not isinstance(other, SpanTuple):
+            return NotImplemented
+        if self._names == other._names:
+            return self._positions < other._positions
+        return self._flat() < other._flat()
+
+    def _flat(self) -> tuple:
+        """``name, start, end`` per variable: ordered as the
+        ``(name, span)`` pairs are."""
+        positions = self._positions
+        return tuple(
+            x
+            for i, name in enumerate(self._names)
+            for x in (name, positions[2 * i], positions[2 * i + 1])
+        )
+
+    def __getstate__(self) -> tuple:
+        pairs = zip(self._names, self._positions[::2], self._positions[1::2])
+        return (
+            None,
+            {"_items": tuple((n, _span(a, b)) for n, a, b in pairs)},
+        )
+
+    def __setstate__(self, state: tuple) -> None:
+        items = state[1]["_items"]
+        self._names = tuple(name for name, _ in items)
+        self._positions = tuple(
+            x for _, span in items for x in (span.start, span.end)
+        )
 
     # -- Spanner-algebra helpers -------------------------------------------
     @property
     def variables(self) -> frozenset[str]:
-        return frozenset(name for name, _ in self._items)
+        return frozenset(self._names)
+
+    def _bounds(self) -> dict[str, tuple[int, int]]:
+        """Each variable's ``(start, end)``."""
+        positions = self._positions
+        return dict(zip(self._names, zip(positions[::2], positions[1::2])))
 
     def restrict(self, variables: Iterable[str]) -> "SpanTuple":
         """Project the tuple onto ``variables`` (paper: ``mu|_Y``)."""
         keep = set(variables)
-        missing = keep - self.variables
+        missing = keep.difference(self._names)
         if missing:
             raise SchemaError(f"cannot restrict to unknown variables {sorted(missing)}")
-        return SpanTuple((n, s) for n, s in self._items if n in keep)
+        bounds = self._bounds()
+        names = tuple(name for name in self._names if name in keep)
+        return _tuple_of_positions(
+            names, [x for name in names for x in bounds[name]]
+        )
 
     def compatible(self, other: "SpanTuple") -> bool:
         """True when the tuples agree on every shared variable."""
-        shared = self.variables & other.variables
-        return all(self[v] == other[v] for v in shared)
+        if self._names == other._names:
+            return self._positions == other._positions
+        bounds = other._bounds()
+        positions = self._positions
+        for i, name in enumerate(self._names):
+            found = bounds.get(name)
+            if found is not None and found != positions[2 * i : 2 * i + 2]:
+                return False
+        return True
 
     def merge(self, other: "SpanTuple") -> "SpanTuple":
         """Combine two compatible tuples (the heart of natural join).
@@ -218,37 +286,65 @@ class SpanTuple(Mapping[str, Span]):
         """
         if not self.compatible(other):
             raise SchemaError("cannot merge incompatible tuples")
-        combined = dict(self._items)
-        combined.update(other._items)
-        return SpanTuple(combined)
+        bounds = self._bounds()
+        bounds.update(other._bounds())
+        names = tuple(sorted(bounds))
+        return _tuple_of_positions(
+            names, [x for name in names for x in bounds[name]]
+        )
 
     def strings(self, s: str) -> dict[str, str]:
         """Map every variable to the substring its span selects in ``s``."""
-        return {name: span.extract(s) for name, span in self._items}
+        return {
+            name: _extract(s, start, end)
+            for name, (start, end) in self._bounds().items()
+        }
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{n}={s}" for n, s in self._items)
+        positions = self._positions
+        inner = ", ".join(
+            f"{name}=[{positions[2 * i]}, {positions[2 * i + 1]}>"
+            for i, name in enumerate(self._names)
+        )
         return f"{{{inner}}}"
 
 
-_set_items = SpanTuple._items.__set__  # type: ignore[attr-defined]
+def _extract(s: str, start: int, end: int) -> str:
+    """:meth:`Span.extract` on bounds already checked as a span."""
+    if end > len(s) + 1:
+        raise InvalidSpanError(
+            f"span [{start}, {end}> does not fit a string of length {len(s)}"
+        )
+    return s[start - 1 : end - 1]
 
 
 def _tuple_of_positions(names: tuple[str, ...], positions) -> SpanTuple:
-    """The :class:`SpanTuple` whose spans are ``positions``, ``start, end``
-    per name of ``names`` (distinct, ascending), built with the private
-    constructors above, each span checked."""
-    pairs = []
-    for name, start, end in zip(names, positions[::2], positions[1::2]):
+    """The :class:`SpanTuple` whose spans are ``positions``, ``start,
+    end`` per name of ``names`` (distinct, ascending), each span
+    checked as :class:`Span` checks it.
+
+    ``names`` is kept as given, so callers building many tuples over
+    one head pass one shared names tuple.
+    """
+    positions = tuple(positions)
+    for start, end in zip(positions[::2], positions[1::2]):
         if start < 1 or end < start:
             raise _invalid_span(start, end)
-        span = _new(Span)
-        _set_start(span, start)
-        _set_end(span, end)
-        pairs.append((name, span))
     mu = _new(SpanTuple)
-    _set_items(mu, tuple(pairs))
+    mu._names = names
+    mu._positions = positions
     return mu
+
+
+def _position_indexes(
+    variables: Iterable[str], chosen: Iterable[str]
+) -> list[int]:
+    """Where the ``start`` and ``end`` of each of ``chosen`` sit in the
+    positions of a tuple over ``variables``."""
+    names = sorted(variables)
+    return [
+        j for v in chosen for i in (2 * names.index(v),) for j in (i, i + 1)
+    ]
 
 
 #: The empty tuple over no variables.  A Boolean spanner returns either
@@ -270,9 +366,10 @@ class SpanRelation:
 
     def __init__(self, variables: Iterable[str], tuples: Iterable[SpanTuple] = ()):
         self._variables = frozenset(variables)
+        names = tuple(sorted(self._variables))
         tuple_set = frozenset(tuples)
         for t in tuple_set:
-            if t.variables != self._variables:
+            if t._names != names:
                 raise SchemaError(
                     f"tuple over {sorted(t.variables)} does not match "
                     f"relation schema {sorted(self._variables)}"
@@ -343,12 +440,19 @@ class SpanRelation:
         canonical strategy) or automaton products (Lemma 3.10).
         """
         shared = tuple(sorted(self._variables & other._variables))
-        buckets: dict[tuple[Span, ...], list[SpanTuple]] = {}
+        # A join key is the shared variables' span positions.
+        mine = _position_indexes(self._variables, shared)
+        theirs = _position_indexes(other._variables, shared)
+        buckets: dict[tuple[int, ...], list[SpanTuple]] = {}
         for t in other._tuples:
-            buckets.setdefault(tuple(t[v] for v in shared), []).append(t)
+            positions = t._positions
+            buckets.setdefault(
+                tuple([positions[j] for j in theirs]), []
+            ).append(t)
         out = []
         for t in self._tuples:
-            key = tuple(t[v] for v in shared)
+            positions = t._positions
+            key = tuple([positions[j] for j in mine])
             for u in buckets.get(key, ()):
                 out.append(t.merge(u))
         return SpanRelation(self._variables | other._variables, out)
@@ -365,10 +469,15 @@ class SpanRelation:
             raise SchemaError(f"selection over unknown variables {sorted(unknown)}")
         if len(group) < 2:
             return self
+        head, *others = _position_indexes(self._variables, group)[::2]
         kept = []
         for t in self._tuples:
-            first = t[group[0]].extract(s)
-            if all(t[v].extract(s) == first for v in group[1:]):
+            positions = t._positions
+            first = _extract(s, positions[head], positions[head + 1])
+            if all(
+                _extract(s, positions[i], positions[i + 1]) == first
+                for i in others
+            ):
                 kept.append(t)
         return SpanRelation(self._variables, kept)
 

@@ -1,6 +1,8 @@
 """Tests for the Theorem 3.3 enumerator, including the paper's examples."""
 
+import gc
 import pickle
+from array import array
 from itertools import product
 
 import pytest
@@ -520,3 +522,73 @@ class TestDelayInstrumentation:
         automaton = compile_regex("x{a}")
         report = measure_delays(automaton, "a")
         assert report.total_seconds >= report.preprocessing_seconds
+
+
+class TestNoCyclicGarbage:
+    """One document through a production leaf leaves nothing for the
+    cyclic collector: everything it built is freed by reference
+    counting.  ``gc.DEBUG_SAVEALL`` keeps whatever a collection finds
+    unreachable in ``gc.garbage``, so an empty list means no cycles."""
+
+    DENSE = log_lines(20, seed=0)
+    EQUALITY = repeats_text(32, seed=1, alphabet="abcdefgh", plant="abc")
+
+    @staticmethod
+    def cyclic_garbage(run) -> list[str]:
+        """Type names of the cyclic garbage a second ``run()`` leaves
+        (the first warms memos and caches)."""
+        run()
+        gc.collect()
+        before = len(gc.garbage)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            run()
+            gc.collect()
+            return sorted({type(o).__name__ for o in gc.garbage[before:]})
+        finally:
+            gc.set_debug(0)
+            del gc.garbage[before:]
+
+    @staticmethod
+    def equality_query():
+        query = RegexCQ(
+            ["x", "y"],
+            [".*x{[a-h]+}.*", ".*y{[a-h]+}.*"],
+            equalities=[("x", "y")],
+        )
+        return CompiledEvaluator().equality_runtime(query)
+
+    def test_compiled_spanner_stream(self):
+        spanner = CompiledSpanner(".*x{[0-9]+}.*")
+        assert self.cyclic_garbage(lambda: list(spanner.stream(self.DENSE))) == []
+
+    def test_compiled_equality_query_stream(self):
+        engine = self.equality_query()
+        assert self.cyclic_garbage(
+            lambda: list(engine.stream(self.EQUALITY))
+        ) == []
+
+    @pytest.mark.parametrize("method", ["streams", "offset_streams"])
+    def test_fused_engine(self, method):
+        from repro.runtime.fusion import FusedEngine
+
+        engine = FusedEngine([
+            ("dense", CompiledSpanner(".*x{[0-9]+}.*")),
+            ("code", CompiledSpanner(".*code=x{[0-9]+}.*")),
+            ("equal", self.equality_query()),
+        ])
+        s = self.DENSE + self.EQUALITY
+        assert self.cyclic_garbage(
+            lambda: [list(out) for out in getattr(engine, method)(s)]
+        ) == []
+
+    def test_unpack_tuples(self):
+        from repro.runtime.backends.worker import unpack_tuples
+
+        offsets = array("I", [1, 2, 1, 3, 2, 3] * 50)
+        for names in (("x",), ("x", "y")):
+            width = 2 * len(names)
+            counts = array("I", [len(offsets) // width])
+            assert self.cyclic_garbage(
+                lambda: unpack_tuples(names, offsets, counts)
+            ) == []

@@ -1,6 +1,7 @@
 """Unit tests for spans, span tuples and span relations (§2.1)."""
 
 import pickle
+import random
 from array import array
 
 import pytest
@@ -236,6 +237,142 @@ class TestDecoderConstructors:
             )
             assert mu == public
             assert pickle.dumps(mu) == pickle.dumps(public)
+
+
+#: ``SpanTuple({"y": Span(2, 2), "x": Span(1, 4)})`` pickled (protocols 2
+#: and 4) by the build whose tuples held ``(name, Span)`` pairs.
+PARENT_PICKLES = {
+    2: (
+        b"\x80\x02crepro.spans\nSpanTuple\nq\x00)\x81q\x01N}q\x02X\x06\x00"
+        b"\x00\x00_itemsq\x03X\x01\x00\x00\x00xq\x04crepro.spans\nSpan\nq"
+        b"\x05)\x81q\x06]q\x07(K\x01K\x04eb\x86q\x08X\x01\x00\x00\x00yq\th"
+        b"\x05)\x81q\n]q\x0b(K\x02K\x02eb\x86q\x0c\x86q\rs\x86q\x0eb."
+    ),
+    4: (
+        b"\x80\x04\x95c\x00\x00\x00\x00\x00\x00\x00\x8c\x0brepro.spans\x94"
+        b"\x8c\tSpanTuple\x94\x93\x94)\x81\x94N}\x94\x8c\x06_items\x94\x8c"
+        b"\x01x\x94h\x00\x8c\x04Span\x94\x93\x94)\x81\x94]\x94(K\x01K\x04eb"
+        b"\x86\x94\x8c\x01y\x94h\x08)\x81\x94]\x94(K\x02K\x02eb\x86\x94\x86"
+        b"\x94s\x86\x94b."
+    ),
+}
+
+
+def _old_order_key(mu: SpanTuple) -> tuple:
+    """The order of the earlier tuples: their sorted ``(name, Span)``
+    pairs."""
+    return tuple(sorted((name, mu[name]) for name in mu))
+
+
+class TestPositionTuples:
+    """A :class:`SpanTuple` holds its names and span positions and builds
+    a :class:`Span` when one is read; everything else behaves as when it
+    held ``(name, Span)`` pairs."""
+
+    def test_parent_pickles_load(self):
+        expected = SpanTuple({"x": Span(1, 4), "y": Span(2, 2)})
+        for protocol, data in PARENT_PICKLES.items():
+            loaded = pickle.loads(data)
+            assert type(loaded) is SpanTuple
+            assert loaded == expected and hash(loaded) == hash(expected)
+            assert loaded["x"] == Span(1, 4) and loaded["y"] == Span(2, 2)
+            assert pickle.dumps(expected, protocol=protocol) == data
+
+    def test_pickles_do_not_depend_on_shared_names(self):
+        names = ("x", "y")
+        rows = [(1, 4, 2, 2), (1, 4, 3, 5), (2, 3, 2, 2)]
+        unpacked = unpack_tuples(
+            names, array("q", [x for row in rows for x in row]),
+            array("q", [len(rows)]),
+        )[0]
+        assert all(mu._names is names for mu in unpacked)
+        public = [
+            SpanTuple({"y": Span(c, d), "x": Span(a, b)})
+            for a, b, c, d in rows
+        ]
+        assert len({id(mu._names) for mu in public}) == len(rows)
+        for protocol in (2, 4, 5):
+            assert pickle.dumps(unpacked, protocol=protocol) == pickle.dumps(
+                public, protocol=protocol
+            )
+        assert pickle.loads(pickle.dumps(unpacked)) == public
+
+    def test_spans_are_built_when_read(self):
+        mu = SpanTuple({"x": Span(1, 4)})
+        first, second = mu["x"], mu["x"]
+        assert first == second == Span(1, 4)
+        assert first is not second
+        assert type(first) is Span
+
+    def test_mapping_behaviour(self):
+        mu = SpanTuple({"z": Span(5, 9), "x": Span(1, 4), "y": Span(2, 2)})
+        with pytest.raises(KeyError) as missing:
+            mu["w"]
+        assert missing.value.args == ("w",)
+        assert "x" in mu and "w" not in mu
+        assert mu.get("w") is None and mu.get("y") == Span(2, 2)
+        assert list(mu) == ["x", "y", "z"]
+        assert list(mu.items()) == [
+            ("x", Span(1, 4)), ("y", Span(2, 2)), ("z", Span(5, 9))
+        ]
+        assert list(mu.values()) == [Span(1, 4), Span(2, 2), Span(5, 9)]
+        plain = {"y": Span(2, 2), "z": Span(5, 9), "x": Span(1, 4)}
+        assert mu == plain and plain == mu
+        assert mu != {**plain, "z": Span(5, 8)}
+        assert mu != {"x": Span(1, 4)}
+        assert dict(mu) == plain
+
+    def test_hash_agrees_with_equality(self):
+        rng = random.Random(3)
+        seen: dict[SpanTuple, SpanTuple] = {}
+        for _ in range(300):
+            names = rng.sample("xyz", rng.randint(0, 2))
+            mu = SpanTuple({
+                name: Span(a, a + rng.randint(0, 1))
+                for name in names
+                for a in (rng.randint(1, 2),)
+            })
+            twin = _unpacked(tuple((name, mu[name]) for name in mu))
+            assert twin == mu and hash(twin) == hash(mu)
+            other = seen.setdefault(mu, mu)
+            assert other == mu and hash(other) == hash(mu)
+
+    def test_order_agrees_with_pair_order(self):
+        rng = random.Random(5)
+        tuples = []
+        for _ in range(200):
+            names = sorted(rng.sample("abcd", rng.randint(0, 3)))
+            pairs = []
+            for name in names:
+                start = rng.randint(1, 3)
+                pairs.append((name, Span(start, start + rng.randint(0, 2))))
+            tuples.append(
+                SpanTuple(dict(pairs)) if rng.random() < 0.5
+                else _unpacked(tuple(pairs))
+            )
+        for a in tuples:
+            for b in tuples:
+                assert (a < b) == (_old_order_key(a) < _old_order_key(b))
+                assert (a > b) == (_old_order_key(a) > _old_order_key(b))
+        assert sorted(tuples) == sorted(tuples, key=_old_order_key)
+
+    def test_algebra_reads_positions(self):
+        a = SpanTuple({"x": Span(1, 2), "y": Span(2, 3)})
+        b = _unpacked((("y", Span(2, 3)), ("z", Span(1, 1))))
+        c = _unpacked((("y", Span(2, 4)), ("z", Span(1, 1))))
+        assert a.compatible(b) and b.compatible(a)
+        assert not a.compatible(c) and not c.compatible(a)
+        merged = a.merge(b)
+        assert merged == SpanTuple(
+            {"x": Span(1, 2), "y": Span(2, 3), "z": Span(1, 1)}
+        )
+        assert merged.restrict(["z", "x"]) == SpanTuple(
+            {"x": Span(1, 2), "z": Span(1, 1)}
+        )
+        assert repr(merged) == "{x=[1, 2>, y=[2, 3>, z=[1, 1>}"
+        assert merged.strings("abc") == {"x": "a", "y": "b", "z": ""}
+        with pytest.raises(InvalidSpanError):
+            SpanTuple({"x": Span(1, 5)}).strings("abc")
 
 
 class TestSpanRelation:

@@ -1,4 +1,4 @@
-"""Tests for the rolling-hash substring index."""
+"""Tests for the substring index."""
 
 from __future__ import annotations
 
@@ -130,12 +130,75 @@ class TestClassArrays:
                             p, length, min_start
                         ) == (later[0] if later else None)
 
-    def test_arrays_are_built_from_the_buckets(self):
+    def test_arrays_agree_with_the_buckets(self):
         index = SubstringIndex("abcab")
         reps, starts = index.classes(2)
         assert reps[1:] == [1, 2, 3, 1]
         assert starts[1] == [1, 4] and starts[4] is None
-        assert starts[1] is index.buckets(2)[index.signature(1, 2)]
+        assert starts[1] == index.buckets(2)[index.signature(1, 2)]
+
+
+def naive_classes(s: str, length: int) -> tuple[list[int], list]:
+    """``classes(length)`` keyed on the substrings themselves."""
+    size = len(s) + 2 - length
+    reps = [0] * size
+    starts: list = [None] * size
+    first: dict[str, int] = {}
+    for p in range(1, size):
+        rep = first.setdefault(s[p - 1 : p - 1 + length], p)
+        reps[p] = rep
+        if rep == p:
+            starts[p] = [p]
+        else:
+            starts[rep].append(p)
+    return reps, starts
+
+
+class TestExactClasses:
+    """``classes(L)`` is derived from shorter lengths' class ids, with no
+    hashing: it must equal a slice-keyed reference for every length,
+    whatever order the lengths are asked in."""
+
+    @staticmethod
+    def strings() -> list[str]:
+        rng = random.Random(30)
+        out = list(STRINGS) + ["é", "ßßß", "日本日本語日本"]
+        for alphabet in ("ab", "aé", "αβγ", "a\x00b", "日本語🙂"):
+            for length in (1, 5, 16, 33):
+                out.append("".join(rng.choice(alphabet) for _ in range(length)))
+        # E10-shaped documents: 32 and 64 characters over a-h, a planted
+        # repeat (the equality-cq and E10f shape).
+        out += [
+            repeats_text(n, seed=seed, alphabet="abcdefgh", plant="abc")
+            for n in (32, 64)
+            for seed in range(4)
+        ]
+        return out
+
+    def test_every_length_matches_slices(self):
+        for s in self.strings():
+            index = SubstringIndex(s)
+            for length in range(len(s) + 3):
+                assert index.classes(length) == naive_classes(s, length), (
+                    s, length,
+                )
+
+    def test_any_request_order_matches_slices(self):
+        rng = random.Random(7)
+        for s in self.strings():
+            lengths = list(range(len(s) + 2))
+            rng.shuffle(lengths)
+            index = SubstringIndex(s)
+            for length in lengths:
+                assert index.classes(length) == naive_classes(s, length), (
+                    s, length,
+                )
+
+    def test_classes_need_no_hashes(self):
+        index = SubstringIndex(repeats_text(32, seed=1, alphabet="abcdefgh"))
+        for length in (9, 2, 17, 32):
+            index.classes(length)
+        assert index._hashes is None
 
 
 class TestChoiceEnumeration:
