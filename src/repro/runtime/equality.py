@@ -75,14 +75,15 @@ lean:
 
 One BFS (:class:`EqualityProduct`) records the product: per product
 state its gap, its burst successors within the gap and its terminal
-successors at the next gap.  A *silent* pair is recorded once for a
-whole stretch of gaps.  Its implicit state is unfired with no open
-variable, and its group is either fully closed or has its length and
-value fixed with the rest waiting; its static state's closure holds no
-other state of its shared key, and at each gap of the stretch it reads
-the character into itself alone.  Such a pair has no burst and one
-terminal successor, itself one gap on, until the first of: the
-waiting variables' next occurrence of the value
+successors at the next gap, and per gap the states there that read on.
+A *silent* pair is recorded once for a whole stretch of gaps.  Its
+implicit state is unfired with no open variable, and its group is
+either fully closed or has its length and value fixed with the rest
+waiting; its static state's closure holds no other state of its shared
+key, and at each gap of the stretch it reads the character into itself
+alone.  Such a pair has no burst and one terminal successor, itself one
+gap on, until the first of: the waiting variables' next occurrence of
+the value
 (:meth:`~repro.text.substrings.SubstringIndex.first_occurrence_at_or_after`),
 the first gap where the static state does anything else, and
 ``N + 1``.  The BFS keys it by its pair at that last gap (its *stretch
@@ -91,12 +92,15 @@ pairs enter the stretch.  Two consumers read that record:
 
 * production evaluation (:class:`CompiledEqualityQuery`'s ``evaluator``,
   ``stream``, ``count``, ``is_empty``) turns it straight into the
-  levels of Theorem 3.3's walk (:class:`EqualityLevels`): a burst
-  closure and a backward live pass give each level's states, a stretch
-  id stands for itself at every gap of its stretch (and the walk jumps
-  it), and a state's letter is its merged configuration projected onto
-  the head.  No product automaton, trim, projection, tables or ``A_G``
-  is built per document;
+  levels of Theorem 3.3's walk (:class:`EqualityLevels`).  A state's
+  burst successors are its whole closure, so one backward pass over the
+  gaps that read on settles which states are live and fills each live
+  state's children, its live successors grouped by letter; a stretch id
+  stands for itself at every gap of its stretch (and the walk jumps
+  it).  A state's letter is its merged configuration projected onto the
+  head, read off a table of the static tables and head that serves
+  every document.  No product automaton, trim, projection, tables or
+  ``A_G`` is built per document;
 * :func:`equality_join` and :meth:`CompiledEqualityQuery.compile_for`,
   the reference and trace path, turn it into a
   :class:`~repro.vset.automaton.VSetAutomaton` with exactly the
@@ -160,6 +164,18 @@ def _var_states(k: int, closed_mask: int, open_mask: int) -> tuple[int, ...]:
         else WAITING
         for j in range(k)
     )
+
+
+def _code(var_states: tuple[int, ...]) -> int:
+    """A configuration's per-variable states as one base-3 int.
+
+    Like the states, it does not depend on the document, so it keys the
+    letter tables (:class:`_LetterTable`) of every document alike.
+    """
+    code = 0
+    for state in reversed(var_states):
+        code = code * 3 + state
+    return code
 
 
 def _skeleton(k: int, closed_mask: int, open_mask: int) -> tuple:
@@ -275,9 +291,9 @@ class _ImplicitEqualityOperand:
     Every state is interned to a dense id on first sight; id
     :data:`FINAL` is the unique final state (all markers fired, the
     whole string read), which has no tuple.  Per id the operand keeps
-    the state and its per-variable configuration states; per
-    configuration, its shared key (those states on the variables the
-    static operand shares).
+    the state, its per-variable configuration states and their
+    :func:`_code`; per configuration, its shared key (those states on
+    the variables the static operand shares).
 
     ``ve_closure`` plays the role of the explicit operand's
     variable-epsilon closures: the state itself, every valid one-burst
@@ -305,6 +321,7 @@ class _ImplicitEqualityOperand:
         "shared_idx",
         "states",
         "var_states",
+        "codes",
         "_keys",
         "_final_entry",
         "closures",
@@ -331,13 +348,14 @@ class _ImplicitEqualityOperand:
         self.shared_idx = shared_idx
         self.states: list[tuple | None] = []
         self.var_states: list[tuple[int, ...]] = []
-        self._keys: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.codes: list[int] = []
+        self._keys: dict[tuple[int, ...], tuple] = {}
         self._ids: dict[tuple | None, int] = {}
         self.closures: list[tuple | None] = []
         self.advances: list[int | None] = []
         self.quiet: list[int | None] = []
         self.intern(None, (CLOSED,) * k)  # FINAL
-        self._final_entry = (self.FINAL, self._keys[(CLOSED,) * k])
+        self._final_entry = (self.FINAL, self._keys[(CLOSED,) * k][0])
         self.initial = self.intern(
             (1, False, (), 0, None, None), (WAITING,) * k
         )
@@ -357,11 +375,14 @@ class _ImplicitEqualityOperand:
         found = self._ids[state] = len(states)
         states.append(state)
         self.var_states.append(var_states)
-        key = self._keys.get(var_states)
-        if key is None:
-            key = self._keys[var_states] = tuple(
-                var_states[i] for i in self.shared_idx
+        entry = self._keys.get(var_states)
+        if entry is None:
+            entry = self._keys[var_states] = (
+                tuple(var_states[i] for i in self.shared_idx),
+                _code(var_states),
             )
+        key, code = entry
+        self.codes.append(code)
         self.advances.append(None)
         closure = None
         quiet = 0
@@ -432,7 +453,7 @@ class _ImplicitEqualityOperand:
         cached = self.closures[uid]
         if cached is None:
             u: tuple = self.states[uid]  # type: ignore[assignment]
-            closure = [(uid, self._keys[self.var_states[uid]])]
+            closure = [(uid, self._keys[self.var_states[uid]][0])]
             closures = self.closures
             if u[3] == self.full_mask:
                 if u[0] == self.n + 1:
@@ -690,8 +711,9 @@ class EqualityProduct:
     Product states are pairs ``(static state, implicit state)`` with
     dense ids in discovery order; id 0 is the initial pair.  Per id the
     BFS records the pair, its burst successors (same gap, in edge
-    order) and its terminal successors (next gap), and groups the ids by
-    gap.  A silent pair (see the module docstring) takes the id of its
+    order) and its terminal successors (next gap), and per gap the ids
+    there that have a terminal successor (:attr:`readers`, ascending).
+    A silent pair (see the module docstring) takes the id of its
     pair at the last gap of its stretch; :attr:`stretches` maps each
     such stretch id to the gaps where other pairs lead into it, the
     earliest being the first gap it stands for.  :meth:`automaton`
@@ -707,11 +729,12 @@ class EqualityProduct:
         "union_vars",
         "plan",
         "pairs",
-        "by_gap",
+        "readers",
         "bursts",
         "terminals",
         "stretches",
         "final",
+        "tables",
     )
 
     def __init__(
@@ -722,6 +745,7 @@ class EqualityProduct:
         index: SubstringIndex,
     ):
         self.s = s
+        self.tables = tables
         self.variables = variables = tables.variables | set(group)
         self.final: int | None = None
         self.pairs: list[tuple] = []
@@ -758,7 +782,7 @@ class EqualityProduct:
         eq_states = eq.states
         ids: dict[int, int] = {}
         pairs = self.pairs
-        by_gap: list[list[int]] = [[] for _ in range(n + 2)]
+        readers: list[list[int]] = [[] for _ in range(n + 1)]
         bursts: list[tuple[int, ...]] = []
         terminals: list[tuple[int, ...]] = []
         stretches = self.stretches
@@ -799,7 +823,6 @@ class EqualityProduct:
                     if dst is None:
                         dst = ids[end_key] = len(pairs)
                         pairs.append((q1, end_uid))
-                        by_gap[end].append(dst)
                     # Each key is added once, so each gap enters once.
                     entries = stretches.get(dst)
                     if entries is None:
@@ -810,7 +833,6 @@ class EqualityProduct:
                     return dst
             dst = ids[key] = len(pairs)
             pairs.append((q1, vid))
-            by_gap[g].append(dst)
             return dst
 
         add(initial1, eq.initial, 1, eq.initial * n_static + initial1)
@@ -880,8 +902,9 @@ class EqualityProduct:
                                 dst = add(r1, next_uid, g + 1, base + r1)
                             found.append(dst)
                         succ = tuple(found)
+                        readers[g].append(len(terminals))
             terminals.append(succ)
-        self.by_gap = by_gap
+        self.readers = readers
         self.bursts = bursts
         self.terminals = terminals
         self.final = ids.get(FINAL * n_static + final1)
@@ -971,120 +994,241 @@ class EqualityProduct:
         return VSetAutomaton(nfa, self.variables).trimmed()
 
     # -- The walk's levels ---------------------------------------------------
-    def levels(
-        self, head: tuple[str, ...], offset: int
-    ) -> tuple[list, list, list, tuple[int, ...], dict]:
-        """The product's levels: a backward live pass over the record.
+    def letters(self, head: tuple[str, ...]) -> list:
+        """Per id, its pair's merged configuration projected onto ``head``
+        (sorted) as a ``states`` tuple: the id's letter.
 
-        Returns ``(letters, steps, gaps, initial, stretches)``, with ids
-        shifted by ``offset``.  For a live id (one that can still reach
-        the final pair), ``letters[i]`` is its merged configuration
-        projected onto ``head`` (sorted) as a ``states`` tuple,
-        ``gaps[i]`` its own gap and ``steps[i]`` its live successors
-        one gap on, ascending — the closure of its terminal successors
-        under burst moves, as an ``A_G`` node's out-edges are; all three
-        are ``None`` for dead ids.  ``initial`` is the live part of the
-        initial pair's closure.
-
-        ``stretches`` maps each live stretch id to ``(entries, end,
-        closure)``: ``entries`` are the gaps where other ids lead into
-        the stretch; at every gap from the first of them up to
-        ``end - 2`` its successor is itself, at ``end - 1`` it is
-        ``closure`` (the live closure of the id at its own gap ``end``,
-        not empty), and at ``end`` it is ``steps[i]``.  A stretch id
-        that can only burst at its own gap is live before it and dead
-        at it (``steps[i]`` is then ``None``).
+        Read off the :class:`_LetterTable` of the static tables and the
+        head's plan, which serves every document.
         """
         pairs = self.pairs
-        n_ids = len(pairs)
-        letters: list = [None] * n_ids
-        steps: list = [None] * n_ids
-        gaps: list = [None] * n_ids
         if self.final is None:
-            return letters, steps, gaps, (), {}
-        configs = self.op.configs
-        var_states = self.eq.var_states
+            return [None] * len(pairs)
         position = {v: i for i, v in enumerate(self.union_vars)}
         head_plan = tuple(self.plan[position[v]] for v in head)
-        letter_cache: dict[tuple, tuple[int, ...]] = {}
+        views = self.tables.views
+        key = ("equality-letters", head_plan)
+        table = views.get(key)
+        if table is None:
+            table = views.setdefault(
+                key, _LetterTable(len(self.op.ve), self.op.configs, head_plan)
+            )
+        n_static = table.n_static
+        codes = self.eq.codes
+        return [table[codes[uid] * n_static + p1] for p1, uid in pairs]
 
-        def letter(i: int) -> tuple[int, ...]:
-            p1, uid = pairs[i]
-            eq_states = var_states[uid]
-            key = (p1, eq_states)
-            found = letter_cache.get(key)
-            if found is None:
-                states1 = configs[p1].states  # type: ignore[union-attr]
-                found = letter_cache[key] = tuple(
-                    eq_states[j] if side else states1[j]
-                    for side, j in head_plan
-                )
-            return found
+    def levels(
+        self, letters: list, offset: int, memos: list[dict]
+    ) -> tuple[tuple, dict]:
+        """Fill ``memos`` with the children of every live id: one backward
+        pass over the record.
 
+        ``letters`` are this product's (:meth:`letters`), and its ids
+        start at ``offset`` in the level source; ids in ``memos`` are
+        shifted by it.  An id is *live* when it can still reach the
+        final pair.  A pair's burst successors are closed under bursts
+        (the static VE closures are transitive, and a fired implicit
+        state only reaches the final state, which its source's closure
+        holds too), so an id's live closure at its own gap is itself and
+        its bursts, each kept when live.  Grouped by letter (letters
+        ascending), it is kept per id, so a successor that several ids
+        read on to is grouped once.
+
+        Each gap ``g``, from ``N`` down, settles the ids at ``g`` that
+        read on (:attr:`readers`; the unfired pairs that only hold
+        bursts are not visited): such an id is live when the grouped
+        live closures of its terminal successors at ``g + 1`` are not
+        empty, and ``memos[g]`` maps the id, alone, to them.  A stretch
+        id stands for itself at every gap of its stretch before its own,
+        and is as live there as its closure at its own gap ``end``.  The
+        pass settles it on reaching ``end - 1``: that closure is the
+        id's children at ``end - 1``, and below it the id's grouped
+        closure is the id alone (or nothing).
+
+        Returns ``(initial, stretches)``: the initial pair's grouped live
+        closure at gap 1, and each live stretch id, shifted, mapped to
+        ``(entries, end)``: the gaps where other ids lead into its
+        stretch, and its own gap.
+        """
+        if self.final is None:
+            return (), {}
+        pairs = self.pairs
         bursts = self.bursts
-        stretches = self.stretches
-        end_gap = self.end_gap
-        live = bytearray(n_ids)
-        live[self.final] = 1
-        letters[self.final] = letter(self.final)
-        closures: dict[int, tuple[int, ...]] = {}
-
-        def live_closure(r: int) -> tuple[int, ...]:
-            # ``r``'s live closure at its own gap.  A state's burst
-            # successors are closed under bursts: the static VE closures
-            # are transitive, and a fired implicit state only reaches the
-            # final state, which its source's closure holds too.  A
-            # stretch id before its own gap is silent, and as live as
-            # its closure there.
-            found = closures.get(r)
-            if found is None:
-                g = end_gap(r) if stretches else 0
-                found = closures[r] = tuple(sorted(
-                    q + offset for q in (r, *bursts[r])
-                    if (
-                        bool(live_closure(q))
-                        if q in stretches and end_gap(q) > g
-                        else live[q]
-                    )
-                ))
-            return found
-
-        def closure_at(r: int, g: int) -> tuple[int, ...]:
-            # ``r``'s live closure at gap ``g`` of its stretch.
-            if r in stretches and g < end_gap(r):
-                return (r + offset,) if live_closure(r) else ()
-            return live_closure(r)
-
         terminals = self.terminals
-        by_gap = self.by_gap
-        for g in range(len(by_gap) - 2, 0, -1):
-            for p in by_gap[g]:
+        stretches = self.stretches
+        # ``units[i]`` is ``(i + offset,)`` once ``i`` is live at its own
+        # gap (``None`` before): the key of its children and, shared, the
+        # set of each closure it is alone in.
+        units: list = [None] * len(pairs)
+        units[self.final] = (self.final + offset,)
+        grouped: list = [None] * len(pairs)
+        # Stretch ids by their own gap (a stretch id is never final);
+        # ``silent[q]`` is the own gap of one that is live before it and
+        # dead at it.
+        eq_states = self.eq.states
+        ends: dict[int, list[int]] = {}
+        for q in stretches:
+            end = eq_states[pairs[q][1]][0]  # type: ignore[index]
+            ends.setdefault(end, []).append(q)
+        silent: dict[int, int] = {}
+        live_ends: dict[int, int] = {}
+        inside: dict[int, tuple] = {}
+        readers = self.readers
+        for g in range(len(self.s), 0, -1):
+            settled = ends.get(g + 1)
+            if settled:
+                for q in settled:
+                    kids = grouped[q] = _closure(
+                        q, g + 1, bursts[q], units, silent, letters, offset
+                    )
+                    if kids:
+                        unit = units[q]
+                        if unit is None:
+                            unit = (q + offset,)
+                            silent[q] = g + 1
+                        memos[g][unit] = kids
+                        live_ends[q] = g + 1
+                        inside[q] = ((letters[q], unit),)
+            memo = memos[g]
+            for p in readers[g]:
                 targets = terminals[p]
-                if not targets:
-                    continue
                 if len(targets) == 1:
-                    succ = closure_at(targets[0], g + 1)
+                    r = targets[0]
+                    kids = grouped[r]
+                    if kids is None:
+                        burst = bursts[r]
+                        if burst:
+                            kids = _closure(
+                                r, g + 1, burst, units, silent, letters,
+                                offset,
+                            )
+                        else:
+                            unit = units[r]
+                            kids = ((letters[r], unit),) if unit else ()
+                        grouped[r] = kids
                 else:
-                    succ = tuple(sorted(set().union(
-                        *(closure_at(r, g + 1) for r in targets)
-                    )))
-                if succ:
-                    live[p] = 1
-                    steps[p] = succ
-                    gaps[p] = g
-                    letters[p] = letter(p)
-        live_stretches = {}
-        for q, entries in stretches.items():
-            closure = live_closure(q)
-            if closure:
-                letters[q] = letter(q)
-                live_stretches[q + offset] = (entries, end_gap(q), closure)
-        initial = closure_at(0, 1)
-        # ``live_closure`` calls itself through its cell: emptying the
-        # cell lets reference counting free it and its memo, with no
-        # cycle left for the cyclic collector.
-        del live_closure
-        return letters, steps, gaps, initial, live_stretches
+                    reached: set[int] = set()
+                    for r in targets:
+                        kids = grouped[r]
+                        if kids is None:
+                            kids = grouped[r] = _closure(
+                                r, g + 1, bursts[r], units, silent,
+                                letters, offset,
+                            )
+                        for _letter, ids in kids:
+                            reached.update(ids)
+                    kids = _group(sorted(reached), letters, offset)
+                if kids:
+                    unit = units[p] = (p + offset,)
+                    memo[unit] = kids
+            if settled:
+                # Below ``g + 1`` a stretch id ending there is silent.
+                for q in settled:
+                    grouped[q] = inside.get(q, ())
+        initial = grouped[0]
+        if initial is None:
+            initial = _closure(0, 1, bursts[0], units, silent, letters, offset)
+        return initial, {
+            q + offset: (entries, live_ends[q])
+            for q, entries in stretches.items()
+            if q in live_ends
+        }
+
+
+def _closure(
+    r: int,
+    g: int,
+    burst: tuple[int, ...],
+    units: list,
+    silent: dict[int, int],
+    letters: list,
+    offset: int,
+) -> tuple:
+    """The live closure of id ``r`` at its own gap ``g``, grouped.
+
+    ``burst`` is ``r``'s burst successors and ``units`` the live ids'
+    one-id sets (see :meth:`EqualityProduct.levels`); a stretch id
+    among the successors that ends after ``g`` counts when it is live
+    inside its stretch.  Returns ``(letter, ids)`` pairs, letters
+    ascending, ids (shifted by ``offset``) ascending.
+    """
+    own = units[r]
+    if len(burst) == 1:
+        # The most common shape: an unfired pair and one fired successor.
+        q = burst[0]
+        unit = units[q]
+        if unit is None:
+            if silent.get(q, 0) <= g:
+                return ((letters[r], own),) if own else ()
+            unit = (q + offset,)
+        if own is None:
+            return ((letters[q], unit),)
+        first, second = letters[r], letters[q]
+        if q < r:
+            r, q, first, second, own, unit = q, r, second, first, unit, own
+        if first == second:
+            return ((first, (r + offset, q + offset)),)
+        if first < second:
+            return ((first, own), (second, unit))
+        return ((second, unit), (first, own))
+    members = [r] if own else []
+    for q in burst:
+        if units[q] or silent.get(q, 0) > g:
+            members.append(q)
+    if len(members) < 2:
+        if not members:
+            return ()
+        q = members[0]
+        return ((letters[q], units[q] or (q + offset,)),)
+    members.sort()
+    return _group([q + offset for q in members], letters, offset)
+
+
+def _group(ids: Sequence[int], letters: list, offset: int = 0) -> tuple:
+    """``(letter, ids)`` pairs of the ascending ``ids``, letters ascending;
+    id ``i``'s letter is ``letters[i - offset]``."""
+    by_letter: dict[tuple[int, ...], list[int]] = {}
+    for q in ids:
+        letter = letters[q - offset]
+        found = by_letter.get(letter)
+        if found is None:
+            by_letter[letter] = [q]
+        else:
+            found.append(q)
+    return tuple(
+        (letter, tuple(found)) for letter, found in sorted(by_letter.items())
+    )
+
+
+class _LetterTable(dict):
+    """Head letters of product pairs, keyed ``code * n_static + state``.
+
+    A pair's letter is its merged configuration projected onto the head:
+    per head variable, its state on the static side, or for a group
+    variable the digit of the implicit state's :func:`_code`.  Neither
+    depends on the document, so one table per static tables and head
+    plan serves every document.  It rides on the tables' ``views``,
+    which are never pickled, holds at most ``n_static * 3^k`` entries of
+    ints and tuples, and fills on first read; an entry is built whole
+    before it is stored, so threads may share the table.
+    """
+
+    __slots__ = ("n_static", "configs", "head_plan")
+
+    def __init__(self, n_static: int, configs: list, head_plan: tuple):
+        super().__init__()
+        self.n_static = n_static
+        self.configs = configs
+        self.head_plan = head_plan
+
+    def __missing__(self, key: int) -> tuple[int, ...]:
+        code, p1 = divmod(key, self.n_static)
+        states1 = self.configs[p1].states
+        letter = tuple(
+            code // 3**j % 3 if side else states1[j]
+            for side, j in self.head_plan
+        )
+        return self.setdefault(key, letter)
 
 
 def equality_join(
@@ -1133,14 +1277,16 @@ class EqualityLevels:
     (level); a stretch id stands for its pair at every gap of its
     silent stretch, where its only successor is itself, so the
     children of a set depend on its level and are memoized per level.
-    The children of every single live id at its own gap, and of a
-    stretch id at the gap before its own, are filled at construction,
-    so a forced step of the walk is a dict read; children of other
-    sets are grouped on demand.  Grouping successors by letter (the
-    head-projected configuration) and uniting their sets removes
-    duplicates exactly as projection plus determinization do, so the
-    walk yields the tuples of the compiled automaton in its radix
-    order.
+    One backward pass per record (:meth:`EqualityProduct.levels`)
+    fills the children of every single live id at its own gap, and of
+    a stretch id at the gap before its own, so a forced step of the
+    walk is a dict read; children of other sets unite those of their
+    ids on demand.  Each id's letter (the head-projected configuration)
+    comes from a table shared across documents
+    (:meth:`EqualityProduct.letters`).  Grouping successors by letter
+    and uniting their sets removes duplicates exactly as projection
+    plus determinization do, so the walk yields the tuples of the
+    compiled automaton in its radix order.
     """
 
     __slots__ = (
@@ -1148,7 +1294,6 @@ class EqualityLevels:
         "variables",
         "is_empty",
         "_letters",
-        "_steps",
         "_stretches",
         "_memos",
     )
@@ -1165,70 +1310,44 @@ class EqualityLevels:
         self.n_slots = n_slots
         self.variables = frozenset(head)
         ordered = tuple(sorted(self.variables))
-        letters: list = []
-        steps: list = []
-        gaps: list = []
-        initial: list[int] = []
-        stretches: dict[int, tuple[list[int], int, tuple[int, ...]]] = {}
-        for product in products:
-            (
-                part_letters, part_steps, part_gaps, part_initial,
-                part_stretches,
-            ) = product.levels(ordered, len(letters))
-            letters.extend(part_letters)
-            steps.extend(part_steps)
-            gaps.extend(part_gaps)
-            initial.extend(part_initial)
-            stretches.update(part_stretches)
-        self._letters = letters
-        self._steps = steps
-        self._stretches = stretches
-        self.is_empty = not initial
-        group = self._group
-        memos: list[dict] = [{} for _ in range(n_slots)]
-        memos[0][self.root] = group(tuple(initial))
-        for i, succ in enumerate(steps):
-            if succ is not None:
-                memos[gaps[i]][(i,)] = group(succ)
-        for i, (_entries, end, closure) in stretches.items():
-            memos[end - 1][(i,)] = group(closure)
-        self._memos = memos
-
-    def _group(self, succ: tuple[int, ...]) -> tuple:
-        """``(letter, successor set)`` pairs of ``succ``, letters ascending."""
-        letters = self._letters
-        if len(succ) == 1:
-            return ((letters[succ[0]], succ),)
-        by_letter: dict[tuple[int, ...], list[int]] = {}
-        for q in succ:
-            found = by_letter.get(letters[q])
-            if found is None:
-                by_letter[letters[q]] = [q]
-            else:
-                found.append(q)
-        return tuple(
-            (letter, tuple(ids)) for letter, ids in sorted(by_letter.items())
+        parts = [product.letters(ordered) for product in products]
+        letters = (
+            parts[0] if len(parts) == 1
+            else [letter for part in parts for letter in part]
         )
+        memos: list[dict] = [{} for _ in range(n_slots)]
+        stretches: dict[int, tuple[list[int], int]] = {}
+        initial: dict[tuple[int, ...], tuple[int, ...]] = {}
+        offset = 0
+        for product, part in zip(products, parts):
+            kids, part_stretches = product.levels(part, offset, memos)
+            for letter, ids in kids:
+                initial[letter] = initial.get(letter, ()) + ids
+            stretches.update(part_stretches)
+            offset += len(part)
+        memos[0][self.root] = tuple(sorted(initial.items()))
+        self.is_empty = not initial
+        self._letters = letters
+        self._stretches = stretches
+        self._memos = memos
 
     def children_memos(self) -> list[dict]:
         return self._memos
 
     def children(self, states: tuple[int, ...], level: int) -> tuple:
-        steps = self._steps
+        memo = self._memos[level]
         stretches = self._stretches
         reached: set[int] = set()
         for p in states:
             stretch = stretches.get(p) if stretches else None
-            if stretch is not None and level < stretch[1]:
+            if stretch is not None and level < stretch[1] - 1:
                 # Inside its stretch: silent up to the gap before its own.
-                if level + 1 < stretch[1]:
-                    reached.add(p)
-                else:
-                    reached.update(stretch[2])
+                reached.add(p)
             else:
-                reached.update(steps[p])
-        found = self._group(tuple(sorted(reached)))
-        self._memos[level][states] = found
+                for _letter, ids in memo[(p,)]:
+                    reached.update(ids)
+        found = _group(sorted(reached), self._letters)
+        memo[states] = found
         return found
 
     def jumps(self) -> list[tuple]:
@@ -1245,7 +1364,7 @@ class EqualityLevels:
         letters = self._letters
         return [
             (start, (i,), end - 1, (i,), letters[i])
-            for i, (entries, end, _closure) in self._stretches.items()
+            for i, (entries, end) in self._stretches.items()
             if letters[i] != closed
             for start in entries
             if start < end - 1

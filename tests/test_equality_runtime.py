@@ -16,6 +16,7 @@ import threading
 from collections import Counter
 from functools import lru_cache
 from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 
@@ -358,6 +359,112 @@ class TestPinnedRecord:
 
     def test_record_digest(self):
         assert self.digest() == self.DIGEST
+
+
+class TestPinnedLevels:
+    """The walk's levels of the product record, pinned entry for entry.
+
+    On :class:`TestPinnedRecord`'s documents, with the full head and a
+    Boolean one, and on a two-disjunct UCQ under every head of
+    :class:`TestAllOpenMerge`, the digest covers every children-memo
+    entry an :class:`EqualityLevels` holds after construction (in level
+    and key order), its jumps, its emptiness and the first 200 tuples
+    of the stream.  A rework of how the levels are built from the
+    record must leave it unchanged.
+    """
+
+    UCQ_BODIES = ("[a-c]+", "[d-h]+")
+    DIGEST = "e985953af349b0d78d4c91de54eee3117ed4b9d62e3490708937290bd7faa634"
+
+    @staticmethod
+    def update(h, engine: CompiledEqualityQuery, s: str) -> None:
+        levels = engine.levels(s)
+        h.update(repr((
+            [sorted(memo.items()) for memo in levels.children_memos()],
+            levels.jumps(),
+            levels.is_empty,
+            [
+                tuple((v, span.start, span.end) for v, span in mu.items())
+                for mu in islice(engine.stream(s), 200)
+            ],
+        )).encode())
+
+    @classmethod
+    def digest(cls) -> str:
+        h = hashlib.sha256()
+        for spec, group, docs in TestPinnedRecord.CASES:
+            tables = tables_for(_static(spec, group))
+            engines = [
+                CompiledEqualityQuery([tables], [[group]], head)
+                for head in (group, ())
+            ]
+            for n, seed in docs:
+                s = repeats_text(
+                    n, seed=seed, alphabet="abcdefgh", plant="abc"
+                )
+                for engine in engines:
+                    cls.update(h, engine, s)
+        group = ("x", "y")
+        statics = [_static(body, group) for body in cls.UCQ_BODIES]
+        for head in sorted(TestAllOpenMerge.HEADS):
+            engine = CompiledEqualityQuery(
+                statics, [[group], [group]], TestAllOpenMerge.HEADS[head](group)
+            )
+            for s in (TestSilentStretches.SHORT, TestSilentStretches.LONG):
+                cls.update(h, engine, s)
+        return h.hexdigest()
+
+    def test_levels_digest(self):
+        assert self.digest() == self.DIGEST
+
+
+class TestLevelPass:
+    """:meth:`EqualityProduct.levels` on a hand-made record.
+
+    No query shape of this file or of the equality property tests has a
+    burst into a silent stretch that is live only before its own gap,
+    so a record spells one out: on ``s = "abc"``, id 0 (gap 1) only
+    bursts, into stretch id 1, which stands for itself at gaps 1 and 2
+    and at its own gap 3 only bursts, into id 2; id 2 reads on to id 3
+    (gap 4), which bursts into the final id 4.
+    """
+
+    LETTERS = [(0,), (1,), (2,), (0,), (2,)]
+
+    @staticmethod
+    def record():
+        def at(gap):
+            return (gap, False, (), 0, None, None)
+
+        return SimpleNamespace(
+            s="abc",
+            pairs=[(0, 1), (0, 2), (0, 3), (0, 4), (0, 0)],
+            bursts=[(1,), (2,), (), (4,), ()],
+            terminals=[(), (), (3,), (), ()],
+            readers=[[], [], [], [2]],
+            stretches={1: [1]},
+            final=4,
+            eq=SimpleNamespace(states=[None, at(1), at(3), at(3), at(4)]),
+        )
+
+    @pytest.mark.parametrize("offset", [0, 5])
+    def test_a_burst_into_a_stretch_that_dies_at_its_own_gap(self, offset):
+        memos = [{} for _ in range(4)]
+        initial, stretches = EqualityProduct.levels(
+            self.record(), self.LETTERS, offset, memos
+        )
+
+        def ids(*local):
+            return tuple(i + offset for i in local)
+
+        assert initial == (((1,), ids(1)),)
+        assert stretches == {1 + offset: ([1], 3)}
+        assert memos == [
+            {},
+            {},
+            {ids(1): (((2,), ids(2)),)},
+            {ids(2): (((2,), ids(4)),)},
+        ]
 
 
 class TestBackwardMemo:
