@@ -99,9 +99,6 @@ class NFA:
     def n_transitions(self) -> int:
         return sum(len(edges) for edges in self.transitions)
 
-    def edges_from(self, state: int) -> list[tuple[Label, int]]:
-        return self.transitions[state]
-
     def iter_edges(self) -> Iterator[tuple[int, Label, int]]:
         """Yield all edges as ``(src, label, dst)`` triples."""
         for src, edges in enumerate(self.transitions):

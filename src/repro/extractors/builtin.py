@@ -18,7 +18,7 @@ lowercase emails), mirroring how the paper's intro examples pair
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..regex.ast import RegexFormula
 from ..regex.parser import parse
@@ -174,8 +174,3 @@ def compile_extractor(formula: RegexFormula | str) -> "CompiledSpanner":
     if isinstance(formula, str):
         formula = parse(formula)
     return _COMPILED.get_or_create(formula, lambda: CompiledSpanner(formula))
-
-
-def all_builtin_names() -> Iterable[str]:
-    """Names of the built-in extractors (for the CLI's listing)."""
-    return (name for name in __all__)

@@ -60,22 +60,6 @@ class RegexUCQ:
     def has_equalities(self) -> bool:
         return any(cq.equality_atoms for cq in self.disjuncts)
 
-    def tagged_disjuncts(self) -> tuple[tuple[str, RegexCQ], ...]:
-        """The disjuncts with stable tags ``d0, d1, ...`` (fusion hook).
-
-        A UCQ is already a union evaluated in one pass (Theorem 3.11);
-        the fused serving runtime (:mod:`repro.runtime.fusion`)
-        generalizes that shape to arbitrary registered query sets by
-        tagging each disjunct/member with the id it answers for and
-        demultiplexing tuples on the way out.  This accessor exposes
-        the UCQ's disjuncts in exactly that tagged form, so a UCQ can
-        be fed to the fusion layer member-by-member with per-disjunct
-        attribution preserved.
-        """
-        return tuple(
-            (f"d{i}", cq) for i, cq in enumerate(self.disjuncts)
-        )
-
     def __iter__(self) -> Iterator[RegexCQ]:
         return iter(self.disjuncts)
 

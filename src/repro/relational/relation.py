@@ -94,9 +94,5 @@ class Relation:
         idx = self.schema.index(attribute)
         return {row[idx] for row in self.rows}
 
-    def sorted_rows(self) -> list[Row]:
-        """Deterministic row order (for printing and tests)."""
-        return sorted(self.rows, key=repr)
-
     def __repr__(self) -> str:
         return f"Relation({self.schema}, {len(self.rows)} rows)"

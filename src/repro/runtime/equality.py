@@ -1436,8 +1436,8 @@ class CompiledEqualityQuery:
 
         Pass ``index`` to share one per-document
         :class:`SubstringIndex` across several equality queries hitting
-        the same document — the fused serving path does, so the
-        rolling-hash preprocessing is paid once per document instead of
+        the same document — the fused serving path does, so each
+        length's class arrays are built once per document instead of
         once per (query, document) pair.
         """
         if index is None:

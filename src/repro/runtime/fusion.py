@@ -26,8 +26,9 @@ engine groups its members into *fusion cohorts* (:func:`plan_cohorts`):
   member's pruned ``A_G``) stays only because the traced benchmark
   replay times it; no evaluation path runs it;
 * ``equality`` — :class:`CompiledEqualityQuery` members, which share one
-  per-document :class:`~repro.text.substrings.SubstringIndex` (the
-  rolling-hash index dominates their per-document setup);
+  per-document :class:`~repro.text.substrings.SubstringIndex`, so each
+  length's class arrays are built once per document, not once per
+  member;
 * ``solo`` — anything else streams through its own engine.
 """
 

@@ -30,9 +30,6 @@ class Literal:
     variable: int
     positive: bool
 
-    def negate(self) -> "Literal":
-        return Literal(self.variable, not self.positive)
-
     def satisfied_by(self, assignment: dict[int, bool]) -> bool | None:
         value = assignment.get(self.variable)
         if value is None:
@@ -87,9 +84,6 @@ class ThreeCNF:
             any(assignment[lit.variable] == lit.positive for lit in clause)
             for clause in self.clauses
         )
-
-    def clause_variables(self, index: int) -> tuple[int, int, int]:
-        return tuple(lit.variable for lit in self.clauses[index])  # type: ignore[return-value]
 
     def __str__(self) -> str:
         return " ∧ ".join(

@@ -13,12 +13,11 @@ every substring length ``L`` and every choice of ``k`` start positions
 whose length-``L`` substrings coincide, emit a "path" automaton that
 reads ``s`` verbatim and fires the group's markers at the chosen
 boundaries; ``A_eq`` is the union of all paths sharing one initial and
-one final state.  Choices are found by the rolling-hash bucketing of
-:class:`~repro.text.substrings.SubstringIndex` (``O(N)`` per length
-instead of the historical ``O(N^2)``-per-length substring dict), giving
-``O(N^{k+1})`` choices and ``O(N^{k+2})`` states for one group — the
-binary case ``k = 2`` matches the paper's ``O(N^3)`` choices /
-``O(N^4)`` states.
+one final state.  Choices come from grouping each length's starts by
+the substring itself (the definition, shared with no production
+index), giving ``O(N^{k+1})`` choices and ``O(N^{k+2})`` states for one
+group — the binary case ``k = 2`` matches the paper's ``O(N^3)``
+choices / ``O(N^4)`` states.
 
 This module is the *materializing* path.  The fused runtime
 (:mod:`repro.runtime.equality`) evaluates ``A ⋈ A_eq`` without ever
@@ -35,36 +34,35 @@ reproduce the paper's monolithic ``O(N^{3m+1})`` automaton.
 from __future__ import annotations
 
 from itertools import product as cartesian_product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from ..alphabet import EPSILON, char_pred
 from ..automata.nfa import NFA
 from ..errors import SchemaError
 from ..spans import Span
-from ..text.substrings import SubstringIndex
 from .automaton import VSetAutomaton
 
 __all__ = ["equality_automaton", "equal_span_choices", "equality_relation_rows"]
 
 
-def equal_span_choices(
-    s: str, k: int, index: SubstringIndex | None = None
-) -> Iterator[tuple[Span, ...]]:
+def equal_span_choices(s: str, k: int) -> Iterator[tuple[Span, ...]]:
     """Yield every ``k``-tuple of spans of ``s`` with equal substrings.
 
     Tuples are grouped by (length, substring); the same span may appear
     several times inside one tuple (a span trivially equals itself —
-    the selection operator compares substrings, not spans).  Buckets
-    come from the rolling-hash :class:`SubstringIndex` (pass one to
-    share it across groups); bucket order — and hence yield order — is
-    identical to the historical substring-keyed dict.
+    the selection operator compares substrings, not spans).  Each
+    length's starts are grouped in a dict keyed on the substring,
+    filled in ascending start order, so groups come in first-occurrence
+    order.
     """
     n = len(s)
-    if index is None:
-        index = SubstringIndex(s)
     for length in range(0, n + 1):
-        for starts in index.buckets(length).values():
-            spans = [Span(p, p + length) for p in starts]
+        groups: dict[str, list[Span]] = {}
+        for start in range(n + 1 - length):
+            groups.setdefault(s[start : start + length], []).append(
+                Span(start + 1, start + 1 + length)
+            )
+        for spans in groups.values():
             yield from cartesian_product(spans, repeat=k)
 
 
@@ -142,10 +140,3 @@ def _add_path(
             nxt = nfa.add_state()
             nfa.add_transition(current, char_pred(s[gap - 1]), nxt)
             current = nxt
-
-
-def equality_automata(
-    s: str, groups: Iterable[Sequence[str]]
-) -> list[VSetAutomaton]:
-    """One :func:`equality_automaton` per group."""
-    return [equality_automaton(s, group) for group in groups]

@@ -6,6 +6,7 @@ import random
 from itertools import product as cartesian_product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.spans import Span
 from repro.text import SubstringIndex, repeats_text
@@ -31,26 +32,30 @@ def naive_buckets(s: str, length: int) -> list[list[int]]:
     return list(table.values())
 
 
+def class_buckets(index: SubstringIndex, length: int) -> list[list[int]]:
+    """``classes(length)``'s start lists, in representative order."""
+    reps, starts = index.classes(length)
+    return [starts[p] for p in range(1, len(reps)) if reps[p] == p]
+
+
 class TestBuckets:
     @pytest.mark.parametrize("s", STRINGS)
     def test_buckets_match_naive_for_every_length(self, s):
         index = SubstringIndex(s)
         for length in range(0, len(s) + 1):
-            assert list(index.buckets(length).values()) == naive_buckets(
-                s, length
-            )
+            assert class_buckets(index, length) == naive_buckets(s, length)
 
     def test_bucket_order_is_first_occurrence_order(self):
-        # "ab" first occurs at 1, "ba" at 2, "bb" at 3 — bucket order
-        # must follow, it is what keeps the materializing choice
-        # enumeration byte-stable.
+        # "ab" first occurs at 1, "ba" at 2, "bb" at 3: representatives
+        # are first occurrences, so listing classes by representative
+        # is the slice grouping's first-occurrence order.
         index = SubstringIndex("abba" + "ab")
-        reps = [starts[0] for starts in index.buckets(2).values()]
-        assert reps == sorted(reps)
+        assert class_buckets(index, 2) == [[1, 5], [2], [3], [4]]
+        assert class_buckets(index, 2) == naive_buckets("abbaab", 2)
 
     def test_length_zero_is_one_class(self):
         index = SubstringIndex("abc")
-        assert list(index.buckets(0).values()) == [[1, 2, 3, 4]]
+        assert class_buckets(index, 0) == [[1, 2, 3, 4]]
 
 
 class TestQueries:
@@ -81,24 +86,9 @@ class TestQueries:
         assert index.first_occurrence_at_or_after(1, 3, 5) == 7
         assert index.first_occurrence_at_or_after(1, 3, 8) is None
 
-    @pytest.mark.parametrize("s", [s for s in STRINGS if len(s) >= 2])
-    def test_lce_matches_naive(self, s):
-        index = SubstringIndex(s)
-        n = len(s)
-        for p in range(1, n + 1):
-            for q in range(1, n + 1):
-                naive = 0
-                while (
-                    p + naive <= n
-                    and q + naive <= n
-                    and s[p - 1 + naive] == s[q - 1 + naive]
-                ):
-                    naive += 1
-                assert index.lce(p, q) == naive, (s, p, q)
-
 
 class TestClassArrays:
-    """The class-id arrays answer exactly what the hash pairs define."""
+    """The class-id arrays answer exactly what slice equality defines."""
 
     @staticmethod
     def random_strings() -> list[str]:
@@ -116,14 +106,14 @@ class TestClassArrays:
             for length in range(0, n + 1):
                 starts = range(1, n + 2 - length)
                 for p in starts:
-                    sig = index.signature(p, length)
-                    same = [q for q in starts if index.signature(q, length) == sig]
+                    value = s[p - 1 : p - 1 + length]
+                    same = [
+                        q for q in starts if s[q - 1 : q - 1 + length] == value
+                    ]
                     assert index.class_rep(p, length) == same[0], (s, p, length)
                     assert index.occurrences(p, length) == same
                     for q in starts:
-                        assert index.equal(p, q, length) == (
-                            index.signature(q, length) == sig
-                        )
+                        assert index.equal(p, q, length) == (q in same)
                     for min_start in range(0, n + 3):
                         later = [q for q in same if q >= min_start]
                         assert index.first_occurrence_at_or_after(
@@ -135,7 +125,7 @@ class TestClassArrays:
         reps, starts = index.classes(2)
         assert reps[1:] == [1, 2, 3, 1]
         assert starts[1] == [1, 4] and starts[4] is None
-        assert starts[1] == index.buckets(2)[index.signature(1, 2)]
+        assert [starts[1], starts[2], starts[3]] == naive_buckets("abcab", 2)
 
 
 def naive_classes(s: str, length: int) -> tuple[list[int], list]:
@@ -194,12 +184,6 @@ class TestExactClasses:
                     s, length,
                 )
 
-    def test_classes_need_no_hashes(self):
-        index = SubstringIndex(repeats_text(32, seed=1, alphabet="abcdefgh"))
-        for length in (9, 2, 17, 32):
-            index.classes(length)
-        assert index._hashes is None
-
 
 class TestChoiceEnumeration:
     def naive_choices(self, s: str, k: int):
@@ -221,8 +205,29 @@ class TestChoiceEnumeration:
             self.naive_choices(s, k)
         )
 
-    def test_shared_index_reused(self):
-        s = "abab"
-        index = SubstringIndex(s)
-        with_index = list(equal_span_choices(s, 2, index))
-        assert with_index == list(equal_span_choices(s, 2))
+
+def choices_from(buckets, n: int, k: int):
+    """Every ``k``-tuple of equal spans, one bucket function per length."""
+    for length in range(0, n + 1):
+        for starts in buckets(length):
+            spans = [Span(p, p + length) for p in starts]
+            yield from cartesian_product(spans, repeat=k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(alphabet="abé日", max_size=12))
+def test_index_and_reference_agree_with_slices(s):
+    """Production classes, the reference ``A_eq`` choices and the
+    slice-keyed definition agree exactly, lists and order alike."""
+    index = SubstringIndex(s)
+    n = len(s)
+    for length in range(n + 2):
+        assert class_buckets(index, length) == naive_buckets(s, length)
+    for k in (1, 2, 3):
+        reference = list(equal_span_choices(s, k))
+        assert reference == list(
+            choices_from(lambda length: naive_buckets(s, length), n, k)
+        )
+        assert reference == list(
+            choices_from(lambda length: class_buckets(index, length), n, k)
+        )
