@@ -528,6 +528,23 @@ def test_e10f_level_entries_per_document():
     assert 0 < entries <= LEVEL_ENTRIES_PER_DOC, entries
 
 
+#: E10f implicit equality states per document once bursts no static
+#: closure can follow stopped being tried (717 before: the empty-span
+#: targets of ``[a-h]+`` atoms, among others, were interned).
+IMPLICIT_STATES_PER_DOC = 652
+
+
+def test_e10f_implicit_states_per_document():
+    """CI: the implicit ``A_eq`` interns no more states per E10f
+    document than once its bursts were filtered by the static operand's
+    shared-variable moves.
+
+    A count, not a timing, so it is exact on any runner.
+    """
+    _pairs, states, _stretches = stage_counts()
+    assert 0 < states <= IMPLICIT_STATES_PER_DOC, states
+
+
 def test_e10_pairs_grow_at_most_quadratically():
     """CI: Corollary 5.5's BFS as a count — the fitted log-log exponent
     of product pairs against N (16 to 128) stays at most 2."""

@@ -11,7 +11,9 @@ Series reproduced:
 * the same as ``n`` (state count) grows with N fixed, via the union-of-
   identical-branches construction that preserves the answer set;
 * delay must *not* grow with the answer count beyond these bounds —
-  the point of enumeration complexity;
+  the point of enumeration complexity; the slope of a max delay cannot
+  see per-tuple work linear in ``|s|``, so walk steps per tuple on the
+  same documents are gated as a count (at most 1.1 at every length);
 * E1c: on tuple-dense documents (``.*x{[0-9]+}.*`` over repeated log
   lines) the typical per-tuple delay stays flat as ``|s|`` grows — the
   enumerator walks each forced stretch of ``A_G`` once per document
@@ -543,6 +545,32 @@ def test_e1_delay_shape_polynomial():
     ]
     slope = fit_loglog_slope(lengths, delays)
     assert slope < 2.5, f"delay slope {slope:.2f} too steep for O(n^2 N)"
+
+
+#: E1a documents for the walk-steps-per-tuple gate, and its bound.
+STEPS_PER_TUPLE_LENGTHS = (25, 50, 100, 200, 400)
+MAX_STEPS_PER_TUPLE = 1.1
+
+
+def test_e1a_walk_steps_per_tuple():
+    """Count gate: on E1a's ``a*x{a*}a*`` over ``a^n``, the walk takes at
+    most :data:`MAX_STEPS_PER_TUPLE` steps per tuple at every length, on
+    the cold and the compiled path.
+
+    The delay-shape slope cannot see per-tuple work that grows linearly
+    in ``|s|``; a walk that stepped a number of levels per tuple growing
+    with ``|s|`` shows here as a count, exact on any runner.  Other
+    per-tuple CPU work is not counted.
+    """
+    spanner = CompiledSpanner(BASE_PATTERN)
+    for path, levels in STAGE_LEVELS.items():
+        for n in STEPS_PER_TUPLE_LENGTHS:
+            steps, tuples = walk_steps(levels(spanner, unary_text(n)))
+            assert tuples == (n + 1) * (n + 2) // 2
+            assert steps <= MAX_STEPS_PER_TUPLE * tuples, (
+                f"{path}: {steps / tuples:.3f} walk steps per tuple at "
+                f"|s| = {n}"
+            )
 
 
 def test_e1c_dense_delay_flat():

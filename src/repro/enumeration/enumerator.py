@@ -153,7 +153,8 @@ def _walk(
     Every forced set it passes maps in ``chains[level]`` to
     ``(stretch, index)``: ``stretch`` is the shared ``[events, end set,
     end level]`` record and ``events[index - 1]`` the letter run that
-    set's slot belongs to.
+    set's slot belongs to.  Levels share one empty memo until a stretch
+    is written there: the first write at a level gives it its own dict.
     """
     events: list[tuple[int, tuple[int, ...]]] = []
     stretch: list = [events, states, level]
@@ -180,14 +181,17 @@ def _walk(
                 )
             break
         letter, successor = kids[0]
+        chain = chains[level]
+        if not chain:
+            chain = chains[level] = {}
         if letter != previous:
             events.append((level, letter))
             previous = letter
             if letter == closed:
-                chains[level][states] = (stretch, len(events))
+                chain[states] = (stretch, len(events))
                 states, level = successor, last_level
                 break
-        chains[level][states] = (stretch, len(events))
+        chain[states] = (stretch, len(events))
         states = successor
         level += 1
         kids = None
@@ -370,7 +374,10 @@ def walk_tuples(source, decoder: Callable = event_tuples) -> Iterator:
     exactly the radix order :class:`RadixEnumerator` produces, tuple
     for tuple.  A set with one child is *forced*.  The per-level
     ``chains`` memo (filled by :func:`_walk`, dying with the generator)
-    jumps a forced stretch of two or more levels in one step.  A forced
+    jumps a forced stretch of two or more levels in one step.  It is
+    allocated per stretch, not per level: every level shares one empty
+    dict until a stretch or jump is written there, so a document whose
+    stretches touch few of its levels builds few dicts.  A forced
     set whose child closes the word, sits at the last level, joins a
     memoized stretch or branches is stepped inline instead, as a branch
     with nothing to push: on tuple-dense documents most forced sets are
@@ -425,11 +432,15 @@ def walk_tuples(source, decoder: Callable = event_tuples) -> Iterator:
     names = tuple(sorted(source.variables))
     decode = decoder(names)
     closed = (CLOSED,) * len(names)
-    chains: list[dict] = [{} for _ in range(last_level)]
+    # One shared empty memo: every write replaces an empty one first.
+    chains: list[dict] = [{}] * last_level
     # A jump is a one-event stretch: its letter, unchanged from
     # ``level`` up to ``end_level``.
     for level, start, end_level, end, letter in source.jumps():
-        chains[level][start] = ([[(level, letter)], end, end_level], 1)
+        chain = chains[level]
+        if not chain:
+            chain = chains[level] = {}
+        chain[start] = ([[(level, letter)], end, end_level], 1)
     events: list[tuple[int, tuple[int, ...]]] = []
     # The untried children of the branches on the path, deepest last:
     # (child, len(events) at the branch, its level, its last letter).

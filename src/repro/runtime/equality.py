@@ -48,9 +48,15 @@ to the earliest legal close boundary.  The bursts a state can try
 depend only on which variables are open and closed, so their shapes,
 with what each check reads, are memoized across documents
 (:func:`_skeleton`); bursts that can never be valid (an empty span
-beside a variable it closes or leaves open) have no shape.  A fired
-state has no further burst at its gap, so its closure is fixed when it
-is interned.
+beside a variable it closes or leaves open) have no shape.  Nor is a
+burst tried that the static operand cannot follow: the product pairs
+it only with a static state whose variable-epsilon closure makes the
+same move on the shared variables, so a shape whose move, projected
+onto them, no static closure makes is dropped (an empty span for a
+static ``[a-h]+``, say).  The shapes left are memoized per static
+tables and group on the tables' ``views`` (:class:`_BurstTable`), so
+the filter costs a document nothing.  A fired state has no further
+burst at its gap, so its closure is fixed when it is interned.
 
 The product itself is Lemma 3.10's construction, driven directly off
 the static operand's cached :class:`~repro.runtime.tables.AutomatonTables`
@@ -208,7 +214,9 @@ def _skeleton(k: int, closed_mask: int, open_mask: int) -> tuple:
     open variable started at or before this gap, and a span of length
     ``0`` from there closes no later than this gap.  Memoized at module
     level; an entry is built in full before it is published, so threads
-    may share the memo.
+    may share the memo.  The implicit operand runs these shapes through
+    its static operand's filter (:class:`_BurstTable`), which keeps the
+    ones whose shared-variable move some static closure makes.
     """
     key = (k, closed_mask, open_mask)
     found = _SKELETONS.get(key)
@@ -261,6 +269,57 @@ def _skeleton(k: int, closed_mask: int, open_mask: int) -> tuple:
             _var_states(k, new_closed, new_open_mask),
         ))
     return _SKELETONS.setdefault(key, tuple(entries))
+
+
+class _BurstTable(dict):
+    """Burst skeletons the static operand can follow, by
+    ``(closed_mask, open_mask)``.
+
+    The product pairs a burst from implicit state ``u`` to ``v`` with
+    the static side only through a static state ``p1`` of ``u``'s shared
+    key and a state of ``v``'s shared key in ``p1``'s variable-epsilon
+    closure.  So a :func:`_skeleton` entry survives only when the move
+    from the masks' configuration to its ``states``, both projected
+    onto the shared variables, is in ``moves``: the pairs ``(key of q,
+    key of r)`` over every static state ``q`` and ``r`` in its closure.
+    Group-only variables project away and stay unconstrained.  A
+    complete entry carries the final state in its closure (at ``N +
+    1``), and the final state's key is the complete entry's, so the two
+    go together.  :attr:`merged_closes` tells whether the all-open
+    state's one burst, closing every variable, survives.  Neither the
+    skeletons nor ``moves`` depend on the document: one table per static
+    tables and group, riding on the tables' ``views`` (never pickled),
+    serves every document.  An entry is built whole before it is
+    stored, so threads may share the table.
+    """
+
+    __slots__ = ("k", "shared_idx", "moves", "merged_closes")
+
+    def __init__(self, k: int, shared_idx: tuple[int, ...], op):
+        super().__init__()
+        self.k = k
+        self.shared_idx = shared_idx
+        shared_key = op.shared_key
+        self.moves = {
+            (shared_key[q], key)
+            for q, buckets in enumerate(op.ve_by_key)
+            if shared_key[q] is not None
+            for key in buckets
+        }
+        self.merged_closes = any(
+            entry[5] == _COMPLETE for entry in self[(0, (1 << k) - 1)]
+        )
+
+    def __missing__(self, masks: tuple[int, int]) -> tuple:
+        k = self.k
+        shared_idx = self.shared_idx
+        moves = self.moves
+        states = _var_states(k, *masks)
+        key = tuple(states[i] for i in shared_idx)
+        return self.setdefault(masks, tuple(
+            entry for entry in _skeleton(k, *masks)
+            if (key, tuple(entry[8][i] for i in shared_idx)) in moves
+        ))
 
 
 class _ImplicitEqualityOperand:
@@ -319,6 +378,7 @@ class _ImplicitEqualityOperand:
         "merged_opens",
         "initial",
         "shared_idx",
+        "bursts",
         "states",
         "var_states",
         "codes",
@@ -336,6 +396,7 @@ class _ImplicitEqualityOperand:
         s: str,
         index: SubstringIndex,
         shared_idx: tuple[int, ...],
+        bursts: _BurstTable,
     ):
         self.k = k
         self.n = len(s)
@@ -346,6 +407,7 @@ class _ImplicitEqualityOperand:
             tuple((j, 0) for j in range(k)) if k >= 2 else None
         )
         self.shared_idx = shared_idx
+        self.bursts = bursts
         self.states: list[tuple | None] = []
         self.var_states: list[tuple[int, ...]] = []
         self.codes: list[int] = []
@@ -517,20 +579,26 @@ class _ImplicitEqualityOperand:
     def _fire_targets(self, u: tuple) -> list[int]:
         """The ids of all valid one-burst successors of the unfired ``u``.
 
-        Runs the state's burst :func:`_skeleton`; a burst is kept only
-        when the new partial assignment still extends to a full
-        equal-span choice of ``s``: closed spans agree on length and
-        value, open variables can still close on that value, and
-        still-unopened variables find an occurrence later.  Every check
-        is an index into the substring index's class tables, one dict
-        read per length.  A state whose variables are all open at one
-        forgotten start has one burst: closing them all.
+        Runs the state's burst :func:`_skeleton`, filtered by the
+        static operand's shared-variable moves (:class:`_BurstTable`,
+        cached on the static tables' ``views``): a burst no static
+        closure can follow is never tried, and its target never
+        interned.  A burst is kept only when the new partial assignment
+        still extends to a full equal-span choice of ``s``: closed spans
+        agree on length and value, open variables can still close on
+        that value, and still-unopened variables find an occurrence
+        later.  Every check is an index into the substring index's class
+        tables, one dict read per length.  A state whose variables are
+        all open at one forgotten start has one burst, closing them
+        all, when the static operand can follow it.
         """
         g, _fired, opens, closed_mask, length, ref = u
         ids = self._ids
         k = self.k
         full_mask = self.full_mask
         if opens == self.merged_opens:
+            if not self.bursts.merged_closes:
+                return []
             done = (g, True, (), full_mask, None, None)
             found = ids.get(done)
             if found is None:
@@ -552,9 +620,7 @@ class _ImplicitEqualityOperand:
         starts: list = []
         if length is not None:
             reps, starts = tables[length]
-        skeleton = _SKELETONS.get((k, closed_mask, open_mask))
-        if skeleton is None:
-            skeleton = _skeleton(k, closed_mask, open_mask)
+        skeleton = self.bursts[(closed_mask, open_mask)]
         out: list[int] = []
         for (
             first, others, empty, picks, layout, kind, new_closed, unopened,
@@ -755,8 +821,15 @@ class EqualityProduct:
         shared = tuple(v for v in group if v in tables.variables)
         op = self.op = operand_view(tables, shared)
         group_pos = {v: i for i, v in enumerate(group)}
+        shared_idx = tuple(group_pos[v] for v in shared)
+        burst_key = ("equality-bursts", group)
+        burst_table = tables.views.get(burst_key)
+        if burst_table is None:
+            burst_table = tables.views.setdefault(
+                burst_key, _BurstTable(len(group), shared_idx, op)
+            )
         eq = self.eq = _ImplicitEqualityOperand(
-            len(group), s, index, tuple(group_pos[v] for v in shared)
+            len(group), s, index, shared_idx, burst_table
         )
         n = len(s)
 

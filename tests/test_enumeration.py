@@ -2,6 +2,7 @@
 
 import gc
 import pickle
+import tracemalloc
 from array import array
 from itertools import product
 
@@ -592,3 +593,27 @@ class TestNoCyclicGarbage:
             assert self.cyclic_garbage(
                 lambda: unpack_tuples(names, offsets, counts)
             ) == []
+
+
+class TestWalkMemory:
+    """The walk's forced-stretch memo is allocated per stretch, not per
+    level: on a document of 40,002 levels with one tuple, the walk's
+    peak allocation stays a few pointers per level."""
+
+    #: Peak bytes per level a full walk may allocate: its children-memo
+    #: list and its stretch memo list hold one 8-byte slot per level each.
+    MAX_BYTES_PER_LEVEL = 32
+
+    def test_walk_memory_per_level(self):
+        spanner = CompiledSpanner(".*x{[0-9]+}.*")
+        levels = StateSetLevels(spanner.tables, "a" * 20000 + "7" + "b" * 20000)
+        levels.live_pass()
+        tracemalloc.start()
+        try:
+            tuples = list(walk_tuples(levels))
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [mu["x"] for mu in tuples] == [Span(20001, 20002)]
+        per_level = peak / levels.n_slots
+        assert per_level <= self.MAX_BYTES_PER_LEVEL, per_level

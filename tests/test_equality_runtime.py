@@ -335,7 +335,7 @@ class TestPinnedRecord:
         ("[a-c]+", ("x", "y", "z"), tuple((n, 50 + n) for n in (8, 12, 16))),
         (TestSilentStretches.CLIPPED, ("x", "y"), ((24, 7), (40, 8))),
     )
-    DIGEST = "0912a28aa66b5fd101bff3c53588273fbd9cca5a0a5459b1ca7b3164f1e267e2"
+    DIGEST = "96c95c1ddc2f880be6ae332323bb373a382d58bd7001a1fc8fcd4982ea5a7cca"
 
     @classmethod
     def digest(cls) -> str:
@@ -359,6 +359,54 @@ class TestPinnedRecord:
 
     def test_record_digest(self):
         assert self.digest() == self.DIGEST
+
+
+class TestStaticMoveFilter:
+    """The implicit operand fires only bursts the static side can follow.
+
+    The product pairs a burst of the implicit ``A_eq`` only with a
+    static state whose closure makes the same move on the shared
+    variables, so a burst no static closure makes is never tried and
+    its target never interned: with ``[a-h]+`` atoms no span is empty,
+    and no implicit state fixes the group's length at ``0``.  Where the
+    static side allows empty spans, the filter keeps them.
+    """
+
+    EMPTY_OK = RegexCQ(
+        ["x", "y"],
+        [".*x{[a-h]*}.*", ".*y{[a-h]*}.*"],
+        equalities=[("x", "y")],
+    )
+
+    def test_no_empty_span_state_for_nonempty_atoms(self):
+        spec, group, docs = TestPinnedRecord.CASES[0]
+        assert spec == "[a-h]+"
+        tables = tables_for(_static(spec, group))
+        for n, seed in docs:
+            s = repeats_text(n, seed=seed, alphabet="abcdefgh", plant="abc")
+            product = EqualityProduct(tables, group, s, SubstringIndex(s))
+            lengths = {
+                state[4] for state in product.eq.states if state is not None
+            }
+            assert 0 not in lengths and len(lengths) > 2, (s, lengths)
+
+    @pytest.mark.parametrize("s", ["", "a", "ab", "aba", "abab"])
+    def test_empty_spans_match_explicit_and_oracle(self, s):
+        fused = list(fused_evaluator().stream(self.EMPTY_OK, s))
+        materialized = list(materializing_evaluator().stream(self.EMPTY_OK, s))
+        assert fused == materialized
+        assert rendered(fused) == rendered(materialized)
+        static = join(
+            compile_regex(".*x{[a-h]*}.*"), compile_regex(".*y{[a-h]*}.*")
+        )
+        oracle = {
+            mu
+            for mu in oracle_evaluate(static, s)
+            if s[mu["x"].start - 1 : mu["x"].end - 1]
+            == s[mu["y"].start - 1 : mu["y"].end - 1]
+        }
+        assert set(fused) == oracle and len(fused) == len(oracle)
+        assert any(mu["x"].start == mu["x"].end for mu in fused)
 
 
 class TestPinnedLevels:
@@ -714,7 +762,8 @@ class TestLevelSource:
         assert list(cold) == tuples
 
     def test_threads_sharing_one_query_match_serial(self, monkeypatch):
-        # A fresh skeleton memo: the threads race on building its entries.
+        # A fresh skeleton memo, and fresh tables with a fresh burst
+        # table: the threads race on building their entries.
         monkeypatch.setattr(equality_module, "_SKELETONS", {})
         engine = fused_evaluator().equality_runtime(
             RegexUCQ([
