@@ -21,7 +21,8 @@ Series reproduced:
   the automaton, not on ``|s|`` (the worst single gap is still
   ``O(n^2 |s|)``).  Gated on both paths: the cold ``SpannerEvaluator``
   (state sets on one-off tables) and ``CompiledSpanner.stream`` (state
-  sets on tables whose memos serve every document);
+  sets on tables whose memos serve every document), and walk steps per
+  tuple on the same documents gated as a count (at most 2.1);
 * E1d: where a document's time goes on each path, per stage — the
   table build, forward, live and walk passes, and the decode of the
   walk's words into tuples — on the dense-logs shape and on the
@@ -570,6 +571,37 @@ def test_e1a_walk_steps_per_tuple():
             assert steps <= MAX_STEPS_PER_TUPLE * tuples, (
                 f"{path}: {steps / tuples:.3f} walk steps per tuple at "
                 f"|s| = {n}"
+            )
+
+
+#: E1c's walk-steps-per-tuple bound (its documents read 1.87 compiled,
+#: 1.89-2.02 cold over :data:`DENSE_LINE_COUNTS`).
+MAX_DENSE_STEPS_PER_TUPLE = 2.1
+
+
+def test_e1c_walk_steps_per_tuple():
+    """Count gate: on E1c's dense log documents, the walk takes at most
+    :data:`MAX_DENSE_STEPS_PER_TUPLE` steps per tuple at every length, on
+    the cold and the compiled path.
+
+    Every digit sub-run of a dense document is a tuple, and each one
+    closes its word at the letter after the run; a walk that kept
+    stepping levels past that letter shows here as a count, exact on
+    any runner, where the p50 delay slope sees only noise.  Each
+    document is streamed once first, so the compiled path counts the
+    steady state of a stream (warm memos), as E1d does.
+    """
+    spanner = CompiledSpanner(DENSE_PATTERN)
+    docs = [dense_document(n_lines) for n_lines in DENSE_LINE_COUNTS]
+    for s in docs:
+        list(spanner.stream(s))
+    for path, levels in STAGE_LEVELS.items():
+        for n_lines, s in zip(DENSE_LINE_COUNTS, docs):
+            steps, tuples = walk_steps(levels(spanner, s))
+            assert tuples > 1
+            assert steps <= MAX_DENSE_STEPS_PER_TUPLE * tuples, (
+                f"{path}: {steps / tuples:.3f} walk steps per tuple at "
+                f"{n_lines} lines"
             )
 
 

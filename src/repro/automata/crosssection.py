@@ -8,9 +8,9 @@ with positions, epsilon transitions collapsed) and handing the result to
 :class:`~repro.automata.leveled.RadixEnumerator`.
 
 The production tuple enumerator does *not* go through this module (it
-builds its leveled graph directly from variable configurations, see
-:mod:`repro.enumeration.graph`); the cross-section here serves the
-independent test oracle and any generic word-enumeration need.
+walks memoized state sets, see :mod:`repro.enumeration.statesets`),
+and neither does the ref-word oracle (:mod:`repro.oracle`); the
+cross-section here is the generic word-enumeration primitive of [2].
 """
 
 from __future__ import annotations

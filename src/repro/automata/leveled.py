@@ -14,7 +14,7 @@ This module implements that machinery generically:
   and 3 (nextString) of the paper, with the per-answer delay bounded by
   ``O(L * n^2)`` for ``n`` states per level.
 
-The test-oracle cross-section (:mod:`repro.automata.crosssection`) and
+The generic cross-section (:mod:`repro.automata.crosssection`) and
 :meth:`~repro.enumeration.SpannerEvaluator.configuration_words` hand a
 :class:`LeveledNFA` to :class:`RadixEnumerator`.  Tuple enumeration
 instead runs :func:`repro.enumeration.enumerator.walk_tuples`, which

@@ -21,7 +21,6 @@ __all__ = [
     "coreachable_states",
     "trim",
     "simulate",
-    "closure_table",
 ]
 
 Label = Hashable
@@ -46,15 +45,6 @@ def closure(
                 seen.add(dst)
                 frontier.append(dst)
     return frozenset(seen)
-
-
-def closure_table(nfa: NFA, traversable: LabelFilter) -> list[frozenset[int]]:
-    """Per-state closure, i.e. ``[closure(nfa, {q}) for q in states]``.
-
-    Computed state-by-state; overall ``O(n (n + m))``, matching the
-    "standard transitive closure algorithm" cost the paper cites.
-    """
-    return [closure(nfa, (q,), traversable) for q in range(nfa.n_states)]
 
 
 def reachable_states(

@@ -66,7 +66,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import deque
 from dataclasses import asdict
 from typing import Iterable, Iterator
 
@@ -299,8 +298,8 @@ def _serve(
     Every query — formula syntax or a compiled CQ engine — registers on
     one :class:`SpannerService`, so admission control sees it before
     any worker time and the workers hold each artifact at most once.
-    ``work`` goes out through :meth:`submit_all` in windows of
-    ``workers`` chunks, the next window submitted before the current
+    ``work`` goes out through :meth:`SpannerService.stream` in windows
+    of ``workers`` chunks, the next window submitted before the current
     one renders: workers stay busy while the driver prints, and no
     more than ``2 * workers`` chunks are ever in flight (the bound a
     streaming session keeps on memory and read-ahead).
@@ -319,44 +318,35 @@ def _serve(
         # Repeating a query repeats its rendering, not its evaluation.
         members = list(dict.fromkeys(ids))
         later: list[list[list[SpanTuple]]] = [[] for _ in ids[1:]]
-        window = service.config.workers * service.config.chunk_size
-
-        def windows() -> Iterator[tuple[int, dict]]:
-            """``(first document index, futures)`` per window, in order,
-            with the next window already submitted."""
-            pending: deque = deque()
-            for start in range(0, len(work), window):
-                futures = service.submit_all(
-                    work[start : start + window],
-                    queries=members,
-                    kind=kind,
-                    limit=limit,
-                    fuse=args.fuse,
-                )
-                pending.append((start, futures))
-                if len(pending) == 2:
-                    yield pending.popleft()
-            yield from pending
-
-        for start, futures in windows():
-            try:
-                results = {qid: futures[qid].result() for qid in members}
-            except OSError as err:
-                failed = getattr(err, "filename", None)
-                raise SpannerError(
-                    f"worker cannot read {failed or 'input'}: "
-                    f"{err.strerror or err}"
-                ) from err
-            except UnicodeDecodeError as err:
-                raise SpannerError(
-                    f"worker cannot decode input as {args.encoding}: {err} "
-                    "(pick a codec with --encoding, or soften with "
-                    "--errors replace)"
-                ) from err
-            for j, answers in enumerate(results[ids[0]], start):
-                yield 0, j, answers
-            for buffer, qid in zip(later, ids[1:]):
-                buffer.extend(results[qid])
+        windows = service.stream(
+            work,
+            queries=members,
+            kind=kind,
+            limit=limit,
+            fuse=args.fuse,
+            window=service.config.workers * service.config.chunk_size,
+            ahead=2,
+        )
+        j = 0
+        try:
+            for results in windows:
+                for answers in results[ids[0]]:
+                    yield 0, j, answers
+                    j += 1
+                for buffer, qid in zip(later, ids[1:]):
+                    buffer.extend(results[qid])
+        except OSError as err:
+            failed = getattr(err, "filename", None)
+            raise SpannerError(
+                f"worker cannot read {failed or 'input'}: "
+                f"{err.strerror or err}"
+            ) from err
+        except UnicodeDecodeError as err:
+            raise SpannerError(
+                f"worker cannot decode input as {args.encoding}: {err} "
+                "(pick a codec with --encoding, or soften with "
+                "--errors replace)"
+            ) from err
         for i, buffer in enumerate(later, 1):
             for j, answers in enumerate(buffer):
                 yield i, j, answers
@@ -652,11 +642,11 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("auto", "serial", "thread", "process"),
             default="auto",
             help=(
-                "compute substrate for --workers fleets: auto "
-                "(serial at --workers 1, threads on a free-threaded "
-                "interpreter, processes otherwise), serial (inline, "
-                "for debugging), thread (shared-memory workers, no "
-                "pickling), process (isolated OS processes)"
+                "compute substrate of the fleet a --workers N > 1 run "
+                "starts (--workers 1 starts none): auto (threads on a "
+                "free-threaded interpreter, processes otherwise), serial "
+                "(inline, for debugging), thread (shared-memory workers, "
+                "no pickling), process (isolated OS processes)"
             ),
         )
         p.add_argument(

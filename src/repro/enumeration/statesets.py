@@ -66,6 +66,7 @@ class StateSetLevels:
         "is_empty",
         "forward",
         "_contexts",
+        "_memos",
         "_jumps",
     )
 
@@ -75,6 +76,7 @@ class StateSetLevels:
         self.n_slots = len(s) + 1
         self.variables = tables.variables
         self._contexts: list[StepContext] | None = None
+        self._memos: list[dict] = []
         self._jumps: list[tuple[int, int, int, int, tuple[int, ...]]] = []
         if tables.is_empty:
             self.memo = None
@@ -120,6 +122,7 @@ class StateSetLevels:
         forward = self.forward
         text = self.text
         contexts: list[StepContext] = [None] * self.n_slots  # type: ignore[list-item]
+        memos: list[dict] = [None] * self.n_slots  # type: ignore[list-item]
         jumps: list[tuple[int, int, int, int, tuple[int, ...]]] = []
         waiting = (WAITING,) * len(self.variables)
         # The nearest firing level above (0: none yet), its part, and
@@ -135,6 +138,7 @@ class StateSetLevels:
             if ctx is None:
                 ctx = memo.context(target, ch)
             contexts[level] = ctx
+            memos[level] = ctx.children
             states = forward[level]
             found = ctx.live.get(states)
             if found is None:
@@ -153,6 +157,7 @@ class StateSetLevels:
             # The root is silent: the all-WAITING word starts with a jump.
             jumps.append((0, above, fire_level, fire_part, waiting))
         self._jumps = jumps
+        self._memos = memos
         self._contexts = contexts
         return contexts
 
@@ -174,8 +179,10 @@ class StateSetLevels:
         return self._jumps
 
     def children_memos(self) -> list[dict]:
-        """Per level, the shared children memo of its step context."""
-        return [ctx.children for ctx in self.live_pass()]
+        """Per level, the shared children memo of its step context
+        (filled by the live pass; callers must not modify the list)."""
+        self.live_pass()
+        return self._memos
 
     def children(
         self, states: int, level: int

@@ -21,7 +21,6 @@ __all__ = [
     "semijoin",
     "difference",
     "rename",
-    "cartesian_width",
 ]
 
 Value = Hashable
@@ -121,12 +120,3 @@ def rename(relation: Relation, mapping: Mapping[str, str]) -> Relation:
     """Rename attributes per ``mapping`` (identity elsewhere)."""
     new_schema = tuple(mapping.get(a, a) for a in relation.schema)
     return Relation(new_schema, relation.rows)
-
-
-def cartesian_width(relations: Iterable[Relation]) -> int:
-    """Product of cardinalities — the trivial upper bound used by the
-    planner's worst-case estimates."""
-    total = 1
-    for relation in relations:
-        total *= max(len(relation), 1)
-    return total

@@ -1,13 +1,11 @@
 """Process-wide, bounded, instrumented compilation caches.
 
-PR 1 cached compiled artifacts in two unrelated places: the weak
-per-automaton table cache of :mod:`repro.runtime.tables` and the
-per-*instance* fingerprint dicts of
-:class:`~repro.queries.compiled.CompiledEvaluator`.  Per-instance
-caching is invisible to every other evaluator in the process — the CLI,
-a second ``CompiledEvaluator``, and (new in this PR) the worker
-processes of :class:`~repro.runtime.parallel.ParallelSpanner` each
-recompiled the same query structure from scratch.
+Compiled artifacts are cached per *process*, not per evaluator: a
+per-instance cache would be invisible to every other evaluator in the
+process — the CLI, a second
+:class:`~repro.queries.compiled.CompiledEvaluator`, the fleet's worker
+processes — and each would recompile the same query structure from
+scratch.
 
 This module hosts the shared infrastructure:
 
@@ -31,7 +29,7 @@ This module hosts the shared infrastructure:
   observability hook the README documents.
 
 Everything here is *per process* by construction: module state is
-rebuilt on import, so each :class:`ParallelSpanner` worker gets its own
+rebuilt on import, so each fleet worker gets its own
 cache and pays each compilation at most once, however many chunks it
 evaluates.
 """

@@ -7,10 +7,9 @@ mutable parts are per-process caches) — but a
 single Python process is GIL-bound to one core.  :class:`ParallelSpanner`
 shards a document iterable across worker processes.
 
-Since PR 4 the workers behind it are a
-:class:`~repro.runtime.service.SpannerService` fleet; ``ParallelSpanner``
-is the *single-query streaming session* over that fleet, keeping the
-API and guarantees it has had since PR 2:
+It is a thin adapter over a :class:`~repro.runtime.service.SpannerService`
+fleet with one registered query, driven by
+:meth:`SpannerService.stream <repro.runtime.service.SpannerService.stream>`:
 
 * the compiled artifact is pickled **once** (the explicit serialization
   contract of :mod:`repro.runtime.tables`) and every worker receives it
@@ -31,9 +30,8 @@ API and guarantees it has had since PR 2:
   or recycles the underlying fleet absorbs along the way);
 * ``workers=1`` runs the **serial backend** — the same service policy
   layer over inline execution, with no fleet, no pickling and no
-  subprocesses (and since PR 10 the *same* code path as every other
-  worker count, so result caps and file-backed reads behave
-  identically at every ``workers`` setting).
+  subprocesses, so result caps and file-backed reads behave
+  identically at every ``workers`` setting.
 
 A fleet is created per batch call by default; use the spanner as a
 context manager to keep one fleet (and its per-worker unpickled tables)
@@ -61,9 +59,8 @@ worker-side, and small chunks stay on the pipe.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import asdict, replace
-from itertools import islice
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..spans import SpanTuple
@@ -101,7 +98,10 @@ class ParallelSpanner(ConfigAttributes):
       nothing from processes or threads.  The rule lives here, not in
       backend resolution, so ``SpannerService(workers=1)`` keeps its
       killable worker and hence its deadlines.
-    * the session is single-query: every chunk is a one-member task.
+    * the session is single-query: every chunk is a one-member task,
+      and a quarantined query fails the iteration with
+      :class:`~repro.errors.QueryQuarantinedError` when its chunk's
+      result is read.
 
     Args:
         max_pending: chunks in flight before dispatch blocks; bounds
@@ -198,13 +198,13 @@ class ParallelSpanner(ConfigAttributes):
         after ``limit`` enumeration steps instead of materializing
         (and shipping back) the full result.
         """
-        yield from self._shard(docs, "evaluate", limit)
+        yield from self._shard(docs, "docs", limit=limit)
 
     def count_many(
         self, docs: Iterable[str], cap: int | None = None
     ) -> Iterator[int]:
         """Per-document distinct-tuple counts across the worker fleet."""
-        yield from self._shard(docs, "count", cap)
+        yield from self._shard(docs, "counts", cap=cap)
 
     def evaluate_files(
         self, paths: Iterable[str], *, limit: int | None = None
@@ -220,68 +220,29 @@ class ParallelSpanner(ConfigAttributes):
         decode failures raise ``UnicodeDecodeError`` unless an
         ``encoding``/``errors`` pair that accepts the bytes was set.
         """
-        yield from self._shard(paths, "files", limit)
+        yield from self._shard(paths, "files", limit=limit)
 
-    def _shard(
-        self, docs: Iterable[str], op: str, extra: int | None
-    ) -> Iterator:
-        """Chunked, backpressured, order-preserving dispatch loop.
+    def _shard(self, docs: Iterable[str], kind: str, **bound) -> Iterator:
+        """One query's per-item results over the fleet, in input order.
 
-        Chunks are submitted in input order and results collected from
-        the *head* of the pending queue, so output order is input order
-        regardless of which worker finishes first.  Submission pauses
-        at ``max_pending`` outstanding chunks: the input iterable is
-        never read more than ``max_pending * chunk_size`` documents
-        ahead of the last yielded result.
+        :meth:`SpannerService.stream` drives the fleet one chunk per
+        window, at most ``max_pending`` windows ahead of the consumer;
+        abandoning the generator cancels what is still in flight.
         """
         it = iter(docs)
         first = list(islice(it, self.config.chunk_size))
         if not first:
             return  # empty corpus: don't spin up (or touch) any fleet
-        if self._pool is not None:
-            yield from self._drive(self._pool, first, it, op, extra)
-        else:
-            pool = self._make_pool()
-            try:
-                yield from self._drive(pool, first, it, op, extra)
-            finally:
-                pool.close(drain=False)
-
-    def _drive(
-        self,
-        pool: SpannerService,
-        first: list[str],
-        it: Iterator[str],
-        op: str,
-        extra: int | None,
-    ) -> Iterator:
+        pool = self._pool if self._pool is not None else self._make_pool()
         query_id = self._query_id
-        pending: deque = deque()
+        windows = pool.stream(
+            chain(first, it), queries=[query_id], kind=kind,
+            window=self.config.chunk_size, ahead=self.max_pending, **bound,
+        )
         try:
-            pending.append(
-                pool.submit_chunk(query_id, first, op=op, extra=extra)
-            )
-            exhausted = False
-            while pending:
-                while not exhausted and len(pending) < self.max_pending:
-                    chunk = list(islice(it, self.config.chunk_size))
-                    if not chunk:
-                        exhausted = True
-                        break
-                    pending.append(
-                        pool.submit_chunk(
-                            query_id, chunk, op=op, extra=extra
-                        )
-                    )
-                yield from pending.popleft().result()
+            for results in windows:
+                yield from results[query_id]
         finally:
-            # Abandoned mid-iteration (the consumer broke out of the
-            # generator, or a chunk failed): cancel whatever is still
-            # in flight so a persistent session starts its next call
-            # with a quiet fleet — no stale futures holding results,
-            # in-flight slots or shared-memory segments, and nothing
-            # for a later call to deadlock against.  Results workers
-            # still produce for these tasks resolve driver-side into
-            # already-cancelled futures and are dropped.
-            while pending:
-                pending.popleft().cancel()
+            windows.close()
+            if pool is not self._pool:
+                pool.close(drain=False)

@@ -1,13 +1,11 @@
 """The long-lived serving fleet: queue-fed workers, many queries, one pool.
 
-:class:`~repro.runtime.parallel.ParallelSpanner` (PR 2/3) shards one
-compiled artifact across a pool that lives for a batch call or a
-context-manager scope and serves exactly **one** query.  The paper's
-compile-once/evaluate-many split (Theorem 3.3, Lemma 3.10) pays off in
-proportion to how long the compiled artifact outlives its compilation —
-a serving system should therefore keep the workers *resident* and let
-every registered query share them.  :class:`SpannerService` is that
-fleet:
+The paper's compile-once/evaluate-many split (Theorem 3.3, Lemma 3.10)
+pays off in proportion to how long the compiled artifact outlives its
+compilation — a serving system therefore keeps the workers *resident*
+and lets every registered query share them.  :class:`SpannerService` is
+that fleet (:class:`~repro.runtime.parallel.ParallelSpanner` is a
+single-query session over it):
 
 * **Queue-fed workers.**  Each worker process owns a dedicated task
   queue and blocks on it; the driver assigns chunks to the least-loaded
@@ -88,6 +86,12 @@ fleet:
   order) to Q one-member submissions.  The heartbeat's member slot
   lets a multi-member failure indict exactly the offending query's
   breaker.
+* **Streaming.**  :meth:`stream` serves an iterable of work (possibly
+  unbounded) window by window through :meth:`submit_all`, with at most
+  ``ahead`` windows unresolved and results yielded in input order; a
+  consumer that stops early cancels what is still pending.  It is the
+  one drive loop over the fleet: ``ParallelSpanner`` and the CLI's
+  ``--workers N`` route both run it.
 * **Asyncio front-end.**  ``await service.extract(query_id, docs)``
   evaluates a batch without blocking the event loop;
   :meth:`submit` returns a :class:`concurrent.futures.Future` usable
@@ -138,9 +142,9 @@ import time
 from collections import deque
 from concurrent.futures import CancelledError, Future, InvalidStateError, wait
 from dataclasses import asdict, dataclass, field, replace
-from itertools import count
+from itertools import count, islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Awaitable, Iterable, Sequence
+from typing import TYPE_CHECKING, Awaitable, Iterable, Iterator, Sequence
 
 from ..errors import (
     InvalidSpanError,
@@ -780,10 +784,9 @@ class SpannerService(ConfigAttributes):
         """Dispatch ``items`` as one one-member task; returns the future
         of its result list.
 
-        What :class:`~repro.runtime.parallel.ParallelSpanner`'s
-        streaming sessions build on.  While ``max_in_flight`` chunks are
-        already outstanding the ``on_overload`` policy applies (block,
-        reject, or shed the oldest backlogged task).  ``timeout``
+        While ``max_in_flight`` chunks are already outstanding the
+        ``on_overload`` policy applies (block, reject, or shed the
+        oldest backlogged task).  ``timeout``
         overrides the query/service deadline for this chunk alone, and
         ``max_tuples`` / ``max_result_bytes`` the query/service result
         caps (per document; explicit ``None`` disables an inherited
@@ -1133,6 +1136,57 @@ class SpannerService(ConfigAttributes):
                 futures = [_failed(err) for _ in members]
             out.update(zip(members, futures))
         return out
+
+    def stream(
+        self,
+        work: Iterable[str],
+        *,
+        queries: "Sequence[str] | None" = None,
+        kind: str = "docs",
+        limit: int | None = None,
+        cap: int | None = None,
+        fuse: bool = True,
+        window: int | None = None,
+        ahead: int = 2,
+    ) -> "Iterator[dict[str, list]]":
+        """Serve an iterable of work window by window, in input order.
+
+        ``work`` is read lazily in windows of ``window`` items (default
+        ``chunk_size``); each window goes out through :meth:`submit_all`
+        (``queries``, ``kind``, ``limit``, ``cap`` and ``fuse`` as
+        there) while fewer than ``ahead`` windows are unresolved, and
+        each window's ``{query_id: per-item results}`` is yielded in
+        input order.  So the input is never read more than ``ahead *
+        window`` items past the last yielded window — an unbounded
+        stream composes — and a failed window raises when it is
+        reached.  A consumer that stops early (or a failure) cancels
+        every window still pending, leaving the fleet quiet for the next
+        call: results workers still produce for them are dropped.
+        """
+        window = self.config.chunk_size if window is None else window
+        if window < 1 or ahead < 1:
+            raise ValueError(
+                f"window and ahead must be >= 1, got {window} and {ahead}"
+            )
+        queries = self.queries if queries is None else queries
+        it = iter(work)
+        windows = iter(lambda: list(islice(it, window)), [])
+        pending: deque = deque()
+        try:
+            while True:
+                for items in islice(windows, ahead - len(pending)):
+                    pending.append(self.submit_all(
+                        items, queries=queries, kind=kind, limit=limit,
+                        cap=cap, fuse=fuse,
+                    ))
+                if not pending:
+                    return
+                yield {qid: f.result() for qid, f in pending[0].items()}
+                pending.popleft()
+        finally:
+            for futures in pending:
+                for future in futures.values():
+                    future.cancel()
 
     # -- Asyncio front-end --------------------------------------------------
     async def extract(

@@ -179,12 +179,6 @@ class VariableConfiguration:
                 out.add(VariableMarker(var, False))
         return frozenset(out)
 
-    def advances_to(self, other: "VariableConfiguration") -> bool:
-        """True when every variable moves forward or stays (w<=o<=c)."""
-        if self.variables != other.variables:
-            return False
-        return all(b <= a for b, a in zip(self.states, other.states))
-
     def restrict(self, variables: Iterable[str]) -> "VariableConfiguration":
         keep = set(variables)
         pairs = [(v, s) for v, s in self.items() if v in keep]

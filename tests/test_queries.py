@@ -81,6 +81,27 @@ class TestConstruction:
         assert not u.has_equalities
         assert len(u) == 2
 
+    def test_ucq_max_equality_count(self):
+        # Corollary 5.5's m: the most equality groups of any disjunct.
+        u = RegexUCQ(
+            [
+                RegexCQ(
+                    ["x"],
+                    [".*x{a+}.*", ".*y{a+}.*"],
+                    equalities=[["x", "y"]],
+                ),
+                RegexCQ(
+                    ["x"],
+                    [".*x{a+}.*", ".*y{a+}.*", ".*z{b+}.*", ".*w{b+}.*"],
+                    equalities=[["x", "y"], ["z", "w"]],
+                ),
+                RegexCQ(["x"], [".*x{a}.*"]),
+            ]
+        )
+        assert [cq.equality_count for cq in u] == [1, 2, 0]
+        assert u.max_equality_count == 2
+        assert u.max_atom_count == 4
+
     def test_str_rendering(self):
         cq = RegexCQ(["x"], ["x{a}"], equalities=[])
         assert "pi[x]" in str(cq)

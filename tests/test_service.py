@@ -523,6 +523,30 @@ class TestAsyncFrontend:
         assert docs == word_serial[:4]
         assert files == word_serial[:1]
 
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_extract_all_files(self, tmp_path, word_serial, digit_serial,
+                               backend):
+        paths = []
+        for i, doc in enumerate(DOCS[:2]):
+            path = tmp_path / f"doc{i}.txt"
+            path.write_text(doc, encoding="utf-8")
+            paths.append(str(path))
+
+        async def run():
+            with SpannerService(
+                workers=2, chunk_size=1, backend=backend
+            ) as service:
+                q1 = service.register(CompiledSpanner(WORD_FORMULA))
+                q2 = service.register(CompiledSpanner(DIGIT_FORMULA))
+                files = await service.extract_all_files(paths)
+                generic = await service.extract_all(paths, kind="files")
+                return {q1: "word", q2: "digit"}, files, generic
+
+        names, files, generic = asyncio.run(run())
+        serial = {"word": word_serial[:2], "digit": digit_serial[:2]}
+        assert files == generic
+        assert {names[qid]: out for qid, out in files.items()} == serial
+
 
 def dev_shm_segments() -> set[str]:
     import glob
@@ -631,3 +655,76 @@ class TestBackpressure:
             qid = service.register(CompiledSpanner(WORD_FORMULA))
             assert service.submit(DOCS, queries=qid).result() == word_serial
             assert service.submit(DOCS, queries=qid).result() == word_serial
+
+
+class TestStream:
+    """``SpannerService.stream``: the fleet's one drive loop."""
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_windows_in_input_order(self, word_serial, digit_serial,
+                                    backend):
+        with SpannerService(
+            workers=2, chunk_size=3, backend=backend
+        ) as service:
+            q1 = service.register(CompiledSpanner(WORD_FORMULA))
+            q2 = service.register(CompiledSpanner(DIGIT_FORMULA))
+            windows = list(service.stream(iter(DOCS), window=5))
+        assert [len(w[q1]) for w in windows] == [5] * 6 + [2]
+        assert [t for w in windows for t in w[q1]] == word_serial
+        assert [t for w in windows for t in w[q2]] == digit_serial
+
+    def test_counts_and_default_window(self, word_serial):
+        with SpannerService(
+            workers=1, chunk_size=4, backend="serial"
+        ) as service:
+            qid = service.register(CompiledSpanner(WORD_FORMULA))
+            windows = list(service.stream(DOCS, kind="counts", cap=1))
+        assert all(len(w[qid]) == 4 for w in windows)
+        assert [n for w in windows for n in w[qid]] == [
+            min(len(t), 1) for t in word_serial
+        ]
+
+    def test_input_read_ahead_is_bounded(self):
+        pulled = []
+
+        def docs():
+            for doc in DOCS:
+                pulled.append(doc)
+                yield doc
+
+        with SpannerService(workers=1, backend="serial") as service:
+            service.register(CompiledSpanner(WORD_FORMULA))
+            windows = service.stream(docs(), window=2, ahead=3)
+            next(windows)
+            assert len(pulled) == 6  # three windows of two, no more
+            windows.close()
+
+    def test_rejects_empty_window_or_lookahead(self):
+        with SpannerService(workers=1, backend="serial") as service:
+            with pytest.raises(ValueError, match="window and ahead"):
+                next(service.stream(DOCS, window=0))
+            with pytest.raises(ValueError, match="window and ahead"):
+                next(service.stream(DOCS, ahead=0))
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_break_after_first_window_leaves_quiet_fleet(
+        self, word_serial, backend
+    ):
+        with SpannerService(
+            workers=2, chunk_size=1, backend=backend
+        ) as service:
+            qid = service.register(CompiledSpanner(WORD_FORMULA))
+            windows = service.stream(DOCS, queries=[qid], window=4)
+            for results in windows:
+                assert results == {qid: word_serial[:4]}
+                break
+            windows.close()
+            deadline = time.monotonic() + 10
+            while (
+                service.health()["tasks_outstanding"]
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.02)
+            assert service.health()["tasks_outstanding"] == 0
+            again = service.stream(DOCS, queries=[qid], window=4)
+            assert [t for w in again for t in w[qid]] == word_serial

@@ -12,6 +12,7 @@ from repro.alphabet import (
 from repro.automata.nfa import NFA
 from repro.errors import NotFunctionalError, SchemaError
 from repro.oracle import oracle_evaluate
+from repro.refwords import refword_from_tuple
 from repro.vset import (
     CLOSED,
     OPEN,
@@ -205,6 +206,20 @@ class TestVSetAutomaton:
         dot = automaton.to_dot()
         assert "digraph" in dot
         assert "⊢x" in dot
+
+    def test_accepts_refword_is_ref_language_membership(self):
+        # §2: [[A]](s) is read off the ref-words of R(A) with clr(r) = s.
+        automaton = compile_regex(".*x{ab}y{c}.*")
+        s = "zabcz"
+        [mu] = oracle_evaluate(automaton, s)
+        refword = refword_from_tuple(mu, s)
+        assert automaton.accepts_refword(refword)
+        # x closed before it opens: no run of A reads it.
+        ox = refword.index(open_marker("x"))
+        cx = refword.index(close_marker("x"))
+        swapped = list(refword)
+        swapped[ox], swapped[cx] = swapped[cx], swapped[ox]
+        assert not automaton.accepts_refword(tuple(swapped))
 
     def test_evaluate_convenience(self):
         rel = compile_regex("x{a}").evaluate("a")
